@@ -68,6 +68,20 @@ void print_stats(const mbsp::daemon::DaemonStats& stats) {
       static_cast<unsigned long long>(stats.active_connections));
 }
 
+/// Prints why a request failed (transport error, or the daemon's typed
+/// error); false when `outcome` carries a final plan.
+bool failed(bool sent, const mbsp::daemon::MbspClient::Outcome& outcome,
+            const std::string& error) {
+  if (!sent) {
+    std::fprintf(stderr, "mbsp-client: transport error: %s\n", error.c_str());
+  } else if (!outcome.ok) {
+    std::fprintf(stderr, "mbsp-client: daemon error [%s]: %s\n",
+                 mbsp::daemon::wire_error_name(outcome.error.code),
+                 outcome.error.message.c_str());
+  }
+  return !sent || !outcome.ok;
+}
+
 /// Replays `trace_spec` against a live daemon: SCHEDULE seeds the base
 /// incumbent, then every event is a REPAIR pinning the previous reply's
 /// mutated hash (docs/REPAIR.md "Repair over the wire").
@@ -100,14 +114,7 @@ int replay_trace(mbsp::daemon::MbspClient& client,
   ScheduleRequest seed_request = base_request;
   seed_request.dag_bytes = dag_to_binary(trace->base.dag);
   MbspClient::Outcome seeded;
-  if (!client.run(seed_request, &seeded, &error)) {
-    std::fprintf(stderr, "mbsp-client: transport error: %s\n", error.c_str());
-    return 1;
-  }
-  if (!seeded.ok) {
-    std::fprintf(stderr, "mbsp-client: daemon error [%s]: %s\n",
-                 wire_error_name(seeded.error.code),
-                 seeded.error.message.c_str());
+  if (failed(client.run(seed_request, &seeded, &error), seeded, error)) {
     return 1;
   }
   if (!quiet) {
@@ -119,32 +126,15 @@ int replay_trace(mbsp::daemon::MbspClient& client,
   std::uint64_t pinned = seeded.final.dag_hash;
   std::size_t repaired = 0;
   for (std::size_t i = 0; i < trace->events.size(); ++i) {
-    RepairRequest repair;
-    repair.no_cache = base_request.no_cache;
-    repair.machine_spec = base_request.machine_spec;
-    repair.scheduler = base_request.scheduler;
-    repair.cost_model = base_request.cost_model;
-    repair.budget_ms = base_request.budget_ms;
-    repair.max_iterations = base_request.max_iterations;
-    repair.seed = base_request.seed;
-    repair.deadline_ms = base_request.deadline_ms;
+    RepairRequest repair{base_request, trace->events[i].delta};
     if (i == 0) {
       repair.dag_bytes = seed_request.dag_bytes;  // base goes inline once
     } else {
       repair.dag_hash = pinned;  // chain onto the previous mutated scenario
     }
-    repair.delta = trace->events[i].delta;
 
     MbspClient::Outcome outcome;
-    if (!client.repair(repair, &outcome, &error)) {
-      std::fprintf(stderr, "mbsp-client: transport error: %s\n",
-                   error.c_str());
-      return 1;
-    }
-    if (!outcome.ok) {
-      std::fprintf(stderr, "mbsp-client: daemon error [%s]: %s\n",
-                   wire_error_name(outcome.error.code),
-                   outcome.error.message.c_str());
+    if (failed(client.repair(repair, &outcome, &error), outcome, error)) {
       return 1;
     }
     const bool via_repair = outcome.final.cache == CacheStatus::kRepaired ||
@@ -289,15 +279,7 @@ int main(int argc, char** argv) {
 
   for (int round = 0; round < repeat; ++round) {
     MbspClient::Outcome outcome;
-    if (!client.run(request, &outcome, &error)) {
-      std::fprintf(stderr, "mbsp-client: transport error: %s\n",
-                   error.c_str());
-      return 1;
-    }
-    if (!outcome.ok) {
-      std::fprintf(stderr, "mbsp-client: daemon error [%s]: %s\n",
-                   wire_error_name(outcome.error.code),
-                   outcome.error.message.c_str());
+    if (failed(client.run(request, &outcome, &error), outcome, error)) {
       return 1;
     }
     if (!quiet) {

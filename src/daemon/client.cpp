@@ -80,25 +80,20 @@ bool MbspClient::stats(DaemonStats* out, std::string* error) {
 
 bool MbspClient::run(const ScheduleRequest& request, Outcome* outcome,
                      std::string* error) {
-  *outcome = Outcome{};
-  if (!write_frame(fd_, FrameType::kScheduleRequest,
-                   encode_schedule_request(request), error)) {
-    return false;
-  }
-  return consume_reply_stream(outcome, error);
+  return round_trip(FrameType::kScheduleRequest,
+                    encode_schedule_request(request), outcome, error);
 }
 
 bool MbspClient::repair(const RepairRequest& request, Outcome* outcome,
                         std::string* error) {
-  *outcome = Outcome{};
-  if (!write_frame(fd_, FrameType::kRepairRequest,
-                   encode_repair_request(request), error)) {
-    return false;
-  }
-  return consume_reply_stream(outcome, error);
+  return round_trip(FrameType::kRepairRequest, encode_repair_request(request),
+                    outcome, error);
 }
 
-bool MbspClient::consume_reply_stream(Outcome* outcome, std::string* error) {
+bool MbspClient::round_trip(FrameType type, const std::string& payload,
+                            Outcome* outcome, std::string* error) {
+  *outcome = Outcome{};
+  if (!write_frame(fd_, type, payload, error)) return false;
   while (true) {
     Frame frame;
     if (!read_reply(&frame, error)) return false;

@@ -63,9 +63,10 @@ class MbspClient {
   bool send_raw(const std::string& bytes, std::string* error = nullptr);
 
  private:
-  /// Shared reply-stream pump of run()/repair(): status / progress frames
-  /// accumulate until a final or typed-error frame ends the request.
-  bool consume_reply_stream(Outcome* outcome, std::string* error);
+  /// Shared body of run()/repair(): sends the request frame, then status /
+  /// progress frames accumulate until a final or typed-error frame ends it.
+  bool round_trip(FrameType type, const std::string& payload,
+                  Outcome* outcome, std::string* error);
 
   int fd_ = -1;
 };

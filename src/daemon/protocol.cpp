@@ -204,10 +204,12 @@ bool WireReader::expect_end() {
 }
 
 // ---------------------------------------------------------------------------
-// ScheduleRequest
+// ScheduleRequest: the field tuple is shared by the schedule-req payload
+// and the head of the repair-req payload.
 
-std::string encode_schedule_request(const ScheduleRequest& request) {
-  WireWriter w;
+namespace {
+
+void write_request_fields(WireWriter& w, const ScheduleRequest& request) {
   w.u8(request.version);
   w.u8(request.no_cache ? 1 : 0);
   w.u64(request.dag_hash);
@@ -219,12 +221,9 @@ std::string encode_schedule_request(const ScheduleRequest& request) {
   w.i64(request.max_iterations);
   w.u64(request.seed);
   w.f64(request.deadline_ms);
-  return w.take();
 }
 
-bool decode_schedule_request(const std::string& payload,
-                             ScheduleRequest* request, std::string* error) {
-  WireReader r(payload);
+void read_request_fields(WireReader& r, ScheduleRequest* request) {
   std::uint8_t no_cache = 0;
   r.u8(&request->version);
   r.u8(&no_cache);
@@ -237,11 +236,25 @@ bool decode_schedule_request(const std::string& payload,
   r.i64(&request->max_iterations);
   r.u64(&request->seed);
   r.f64(&request->deadline_ms);
+  request->no_cache = no_cache != 0;
+}
+
+}  // namespace
+
+std::string encode_schedule_request(const ScheduleRequest& request) {
+  WireWriter w;
+  write_request_fields(w, request);
+  return w.take();
+}
+
+bool decode_schedule_request(const std::string& payload,
+                             ScheduleRequest* request, std::string* error) {
+  WireReader r(payload);
+  read_request_fields(r, request);
   if (!r.expect_end()) {
     if (error != nullptr) *error = "schedule request: " + r.error();
     return false;
   }
-  request->no_cache = no_cache != 0;
   return true;
 }
 
@@ -290,45 +303,29 @@ bool decode_instance_delta(WireReader& r, InstanceDelta* delta) {
 
 std::string encode_repair_request(const RepairRequest& request) {
   WireWriter w;
-  w.u8(request.version);
-  w.u8(request.no_cache ? 1 : 0);
-  w.u64(request.dag_hash);
-  w.blob(request.dag_bytes);
-  w.str(request.machine_spec);
-  w.str(request.scheduler);
-  w.u8(request.cost_model);
-  w.f64(request.budget_ms);
-  w.i64(request.max_iterations);
-  w.u64(request.seed);
-  w.f64(request.deadline_ms);
+  write_request_fields(w, request);
   encode_instance_delta(w, request.delta);
   return w.take();
 }
 
 bool decode_repair_request(const std::string& payload, RepairRequest* request,
-                           std::string* error) {
+                           std::string* error, WireError* code) {
   WireReader r(payload);
-  std::uint8_t no_cache = 0;
-  r.u8(&request->version);
-  r.u8(&no_cache);
-  r.u64(&request->dag_hash);
-  r.blob(&request->dag_bytes, "inline dag payload");
-  r.str(&request->machine_spec, "machine spec");
-  r.str(&request->scheduler, "scheduler name");
-  r.u8(&request->cost_model);
-  r.f64(&request->budget_ms);
-  r.i64(&request->max_iterations);
-  r.u64(&request->seed);
-  r.f64(&request->deadline_ms);
+  read_request_fields(r, request);
   const bool delta_ok = decode_instance_delta(r, &request->delta);
   if (!delta_ok || !r.expect_end()) {
+    // A structurally intact payload with an unknown op kind is the
+    // client's delta at fault, not the framing.
+    const bool bad_delta = r.ok();
+    if (code != nullptr) {
+      *code = bad_delta ? WireError::kBadDelta : WireError::kBadRequest;
+    }
     if (error != nullptr) {
       *error = "repair request: " +
-               (r.ok() ? "bad delta op kind" : r.error());
+               (bad_delta ? "bad delta op kind" : r.error());
     }
     return false;
   }
-  request->no_cache = no_cache != 0;
   return true;
 }
 

@@ -185,31 +185,23 @@ bool decode_schedule_request(const std::string& payload,
 void encode_instance_delta(WireWriter& w, const InstanceDelta& delta);
 bool decode_instance_delta(WireReader& r, InstanceDelta* delta);
 
-/// A repair request (docs/REPAIR.md): the fields identify the BASE
-/// scenario exactly like a ScheduleRequest — the server resolves the base
-/// DAG (inline bytes or pinned hash) and looks the (base scenario,
-/// scheduler) incumbent up in its schedule cache — and `delta` is the
-/// InstanceDelta to repair along. On a cache miss the server solves the
-/// mutated instance from scratch (CacheStatus::kCold in the final frame);
-/// otherwise it patches + polishes the incumbent (kRepaired).
-struct RepairRequest {
-  std::uint8_t version = kProtocolVersion;
-  bool no_cache = false;       ///< skip the incumbent lookup (cold re-solve)
-  std::uint64_t dag_hash = 0;  ///< BASE dag: pinned hash, or 0 with bytes
-  std::string dag_bytes;       ///< inline BASE dag payload ("" when pinned)
-  std::string machine_spec = "uniform:P=4";
-  std::string scheduler = "lns";
-  std::uint8_t cost_model = 0;  ///< 0 = synchronous, 1 = asynchronous
-  double budget_ms = 0;
-  std::int64_t max_iterations = 2'000'000;
-  std::uint64_t seed = 42;
-  double deadline_ms = 0;
+/// A repair request (docs/REPAIR.md): a ScheduleRequest naming the BASE
+/// scenario — the server resolves the base DAG (inline bytes or pinned
+/// hash) and looks the (base scenario, scheduler) incumbent up in its
+/// schedule cache — plus the InstanceDelta to repair along. On a cache
+/// miss (or with no_cache) the server solves the mutated instance from
+/// scratch (CacheStatus::kCold in the final frame); otherwise it patches
+/// + polishes the incumbent (kRepaired). On the wire it is the
+/// schedule-req payload followed by the encoded delta.
+struct RepairRequest : ScheduleRequest {
   InstanceDelta delta;
 };
 
 std::string encode_repair_request(const RepairRequest& request);
+/// `code` (optional) receives the typed decode error: kBadDelta for an
+/// unknown delta op kind, kBadRequest for any structural failure.
 bool decode_repair_request(const std::string& payload, RepairRequest* request,
-                           std::string* error);
+                           std::string* error, WireError* code = nullptr);
 
 /// How the final plan was obtained (FinalResult::cache).
 enum class CacheStatus : std::uint8_t {
@@ -277,7 +269,7 @@ bool decode_error(const std::string& payload, ErrorFrame* err,
 /// invocations (exact cache hits do not solve — the acceptance check of
 /// docs/DAEMON.md).
 struct DaemonStats {
-  std::uint64_t requests = 0;  ///< schedule requests received
+  std::uint64_t requests = 0;  ///< SCHEDULE + REPAIR frames received
   std::uint64_t exact_hits = 0;
   std::uint64_t warm_hits = 0;
   std::uint64_t misses = 0;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <future>
+#include <optional>
 #include <utility>
 
 #include "src/daemon/socket_io.hpp"
@@ -33,10 +34,15 @@ double max_budget_ms(double a, double b) {
   return std::max(a, b);
 }
 
-/// The schedulers that honor SchedulerOptions::warm_start_plan, i.e. can
-/// warm-start from a cached incumbent.
-bool is_warm_startable(const std::string& scheduler) {
-  return scheduler == "lns" || scheduler == "lns-portfolio";
+/// The cache entry of a fresh solve (its effort is set by the caller).
+ScheduleCacheEntry cache_entry_of(ScheduleResult&& result) {
+  ScheduleCacheEntry entry;
+  entry.plan = std::move(result.plan);
+  entry.cost = result.cost;
+  entry.baseline_cost = result.baseline_cost;
+  entry.io_volume = result.io_volume;
+  entry.supersteps = static_cast<std::uint32_t>(result.supersteps);
+  return entry;
 }
 
 bool is_protocol_error(WireError code) {
@@ -111,6 +117,219 @@ DaemonStats MbspdServer::stats() const {
   out.cache_capacity = cache_.capacity();
   out.active_connections = active_connections_.load();
   return out;
+}
+
+bool MbspdServer::serve_request(int fd, const ScheduleRequest& request,
+                                const InstanceDelta* delta,
+                                Clock::time_point received) {
+  bool ok = true;  // false once a write fails: the client is gone
+  const auto send = [&](FrameType type, const std::string& payload) {
+    ok = ok && write_frame(fd, type, payload, nullptr);
+  };
+
+  // Scheduler and machine resolve first: cheap, and their errors name the
+  // offending token without touching the DAG.
+  const MbspScheduler* scheduler = registry_.find(request.scheduler);
+  if (scheduler == nullptr) {
+    return send_error(fd, WireError::kUnknownScheduler,
+                      "unknown scheduler '" + request.scheduler + "'");
+  }
+  const MbspScheduler* repairer =
+      delta != nullptr ? registry_.find("repair") : nullptr;
+  if (delta != nullptr && repairer == nullptr) {
+    return send_error(fd, WireError::kInternal,
+                      "this daemon's registry has no 'repair' scheduler");
+  }
+  std::string machine_err;
+  // Probe build at unit memory: canonical name only (machine names do not
+  // depend on the memory scale, which needs the DAG).
+  const auto probe = MachineRegistry::global().make_machine(
+      request.machine_spec, 1.0, &machine_err);
+  if (!probe) return send_error(fd, WireError::kBadMachineSpec, machine_err);
+
+  SchedulerOptions opts;
+  opts.budget_ms = request.budget_ms;
+  opts.max_iterations = request.max_iterations;
+  opts.seed = request.seed;
+  opts.cost = request.cost_model == 0 ? CostModel::kSynchronous
+                                      : CostModel::kAsynchronous;
+
+  // The DAG: inline payload, or a pinned canonical hash that a SCHEDULE
+  // may answer from the cache alone.
+  std::shared_ptr<const ComputeDag> dag;
+  std::uint64_t dag_hash = request.dag_hash;
+  if (!request.dag_bytes.empty()) {
+    std::string dag_err;
+    auto parsed = dag_from_bytes(request.dag_bytes, &dag_err);
+    if (!parsed) return send_error(fd, WireError::kBadDag, dag_err);
+    auto owned = std::make_shared<ComputeDag>(std::move(*parsed));
+    dag_hash = dag_canonical_hash(*owned);
+    if (request.dag_hash != 0 && request.dag_hash != dag_hash) {
+      return send_error(fd, WireError::kBadDag,
+                        "inline DAG hashes to " + dag_hash_hex(dag_hash) +
+                            " but the request pinned " +
+                            dag_hash_hex(request.dag_hash));
+    }
+    store_dag(dag_hash, owned);
+    dag = std::move(owned);
+  }
+
+  // The instance. The machine is built at the BASE dag's r0 — for a REPAIR
+  // the machine the incumbent was solved on — and the delta then mutates
+  // both dag and machine (docs/REPAIR.md: repair never silently re-scales
+  // memory under the incumbent).
+  std::optional<MbspInstance> inst;
+  ErrorFrame err;
+  const auto resolve_instance = [&] {
+    if (dag == nullptr) dag = find_dag(dag_hash);
+    if (dag == nullptr) {
+      err = {WireError::kUnknownDagHash,
+             "no resident DAG with hash " + dag_hash_hex(dag_hash) +
+                 "; resend the request with the DAG inline"};
+      return false;
+    }
+    auto machine = MachineRegistry::global().make_machine(
+        request.machine_spec, min_memory_r0(*dag), &err.message);
+    if (!machine) {
+      err.code = WireError::kBadMachineSpec;
+      return false;
+    }
+    inst = MbspInstance{*dag, std::move(*machine)};
+    err.code = WireError::kBadDelta;
+    return delta == nullptr ||
+           apply_instance_delta(*inst, *delta, nullptr, &err.message);
+  };
+  // A REPAIR's cache key names the mutated scenario, which only exists once
+  // the delta is applied; a SCHEDULE resolves its instance after a miss.
+  if (delta != nullptr && !resolve_instance()) {
+    return send_error(fd, err.code, err.message);
+  }
+
+  // A repaired result is memoized under the MUTATED scenario with a
+  // "repair+" spec prefix: repeat REPAIRs exact-hit it, while plain
+  // SCHEDULE requests for the mutated dag keep their own bitwise
+  // solve-equality contract untouched.
+  const std::string plain_spec =
+      scheduler_cache_spec(request.scheduler, opts);
+  const std::string repair_spec =
+      scheduler_cache_spec("repair+" + request.scheduler, opts);
+  const ScheduleCacheKey key =
+      delta != nullptr
+          ? ScheduleCacheKey{dag_canonical_hash(inst->dag), inst->arch.name,
+                             repair_spec}
+          : ScheduleCacheKey{dag_hash, probe->name, plain_spec};
+
+  // Streams the final frame for `entry`. A fresh solve is memoized first,
+  // even when the client is gone: the work is done either way, and the
+  // next identical request becomes an exact hit.
+  const auto finish = [&](ScheduleCacheEntry entry, CacheStatus cache) {
+    FinalResult fin{key.dag_hash,        key.machine,
+                    request.scheduler,   request.cost_model,
+                    cache,               entry.cost,
+                    entry.baseline_cost, entry.io_volume,
+                    entry.supersteps,    {}};
+    if (cache == CacheStatus::kExact || request.no_cache) {
+      fin.plan = std::move(entry.plan);
+    } else {
+      fin.plan = entry.plan;
+      // Keep a mutated dag resident so follow-up requests can pin its hash
+      // (e.g. using the repaired scenario as the next repair base).
+      if (delta != nullptr) {
+        store_dag(key.dag_hash, std::make_shared<ComputeDag>(inst->dag));
+      }
+      cache_.insert(key, std::move(entry));
+    }
+    send(FrameType::kFinal, encode_final_result(fin));
+    return ok;
+  };
+
+  ScheduleCacheEntry cached;
+  CacheHit hit = CacheHit::kMiss;
+  if (!request.no_cache) {
+    hit = cache_.lookup(key, request.budget_ms, request.max_iterations,
+                        &cached);
+  }
+  if (hit == CacheHit::kExact) {
+    // Served in O(1): no solver invocation, bitwise-identical plan.
+    send(FrameType::kStatus, encode_status("cache-hit"));
+    send(FrameType::kProgress, encode_progress({1, cached.cost, 0}));
+    return finish(std::move(cached), CacheStatus::kExact);
+  }
+  if (!inst && !resolve_instance()) {
+    return send_error(fd, err.code, err.message);
+  }
+
+  // Per-request deadline: covers queue wait (we are past admission here)
+  // and clamps the remaining solve budget.
+  if (request.deadline_ms > 0) {
+    const double elapsed = elapsed_ms_since(received);
+    const double remaining = request.deadline_ms - elapsed;
+    if (remaining <= 0) {
+      return send_error(fd, WireError::kDeadlineExpired,
+                        "deadline of " + std::to_string(request.deadline_ms) +
+                            " ms expired after " + std::to_string(elapsed) +
+                            " ms in the admission queue");
+    }
+    opts.budget_ms = opts.budget_ms == 0 ? remaining
+                                         : std::min(opts.budget_ms, remaining);
+  }
+
+  // Where the solve starts. A SCHEDULE warm-starts from a lower-effort
+  // entry under its own key. A REPAIR repairs any cached plan of the BASE
+  // scenario: under the plain spec, or — chained repair, the pinned base
+  // being itself a repaired scenario — under the repair+ spec.
+  CacheStatus outcome = CacheStatus::kCold;
+  if (delta == nullptr) {
+    if (hit == CacheHit::kWarm && scheduler->honors_warm_start()) {
+      outcome = CacheStatus::kWarm;
+    }
+  } else if (!request.no_cache) {
+    for (const std::string& spec : {plain_spec, repair_spec}) {
+      if (cache_.lookup({dag_hash, probe->name, spec}, request.budget_ms,
+                        request.max_iterations, &cached) != CacheHit::kMiss) {
+        outcome = CacheStatus::kRepaired;
+        break;
+      }
+    }
+  }
+  const bool repairing = outcome == CacheStatus::kRepaired;
+  const MbspScheduler* solver = repairing ? repairer : scheduler;
+  if (!repairing && !scheduler->supports(*inst)) {
+    return send_error(fd, WireError::kBadRequest,
+                      "scheduler '" + request.scheduler +
+                          "' does not support " +
+                          (delta != nullptr ? "the mutated instance"
+                                            : "this instance"));
+  }
+  if (outcome != CacheStatus::kCold) opts.warm_start_plan = &cached.plan;
+  if (repairing) opts.repair_delta = delta;
+  send(FrameType::kStatus,
+       encode_status(repairing                        ? "repairing"
+                     : outcome == CacheStatus::kWarm ? "warm-start"
+                                                     : "solving"));
+
+  ScheduleResult result = solver->run(*inst, opts);
+  {
+    const std::lock_guard<std::mutex> lock(stats_mutex_);
+    ++solver_calls_;
+    if (repairing) ++repair_hits_;
+  }
+  long long iterations = 0;
+  for (long p : result.lns_proposed) iterations += p;
+  send(FrameType::kProgress, encode_progress({0, result.baseline_cost, 0}));
+  send(FrameType::kProgress,
+       encode_progress({1, result.cost, iterations}));
+
+  // A warm start re-enters the cache carrying the enlarged effort.
+  const bool warm = outcome == CacheStatus::kWarm;
+  ScheduleCacheEntry entry = cache_entry_of(std::move(result));
+  entry.budget_ms = warm ? max_budget_ms(cached.budget_ms, opts.budget_ms)
+                         : opts.budget_ms;
+  entry.max_iterations =
+      warm ? std::max<std::int64_t>(cached.max_iterations,
+                                    request.max_iterations)
+           : request.max_iterations;
+  return finish(std::move(entry), outcome);
 }
 
 #if defined(MBSP_DAEMON_POSIX)
@@ -251,10 +470,11 @@ void MbspdServer::handle_connection(int fd) {
         }
         break;
       case FrameType::kScheduleRequest:
-        if (!handle_schedule(fd, frame.payload)) return;
-        break;
       case FrameType::kRepairRequest:
-        if (!handle_repair(fd, frame.payload)) return;
+        if (!handle_request(fd, frame.payload,
+                            frame.type == FrameType::kRepairRequest)) {
+          return;
+        }
         break;
       default:
         send_error(fd, WireError::kBadFrameType, "unexpected frame type");
@@ -263,269 +483,24 @@ void MbspdServer::handle_connection(int fd) {
   }
 }
 
-bool MbspdServer::handle_schedule(int fd, const std::string& payload) {
+bool MbspdServer::handle_request(int fd, const std::string& payload,
+                                 bool repair) {
   const Clock::time_point received = Clock::now();
   {
     const std::lock_guard<std::mutex> lock(stats_mutex_);
     ++requests_;
-  }
-  ScheduleRequest request;
-  std::string decode_err;
-  if (!decode_schedule_request(payload, &request, &decode_err)) {
-    // The frame boundary is intact, so the connection stays usable.
-    return send_error(fd, WireError::kBadRequest, decode_err);
-  }
-  if (request.version != kProtocolVersion) {
-    return send_error(fd, WireError::kBadVersion,
-                      "protocol version " + std::to_string(request.version) +
-                          " not supported (this daemon speaks " +
-                          std::to_string(kProtocolVersion) + ")");
-  }
-  if (stopping_.load()) {
-    return send_error(fd, WireError::kShuttingDown, "daemon is draining");
-  }
-  if (!write_frame(fd, FrameType::kStatus, encode_status("queued"), nullptr)) {
-    return false;
-  }
-
-  // The solve runs on the pool (its queue is the admission queue); this
-  // connection thread blocks until the reply is fully streamed. `alive`
-  // reports whether the client is still there.
-  std::promise<bool> done;
-  std::future<bool> alive = done.get_future();
-  solver_pool_->submit([this, fd, request = std::move(request), received,
-                        &done]() mutable {
-    bool ok = true;
-    const auto fail = [&](WireError code, const std::string& message) {
-      ok = send_error(fd, code, message);
-    };
-    const auto status = [&](const char* message) {
-      ok = write_frame(fd, FrameType::kStatus, encode_status(message),
-                       nullptr);
-    };
-    try {
-      // Scheduler and machine resolve first: cheap, and their errors name
-      // the offending token without touching the DAG.
-      const MbspScheduler* scheduler = registry_.find(request.scheduler);
-      if (scheduler == nullptr) {
-        fail(WireError::kUnknownScheduler,
-             "unknown scheduler '" + request.scheduler + "'");
-        done.set_value(ok);
-        return;
-      }
-      std::string machine_err;
-      // Probe build at unit memory: canonical name only (machine names do
-      // not depend on the memory scale, which needs the DAG).
-      const auto probe = MachineRegistry::global().make_machine(
-          request.machine_spec, 1.0, &machine_err);
-      if (!probe) {
-        fail(WireError::kBadMachineSpec, machine_err);
-        done.set_value(ok);
-        return;
-      }
-
-      SchedulerOptions opts;
-      opts.budget_ms = request.budget_ms;
-      opts.max_iterations = request.max_iterations;
-      opts.seed = request.seed;
-      opts.cost = request.cost_model == 0 ? CostModel::kSynchronous
-                                          : CostModel::kAsynchronous;
-
-      // Resolve the DAG: inline payload, or a pinned canonical hash that
-      // may be answerable from the cache alone.
-      std::shared_ptr<const ComputeDag> dag;
-      std::uint64_t dag_hash = request.dag_hash;
-      if (!request.dag_bytes.empty()) {
-        std::string dag_err;
-        auto parsed = dag_from_bytes(request.dag_bytes, &dag_err);
-        if (!parsed) {
-          fail(WireError::kBadDag, dag_err);
-          done.set_value(ok);
-          return;
-        }
-        auto owned = std::make_shared<ComputeDag>(std::move(*parsed));
-        dag_hash = dag_canonical_hash(*owned);
-        if (request.dag_hash != 0 && request.dag_hash != dag_hash) {
-          fail(WireError::kBadDag,
-               "inline DAG hashes to " + dag_hash_hex(dag_hash) +
-                   " but the request pinned " +
-                   dag_hash_hex(request.dag_hash));
-          done.set_value(ok);
-          return;
-        }
-        store_dag(dag_hash, owned);
-        dag = std::move(owned);
-      }
-
-      ScheduleCacheKey key{dag_hash, probe->name,
-                           scheduler_cache_spec(request.scheduler, opts)};
-      ScheduleCacheEntry cached;
-      CacheHit hit = CacheHit::kMiss;
-      if (!request.no_cache) {
-        hit = cache_.lookup(key, request.budget_ms, request.max_iterations,
-                            &cached);
-      }
-
-      if (hit == CacheHit::kExact) {
-        // Served in O(1): no solver invocation, bitwise-identical plan.
-        status("cache-hit");
-        if (ok) {
-          ok = write_frame(fd, FrameType::kProgress,
-                           encode_progress({1, cached.cost, 0}), nullptr);
-        }
-        FinalResult fin;
-        fin.dag_hash = dag_hash;
-        fin.machine = key.machine;
-        fin.scheduler = request.scheduler;
-        fin.cost_model = request.cost_model;
-        fin.cache = CacheStatus::kExact;
-        fin.cost = cached.cost;
-        fin.baseline_cost = cached.baseline_cost;
-        fin.io_volume = cached.io_volume;
-        fin.supersteps = cached.supersteps;
-        fin.plan = std::move(cached.plan);
-        if (ok) {
-          ok = write_frame(fd, FrameType::kFinal, encode_final_result(fin),
-                           nullptr);
-        }
-        done.set_value(ok);
-        return;
-      }
-
-      if (dag == nullptr) {
-        dag = find_dag(dag_hash);
-        if (dag == nullptr) {
-          fail(WireError::kUnknownDagHash,
-               "no resident DAG with hash " + dag_hash_hex(dag_hash) +
-                   "; resend the request with the DAG inline");
-          done.set_value(ok);
-          return;
-        }
-      }
-
-      // Per-request deadline: covers queue wait (we are past admission
-      // here) and clamps the remaining solve budget.
-      if (request.deadline_ms > 0) {
-        const double elapsed = elapsed_ms_since(received);
-        const double remaining = request.deadline_ms - elapsed;
-        if (remaining <= 0) {
-          fail(WireError::kDeadlineExpired,
-               "deadline of " + std::to_string(request.deadline_ms) +
-                   " ms expired after " + std::to_string(elapsed) +
-                   " ms in the admission queue");
-          done.set_value(ok);
-          return;
-        }
-        opts.budget_ms = opts.budget_ms == 0
-                             ? remaining
-                             : std::min(opts.budget_ms, remaining);
-      }
-
-      const double r0 = min_memory_r0(*dag);
-      auto machine = MachineRegistry::global().make_machine(
-          request.machine_spec, r0, &machine_err);
-      if (!machine) {
-        fail(WireError::kBadMachineSpec, machine_err);
-        done.set_value(ok);
-        return;
-      }
-      const MbspInstance inst{*dag, std::move(*machine)};
-      if (!scheduler->supports(inst)) {
-        fail(WireError::kBadRequest,
-             "scheduler '" + request.scheduler +
-                 "' does not support this instance");
-        done.set_value(ok);
-        return;
-      }
-
-      const bool warm =
-          hit == CacheHit::kWarm && is_warm_startable(request.scheduler);
-      if (warm) opts.warm_start_plan = &cached.plan;
-      status(warm ? "warm-start" : "solving");
-
-      ScheduleResult result = scheduler->run(inst, opts);
-      {
-        const std::lock_guard<std::mutex> lock(stats_mutex_);
-        ++solver_calls_;
-      }
-      long long iterations = 0;
-      for (long p : result.lns_proposed) iterations += p;
-
-      if (ok) {
-        ok = write_frame(fd, FrameType::kProgress,
-                         encode_progress({0, result.baseline_cost, 0}),
-                         nullptr);
-      }
-      if (ok) {
-        ok = write_frame(fd, FrameType::kProgress,
-                         encode_progress({1, result.cost, iterations}),
-                         nullptr);
-      }
-
-      FinalResult fin;
-      fin.dag_hash = dag_hash;
-      fin.machine = key.machine;
-      fin.scheduler = request.scheduler;
-      fin.cost_model = request.cost_model;
-      fin.cache = warm ? CacheStatus::kWarm : CacheStatus::kCold;
-      fin.cost = result.cost;
-      fin.baseline_cost = result.baseline_cost;
-      fin.io_volume = result.io_volume;
-      fin.supersteps = static_cast<std::uint32_t>(result.supersteps);
-      fin.plan = result.plan;
-
-      // Memoize even when the client is gone: the work is done either
-      // way, and the next identical request becomes an exact hit.
-      if (!request.no_cache) {
-        ScheduleCacheEntry entry;
-        entry.plan = std::move(result.plan);
-        entry.cost = result.cost;
-        entry.baseline_cost = result.baseline_cost;
-        entry.io_volume = result.io_volume;
-        entry.supersteps = static_cast<std::uint32_t>(result.supersteps);
-        entry.budget_ms = warm ? max_budget_ms(cached.budget_ms,
-                                               opts.budget_ms)
-                               : opts.budget_ms;
-        entry.max_iterations =
-            warm ? std::max<std::int64_t>(cached.max_iterations,
-                                          request.max_iterations)
-                 : request.max_iterations;
-        cache_.insert(key, std::move(entry));
-      }
-
-      if (ok) {
-        ok = write_frame(fd, FrameType::kFinal, encode_final_result(fin),
-                         nullptr);
-      }
-      done.set_value(ok);
-    } catch (const std::exception& e) {
-      fail(WireError::kInternal, std::string("internal error: ") + e.what());
-      done.set_value(ok);
-    } catch (...) {
-      fail(WireError::kInternal, "internal error");
-      done.set_value(ok);
-    }
-  });
-  return alive.get();
-}
-
-bool MbspdServer::handle_repair(int fd, const std::string& payload) {
-  const Clock::time_point received = Clock::now();
-  {
-    const std::lock_guard<std::mutex> lock(stats_mutex_);
-    ++requests_;
-    ++repair_requests_;
+    if (repair) ++repair_requests_;
   }
   RepairRequest request;
   std::string decode_err;
-  if (!decode_repair_request(payload, &request, &decode_err)) {
-    // A structurally intact payload with a semantically bad delta (unknown
-    // op kind) is the client's delta at fault, not the framing.
-    const bool bad_delta =
-        decode_err.find("bad delta op kind") != std::string::npos;
-    return send_error(
-        fd, bad_delta ? WireError::kBadDelta : WireError::kBadRequest,
-        decode_err);
+  WireError decode_code = WireError::kBadRequest;
+  const bool decoded =
+      repair ? decode_repair_request(payload, &request, &decode_err,
+                                     &decode_code)
+             : decode_schedule_request(payload, &request, &decode_err);
+  if (!decoded) {
+    // The frame boundary is intact, so the connection stays usable.
+    return send_error(fd, decode_code, decode_err);
   }
   if (request.version != kProtocolVersion) {
     return send_error(fd, WireError::kBadVersion,
@@ -540,259 +515,23 @@ bool MbspdServer::handle_repair(int fd, const std::string& payload) {
     return false;
   }
 
+  // The request runs on the pool (its queue is the admission queue); this
+  // connection thread blocks until the reply is fully streamed. `alive`
+  // reports whether the client is still there.
+  const InstanceDelta* delta = repair ? &request.delta : nullptr;
   std::promise<bool> done;
   std::future<bool> alive = done.get_future();
-  solver_pool_->submit([this, fd, request = std::move(request), received,
-                        &done]() mutable {
-    bool ok = true;
-    const auto fail = [&](WireError code, const std::string& message) {
-      ok = send_error(fd, code, message);
-    };
-    const auto status = [&](const char* message) {
-      ok = write_frame(fd, FrameType::kStatus, encode_status(message),
-                       nullptr);
-    };
+  solver_pool_->submit([&] {
+    bool ok = false;
     try {
-      const MbspScheduler* scheduler = registry_.find(request.scheduler);
-      if (scheduler == nullptr) {
-        fail(WireError::kUnknownScheduler,
-             "unknown scheduler '" + request.scheduler + "'");
-        done.set_value(ok);
-        return;
-      }
-      const MbspScheduler* repairer = registry_.find("repair");
-      if (repairer == nullptr) {
-        fail(WireError::kInternal,
-             "this daemon's registry has no 'repair' scheduler");
-        done.set_value(ok);
-        return;
-      }
-      std::string machine_err;
-      const auto probe = MachineRegistry::global().make_machine(
-          request.machine_spec, 1.0, &machine_err);
-      if (!probe) {
-        fail(WireError::kBadMachineSpec, machine_err);
-        done.set_value(ok);
-        return;
-      }
-
-      SchedulerOptions opts;
-      opts.budget_ms = request.budget_ms;
-      opts.max_iterations = request.max_iterations;
-      opts.seed = request.seed;
-      opts.cost = request.cost_model == 0 ? CostModel::kSynchronous
-                                          : CostModel::kAsynchronous;
-
-      // The BASE dag is always required: the mutated scenario's identity
-      // (its canonical hash and machine name) only exists after the delta
-      // has been applied to it.
-      std::shared_ptr<const ComputeDag> dag;
-      std::uint64_t dag_hash = request.dag_hash;
-      if (!request.dag_bytes.empty()) {
-        std::string dag_err;
-        auto parsed = dag_from_bytes(request.dag_bytes, &dag_err);
-        if (!parsed) {
-          fail(WireError::kBadDag, dag_err);
-          done.set_value(ok);
-          return;
-        }
-        auto owned = std::make_shared<ComputeDag>(std::move(*parsed));
-        dag_hash = dag_canonical_hash(*owned);
-        if (request.dag_hash != 0 && request.dag_hash != dag_hash) {
-          fail(WireError::kBadDag,
-               "inline DAG hashes to " + dag_hash_hex(dag_hash) +
-                   " but the request pinned " +
-                   dag_hash_hex(request.dag_hash));
-          done.set_value(ok);
-          return;
-        }
-        store_dag(dag_hash, owned);
-        dag = std::move(owned);
-      } else {
-        dag = find_dag(dag_hash);
-        if (dag == nullptr) {
-          fail(WireError::kUnknownDagHash,
-               "no resident DAG with hash " + dag_hash_hex(dag_hash) +
-                   "; resend the request with the DAG inline");
-          done.set_value(ok);
-          return;
-        }
-      }
-
-      if (request.deadline_ms > 0) {
-        const double elapsed = elapsed_ms_since(received);
-        const double remaining = request.deadline_ms - elapsed;
-        if (remaining <= 0) {
-          fail(WireError::kDeadlineExpired,
-               "deadline of " + std::to_string(request.deadline_ms) +
-                   " ms expired after " + std::to_string(elapsed) +
-                   " ms in the admission queue");
-          done.set_value(ok);
-          return;
-        }
-        opts.budget_ms = opts.budget_ms == 0
-                             ? remaining
-                             : std::min(opts.budget_ms, remaining);
-      }
-
-      // Mutated scenario: the machine is built at the BASE dag's r0 — the
-      // machine the incumbent was solved on — and the delta then mutates
-      // both dag and machine (docs/REPAIR.md: repair never silently
-      // re-scales memory under the incumbent).
-      const double r0 = min_memory_r0(*dag);
-      auto machine = MachineRegistry::global().make_machine(
-          request.machine_spec, r0, &machine_err);
-      if (!machine) {
-        fail(WireError::kBadMachineSpec, machine_err);
-        done.set_value(ok);
-        return;
-      }
-      MbspInstance mutated{*dag, std::move(*machine)};
-      std::string apply_err;
-      if (!apply_instance_delta(mutated, request.delta, nullptr, &apply_err)) {
-        fail(WireError::kBadDelta, apply_err);
-        done.set_value(ok);
-        return;
-      }
-      const std::uint64_t mutated_hash = dag_canonical_hash(mutated.dag);
-
-      // The repaired result is memoized under the MUTATED scenario with a
-      // "repair+" spec prefix: repeat REPAIRs exact-hit it, while plain
-      // SCHEDULE requests for the mutated dag keep their own bitwise
-      // solve-equality contract untouched.
-      ScheduleCacheKey mutated_key{
-          mutated_hash, mutated.arch.name,
-          scheduler_cache_spec("repair+" + request.scheduler, opts)};
-      if (!request.no_cache) {
-        ScheduleCacheEntry repeat;
-        if (cache_.lookup(mutated_key, request.budget_ms,
-                          request.max_iterations,
-                          &repeat) == CacheHit::kExact) {
-          status("cache-hit");
-          if (ok) {
-            ok = write_frame(fd, FrameType::kProgress,
-                             encode_progress({1, repeat.cost, 0}), nullptr);
-          }
-          FinalResult fin;
-          fin.dag_hash = mutated_hash;
-          fin.machine = mutated_key.machine;
-          fin.scheduler = request.scheduler;
-          fin.cost_model = request.cost_model;
-          fin.cache = CacheStatus::kExact;
-          fin.cost = repeat.cost;
-          fin.baseline_cost = repeat.baseline_cost;
-          fin.io_volume = repeat.io_volume;
-          fin.supersteps = repeat.supersteps;
-          fin.plan = std::move(repeat.plan);
-          if (ok) {
-            ok = write_frame(fd, FrameType::kFinal, encode_final_result(fin),
-                             nullptr);
-          }
-          done.set_value(ok);
-          return;
-        }
-      }
-
-      // Incumbent lookup under the BASE scenario's own key: any cached
-      // entry (exact or lower-effort) is a usable pre-delta plan.
-      ScheduleCacheKey base_key{dag_hash, probe->name,
-                                scheduler_cache_spec(request.scheduler, opts)};
-      ScheduleCacheEntry incumbent;
-      bool have_incumbent = false;
-      if (!request.no_cache) {
-        have_incumbent = cache_.lookup(base_key, request.budget_ms,
-                                       request.max_iterations,
-                                       &incumbent) != CacheHit::kMiss;
-        if (!have_incumbent) {
-          // Chained repair: the pinned base may itself be a repaired
-          // scenario, memoized under the repair+ spec prefix. Its plan
-          // is a valid incumbent for the base DAG all the same.
-          const ScheduleCacheKey chained_key{
-              dag_hash, probe->name,
-              scheduler_cache_spec("repair+" + request.scheduler, opts)};
-          have_incumbent = cache_.lookup(chained_key, request.budget_ms,
-                                         request.max_iterations,
-                                         &incumbent) != CacheHit::kMiss;
-        }
-      }
-
-      ScheduleResult result;
-      if (have_incumbent) {
-        status("repairing");
-        opts.warm_start_plan = &incumbent.plan;
-        opts.repair_delta = &request.delta;
-        result = repairer->run(mutated, opts);
-        const std::lock_guard<std::mutex> lock(stats_mutex_);
-        ++solver_calls_;
-        ++repair_hits_;
-      } else {
-        if (!scheduler->supports(mutated)) {
-          fail(WireError::kBadRequest,
-               "scheduler '" + request.scheduler +
-                   "' does not support the mutated instance");
-          done.set_value(ok);
-          return;
-        }
-        status("solving");
-        result = scheduler->run(mutated, opts);
-        const std::lock_guard<std::mutex> lock(stats_mutex_);
-        ++solver_calls_;
-      }
-      long long iterations = 0;
-      for (long p : result.lns_proposed) iterations += p;
-
-      if (ok) {
-        ok = write_frame(fd, FrameType::kProgress,
-                         encode_progress({0, result.baseline_cost, 0}),
-                         nullptr);
-      }
-      if (ok) {
-        ok = write_frame(fd, FrameType::kProgress,
-                         encode_progress({1, result.cost, iterations}),
-                         nullptr);
-      }
-
-      FinalResult fin;
-      fin.dag_hash = mutated_hash;
-      fin.machine = mutated_key.machine;
-      fin.scheduler = request.scheduler;
-      fin.cost_model = request.cost_model;
-      fin.cache =
-          have_incumbent ? CacheStatus::kRepaired : CacheStatus::kCold;
-      fin.cost = result.cost;
-      fin.baseline_cost = result.baseline_cost;
-      fin.io_volume = result.io_volume;
-      fin.supersteps = static_cast<std::uint32_t>(result.supersteps);
-      fin.plan = result.plan;
-
-      if (!request.no_cache) {
-        // Keep the mutated dag resident so follow-up requests can pin its
-        // hash (e.g. using the repaired scenario as the next repair base).
-        store_dag(mutated_hash,
-                  std::make_shared<ComputeDag>(mutated.dag));
-        ScheduleCacheEntry entry;
-        entry.plan = std::move(result.plan);
-        entry.cost = result.cost;
-        entry.baseline_cost = result.baseline_cost;
-        entry.io_volume = result.io_volume;
-        entry.supersteps = static_cast<std::uint32_t>(result.supersteps);
-        entry.budget_ms = opts.budget_ms;
-        entry.max_iterations = request.max_iterations;
-        cache_.insert(mutated_key, std::move(entry));
-      }
-
-      if (ok) {
-        ok = write_frame(fd, FrameType::kFinal, encode_final_result(fin),
-                         nullptr);
-      }
-      done.set_value(ok);
+      ok = serve_request(fd, request, delta, received);
     } catch (const std::exception& e) {
-      fail(WireError::kInternal, std::string("internal error: ") + e.what());
-      done.set_value(ok);
+      ok = send_error(fd, WireError::kInternal,
+                      std::string("internal error: ") + e.what());
     } catch (...) {
-      fail(WireError::kInternal, "internal error");
-      done.set_value(ok);
+      ok = send_error(fd, WireError::kInternal, "internal error");
     }
+    done.set_value(ok);
   });
   return alive.get();
 }
@@ -808,8 +547,9 @@ void MbspdServer::stop() {}
 void MbspdServer::accept_loop() {}
 void MbspdServer::reap_finished_connections() {}
 void MbspdServer::handle_connection(int) {}
-bool MbspdServer::handle_schedule(int, const std::string&) { return false; }
-bool MbspdServer::handle_repair(int, const std::string&) { return false; }
+bool MbspdServer::handle_request(int, const std::string&, bool) {
+  return false;
+}
 bool MbspdServer::send_error(int, WireError, const std::string&) {
   return false;
 }

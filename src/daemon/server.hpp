@@ -15,6 +15,13 @@
 // keeps recently seen DAGs resident so follow-up requests can pin the
 // canonical hash instead of resending megabytes of DAG.
 //
+// SCHEDULE and REPAIR frames run through one request pipeline. A REPAIR
+// is a SCHEDULE plus a delta stage (docs/REPAIR.md): it requires the base
+// DAG, applies the InstanceDelta at the base r0, keys the cache under the
+// mutated scenario with a "repair+" spec, and repairs the base scenario's
+// cached incumbent instead of warm-starting. For both frames an exact
+// cache hit is answered before the deadline check: it costs no solve.
+//
 // Lifecycle: start() binds and spawns the accept thread; stop() — also
 // the SIGTERM path of examples/mbspd.cpp — stops accepting, answers any
 // late request with kShuttingDown, drains every in-flight solve (clients
@@ -23,6 +30,7 @@
 // the tests and bench_daemon run it.
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -82,14 +90,15 @@ class MbspdServer {
   void accept_loop();
   void reap_finished_connections();
   void handle_connection(int fd);
-  /// One schedule request end-to-end; false when the connection died.
-  bool handle_schedule(int fd, const std::string& payload);
-  /// One REPAIR request end-to-end (docs/REPAIR.md): resolve the base
-  /// scenario, fetch its cached incumbent, patch + polish it along the
-  /// request's InstanceDelta (falling back to a from-scratch solve of the
-  /// mutated instance on a cache miss), and memoize the result under the
-  /// mutated scenario's own key.
-  bool handle_repair(int fd, const std::string& payload);
+  /// One SCHEDULE or REPAIR request end-to-end: decode, version and
+  /// drain checks, "queued", then serve_request() on the solver pool.
+  /// False when the connection died.
+  bool handle_request(int fd, const std::string& payload, bool repair);
+  /// The pool task: the request pipeline, with the REPAIR delta stage
+  /// when `delta` is set. Streams the reply; false when the client is gone.
+  bool serve_request(int fd, const ScheduleRequest& request,
+                     const InstanceDelta* delta,
+                     std::chrono::steady_clock::time_point received);
   bool send_error(int fd, WireError code, const std::string& message);
   /// Waits for fd readability or server stop; false on stop/hangup.
   bool wait_readable(int fd);

@@ -125,6 +125,10 @@ class MbspScheduler {
   /// requires P = 1 and a small DAG). Batch runs skip unsupported cells.
   virtual bool supports(const MbspInstance&) const { return true; }
 
+  /// Whether run() starts from SchedulerOptions::warm_start_plan when one
+  /// is set, so a cached incumbent can warm-start it (the mbspd cache).
+  virtual bool honors_warm_start() const { return false; }
+
   /// Produces a valid schedule (tests assert validate()-cleanliness for
   /// every registered scheduler). Deterministic given (inst, options).
   virtual ScheduleResult run(const MbspInstance& inst,

@@ -99,6 +99,7 @@ class TwoStageAdapter final : public MbspScheduler {
 class LnsAdapter final : public MbspScheduler {
  public:
   std::string name() const override { return "lns"; }
+  bool honors_warm_start() const override { return true; }
 
   ScheduleResult run(const MbspInstance& inst,
                      const SchedulerOptions& options) const override {
@@ -130,6 +131,7 @@ class LnsAdapter final : public MbspScheduler {
 class PortfolioAdapter final : public MbspScheduler {
  public:
   std::string name() const override { return "lns-portfolio"; }
+  bool honors_warm_start() const override { return true; }
 
   ScheduleResult run(const MbspInstance& inst,
                      const SchedulerOptions& options) const override {

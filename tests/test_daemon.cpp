@@ -45,6 +45,33 @@ ScheduleRequest make_request(const std::string& workload,
   return request;
 }
 
+/// A deterministic growth delta for `dag`: two arriving nodes chained off
+/// node 0 (pure DAG delta, machine untouched).
+InstanceDelta growth_delta(const ComputeDag& dag) {
+  InstanceDelta delta;
+  delta.add_node(2.0, 1.0);
+  delta.add_edge(0, dag.num_nodes());
+  delta.add_node(1.0, 1.0);
+  delta.add_edge(dag.num_nodes(), dag.num_nodes() + 1);
+  return delta;
+}
+
+RepairRequest make_repair_request(const std::string& workload,
+                                  long max_iterations) {
+  std::string error;
+  auto dag = WorkloadRegistry::global().make_dag(workload, 7, &error);
+  EXPECT_TRUE(dag) << error;
+  RepairRequest request;
+  request.dag_bytes = dag_to_binary(*dag);
+  request.machine_spec = "uniform:P=4";
+  request.scheduler = "lns";
+  request.budget_ms = 0;
+  request.max_iterations = max_iterations;
+  request.seed = 7;
+  request.delta = growth_delta(*dag);
+  return request;
+}
+
 /// Reference result: the same solve the daemon performs, run locally.
 ScheduleResult local_solve(const std::string& workload,
                            const ScheduleRequest& request) {
@@ -319,6 +346,21 @@ TEST_F(DaemonTest, QueuedDeadlineExpiryIsATypedError) {
   // Give the long solve time to claim the only worker.
   std::this_thread::sleep_for(std::chrono::milliseconds(300));
 
+  // The REPAIR frame runs through the same pipeline and queues alike; it
+  // waits on its own connection, concurrently with the SCHEDULE below.
+  std::thread hurried_repair([&] {
+    MbspClient client;
+    std::string error;
+    ASSERT_TRUE(client.connect(options_.socket_path, &error)) << error;
+    RepairRequest hurried = make_repair_request("fft:n=8", 300);
+    hurried.deadline_ms = 50;
+    MbspClient::Outcome outcome;
+    ASSERT_TRUE(client.repair(hurried, &outcome, &error)) << error;
+    ASSERT_FALSE(outcome.ok) << "the deadline must expire in the queue";
+    EXPECT_EQ(outcome.error.code, WireError::kDeadlineExpired);
+    EXPECT_NE(outcome.error.message.find("deadline"), std::string::npos);
+  });
+
   MbspClient client;
   connect_ok(client);
   ScheduleRequest hurried = make_request("fft:n=8", 300);
@@ -329,7 +371,50 @@ TEST_F(DaemonTest, QueuedDeadlineExpiryIsATypedError) {
   ASSERT_FALSE(outcome.ok) << "the deadline must expire in the queue";
   EXPECT_EQ(outcome.error.code, WireError::kDeadlineExpired);
   EXPECT_NE(outcome.error.message.find("deadline"), std::string::npos);
+  hurried_repair.join();
   long_solver.join();
+}
+
+TEST_F(DaemonTest, QueuedRepeatRepairIsAnExactHitDespiteAnExpiredDeadline) {
+  // An exact hit costs no solve, so it is answered before the deadline
+  // check — for REPAIR frames exactly as for SCHEDULE frames.
+  start_server(/*cache_capacity=*/256, /*solver_threads=*/1);
+  const std::string workload = "fft:n=16";
+  MbspClient client;
+  connect_ok(client);
+  run_ok(client, make_request(workload, 1000));
+  RepairRequest repair = make_repair_request(workload, 1000);
+  MbspClient::Outcome first;
+  std::string error;
+  ASSERT_TRUE(client.repair(repair, &first, &error)) << error;
+  ASSERT_TRUE(first.ok) << first.error.message;
+  ASSERT_EQ(first.final.cache, CacheStatus::kRepaired);
+  const std::uint64_t solver_calls_before = server_->stats().solver_calls;
+
+  std::thread long_solver([&] {
+    MbspClient busy;
+    std::string busy_error;
+    ASSERT_TRUE(busy.connect(options_.socket_path, &busy_error))
+        << busy_error;
+    MbspClient::Outcome outcome;
+    ASSERT_TRUE(
+        busy.run(make_request("stencil2d:nx=8,ny=8,steps=3", 10'000),
+                 &outcome, &busy_error))
+        << busy_error;
+    ASSERT_TRUE(outcome.ok) << outcome.error.message;
+  });
+  // Give the long solve time to claim the only worker.
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+
+  repair.deadline_ms = 50;
+  MbspClient::Outcome repeat;
+  ASSERT_TRUE(client.repair(repair, &repeat, &error)) << error;
+  long_solver.join();
+  ASSERT_TRUE(repeat.ok) << repeat.error.message;
+  EXPECT_EQ(repeat.final.cache, CacheStatus::kExact);
+  EXPECT_EQ(plan_bytes(repeat.final.plan), plan_bytes(first.final.plan));
+  EXPECT_EQ(server_->stats().solver_calls, solver_calls_before + 1)
+      << "only the long solve may reach the solver";
 }
 
 TEST_F(DaemonTest, StopDrainsInFlightRequestsThenRefusesConnections) {
@@ -358,33 +443,6 @@ TEST_F(DaemonTest, StopDrainsInFlightRequestsThenRefusesConnections) {
   std::string error;
   EXPECT_FALSE(late.connect(options_.socket_path, &error))
       << "the socket must be gone after stop()";
-}
-
-/// A deterministic growth delta for `dag`: two arriving nodes chained off
-/// node 0 (pure DAG delta, machine untouched).
-InstanceDelta growth_delta(const ComputeDag& dag) {
-  InstanceDelta delta;
-  delta.add_node(2.0, 1.0);
-  delta.add_edge(0, dag.num_nodes());
-  delta.add_node(1.0, 1.0);
-  delta.add_edge(dag.num_nodes(), dag.num_nodes() + 1);
-  return delta;
-}
-
-RepairRequest make_repair_request(const std::string& workload,
-                                  long max_iterations) {
-  std::string error;
-  auto dag = WorkloadRegistry::global().make_dag(workload, 7, &error);
-  EXPECT_TRUE(dag) << error;
-  RepairRequest request;
-  request.dag_bytes = dag_to_binary(*dag);
-  request.machine_spec = "uniform:P=4";
-  request.scheduler = "lns";
-  request.budget_ms = 0;
-  request.max_iterations = max_iterations;
-  request.seed = 7;
-  request.delta = growth_delta(*dag);
-  return request;
 }
 
 /// Reference repair, run locally exactly the way the daemon does it: the

@@ -267,6 +267,23 @@ TEST(WireCodec, RepairRequestRoundTrips) {
   EXPECT_TRUE(decoded.delta == request.delta);
 }
 
+TEST(WireCodec, RepairRequestIsAScheduleRequestFollowedByItsDelta) {
+  RepairRequest request;
+  request.no_cache = true;
+  request.dag_hash = 0x1122334455667788ULL;
+  request.dag_bytes = std::string("\x00\x01\x02", 3);
+  request.machine_spec = "hetero:speeds=1x2+2x2";
+  request.scheduler = "lns-portfolio";
+  request.budget_ms = 125.5;
+  request.deadline_ms = 2000;
+  request.delta = delta_of_every_kind();
+
+  WireWriter delta;
+  encode_instance_delta(delta, request.delta);
+  EXPECT_EQ(encode_repair_request(request),
+            encode_schedule_request(request) + delta.bytes());
+}
+
 TEST(WireCodec, TruncatedRepairRequestFailsAtEveryOffset) {
   RepairRequest request;
   request.dag_bytes = "some dag payload";
@@ -375,6 +392,17 @@ class ProtocolServerTest : public ::testing::Test {
     request.budget_ms = 0;
     request.max_iterations = 200;
     return request;
+  }
+
+  /// Sends `request` as a SCHEDULE frame, or as a REPAIR frame carrying a
+  /// one-op add_node delta.
+  static bool send(MbspClient& client, const ScheduleRequest& request,
+                   bool repair, MbspClient::Outcome* outcome,
+                   std::string* error) {
+    if (!repair) return client.run(request, outcome, error);
+    RepairRequest repair_request{request, {}};
+    repair_request.delta.add_node();
+    return client.repair(repair_request, outcome, error);
   }
 
   MbspdOptions options_;
@@ -523,38 +551,52 @@ TEST_F(ProtocolServerTest, BadRequestFieldsGetTypedErrors) {
   MbspClient client;
   std::string error;
   ASSERT_TRUE(client.connect(options_.socket_path, &error)) << error;
-  MbspClient::Outcome outcome;
 
-  ScheduleRequest bad_scheduler = tiny_request();
-  bad_scheduler.scheduler = "no-such-scheduler";
-  ASSERT_TRUE(client.run(bad_scheduler, &outcome, &error)) << error;
-  ASSERT_FALSE(outcome.ok);
-  EXPECT_EQ(outcome.error.code, WireError::kUnknownScheduler);
-  EXPECT_NE(outcome.error.message.find("no-such-scheduler"),
-            std::string::npos);
+  // SCHEDULE and REPAIR frames share one request pipeline: every bad
+  // field gets the same typed error on either frame.
+  for (const bool repair : {false, true}) {
+    SCOPED_TRACE(repair ? "REPAIR frame" : "SCHEDULE frame");
+    MbspClient::Outcome outcome;
 
-  ScheduleRequest bad_machine = tiny_request();
-  bad_machine.machine_spec = "no-such-machine:P=4";
-  ASSERT_TRUE(client.run(bad_machine, &outcome, &error)) << error;
-  ASSERT_FALSE(outcome.ok);
-  EXPECT_EQ(outcome.error.code, WireError::kBadMachineSpec);
+    ScheduleRequest bad_version = tiny_request();
+    bad_version.version = 9;
+    ASSERT_TRUE(send(client, bad_version, repair, &outcome, &error)) << error;
+    ASSERT_FALSE(outcome.ok);
+    EXPECT_EQ(outcome.error.code, WireError::kBadVersion);
 
-  ScheduleRequest bad_dag = tiny_request();
-  bad_dag.dag_bytes = "this is not a dag";
-  ASSERT_TRUE(client.run(bad_dag, &outcome, &error)) << error;
-  ASSERT_FALSE(outcome.ok);
-  EXPECT_EQ(outcome.error.code, WireError::kBadDag);
+    ScheduleRequest bad_scheduler = tiny_request();
+    bad_scheduler.scheduler = "no-such-scheduler";
+    ASSERT_TRUE(send(client, bad_scheduler, repair, &outcome, &error))
+        << error;
+    ASSERT_FALSE(outcome.ok);
+    EXPECT_EQ(outcome.error.code, WireError::kUnknownScheduler);
+    EXPECT_NE(outcome.error.message.find("no-such-scheduler"),
+              std::string::npos);
 
-  ScheduleRequest unknown_hash = tiny_request();
-  unknown_hash.dag_bytes.clear();
-  unknown_hash.dag_hash = 0xdeadbeefdeadbeefULL;
-  ASSERT_TRUE(client.run(unknown_hash, &outcome, &error)) << error;
-  ASSERT_FALSE(outcome.ok);
-  EXPECT_EQ(outcome.error.code, WireError::kUnknownDagHash);
-  EXPECT_NE(outcome.error.message.find("resend"), std::string::npos)
-      << "the error must tell the client how to recover";
+    ScheduleRequest bad_machine = tiny_request();
+    bad_machine.machine_spec = "no-such-machine:P=4";
+    ASSERT_TRUE(send(client, bad_machine, repair, &outcome, &error)) << error;
+    ASSERT_FALSE(outcome.ok);
+    EXPECT_EQ(outcome.error.code, WireError::kBadMachineSpec);
 
-  // The connection survived four typed errors.
+    ScheduleRequest bad_dag = tiny_request();
+    bad_dag.dag_bytes = "this is not a dag";
+    ASSERT_TRUE(send(client, bad_dag, repair, &outcome, &error)) << error;
+    ASSERT_FALSE(outcome.ok);
+    EXPECT_EQ(outcome.error.code, WireError::kBadDag);
+
+    ScheduleRequest unknown_hash = tiny_request();
+    unknown_hash.dag_bytes.clear();
+    unknown_hash.dag_hash = 0xdeadbeefdeadbeefULL;
+    ASSERT_TRUE(send(client, unknown_hash, repair, &outcome, &error))
+        << error;
+    ASSERT_FALSE(outcome.ok);
+    EXPECT_EQ(outcome.error.code, WireError::kUnknownDagHash);
+    EXPECT_NE(outcome.error.message.find("resend"), std::string::npos)
+        << "the error must tell the client how to recover";
+  }
+
+  // The connection survived every typed error.
   EXPECT_TRUE(client.ping(&error)) << error;
 }
 
@@ -562,14 +604,17 @@ TEST_F(ProtocolServerTest, PinnedHashMismatchIsRejected) {
   MbspClient client;
   std::string error;
   ASSERT_TRUE(client.connect(options_.socket_path, &error)) << error;
-  ScheduleRequest request = tiny_request();
-  request.dag_hash = 0x1234;  // wrong pin for the inline DAG
-  MbspClient::Outcome outcome;
-  ASSERT_TRUE(client.run(request, &outcome, &error)) << error;
-  ASSERT_FALSE(outcome.ok);
-  EXPECT_EQ(outcome.error.code, WireError::kBadDag);
-  EXPECT_NE(outcome.error.message.find("pinned"), std::string::npos)
-      << outcome.error.message;
+  for (const bool repair : {false, true}) {
+    SCOPED_TRACE(repair ? "REPAIR frame" : "SCHEDULE frame");
+    ScheduleRequest request = tiny_request();
+    request.dag_hash = 0x1234;  // wrong pin for the inline DAG
+    MbspClient::Outcome outcome;
+    ASSERT_TRUE(send(client, request, repair, &outcome, &error)) << error;
+    ASSERT_FALSE(outcome.ok);
+    EXPECT_EQ(outcome.error.code, WireError::kBadDag);
+    EXPECT_NE(outcome.error.message.find("pinned"), std::string::npos)
+        << outcome.error.message;
+  }
 }
 
 TEST_F(ProtocolServerTest, TruncatedRepairFrameAtEveryOffsetNeverCrashes) {
