@@ -2,6 +2,9 @@
 // pipeline of Section 6.3 — ILP-based acyclic bipartitioning into <= 60
 // node parts, a quotient-level processor allocation, per-part holistic
 // solves, and a global memory completion that stitches the parts together.
+// Divide-and-conquer is a configuration of the hierarchical shard_schedule
+// pipeline (src/holistic/shard.hpp): the recursive partition's parts plus
+// divide_conquer_options() — no boundary polish, no full-seed compare.
 
 #include <cstdio>
 

@@ -77,11 +77,12 @@
 // repaired costs are oracle-equal to a from-scratch evaluate_plan
 // (docs/REPAIR.md).
 #include "src/holistic/repair.hpp"
-// DAG partitioning + divide-and-conquer pipeline for large instances.
-#include "src/holistic/divide_conquer.hpp"
+// Acyclic DAG partitioning (ILP bipartition, recursive parts).
 #include "src/holistic/partition.hpp"
-// Sharded out-of-core pipeline: acyclic k-way partition, parallel
-// per-shard LNS with shard-indexed seeds, boundary-masked global polish.
+// The hierarchical pipeline: partition, parallel per-part LNS, stitch,
+// boundary-masked global polish. Sharded out-of-core scheduling runs it on
+// an acyclic k-way partition; divide-and-conquer is its
+// divide_conquer_options() configuration on recursive ILP parts.
 #include "src/holistic/shard.hpp"
 // Exact P = 1 red-blue pebbler (optimal on small DAGs; deterministic).
 #include "src/holistic/exact_pebbler.hpp"

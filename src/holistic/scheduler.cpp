@@ -1,5 +1,7 @@
 #include "src/holistic/scheduler.hpp"
 
+#include "src/holistic/partition.hpp"
+#include "src/holistic/shard.hpp"
 #include "src/model/cost.hpp"
 
 namespace mbsp {
@@ -53,10 +55,9 @@ HolisticOutcome holistic_schedule(const MbspInstance& inst,
     return out;
   }
 
-  DivideConquerOptions dnc;
-  dnc.max_part_size = options.max_part_size;
-  dnc.lns = to_lns(options, options.budget_ms / 8);  // per-part budget
-  DivideConquerResult res = divide_conquer_schedule(inst, dnc);
+  ShardResult res = shard_schedule(
+      inst, recursive_acyclic_partition(inst.dag, options.max_part_size),
+      divide_conquer_options(to_lns(options, options.budget_ms / 8)));
   HolisticOutcome out;
   out.baseline_cost = baseline_cost;
   out.used_divide_conquer = true;

@@ -5,7 +5,6 @@
 // deploys the full ILP on the tiny dataset and the divide-and-conquer ILP
 // on the small dataset.
 
-#include "src/holistic/divide_conquer.hpp"
 #include "src/holistic/lns.hpp"
 #include "src/twostage/two_stage.hpp"
 

@@ -134,11 +134,26 @@ std::vector<std::vector<NodeId>> acyclic_kway_partition(const ComputeDag& dag,
 
 ShardResult shard_schedule(const MbspInstance& inst,
                            const ShardOptions& options) {
+  return shard_schedule(
+      inst, acyclic_kway_partition(inst.dag, options.num_shards), options);
+}
+
+ShardOptions divide_conquer_options(const LnsOptions& per_part) {
+  ShardOptions options;
+  options.lns = per_part;
+  options.part_seed_stride = 1000003;
+  options.polish_max_iterations = 0;
+  options.num_threads = 1;
+  options.compare_full_seed = false;
+  return options;
+}
+
+ShardResult shard_schedule(const MbspInstance& inst,
+                           const std::vector<std::vector<NodeId>>& shards,
+                           const ShardOptions& options) {
   const ComputeDag& dag = inst.dag;
   const int P = inst.arch.num_processors;
   ShardResult result;
-
-  const auto shards = acyclic_kway_partition(dag, options.num_shards);
   result.num_shards = shards.size();
 
   std::vector<int> part_of(dag.num_nodes(), -1);
@@ -146,11 +161,12 @@ ShardResult shard_schedule(const MbspInstance& inst,
     for (NodeId v : shards[i]) part_of[v] = static_cast<int>(i);
   }
 
-  // Wave packing on the quotient graph, exactly as divide-and-conquer: a
-  // shard is ready when all quotient predecessors are scheduled; each wave
-  // takes up to P independent ready shards and splits the processors
-  // proportionally to work. All of this is decided before any solve runs,
-  // so the proc slices (and therefore the solves) are thread-independent.
+  // Wave packing on the quotient graph: a shard is ready when all quotient
+  // predecessors are scheduled; each wave takes up to P independent ready
+  // shards (largest work first) and gives each >= 1 processor plus a share
+  // of the rest proportional to work. All of this is decided before any
+  // solve runs, so the proc slices (and therefore the solves) are
+  // thread-independent.
   const ComputeDag quotient =
       quotient_graph(dag, part_of, static_cast<int>(shards.size()));
   std::vector<int> waiting(shards.size(), 0);
@@ -176,7 +192,9 @@ ShardResult shard_schedule(const MbspInstance& inst,
     for (int q : wave) wave_work += quotient.omega(q);
     std::vector<int> alloc(wave.size(), 1);
     int left = P - static_cast<int>(wave.size());
-    for (std::size_t i = 0; i < wave.size() && left > 0; ++i) {
+    // A zero-work wave has no proportions; round-robin hands out the rest.
+    for (std::size_t i = 0; i < wave.size() && left > 0 && wave_work > 0;
+         ++i) {
       const int extra = std::min<int>(
           left, static_cast<int>(quotient.omega(wave[i]) / wave_work *
                                  (P - static_cast<double>(wave.size()))));
@@ -224,14 +242,17 @@ ShardResult shard_schedule(const MbspInstance& inst,
       const ComputePlan initial =
           plan_from_bsp(sub_inst.dag, bsp, sub_inst.arch.num_processors);
       LnsOptions lns = options.lns;
-      lns.seed = shard_seed(options.lns.seed, q);
+      lns.seed = options.part_seed_stride != 0
+                     ? options.lns.seed + static_cast<std::uint64_t>(q) *
+                                              options.part_seed_stride
+                     : shard_seed(options.lns.seed, q);
       LnsResult improved = improve_plan(sub_inst, initial, lns);
       solved[q] = {std::move(sub.globals), std::move(improved.plan)};
     });
   }
 
   // Stitch wave-by-wave with superstep offsets (quotient-topological
-  // order), exactly as divide-and-conquer splices its parts.
+  // order).
   ComputePlan global_plan;
   global_plan.num_procs = P;
   global_plan.seq.resize(P);
@@ -257,11 +278,6 @@ ShardResult shard_schedule(const MbspInstance& inst,
   assert(stitched_ok.ok);
   (void)stitched_ok;
 
-  result.stitched_cost =
-      evaluate_plan(inst, global_plan, options.lns, nullptr);
-  result.cost = result.stitched_cost;
-  result.plan = std::move(global_plan);
-
   // Boundary move mask: endpoints of cut edges, expanded by the halo.
   std::vector<char> mask(static_cast<std::size_t>(dag.num_nodes()), 0);
   for (NodeId u = 0; u < dag.num_nodes(); ++u) {
@@ -284,10 +300,22 @@ ShardResult shard_schedule(const MbspInstance& inst,
   }
   for (char bit : mask) result.boundary_nodes += bit != 0;
 
+  // The returned schedule comes from the step that produced the final
+  // plan. The stitched plan keeps its schedule only when it is final by
+  // construction (no polish, no seed compare), so the polish never runs
+  // beside a second full schedule.
+  const bool run_polish = result.num_shards > 1 && result.boundary_nodes > 0 &&
+                          options.polish_max_iterations > 0;
+  const bool stitched_is_final = !run_polish && !options.compare_full_seed;
+  result.stitched_cost =
+      evaluate_plan(inst, global_plan, options.lns,
+                    stitched_is_final ? &result.schedule : nullptr);
+  result.cost = result.stitched_cost;
+  result.plan = std::move(global_plan);
+
   // Global polish restricted to the boundary (O(delta) per move through
   // the incremental evaluator). improve_plan never returns a worse plan.
-  if (result.num_shards > 1 && result.boundary_nodes > 0 &&
-      options.polish_max_iterations > 0) {
+  if (run_polish) {
     LnsOptions polish = options.lns;
     polish.budget_ms = options.polish_budget_ms;
     polish.max_iterations = options.polish_max_iterations;
@@ -296,6 +324,7 @@ ShardResult shard_schedule(const MbspInstance& inst,
     LnsResult polished = improve_plan(inst, result.plan, polish);
     result.cost = polished.cost;
     result.plan = std::move(polished.plan);
+    result.schedule = std::move(polished.schedule);
   }
 
   // Safety net: the unpartitioned greedy warm start. Returning the
@@ -311,9 +340,13 @@ ShardResult shard_schedule(const MbspInstance& inst,
       result.plan = std::move(seed_plan);
       result.used_full_seed = true;
     }
+    // Complete the winner, unless it is the polished plan (whose
+    // schedule improve_plan already returned).
+    if (result.used_full_seed || !run_polish) {
+      result.cost =
+          evaluate_plan(inst, result.plan, options.lns, &result.schedule);
+    }
   }
-
-  result.cost = evaluate_plan(inst, result.plan, options.lns, &result.schedule);
   return result;
 }
 

@@ -1,24 +1,25 @@
 #pragma once
-// Sharded hierarchical scheduling for out-of-core scale (docs/SCALE.md):
-// the generalization of the divide-and-conquer pipeline (Section 6.3) to
-// million-node CSR-native DAGs.
+// Hierarchical scheduling: the one pipeline behind both the paper's
+// divide-and-conquer scheduler (Section 6.3) and the sharded out-of-core
+// scheduler for million-node CSR-native DAGs (docs/SCALE.md).
 //
-//   1. acyclic k-way partition: the DAG is cut into `num_shards`
-//      contiguous intervals of the deterministic Kahn topological order,
-//      balanced by cumulative omega — O(n + m), no per-node vectors, and
-//      the quotient graph is acyclic by construction (an edge can only go
-//      from an earlier interval to a later one);
-//   2. wave packing + machine slicing: shards are grouped into waves of
+//   1. acyclic partition, chosen by the caller: the sharded scheduler cuts
+//      the DAG into `num_shards` contiguous intervals of the deterministic
+//      Kahn topological order, balanced by cumulative omega (O(n + m), the
+//      quotient is acyclic by construction); divide-and-conquer passes the
+//      recursive ILP bipartition into parts of <= 60 nodes;
+//   2. wave packing + machine slicing: parts are grouped into waves of
 //      mutually independent quotient nodes and each wave splits the
-//      processors proportionally to work, exactly like divide-and-conquer
-//      (the shared helpers below are the extracted common core);
-//   3. per-shard solves fan out on a ThreadPool: every shard gets a
-//      greedy warm start plus an LNS polish with a SplitMix-derived
-//      shard-indexed seed, results are collected by shard index, so the
-//      outcome is bitwise reproducible for a fixed (seed, num_shards)
-//      regardless of thread count;
+//      processors proportionally to work (the adjusted-BSPg allocation of
+//      the paper);
+//   3. per-part solves fan out on a ThreadPool: every part gets a greedy
+//      warm start plus an LNS polish with a part-indexed seed, results are
+//      collected by part index, so the outcome is bitwise reproducible
+//      for a fixed (seed, partition) regardless of thread count;
 //   4. stitch: sub-plans are spliced wave-by-wave with superstep offsets
-//      and normalized;
+//      and normalized; the global memory completion then performs the
+//      paper's "streamlining" (values kept in cache across part
+//      boundaries, dead values dropped);
 //   5. boundary polish: a final global LNS pass whose node mask
 //      (LnsOptions::node_mask) is restricted to the endpoints of cut
 //      edges plus a configurable halo — only the shard seams move, so
@@ -26,6 +27,8 @@
 //
 // The result is never worse than the unpartitioned greedy warm start when
 // compare_full_seed is on (the cheaper of the two plans is returned).
+// Divide-and-conquer is the configuration divide_conquer_options() builds:
+// no boundary polish, no seed compare, its historical per-part seeds.
 
 #include <cstdint>
 #include <vector>
@@ -36,9 +39,9 @@
 
 namespace mbsp {
 
-/// A shard as a scheduling subproblem: the shard's nodes plus its external
-/// inputs (parents outside the shard), which become zero-omega sources of
-/// the sub-DAG. Shared by shard_schedule and divide_conquer_schedule.
+/// A shard (or divide-and-conquer part) as a scheduling subproblem: its
+/// nodes plus its external inputs (parents outside the part), which become
+/// zero-omega sources of the sub-DAG.
 struct ShardSubproblem {
   std::vector<NodeId> globals;  ///< sub node id -> global node id
   ComputeDag dag;
@@ -70,6 +73,10 @@ struct ShardOptions {
   /// Per-shard LNS configuration; budget_ms is *per shard* and the seed is
   /// re-derived per shard (SplitMix over lns.seed and the shard index).
   LnsOptions lns;
+  /// Nonzero replaces the SplitMix derivation with shard q solving under
+  /// lns.seed + q * part_seed_stride — divide-and-conquer's seeds, kept so
+  /// its paper-table numbers do not move.
+  std::uint64_t part_seed_stride = 0;
   /// Global boundary polish sizing. budget_ms = 0 with a finite iteration
   /// cap keeps the polish bit-reproducible; 0 iterations disables it.
   double polish_budget_ms = 0;
@@ -98,10 +105,25 @@ struct ShardResult {
   bool used_full_seed = false;  ///< the unpartitioned seed won the compare
 };
 
-/// Runs the full pipeline described above. Deterministic for fixed
-/// (options.lns.seed, options.num_shards) when the LNS budgets are
-/// iteration-capped (budget_ms = 0), regardless of options.num_threads.
+/// Runs the full pipeline described above on a caller-supplied acyclic
+/// partition of inst.dag (`parts` must cover every node exactly once and
+/// induce an acyclic quotient; options.num_shards is ignored).
+/// Deterministic for fixed (options.lns.seed, parts) when the LNS budgets
+/// are iteration-capped (budget_ms = 0), regardless of options.num_threads.
+ShardResult shard_schedule(const MbspInstance& inst,
+                           const std::vector<std::vector<NodeId>>& parts,
+                           const ShardOptions& options);
+
+/// The sharded scheduler: the pipeline on
+/// acyclic_kway_partition(inst.dag, options.num_shards).
 ShardResult shard_schedule(const MbspInstance& inst,
                            const ShardOptions& options);
+
+/// The divide-and-conquer configuration (Section 6.3) with per-part LNS
+/// options `per_part`: no boundary polish, no full-seed compare, one
+/// worker thread (callers such as the batch runner already run in
+/// parallel), per-part seeds per_part.seed + q * 1000003. Pair it with
+/// recursive_acyclic_partition(inst.dag, max_part_size) parts.
+ShardOptions divide_conquer_options(const LnsOptions& per_part);
 
 }  // namespace mbsp

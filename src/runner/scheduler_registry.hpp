@@ -11,7 +11,8 @@
 //   lns-portfolio        K-worker parallel portfolio LNS with deterministic
 //                        incumbent exchange at epoch barriers
 //   holistic             the facade: LNS on small DAGs, D&C on large ones
-//   divide-conquer       the divide-and-conquer pipeline, always
+//   divide-conquer       divide-and-conquer, always: shard_schedule on
+//                        recursive ILP parts, divide_conquer_options()
 //   exact-pebbler        exact P = 1 red-blue pebbling (small DAGs)
 //   ilp                  full ILP + branch-and-bound (tiny DAGs)
 //   repair               online repair: patch a pre-delta incumbent onto

@@ -1,14 +1,23 @@
-// Tests for the divide-and-conquer scheduler on larger DAGs.
+// Tests for divide-and-conquer on larger DAGs: shard_schedule on the
+// recursive acyclic partition, with divide_conquer_options().
 #include <gtest/gtest.h>
 
 #include "src/graph/generators.hpp"
-#include "src/holistic/divide_conquer.hpp"
+#include "src/holistic/partition.hpp"
 #include "src/holistic/scheduler.hpp"
+#include "src/holistic/shard.hpp"
 #include "src/model/cost.hpp"
 #include "src/model/validate.hpp"
 
 namespace mbsp {
 namespace {
+
+ShardResult divide_conquer(const MbspInstance& inst, double budget_ms) {
+  LnsOptions per_part;
+  per_part.budget_ms = budget_ms;
+  return shard_schedule(inst, recursive_acyclic_partition(inst.dag, 60),
+                        divide_conquer_options(per_part));
+}
 
 TEST(DivideConquer, ValidOnSmallDatasetInstance) {
   auto dataset = small_dataset(2025);
@@ -16,10 +25,8 @@ TEST(DivideConquer, ValidOnSmallDatasetInstance) {
   const double r0 = min_memory_r0(dag);
   const MbspInstance inst{std::move(dag),
                           Architecture::make(4, 5 * r0, 1, 10)};
-  DivideConquerOptions options;
-  options.lns.budget_ms = 100;
-  const DivideConquerResult res = divide_conquer_schedule(inst, options);
-  EXPECT_GT(res.num_parts, 1u);
+  const ShardResult res = divide_conquer(inst, 100);
+  EXPECT_GT(res.num_shards, 1u);
   const auto valid = validate(inst, res.schedule);
   EXPECT_TRUE(valid.ok) << valid.error;
   EXPECT_DOUBLE_EQ(res.cost, sync_cost(inst, res.schedule));
@@ -37,9 +44,7 @@ TEST(DivideConquer, WorksOnCoarseGrainedInstance) {
   const double r0 = min_memory_r0(dag);
   const MbspInstance inst{std::move(dag),
                           Architecture::make(4, 5 * r0, 1, 10)};
-  DivideConquerOptions options;
-  options.lns.budget_ms = 100;
-  const DivideConquerResult res = divide_conquer_schedule(inst, options);
+  const ShardResult res = divide_conquer(inst, 100);
   const auto valid = validate(inst, res.schedule);
   EXPECT_TRUE(valid.ok) << valid.error;
 }
@@ -64,9 +69,7 @@ TEST(DivideConquer, SingleProcessorDegenerates) {
   ComputeDag dag = std::move(dataset[3]);  // spmv_N35
   const double r0 = min_memory_r0(dag);
   const MbspInstance inst{std::move(dag), Architecture::make(1, 5 * r0, 1, 0)};
-  DivideConquerOptions options;
-  options.lns.budget_ms = 50;
-  const DivideConquerResult res = divide_conquer_schedule(inst, options);
+  const ShardResult res = divide_conquer(inst, 50);
   const auto valid = validate(inst, res.schedule);
   EXPECT_TRUE(valid.ok) << valid.error;
 }
