@@ -88,8 +88,6 @@
 #include "src/holistic/exact_pebbler.hpp"
 // The full MBSP ILP formulation (Section 6.1).
 #include "src/holistic/formulation.hpp"
-// Facade: LNS on small DAGs, divide-and-conquer on large ones.
-#include "src/holistic/scheduler.hpp"
 // Dense simplex + branch-and-bound MILP solver (budget-aware, but the
 // search tree order is deterministic; budget cuts are wall-clock).
 #include "src/ilp/model.hpp"
@@ -110,7 +108,8 @@
 #include "src/daemon/client.hpp"
 
 // -- Harness: registries, batch engine, workloads ---------------------------
-// MbspScheduler interface + flat SchedulerOptions/ScheduleResult rows.
+// MbspScheduler interface + flat SchedulerOptions/ScheduleResult rows
+// (SchedulerOptions is LnsOptions plus the scheduler fields).
 #include "src/runner/scheduler.hpp"
 // Name -> scheduler registry (pre-populated global; lookup is read-only
 // and thread-safe after registration).

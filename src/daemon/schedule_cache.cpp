@@ -45,6 +45,7 @@ std::string scheduler_cache_spec(const std::string& scheduler,
   spec += "|moves=" + std::to_string(options.move_mask);
   spec +=
       "|policy=" + std::to_string(static_cast<int>(options.completion_policy));
+  spec += "|temp=" + num(options.initial_temperature_frac);
   spec += "|dc=" + std::to_string(options.divide_conquer_threshold);
   spec += "|part=" + std::to_string(options.max_part_size);
   spec += "|shards=" + std::to_string(options.shards);

@@ -6,7 +6,10 @@
 // the scheduler spec is a deterministic fingerprint of the scheduler name
 // plus every SchedulerOptions field that changes the produced plan —
 // excluding the budget fields (budget_ms, max_iterations), which are the
-// *effort* dimension:
+// *effort* dimension. deadline_poll_interval and arena_paranoid never
+// change an iteration-capped plan, so they stay out; node_mask, like
+// warm_start_plan and repair_delta, is a caller-owned pointer and no part
+// of a request's identity:
 //
 //   * a request whose effort is within the cached entry's is an EXACT hit:
 //     the cached plan is returned as-is, no solver runs. Because every

@@ -6,12 +6,10 @@
 // row, so benches, examples and the batch runner can treat "which algorithm"
 // as data instead of hand-wiring each combination.
 
-#include <cstdint>
 #include <string>
 #include <vector>
 
-#include "src/cache/policy.hpp"
-#include "src/holistic/lns.hpp"  // CostModel, LnsMove
+#include "src/holistic/lns.hpp"  // LnsOptions
 #include "src/holistic/portfolio.hpp"  // PortfolioProfile
 #include "src/model/instance.hpp"
 #include "src/model/schedule.hpp"
@@ -24,16 +22,17 @@ struct InstanceDelta;  // src/holistic/repair.hpp
 
 /// One option struct shared by every scheduler; fields a given scheduler
 /// does not understand are ignored (e.g. move_mask outside the LNS).
-struct SchedulerOptions {
-  double budget_ms = 1500;  ///< total optimization budget (anytime solvers)
-  CostModel cost = CostModel::kSynchronous;
-  bool allow_recompute = true;
-  std::uint64_t seed = 42;
-  /// LNS iteration cap. Batch runs that must be reproducible bit-for-bit
-  /// use budget_ms = 0 (no deadline) plus a finite iteration cap, making
-  /// the anytime search independent of wall-clock speed.
-  long max_iterations = 2'000'000;
-
+///
+/// The LnsOptions base is the one LNS vocabulary: budget_ms (the total
+/// optimization budget of the anytime solvers), cost, seed, the move and
+/// completion knobs, and max_iterations. Batch runs that must be
+/// reproducible bit-for-bit use budget_ms = 0 (no deadline) plus a finite
+/// iteration cap, making the anytime search independent of wall-clock
+/// speed. Every LNS-based scheduler hands this struct on as its
+/// LnsOptions, so each of those fields reaches every LNS it runs.
+/// node_mask, like warm_start_plan, is a caller-owned pointer indexed by
+/// the NodeIds of the instance passed to run().
+struct SchedulerOptions : LnsOptions {
   /// Warm start for the improving schedulers (lns / holistic / ilp).
   BaselineKind warm_start = BaselineKind::kGreedyClairvoyant;
   /// Stage-1 budget for the refined ("ILP-BSP") warm start / baseline.
@@ -46,13 +45,12 @@ struct SchedulerOptions {
   /// cache (src/daemon/) uses it to warm-start near-miss requests from a
   /// cached incumbent (docs/DAEMON.md).
   const ComputePlan* warm_start_plan = nullptr;
-  /// LNS ablation knobs: start from the trivial all-on-p0 plan instead of
-  /// the warm start, restrict the move classes, swap the completion policy.
+  /// LNS ablation knob: start from the trivial all-on-p0 plan instead of
+  /// the warm start (move_mask and completion_policy are the others).
   bool cold_start = false;
-  unsigned move_mask = kAllMoves;
-  PolicyKind completion_policy = PolicyKind::kClairvoyant;
 
-  /// Holistic facade / divide-and-conquer sizing.
+  /// Divide-and-conquer sizing; "holistic" switches from the plain LNS to
+  /// divide-and-conquer above divide_conquer_threshold nodes.
   int divide_conquer_threshold = 120;
   int max_part_size = 60;
 

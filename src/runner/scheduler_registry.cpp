@@ -11,7 +11,6 @@
 #include "src/holistic/formulation.hpp"
 #include "src/holistic/partition.hpp"
 #include "src/holistic/portfolio.hpp"
-#include "src/holistic/scheduler.hpp"
 #include "src/ilp/solver.hpp"
 #include "src/model/cost.hpp"
 #include "src/model/validate.hpp"
@@ -22,9 +21,18 @@ namespace mbsp {
 
 namespace {
 
-/// Fills the metric fields every adapter shares.
-void finalize(const MbspInstance& inst, const SchedulerOptions& options,
-              const Timer& timer, ScheduleResult& result) {
+/// Cost of a schedule under the configured cost model.
+double schedule_cost(const MbspInstance& inst, const MbspSchedule& sched,
+                     CostModel cost) {
+  return cost == CostModel::kSynchronous ? sync_cost(inst, sched)
+                                         : async_cost(inst, sched);
+}
+
+/// Fills the name and metric fields every adapter shares.
+void finalize(std::string scheduler, const MbspInstance& inst,
+              const SchedulerOptions& options, const Timer& timer,
+              ScheduleResult& result) {
+  result.scheduler = std::move(scheduler);
   result.cost = schedule_cost(inst, result.schedule, options.cost);
   result.io_volume = io_volume(inst, result.schedule);
   result.supersteps = result.schedule.num_supersteps();
@@ -32,29 +40,57 @@ void finalize(const MbspInstance& inst, const SchedulerOptions& options,
   if (result.baseline_cost == 0) result.baseline_cost = result.cost;
 }
 
-LnsOptions to_lns(const SchedulerOptions& options) {
-  LnsOptions lns;
-  lns.budget_ms = options.budget_ms;
-  lns.cost = options.cost;
-  lns.allow_recompute = options.allow_recompute;
-  lns.completion_policy = options.completion_policy;
-  lns.seed = options.seed;
-  lns.move_mask = options.move_mask;
-  lns.max_iterations = options.max_iterations;
-  return lns;
+/// Where the LNS-based schedulers start: `warm` (a caller's incumbent)
+/// when given, else the trivial plan under cold_start, else the
+/// configured two-stage baseline.
+ComputePlan initial_plan(const MbspInstance& inst,
+                         const SchedulerOptions& options,
+                         const ComputePlan* warm) {
+  if (warm != nullptr) return *warm;
+  if (options.cold_start) return trivial_plan(inst);
+  return run_baseline(inst, options.warm_start, options.stage1_budget_ms)
+      .plan;
 }
 
-HolisticOptions to_holistic(const SchedulerOptions& options) {
-  HolisticOptions holistic;
-  holistic.budget_ms = options.budget_ms;
-  holistic.cost = options.cost;
-  holistic.allow_recompute = options.allow_recompute;
-  holistic.seed = options.seed;
-  holistic.max_iterations = options.max_iterations;
-  holistic.divide_conquer_threshold = options.divide_conquer_threshold;
-  holistic.max_part_size = options.max_part_size;
-  holistic.warm_start = options.warm_start;
-  return holistic;
+/// The row of an LNS-family result (LnsResult or PortfolioResult): its
+/// plan and schedule, the warm-start cost and the per-class move counters.
+template <typename Improved>
+ScheduleResult improved_result(Improved res) {
+  ScheduleResult result;
+  result.schedule = std::move(res.schedule);
+  result.plan = std::move(res.plan);
+  result.baseline_cost = res.initial_cost;
+  result.lns_proposed.assign(res.proposed_by_class.begin(),
+                             res.proposed_by_class.end());
+  result.lns_accepted.assign(res.accepted_by_class.begin(),
+                             res.accepted_by_class.end());
+  return result;
+}
+
+/// The "lns" solve: improve_plan from initial_plan(inst, options, warm).
+ScheduleResult lns_solve(const MbspInstance& inst,
+                         const SchedulerOptions& options,
+                         const ComputePlan* warm) {
+  return improved_result(
+      improve_plan(inst, initial_plan(inst, options, warm), options));
+}
+
+/// The "divide-conquer" solve: the hierarchical pipeline in its
+/// divide_conquer_options() configuration on the recursive ILP parts,
+/// every part's LNS funded with `per_part_budget_ms`.
+ScheduleResult divide_conquer_solve(const MbspInstance& inst,
+                                    const SchedulerOptions& options,
+                                    double per_part_budget_ms) {
+  LnsOptions per_part = options;
+  per_part.budget_ms = per_part_budget_ms;
+  ShardResult res = shard_schedule(
+      inst, recursive_acyclic_partition(inst.dag, options.max_part_size),
+      divide_conquer_options(per_part));
+  ScheduleResult result;
+  result.schedule = std::move(res.schedule);
+  result.plan = std::move(res.plan);
+  result.num_parts = res.num_shards;
+  return result;
 }
 
 /// The four paper baselines plus policy variants: stage-1 scheduler choice
@@ -72,14 +108,13 @@ class TwoStageAdapter final : public MbspScheduler {
     TwoStageResult two_stage =
         run_baseline(inst, stage1_, options.stage1_budget_ms);
     ScheduleResult result;
-    result.scheduler = name_;
     if (policy_ == baseline_policy(stage1_)) {
       result.schedule = std::move(two_stage.mbsp);
     } else {
       result.schedule = complete_memory(inst, two_stage.plan, policy_);
     }
     result.plan = std::move(two_stage.plan);
-    finalize(inst, options, timer, result);
+    finalize(name(), inst, options, timer, result);
     return result;
   }
 
@@ -104,23 +139,8 @@ class LnsAdapter final : public MbspScheduler {
   ScheduleResult run(const MbspInstance& inst,
                      const SchedulerOptions& options) const override {
     const Timer timer;
-    const ComputePlan initial =
-        options.warm_start_plan != nullptr ? *options.warm_start_plan
-        : options.cold_start
-            ? trivial_plan(inst)
-            : run_baseline(inst, options.warm_start, options.stage1_budget_ms)
-                  .plan;
-    LnsResult lns = improve_plan(inst, initial, to_lns(options));
-    ScheduleResult result;
-    result.scheduler = name();
-    result.schedule = std::move(lns.schedule);
-    result.plan = std::move(lns.plan);
-    result.baseline_cost = lns.initial_cost;
-    result.lns_proposed.assign(lns.proposed_by_class.begin(),
-                               lns.proposed_by_class.end());
-    result.lns_accepted.assign(lns.accepted_by_class.begin(),
-                               lns.accepted_by_class.end());
-    finalize(inst, options, timer, result);
+    ScheduleResult result = lns_solve(inst, options, options.warm_start_plan);
+    finalize(name(), inst, options, timer, result);
     return result;
   }
 };
@@ -136,29 +156,15 @@ class PortfolioAdapter final : public MbspScheduler {
   ScheduleResult run(const MbspInstance& inst,
                      const SchedulerOptions& options) const override {
     const Timer timer;
-    const ComputePlan initial =
-        options.warm_start_plan != nullptr ? *options.warm_start_plan
-        : options.cold_start
-            ? trivial_plan(inst)
-            : run_baseline(inst, options.warm_start, options.stage1_budget_ms)
-                  .plan;
     PortfolioOptions portfolio;
-    portfolio.lns = to_lns(options);
+    portfolio.lns = options;
     portfolio.workers = options.workers;
     portfolio.epochs = options.epochs;
     portfolio.profile = options.portfolio_profile;
     portfolio.free_running = options.free_running;
-    PortfolioResult res = PortfolioLns(portfolio).improve(inst, initial);
-    ScheduleResult result;
-    result.scheduler = name();
-    result.schedule = std::move(res.schedule);
-    result.plan = std::move(res.plan);
-    result.baseline_cost = res.initial_cost;
-    result.lns_proposed.assign(res.proposed_by_class.begin(),
-                               res.proposed_by_class.end());
-    result.lns_accepted.assign(res.accepted_by_class.begin(),
-                               res.accepted_by_class.end());
-    finalize(inst, options, timer, result);
+    ScheduleResult result = improved_result(PortfolioLns(portfolio).improve(
+        inst, initial_plan(inst, options, options.warm_start_plan)));
+    finalize(name(), inst, options, timer, result);
     return result;
   }
 };
@@ -176,11 +182,9 @@ class RepairAdapter final : public MbspScheduler {
   ScheduleResult run(const MbspInstance& inst,
                      const SchedulerOptions& options) const override {
     const Timer timer;
-    ScheduleResult result;
-    result.scheduler = name();
     if (options.warm_start_plan != nullptr && options.repair_delta != nullptr) {
       RepairOptions repair;
-      repair.lns = to_lns(options);
+      repair.lns = options;
       repair.polish = options.repair_polish;
       repair.mask_radius = options.repair_mask_radius;
       // Single-worker polish: repair is the serving-latency path; callers
@@ -190,31 +194,27 @@ class RepairAdapter final : public MbspScheduler {
       auto repaired = repair_plan(inst, *options.warm_start_plan,
                                   *options.repair_delta, repair, &error);
       if (repaired) {
+        ScheduleResult result;
         result.schedule = std::move(repaired->schedule);
         result.plan = std::move(repaired->plan);
         result.baseline_cost = repaired->patched_cost;
-        finalize(inst, options, timer, result);
+        finalize(name(), inst, options, timer, result);
         return result;
       }
       // Incumbent unusable for this delta (shape mismatch): fall through
       // to a from-scratch LNS solve below.
     }
-    const ComputePlan initial =
-        options.cold_start
-            ? trivial_plan(inst)
-            : run_baseline(inst, options.warm_start, options.stage1_budget_ms)
-                  .plan;
-    LnsResult lns = improve_plan(inst, initial, to_lns(options));
-    result.schedule = std::move(lns.schedule);
-    result.plan = std::move(lns.plan);
-    result.baseline_cost = lns.initial_cost;
-    finalize(inst, options, timer, result);
+    // warm_start_plan is the pre-delta incumbent: never start from it.
+    ScheduleResult result = lns_solve(inst, options, nullptr);
+    finalize(name(), inst, options, timer, result);
     return result;
   }
 };
 
-/// The top-level facade: LNS below the divide-and-conquer threshold, the
-/// divide-and-conquer pipeline above it (how the paper deploys its ILP).
+/// How the paper deploys its ILP: the "lns" solve below the
+/// divide-and-conquer threshold, the "divide-conquer" solve (budget_ms / 8
+/// per part) above it, measured against the two-stage warm start.
+/// Neither route starts from warm_start_plan.
 class HolisticAdapter final : public MbspScheduler {
  public:
   std::string name() const override { return "holistic"; }
@@ -222,19 +222,22 @@ class HolisticAdapter final : public MbspScheduler {
   ScheduleResult run(const MbspInstance& inst,
                      const SchedulerOptions& options) const override {
     const Timer timer;
-    HolisticOutcome out = holistic_schedule(inst, to_holistic(options));
-    ScheduleResult result;
-    result.scheduler = name();
-    result.schedule = std::move(out.schedule);
-    result.plan = std::move(out.plan);
-    result.baseline_cost = out.baseline_cost;
-    finalize(inst, options, timer, result);
+    if (inst.dag.num_nodes() <= options.divide_conquer_threshold) {
+      ScheduleResult result = lns_solve(inst, options, nullptr);
+      finalize(name(), inst, options, timer, result);
+      return result;
+    }
+    const TwoStageResult baseline =
+        run_baseline(inst, options.warm_start, options.stage1_budget_ms);
+    ScheduleResult result =
+        divide_conquer_solve(inst, options, options.budget_ms / 8);
+    result.baseline_cost = schedule_cost(inst, baseline.mbsp, options.cost);
+    finalize(name(), inst, options, timer, result);
     return result;
   }
 };
 
-/// Divide-and-conquer unconditionally (Table 2): the hierarchical pipeline
-/// in its divide_conquer_options() configuration. budget_ms is split /4
+/// Divide-and-conquer unconditionally (Table 2). budget_ms is split /4
 /// into the per-part LNS budget, matching the paper bench's convention.
 class DivideConquerAdapter final : public MbspScheduler {
  public:
@@ -243,17 +246,9 @@ class DivideConquerAdapter final : public MbspScheduler {
   ScheduleResult run(const MbspInstance& inst,
                      const SchedulerOptions& options) const override {
     const Timer timer;
-    LnsOptions per_part = to_lns(options);
-    per_part.budget_ms = options.budget_ms / 4;
-    ShardResult res = shard_schedule(
-        inst, recursive_acyclic_partition(inst.dag, options.max_part_size),
-        divide_conquer_options(per_part));
-    ScheduleResult result;
-    result.scheduler = name();
-    result.schedule = std::move(res.schedule);
-    result.plan = std::move(res.plan);
-    result.num_parts = res.num_shards;
-    finalize(inst, options, timer, result);
+    ScheduleResult result =
+        divide_conquer_solve(inst, options, options.budget_ms / 4);
+    finalize(name(), inst, options, timer, result);
     return result;
   }
 };
@@ -271,7 +266,7 @@ class ShardedAdapter final : public MbspScheduler {
     const Timer timer;
     ShardOptions shard;
     shard.num_shards = std::max(1, options.shards);
-    shard.lns = to_lns(options);
+    shard.lns = options;
     shard.lns.budget_ms = options.budget_ms / shard.num_shards;  // per shard
     shard.polish_budget_ms = options.budget_ms / 4;
     shard.polish_max_iterations = std::max(1L, options.max_iterations / 4);
@@ -279,12 +274,11 @@ class ShardedAdapter final : public MbspScheduler {
     shard.compare_full_seed = options.compare_full_seed;
     ShardResult res = shard_schedule(inst, shard);
     ScheduleResult result;
-    result.scheduler = name();
     result.schedule = std::move(res.schedule);
     result.plan = std::move(res.plan);
     result.num_parts = res.num_shards;
     result.baseline_cost = res.seed_cost;
-    finalize(inst, options, timer, result);
+    finalize(name(), inst, options, timer, result);
     return result;
   }
 };
@@ -314,7 +308,6 @@ class ExactPebbleAdapter final : public MbspScheduler {
     pebble.budget_ms = options.budget_ms;
     ExactPebbleResult res = exact_pebble(inst, pebble);
     ScheduleResult result;
-    result.scheduler = name();
     if (res.solved) {
       result.schedule = std::move(res.schedule);
       result.optimal = true;
@@ -322,7 +315,7 @@ class ExactPebbleAdapter final : public MbspScheduler {
       result.schedule =
           run_baseline(inst, BaselineKind::kDfsClairvoyant).mbsp;
     }
-    finalize(inst, options, timer, result);
+    finalize(name(), inst, options, timer, result);
     return result;
   }
 };
@@ -354,7 +347,6 @@ class IlpAdapter final : public MbspScheduler {
     const std::vector<double> warm = formulation.encode_schedule(base.mbsp);
 
     ScheduleResult result;
-    result.scheduler = name();
     result.baseline_cost = base_cost;
     result.schedule = std::move(base.mbsp);
     result.plan = std::move(base.plan);
@@ -380,7 +372,7 @@ class IlpAdapter final : public MbspScheduler {
       result.optimal = res.status == ilp::MipStatus::kOptimal &&
                        (adopted || res.objective >= base_cost - 1e-9);
     }
-    finalize(inst, options, timer, result);
+    finalize(name(), inst, options, timer, result);
     return result;
   }
 };

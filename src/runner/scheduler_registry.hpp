@@ -10,7 +10,9 @@
 //   lns                  holistic LNS improving a (configurable) warm start
 //   lns-portfolio        K-worker parallel portfolio LNS with deterministic
 //                        incumbent exchange at epoch barriers
-//   holistic             the facade: LNS on small DAGs, D&C on large ones
+//   holistic             registry dispatch: the lns solve up to
+//                        divide_conquer_threshold nodes, the
+//                        divide-conquer solve (budget / 8) above it
 //   divide-conquer       divide-and-conquer, always: shard_schedule on
 //                        recursive ILP parts, divide_conquer_options()
 //   exact-pebbler        exact P = 1 red-blue pebbling (small DAGs)
@@ -50,7 +52,10 @@ class SchedulerRegistry {
 
   /// Looks a scheduler up by name; nullptr when absent. The returned
   /// scheduler is stateless: run() is const, thread-safe, and
-  /// deterministic given (instance, options).
+  /// deterministic given (instance, options) under iteration-capped
+  /// budgets — except "divide-conquer", and "holistic" above its
+  /// threshold: their recursive bipartition stops its branch-and-bound
+  /// on a wall-clock limit (BipartitionOptions::ilp_budget_ms).
   const MbspScheduler* find(const std::string& name) const;
 
   /// Like find(), but throws std::out_of_range naming the missing

@@ -4,10 +4,10 @@
 
 #include "src/graph/generators.hpp"
 #include "src/holistic/partition.hpp"
-#include "src/holistic/scheduler.hpp"
 #include "src/holistic/shard.hpp"
 #include "src/model/cost.hpp"
 #include "src/model/validate.hpp"
+#include "src/runner/scheduler_registry.hpp"
 
 namespace mbsp {
 namespace {
@@ -55,10 +55,11 @@ TEST(DivideConquer, FacadeRoutesLargeInstances) {
   const double r0 = min_memory_r0(dag);
   const MbspInstance inst{std::move(dag),
                           Architecture::make(4, 5 * r0, 1, 10)};
-  HolisticOptions options;
+  SchedulerOptions options;
   options.budget_ms = 600;
-  const HolisticOutcome out = holistic_schedule(inst, options);
-  EXPECT_TRUE(out.used_divide_conquer);
+  const ScheduleResult out =
+      SchedulerRegistry::global().at("holistic").run(inst, options);
+  EXPECT_TRUE(out.num_parts > 1);
   const auto valid = validate(inst, out.schedule);
   EXPECT_TRUE(valid.ok) << valid.error;
   EXPECT_GT(out.baseline_cost, 0);

@@ -8,9 +8,9 @@
 
 #include "src/graph/gadgets.hpp"
 #include "src/graph/generators.hpp"
-#include "src/holistic/scheduler.hpp"
 #include "src/model/cost.hpp"
 #include "src/model/validate.hpp"
+#include "src/runner/scheduler_registry.hpp"
 #include "src/twostage/two_stage.hpp"
 #include "src/util/stats.hpp"
 
@@ -28,9 +28,10 @@ TEST(Experiments, HolisticBeatsBaselineInAggregate) {
     const double r0 = min_memory_r0(dag);
     const MbspInstance inst{std::move(dag),
                             Architecture::make(4, 3 * r0, 1, 10)};
-    HolisticOptions options;
+    SchedulerOptions options;
     options.budget_ms = kBudgetMs;
-    const HolisticOutcome out = holistic_schedule(inst, options);
+    const ScheduleResult out =
+        SchedulerRegistry::global().at("holistic").run(inst, options);
     EXPECT_LE(out.cost, out.baseline_cost + 1e-9) << inst.name();
     ratios.push_back(out.cost / out.baseline_cost);
     strict_wins += out.cost < out.baseline_cost - 1e-9;
@@ -52,9 +53,10 @@ TEST(Experiments, MemoryBoundSweepStaysValidAndImproving) {
       const double r0 = min_memory_r0(dag);
       const MbspInstance inst{std::move(dag),
                               Architecture::make(4, factor * r0, 1, 10)};
-      HolisticOptions options;
+      SchedulerOptions options;
       options.budget_ms = kBudgetMs / 2;
-      const HolisticOutcome out = holistic_schedule(inst, options);
+      const ScheduleResult out =
+          SchedulerRegistry::global().at("holistic").run(inst, options);
       EXPECT_LE(out.cost, out.baseline_cost + 1e-9)
           << inst.name() << " factor " << factor;
       const auto valid = validate(inst, out.schedule);

@@ -7,9 +7,9 @@
 #include "src/graph/gadgets.hpp"
 #include "src/graph/generators.hpp"
 #include "src/holistic/lns.hpp"
-#include "src/holistic/scheduler.hpp"
 #include "src/model/cost.hpp"
 #include "src/model/validate.hpp"
+#include "src/runner/scheduler_registry.hpp"
 #include "src/twostage/two_stage.hpp"
 
 namespace mbsp {
@@ -120,13 +120,52 @@ TEST(Lns, ZipperGadgetLargeGain) {
 
 TEST(HolisticFacade, SmallInstanceUsesLns) {
   const MbspInstance inst = tiny_instance(2);
-  HolisticOptions options;
+  SchedulerOptions options;
   options.budget_ms = 200;
-  const HolisticOutcome out = holistic_schedule(inst, options);
-  EXPECT_FALSE(out.used_divide_conquer);
+  const ScheduleResult out =
+      SchedulerRegistry::global().at("holistic").run(inst, options);
+  EXPECT_FALSE(out.num_parts > 1);
   EXPECT_LE(out.cost, out.baseline_cost + 1e-9);
   const auto valid = validate(inst, out.schedule);
   EXPECT_TRUE(valid.ok) << valid.error;
+}
+
+TEST(HolisticFacade, HonoursEveryLnsField) {
+  // move_mask = 0 leaves the LNS nothing to propose, so the result is the
+  // warm start (spmv_N6: 125). A holistic that dropped move_mask on its
+  // way to the LNS still improved it to 123.
+  const MbspInstance inst = tiny_instance(3);
+  SchedulerOptions options;
+  options.move_mask = 0;
+  options.budget_ms = 0;
+  options.max_iterations = 1500;
+  const ScheduleResult out =
+      SchedulerRegistry::global().at("holistic").run(inst, options);
+  EXPECT_EQ(out.cost, out.baseline_cost);
+}
+
+TEST(HolisticFacade, BelowThresholdIsTheLnsEntry) {
+  // Oracle: under the divide-and-conquer threshold "holistic" is the "lns"
+  // solve, bit for bit, on every tiny instance and both cost models.
+  const SchedulerRegistry& registry = SchedulerRegistry::global();
+  const int num_instances = static_cast<int>(tiny_dataset(2025).size());
+  for (const CostModel cost :
+       {CostModel::kSynchronous, CostModel::kAsynchronous}) {
+    for (int index = 0; index < num_instances; ++index) {
+      const MbspInstance inst = tiny_instance(index);
+      SchedulerOptions options;
+      options.budget_ms = 0;
+      options.max_iterations = 1500;
+      options.cost = cost;
+      ASSERT_LE(inst.dag.num_nodes(), options.divide_conquer_threshold);
+      const ScheduleResult lns = registry.at("lns").run(inst, options);
+      const ScheduleResult holistic =
+          registry.at("holistic").run(inst, options);
+      EXPECT_TRUE(holistic.plan.seq == lns.plan.seq) << inst.name();
+      EXPECT_EQ(holistic.cost, lns.cost) << inst.name();
+      EXPECT_EQ(holistic.baseline_cost, lns.baseline_cost) << inst.name();
+    }
+  }
 }
 
 TEST(Lns, MoveMaskRestrictsSearch) {

@@ -88,6 +88,10 @@ TEST(ScheduleCacheKey, SpecSeparatesPlanAffectingOptions) {
   other = base;
   other.cold_start = true;
   EXPECT_NE(scheduler_cache_spec("lns", other), reference);
+
+  other = base;
+  other.initial_temperature_frac = base.initial_temperature_frac * 2;
+  EXPECT_NE(scheduler_cache_spec("lns", other), reference);
 }
 
 TEST(ScheduleCacheEffort, BudgetZeroMeansUnlimited) {
