@@ -15,6 +15,62 @@ namespace {
 constexpr double kMemEps = 1e-9;  // must match memory_completion.cpp
 constexpr std::int64_t kNever = std::numeric_limits<std::int64_t>::max();
 
+// One non-empty slot row into the sync cost accumulator, in the full
+// evaluator's add order.
+void fold_row(SyncCostBreakdown& bd, const SyncStepCost& row, double L) {
+  bd.compute += row.max_compute;
+  bd.io += row.max_save + row.max_load;
+  bd.sync += L;
+}
+
+// Replaces v[lo, hi) by [first, last), moving the tail once.
+template <class T, class It>
+void replace_range(std::vector<T>& v, std::size_t lo, std::size_t hi, It first,
+                   It last) {
+  const auto n = static_cast<std::size_t>(last - first);
+  if (n > hi - lo) {
+    v.insert(v.begin() + static_cast<std::ptrdiff_t>(hi), n - (hi - lo), T{});
+  } else {
+    v.erase(v.begin() + static_cast<std::ptrdiff_t>(lo + n),
+            v.begin() + static_cast<std::ptrdiff_t>(hi));
+  }
+  std::copy(first, last, v.begin() + static_cast<std::ptrdiff_t>(lo));
+}
+
+// Replaces rows [lo, hi) of a pooled CSR (start holds rows + 1 offsets) by
+// the rows of a scratch CSR whose offsets start at 0; later rows rebase.
+template <class T>
+void splice_csr(std::vector<std::int64_t>& start, std::vector<T>& nodes,
+                std::size_t lo, std::size_t hi,
+                const ArenaVector<std::int64_t>& scr_start,
+                const ArenaVector<T>& scr_nodes) {
+  const std::int64_t n_lo = start[lo];
+  const std::int64_t n_hi = start[hi];
+  replace_range(nodes, static_cast<std::size_t>(n_lo),
+                static_cast<std::size_t>(n_hi), scr_nodes.begin(),
+                scr_nodes.end());
+  const std::int64_t delta =
+      static_cast<std::int64_t>(scr_nodes.size()) - (n_hi - n_lo);
+  replace_range(start, lo + 1, hi + 1, scr_start.begin() + 1, scr_start.end());
+  const std::size_t mid = lo + scr_start.size();
+  for (std::size_t i = lo + 1; i < mid; ++i) start[i] += n_lo;
+  for (std::size_t i = mid; i < start.size(); ++i) start[i] += delta;
+}
+
+// True iff v has a compute or use event on the processor at a position
+// >= at.
+bool has_event_from(const PlanOccurrenceIndex::ProcPositions& pp, NodeId v,
+                    std::int64_t at) {
+  const std::size_t v_ = static_cast<std::size_t>(v);
+  const auto any_from = [&](const std::vector<std::int64_t>& start,
+                            const std::vector<std::int64_t>& items) {
+    const auto end = items.begin() + start[v_ + 1];
+    return std::lower_bound(items.begin() + start[v_], end, at) != end;
+  };
+  return any_from(pp.comp_start, pp.comp_items) ||
+         any_from(pp.use_start, pp.use_items);
+}
+
 }  // namespace
 
 IncrementalEvaluator::IncrementalEvaluator(const MbspInstance& inst,
@@ -116,6 +172,9 @@ double IncrementalEvaluator::attach(const ComputePlan& plan) {
   affected_nodes_.clear();
   save_req_before_.clear();
   relabel_fixups_.clear();
+  edit_hi_.assign(static_cast<std::size_t>(P_), 0);
+  edit_shift_.assign(static_cast<std::size_t>(P_), 0);
+  lru_keys_.clear();
 
   // Committed completion state at boundary 0 (nothing completed yet).
   blue_round_.assign(n_, INT_MAX);
@@ -125,9 +184,10 @@ double IncrementalEvaluator::attach(const ComputePlan& plan) {
   home_group_.assign(n_, -1);
   blued_nodes_.clear();
   blued_start_.assign(1, 0);
-  rows_.clear();
-  row_empty_.clear();
-  row_prefix_.clear();
+  // One (empty) slot per boundary count, like every committed table.
+  rows_.assign(1, SyncStepCost{});
+  row_empty_.assign(1, 1);
+  row_prefix_.assign(1, SyncCostBreakdown{});
   committed_rounds_ = 0;
   committed_steps_ = 0;
   ck_pos_.assign(static_cast<std::size_t>(P_), 0);
@@ -182,7 +242,7 @@ double IncrementalEvaluator::attach(const ComputePlan& plan) {
 
   reserve_from_attached();
 
-  const double cost = evaluate_from(0);
+  const double cost = evaluate_from(0, /*may_exit=*/false);
   promote_eval();
 #ifndef NDEBUG
   assert(cost == evaluate_plan(inst_, plan_, options_));
@@ -380,7 +440,7 @@ IncrementalEvaluator::Outcome IncrementalEvaluator::finish_move() {
   for (int p : touched_procs_) nn_invalidate(p);
 
   const int b = std::max(std::min(dirty_bound(), committed_rounds_), 0);
-  const double cost = evaluate_from(b);
+  const double cost = evaluate_from(b, prepare_exit());
   // Differential oracle check: the incremental cost must equal the full
   // evaluator's bitwise, every iteration.
   assert(cost == evaluate_plan(inst_, plan_, options_) &&
@@ -403,19 +463,69 @@ void IncrementalEvaluator::commit() {
   // oracle above cannot see *cost-silent* state drift (evictions are
   // free, so a wrong cache can coast for many rounds before it prices a
   // reload); this check catches the drift at the commit that caused it.
+  // Beyond the checkpoint rows it also pins what a reconvergence splice
+  // rewrites: round labels, blue rounds, home groups, and the sync cost
+  // rows or async op pools.
   if (std::getenv("MBSP_CK_VERIFY") != nullptr) {
-    evaluate_from(0);
+    evaluate_from(0, /*may_exit=*/false);
     const std::size_t P = static_cast<std::size_t>(P_);
+    assert(std::equal(ck_step_.begin(), ck_step_.end(),
+                      scr_round_steps_.begin(), scr_round_steps_.end()) &&
+           "promoted round labels diverge from a fresh evaluation");
+    assert(blued_start_.back() ==
+               static_cast<std::int64_t>(eval_blued_.size()) &&
+           "promoted blue count diverges from a fresh evaluation");
+    for (const BlueRec& rec : eval_blued_) {
+      assert(blue_round_[static_cast<std::size_t>(rec.node)] == rec.round &&
+             "promoted blue round diverges from a fresh evaluation");
+      (void)rec;
+    }
+    for (const HomeRec& rec : eval_homes_) {
+      assert(home_group_[static_cast<std::size_t>(rec.node)] == rec.grp &&
+             "promoted home group diverges from a fresh evaluation");
+      (void)rec;
+    }
+    if (sync_) {
+      assert(rows_.size() == scratch_rows_.size() &&
+             "promoted slot count diverges from a fresh evaluation");
+      for (std::size_t s = 0; s < rows_.size(); ++s) {
+        assert(rows_[s].max_compute == scratch_rows_[s].max_compute &&
+               rows_[s].max_save == scratch_rows_[s].max_save &&
+               rows_[s].max_load == scratch_rows_[s].max_load &&
+               row_empty_[s] == scratch_row_empty_[s] &&
+               "promoted cost row diverges from a fresh evaluation");
+      }
+    } else {
+      assert(std::equal(as_comp_start_.begin(), as_comp_start_.end(),
+                        scr_as_comp_start_.begin(), scr_as_comp_start_.end()) &&
+             std::equal(as_comp_nodes_.begin(), as_comp_nodes_.end(),
+                        scr_as_comp_nodes_.begin(), scr_as_comp_nodes_.end()) &&
+             std::equal(as_save_start_.begin(), as_save_start_.end(),
+                        scr_as_save_start_.begin(), scr_as_save_start_.end()) &&
+             std::equal(as_save_nodes_.begin(), as_save_nodes_.end(),
+                        scr_as_save_nodes_.begin(), scr_as_save_nodes_.end()) &&
+             std::equal(as_load_start_.begin(), as_load_start_.end(),
+                        scr_as_load_start_.begin(), scr_as_load_start_.end()) &&
+             std::equal(as_load_nodes_.begin(), as_load_nodes_.end(),
+                        scr_as_load_nodes_.begin(), scr_as_load_nodes_.end()) &&
+             "promoted async op pool diverges from a fresh evaluation");
+    }
     const std::size_t nrec = scr_pos_.size() / P;
     assert(nrec == static_cast<std::size_t>(committed_rounds_) &&
            "promoted round count diverges from a fresh evaluation");
-    for (std::size_t r = 0; r + 1 < nrec; ++r) {
+    for (std::size_t r = 0; r < nrec; ++r) {
       for (std::size_t p = 0; p < P; ++p) {
         const std::size_t si = r * P + p;        // fresh boundary r+1
         const std::size_t ci = (r + 1) * P + p;  // promoted boundary r+1
         assert(ck_pos_[ci] == scr_pos_[si] &&
                ck_weight_[ci] == scr_weight_[si] &&
                "promoted checkpoint scalars diverge from a fresh evaluation");
+        assert((!sync_ || (ck_comp_[ci] == scr_comp_[si] &&
+                           ck_save_[ci] == scr_save_[si] &&
+                           ck_load_[ci] == scr_load_[si] &&
+                           ck_any_[ci] == scr_any_[si])) &&
+               (!async_ || as_save_prefix_[ci] == scr_as_save_prefix_[si]) &&
+               "promoted straddling slot diverges from a fresh evaluation");
         const std::int64_t cn = ck_cache_start_[ci + 1] - ck_cache_start_[ci];
         assert(cn == scr_cache_start_[si + 1] - scr_cache_start_[si] &&
                "promoted cache size diverges from a fresh evaluation");
@@ -760,6 +870,172 @@ int IncrementalEvaluator::dirty_bound() {
 }
 
 // ---------------------------------------------------------------------------
+// Reconvergence exit (see the header).
+
+bool IncrementalEvaluator::prepare_exit() {
+  // A save_required flip changes decisions wherever the node is cached.
+  for (const auto& [v, before] : save_req_before_) {
+    if (save_req_[static_cast<std::size_t>(v)] != before) return false;
+  }
+  std::fill(edit_hi_.begin(), edit_hi_.end(), 0);
+  std::fill(edit_shift_.begin(), edit_shift_.end(), 0);
+  lru_keys_.clear();
+  const auto note_keys = [&](int p, NodeId v) {
+    lru_keys_.push_back({p, v});
+    for (NodeId u : dag_.parents(v)) lru_keys_.push_back({p, u});
+  };
+  // Track, op by op in apply-time frames, the smallest position past
+  // which every occurrence is unedited: an insert at x pushes it to x+1
+  // (or shifts it), an erase leaves a seam at x (or shifts it back).
+  for (std::size_t i = 0; i < delta_size_; ++i) {
+    const PlanDeltaOp& op = delta_ops_[i];
+    if (op.kind == PlanDeltaOpKind::kMergeStep ||
+        op.kind == PlanDeltaOpKind::kSplitStep) {
+      continue;  // relabels only: checked against relabel_fixups_
+    }
+    const std::size_t p = static_cast<std::size_t>(op.proc);
+    const auto x = static_cast<std::int64_t>(op.pos);
+    std::int64_t& hi = edit_hi_[p];
+    if (op.kind == PlanDeltaOpKind::kInsert) {
+      hi = std::max(hi + 1, x + 1);
+      ++edit_shift_[p];
+    } else if (op.kind == PlanDeltaOpKind::kErase) {
+      hi = std::max(hi - 1, x);
+      --edit_shift_[p];
+    } else {
+      hi = std::max(hi, x + 1);
+      if (lru_) note_keys(op.proc, op.old_node);
+    }
+    if (lru_) note_keys(op.proc, op.pc.node);
+  }
+  return true;
+}
+
+bool IncrementalEvaluator::dead_at_boundary(NodeId v) {
+  // The completion reads a node's blue bit and home group only while the
+  // node is cached, or for one of its own compute or use events (loads,
+  // eviction and save decisions, pricing). A node cached nowhere, with no
+  // event at or after the running positions, is never read again — and
+  // no later op (so none of a reused committed tail) names it.
+  for (int p = 0; p < P_; ++p) {
+    if (ec_member(p, v) ||
+        has_event_from(index_.proc_positions(p), v,
+                       pos_[static_cast<std::size_t>(p)])) {
+      return false;
+    }
+  }
+  return true;
+}
+
+int IncrementalEvaluator::reconvergence_round() {
+  const std::size_t P = static_cast<std::size_t>(P_);
+  std::int64_t target = 0;
+  for (std::size_t p = 0; p < P; ++p) {
+    if (pos_[p] < edit_hi_[p]) return -1;  // still inside an edit
+    target += pos_[p] - edit_shift_[p];
+  }
+  // Every round advances some processor, so committed boundary position
+  // sums strictly increase: at most one boundary can match. Boundary b+1
+  // is the earliest the splice can keep (b itself is never dropped), and
+  // the end boundary R is left to the loop's natural exit.
+  const auto pos_sum = [&](int r) {
+    std::int64_t sum = 0;
+    for (std::size_t p = 0; p < P; ++p) {
+      sum += ck_pos_[static_cast<std::size_t>(r) * P + p];
+    }
+    return sum;
+  };
+  int lo = eval_b_ + 1, hi = committed_rounds_;
+  while (lo < hi) {
+    const int mid = lo + (hi - lo) / 2;
+    if (pos_sum(mid) < target) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
+  const int r = lo;
+  if (r >= committed_rounds_) return -1;
+  const std::size_t row = static_cast<std::size_t>(r) * P;
+  for (std::size_t p = 0; p < P; ++p) {
+    if (ck_pos_[row + p] != pos_[p] - edit_shift_[p]) return -1;
+  }
+  // The suffix's blocks must lie past every relabeled block: round r's
+  // label (the least remaining one) clears each relabel threshold in turn.
+  int label = ck_step_[static_cast<std::size_t>(r)];
+  for (const auto& [thr, delta] : relabel_fixups_) {
+    if (label < thr) return -1;
+    label += delta;
+  }
+  // Processor state at the boundary: weights, straddling slot, caches.
+  for (std::size_t p = 0; p < P; ++p) {
+    if (ck_weight_[row + p] != ec_weight_[p]) return -1;
+  }
+  if (sync_) {
+    const std::size_t at =
+        static_cast<std::size_t>(eval_cur_ - first_eval_slot_) * P;
+    for (std::size_t p = 0; p < P; ++p) {
+      if (ck_comp_[row + p] != slot_comp_[at + p] ||
+          ck_save_[row + p] != slot_save_[at + p] ||
+          ck_load_[row + p] != slot_load_[at + p] ||
+          ck_any_[row + p] != slot_any_[at + p]) {
+        return -1;
+      }
+    }
+  }
+  for (std::size_t p = 0; p < P; ++p) {
+    const auto& list = ec_list_[p];
+    if (!std::equal(list.begin(), list.end(),
+                    ck_cache_nodes_.begin() + ck_cache_start_[row + p],
+                    ck_cache_nodes_.begin() + ck_cache_start_[row + p + 1])) {
+      return -1;
+    }
+  }
+  if (async_) {
+    for (std::size_t p = 0; p < P; ++p) {
+      const SlotOps& cur = async_cur_[p];
+      const auto comp0 = as_comp_nodes_.begin() + as_comp_start_[row + p];
+      const auto comp1 = as_comp_nodes_.begin() + as_comp_start_[row + p + 1];
+      const auto save0 = as_save_nodes_.begin() + as_save_start_[row + p];
+      if (!std::equal(cur.comp.begin(), cur.comp.end(), comp0, comp1) ||
+          !std::equal(cur.save.begin(), cur.save.end(), save0,
+                      save0 + as_save_prefix_[row + p])) {
+        return -1;
+      }
+    }
+  }
+  // Blue set: the nodes first blued in candidate rounds [b, c) and the
+  // committed ones of rounds [b, r) must agree, with equal homes, on every
+  // node still live at the boundary (see dead_at_boundary).
+  for (const BlueRec& rec : eval_blued_) {
+    const std::size_t v = static_cast<std::size_t>(rec.node);
+    const bool both = blue_round_[v] >= eval_b_ && blue_round_[v] < r;
+    if ((!both || (!single_group_ && eval_home(rec.node) != home_group_[v])) &&
+        !dead_at_boundary(rec.node)) {
+      return -1;
+    }
+  }
+  for (std::int64_t i = blued_start_[static_cast<std::size_t>(eval_b_)];
+       i < blued_start_[static_cast<std::size_t>(r)]; ++i) {
+    const NodeId v = blued_nodes_[static_cast<std::size_t>(i)];
+    if (!eb_contains(v) && !dead_at_boundary(v)) return -1;
+  }
+  // LRU keys of affected nodes: wherever one can still be read — the node
+  // is cached at the boundary or has an event at or after it — its last
+  // event before the boundary must lie in the unedited region.
+  for (const auto& [p, v] : lru_keys_) {
+    const auto& pp = index_.proc_positions(p);
+    const std::int64_t at = pos_[static_cast<std::size_t>(p)];
+    if (!ec_member(p, v) && !has_event_from(pp, v, at)) continue;
+    if (committed_last_active(pp, v, at) <
+        edit_hi_[static_cast<std::size_t>(p)]) {
+      return -1;
+    }
+  }
+  return r;
+}
+
+// ---------------------------------------------------------------------------
 // Completion: eval-level state.
 
 // Memoized per (proc, node). A cached (use, comp) lower-bound pair
@@ -979,9 +1255,10 @@ void IncrementalEvaluator::record_checkpoint() {
   }
 }
 
-double IncrementalEvaluator::evaluate_from(int b) {
+double IncrementalEvaluator::evaluate_from(int b, bool may_exit) {
   cand_steps_ = index_.num_supersteps();
   restore_boundary(b);
+  conv_c_ = conv_r_ = -1;
 
   // Flushes the completed straddling slot's op lists into the scratch
   // CSR pool (same layout as the committed pool, rebased at slot b).
@@ -1012,7 +1289,7 @@ double IncrementalEvaluator::evaluate_from(int b) {
     }
   }
 
-  for (int k = k_start; k < cand_steps_; ++k) {
+  for (int k = k_start; k < cand_steps_ && conv_r_ < 0; ++k) {
     for (;;) {
       bool any_remaining = false;
       for (int p = 0; p < P_; ++p) {
@@ -1074,7 +1351,22 @@ double IncrementalEvaluator::evaluate_from(int b) {
         }
       }
       ++eval_cur_;
+      if (may_exit) {
+        const int r = reconvergence_round();
+        if (r >= 0) {
+          conv_c_ = eval_cur_;
+          conv_r_ = r;
+          break;
+        }
+      }
     }
+  }
+  if (conv_r_ >= 0) {
+    // Rejoined the committed run: boundary c is committed boundary r_c
+    // (not recorded) and the committed rounds r_c.. are the rest.
+    cand_rounds_ = conv_c_ + (committed_rounds_ - conv_r_);
+    last_dirty_ = conv_c_ - b;
+    return sync_ ? finalize_cost() : finalize_async_cost();
   }
   // Zero-length suffix (an erase shrank the plan so that no round runs):
   // the boundary checkpoint already is the end state — recording it again
@@ -1423,7 +1715,9 @@ void IncrementalEvaluator::commit_segment(int p) {
 double IncrementalEvaluator::finalize_cost() {
   scratch_rows_.clear();
   scratch_row_empty_.clear();
-  const int local_slots = num_slots_ - first_eval_slot_;
+  // After a reconvergence exit the partial slot c is committed slot r_c.
+  const int local_slots =
+      (conv_r_ >= 0 ? conv_c_ : num_slots_) - first_eval_slot_;
   for (int ls = 0; ls < local_slots; ++ls) {
     const std::size_t base =
         static_cast<std::size_t>(ls) * static_cast<std::size_t>(P_);
@@ -1459,11 +1753,13 @@ double IncrementalEvaluator::finalize_cost() {
           ? row_prefix_[static_cast<std::size_t>(first_eval_slot_ - 1)]
           : SyncCostBreakdown{};
   for (std::size_t i = 0; i < scratch_rows_.size(); ++i) {
-    if (scratch_row_empty_[i]) continue;
-    const SyncStepCost& row = scratch_rows_[i];
-    bd.compute += row.max_compute;
-    bd.io += row.max_save + row.max_load;
-    bd.sync += L_;
+    if (!scratch_row_empty_[i]) fold_row(bd, scratch_rows_[i], L_);
+  }
+  if (conv_r_ >= 0) {
+    for (std::size_t s = static_cast<std::size_t>(conv_r_); s < rows_.size();
+         ++s) {
+      if (!row_empty_[s]) fold_row(bd, rows_[s], L_);
+    }
   }
   return bd.total();
 }
@@ -1471,29 +1767,43 @@ double IncrementalEvaluator::finalize_cost() {
 double IncrementalEvaluator::finalize_async_cost() {
   // Exact replay of async_cost's slot sweep (cost.cpp): per slot, compute
   // phase then save phase then load phase, processors ascending, ops in
-  // list order. Committed slots read the committed CSR pool; slots >=
-  // first_eval_slot_ read the scratch pool. Empty drained slots fold
-  // harmlessly (the oracle drops them, but an empty slot changes neither
-  // finishing times nor first-save slots' relative order).
+  // list order. Slots below first_eval_slot_ read the committed CSR pool,
+  // re-derived slots the scratch pool, and after a reconvergence exit the
+  // slots from c on replay the committed pool from r_c on. Empty drained
+  // slots fold harmlessly (the oracle drops them, but an empty slot
+  // changes neither finishing times nor first-save slots' relative order).
+  const bool conv = conv_r_ >= 0;
+  const int total_slots = conv ? cand_rounds_ + 1 : num_slots_;
+  // Homes of committed-tail values are committed; every other value the
+  // lists name is blue before b or homed by this evaluation.
+  const auto home = [&](NodeId v) {
+    const int* ov = eh_map_.find(v);
+    if (ov != nullptr) return *ov;
+    const int br = blue_round_[static_cast<std::size_t>(v)];
+    const bool committed =
+        br < eval_b_ || (conv && br >= conv_r_ && br != INT_MAX);
+    return committed ? home_group_[static_cast<std::size_t>(v)] : -1;
+  };
   ++async_epoch_;
   std::fill(now_.begin(), now_.end(), 0.0);
-  for (int slot = 0; slot < num_slots_; ++slot) {
-    const bool committed = slot < first_eval_slot_;
-    const std::size_t crow = static_cast<std::size_t>(slot) *
-                             static_cast<std::size_t>(P_);
-    const std::size_t srow =
-        committed ? 0
-                  : static_cast<std::size_t>(slot - first_eval_slot_) *
-                        static_cast<std::size_t>(P_);
+  for (int slot = 0; slot < total_slots; ++slot) {
+    const bool scratch = slot >= first_eval_slot_ && (!conv || slot < conv_c_);
+    int src = slot;
+    if (scratch) {
+      src = slot - first_eval_slot_;
+    } else if (slot >= first_eval_slot_) {
+      src = slot - conv_c_ + conv_r_;  // committed tail
+    }
+    const std::size_t row =
+        static_cast<std::size_t>(src) * static_cast<std::size_t>(P_);
     for (int p = 0; p < P_; ++p) {
-      const std::size_t at =
-          (committed ? crow : srow) + static_cast<std::size_t>(p);
+      const std::size_t at = row + static_cast<std::size_t>(p);
       const std::int64_t a0 =
-          committed ? as_comp_start_[at] : scr_as_comp_start_[at];
+          scratch ? scr_as_comp_start_[at] : as_comp_start_[at];
       const std::int64_t a1 =
-          committed ? as_comp_start_[at + 1] : scr_as_comp_start_[at + 1];
+          scratch ? scr_as_comp_start_[at + 1] : as_comp_start_[at + 1];
       const NodeId* pool =
-          committed ? as_comp_nodes_.data() : scr_as_comp_nodes_.data();
+          scratch ? scr_as_comp_nodes_.data() : as_comp_nodes_.data();
       double t = now_[static_cast<std::size_t>(p)];
       if (uniform_) {
         for (std::int64_t i = a0; i < a1; ++i) t += dag_.omega(pool[i]);
@@ -1505,18 +1815,17 @@ double IncrementalEvaluator::finalize_async_cost() {
       now_[static_cast<std::size_t>(p)] = t;
     }
     for (int p = 0; p < P_; ++p) {
-      const std::size_t at =
-          (committed ? crow : srow) + static_cast<std::size_t>(p);
+      const std::size_t at = row + static_cast<std::size_t>(p);
       const std::int64_t a0 =
-          committed ? as_save_start_[at] : scr_as_save_start_[at];
+          scratch ? scr_as_save_start_[at] : as_save_start_[at];
       const std::int64_t a1 =
-          committed ? as_save_start_[at + 1] : scr_as_save_start_[at + 1];
+          scratch ? scr_as_save_start_[at + 1] : as_save_start_[at + 1];
       const NodeId* pool =
-          committed ? as_save_nodes_.data() : scr_as_save_nodes_.data();
+          scratch ? scr_as_save_nodes_.data() : as_save_nodes_.data();
       for (std::int64_t i = a0; i < a1; ++i) {
         const NodeId v = pool[i];
         const std::size_t v_ = static_cast<std::size_t>(v);
-        const double gv = uniform_ ? g_ : comm_cost(p, eval_home(v));
+        const double gv = uniform_ ? g_ : comm_cost(p, home(v));
         now_[static_cast<std::size_t>(p)] += gv * dag_.mu(v);
         if (fs_stamp_[v_] != async_epoch_) {
           fs_stamp_[v_] = async_epoch_;
@@ -1529,20 +1838,19 @@ double IncrementalEvaluator::finalize_async_cost() {
       }
     }
     for (int p = 0; p < P_; ++p) {
-      const std::size_t at =
-          (committed ? crow : srow) + static_cast<std::size_t>(p);
+      const std::size_t at = row + static_cast<std::size_t>(p);
       const std::int64_t a0 =
-          committed ? as_load_start_[at] : scr_as_load_start_[at];
+          scratch ? scr_as_load_start_[at] : as_load_start_[at];
       const std::int64_t a1 =
-          committed ? as_load_start_[at + 1] : scr_as_load_start_[at + 1];
+          scratch ? scr_as_load_start_[at + 1] : as_load_start_[at + 1];
       const NodeId* pool =
-          committed ? as_load_nodes_.data() : scr_as_load_nodes_.data();
+          scratch ? scr_as_load_nodes_.data() : as_load_nodes_.data();
       for (std::int64_t i = a0; i < a1; ++i) {
         const NodeId v = pool[i];
         const std::size_t v_ = static_cast<std::size_t>(v);
         assert(fs_stamp_[v_] == async_epoch_ || dag_.is_source(v));
         const double gb = fs_stamp_[v_] == async_epoch_ ? gets_blue_[v_] : 0.0;
-        const double gv = uniform_ ? g_ : comm_cost(p, eval_home(v));
+        const double gv = uniform_ ? g_ : comm_cost(p, home(v));
         now_[static_cast<std::size_t>(p)] =
             std::max(now_[static_cast<std::size_t>(p)], gb) + gv * dag_.mu(v);
       }
@@ -1559,72 +1867,69 @@ double IncrementalEvaluator::finalize_async_cost() {
 // Promotion: install the scratch evaluation as the committed state.
 
 void IncrementalEvaluator::promote_eval() {
-  const int b = eval_b_;
+  const std::size_t b = static_cast<std::size_t>(eval_b_);
   const int old_rounds = committed_rounds_;
   const std::size_t P = static_cast<std::size_t>(P_);
-  const std::size_t keep = static_cast<std::size_t>(b + 1) * P;
+  const bool conv = conv_r_ >= 0;
+  // Layout of every committed table after promotion: the kept prefix, the
+  // re-derived scratch, then (after a reconvergence exit) the committed
+  // tail from boundary/slot `tail` (round min(tail, R)) on. Without an
+  // exit the tail is empty: tail = R + 1 drops every old entry past b.
+  const std::size_t tail =
+      conv ? static_cast<std::size_t>(conv_r_)
+           : static_cast<std::size_t>(old_rounds) + 1;
+  const std::size_t tail_round =
+      std::min(tail, static_cast<std::size_t>(old_rounds));
+  const std::size_t keep = (b + 1) * P;  // boundaries 0..b
 
   if (sync_) {
-    rows_.resize(static_cast<std::size_t>(num_slots_));
-    row_empty_.resize(static_cast<std::size_t>(num_slots_));
-    row_prefix_.resize(static_cast<std::size_t>(num_slots_));
-    SyncCostBreakdown bd =
-        first_eval_slot_ > 0
-            ? row_prefix_[static_cast<std::size_t>(first_eval_slot_ - 1)]
-            : SyncCostBreakdown{};
-    for (std::size_t i = 0; i < scratch_rows_.size(); ++i) {
-      const std::size_t at = static_cast<std::size_t>(first_eval_slot_) + i;
-      rows_[at] = scratch_rows_[i];
-      row_empty_[at] = scratch_row_empty_[i];
-      if (!scratch_row_empty_[i]) {
-        bd.compute += scratch_rows_[i].max_compute;
-        bd.io += scratch_rows_[i].max_save + scratch_rows_[i].max_load;
-        bd.sync += L_;
-      }
+    replace_range(rows_, b, tail, scratch_rows_.begin(), scratch_rows_.end());
+    replace_range(row_empty_, b, tail, scratch_row_empty_.begin(),
+                  scratch_row_empty_.end());
+    row_prefix_.resize(rows_.size());
+    SyncCostBreakdown bd = b > 0 ? row_prefix_[b - 1] : SyncCostBreakdown{};
+    for (std::size_t at = b; at < rows_.size(); ++at) {
+      if (!row_empty_[at]) fold_row(bd, rows_[at], L_);
       row_prefix_[at] = bd;
     }
   }
 
-  // Checkpoint SoA rows: truncate to the kept boundaries 0..b, append the
-  // re-derived boundaries b+1..cand_rounds_.
-  ck_pos_.resize(keep);
-  ck_pos_.insert(ck_pos_.end(), scr_pos_.begin(), scr_pos_.end());
-  ck_weight_.resize(keep);
-  ck_weight_.insert(ck_weight_.end(), scr_weight_.begin(), scr_weight_.end());
+  // Checkpoint SoA rows: boundaries 0..b kept, the re-derived boundaries
+  // b+1.. in between, the committed tail boundaries after them (their
+  // positions moved into the candidate frame).
+  replace_range(ck_pos_, keep, tail * P, scr_pos_.begin(), scr_pos_.end());
+  replace_range(ck_weight_, keep, tail * P, scr_weight_.begin(),
+                scr_weight_.end());
   if (sync_) {
-    ck_comp_.resize(keep);
-    ck_comp_.insert(ck_comp_.end(), scr_comp_.begin(), scr_comp_.end());
-    ck_save_.resize(keep);
-    ck_save_.insert(ck_save_.end(), scr_save_.begin(), scr_save_.end());
-    ck_load_.resize(keep);
-    ck_load_.insert(ck_load_.end(), scr_load_.begin(), scr_load_.end());
-    ck_any_.resize(keep);
-    ck_any_.insert(ck_any_.end(), scr_any_.begin(), scr_any_.end());
+    replace_range(ck_comp_, keep, tail * P, scr_comp_.begin(), scr_comp_.end());
+    replace_range(ck_save_, keep, tail * P, scr_save_.begin(), scr_save_.end());
+    replace_range(ck_load_, keep, tail * P, scr_load_.begin(), scr_load_.end());
+    replace_range(ck_any_, keep, tail * P, scr_any_.begin(), scr_any_.end());
   }
-  {
-    const std::int64_t cut = ck_cache_start_[keep];
-    ck_cache_nodes_.resize(static_cast<std::size_t>(cut));
-    ck_cache_start_.resize(keep + 1);
-    ck_cache_nodes_.insert(ck_cache_nodes_.end(), scr_cache_nodes_.begin(),
-                           scr_cache_nodes_.end());
-    for (std::size_t i = 1; i < scr_cache_start_.size(); ++i) {
-      ck_cache_start_.push_back(cut + scr_cache_start_[i]);
+  splice_csr(ck_cache_start_, ck_cache_nodes_, keep, tail * P,
+             scr_cache_start_, scr_cache_nodes_);
+  if (conv) {
+    for (std::size_t at = keep + scr_pos_.size(); at < ck_pos_.size();
+         at += P) {
+      for (std::size_t p = 0; p < P; ++p) ck_pos_[at + p] += edit_shift_[p];
     }
   }
 
-  // Round -> superstep labels: patch the kept rounds for pure-relabel
-  // merges/splits, then install the re-derived suffix labels.
-  for (const auto& [thr, delta] : relabel_fixups_) {
-    for (int r = 0; r < b; ++r) {
-      if (ck_step_[static_cast<std::size_t>(r)] >= thr) {
-        ck_step_[static_cast<std::size_t>(r)] += delta;
+  // Round -> superstep labels: patch the kept rounds (pure-relabel merges
+  // and splits) and the committed tail (relabeled wholesale by the exit's
+  // threshold check), then install the re-derived labels in between.
+  const auto relabel = [&](std::size_t lo, std::size_t hi) {
+    for (const auto& [thr, delta] : relabel_fixups_) {
+      for (std::size_t r = lo; r < hi; ++r) {
+        if (ck_step_[r] >= thr) ck_step_[r] += delta;
       }
     }
-  }
-  ck_step_.resize(static_cast<std::size_t>(cand_rounds_));
-  for (std::size_t i = 0; i < scr_round_steps_.size(); ++i) {
-    ck_step_[static_cast<std::size_t>(b) + i] = scr_round_steps_[i];
-  }
+  };
+  relabel(0, b);
+  relabel(tail_round, static_cast<std::size_t>(old_rounds));
+  replace_range(ck_step_, b, tail_round, scr_round_steps_.begin(),
+                scr_round_steps_.end());
+  assert(ck_step_.size() == static_cast<std::size_t>(cand_rounds_));
   committed_rounds_ = cand_rounds_;
   committed_steps_ = cand_steps_;
   step_first_round_.assign(static_cast<std::size_t>(committed_steps_) + 1,
@@ -1644,64 +1949,55 @@ void IncrementalEvaluator::promote_eval() {
   }
 
   if (async_) {
-    // Committed async op pools: keep slots 0..b-1 outright (boundary b's
-    // straddling slot is re-derived in scratch), rebase-append the rest.
-    const std::size_t keep_off = static_cast<std::size_t>(b) * P;
-    const std::int64_t cb = as_comp_start_[keep_off];
-    as_comp_nodes_.resize(static_cast<std::size_t>(cb));
-    as_comp_start_.resize(keep_off + 1);
-    as_comp_nodes_.insert(as_comp_nodes_.end(), scr_as_comp_nodes_.begin(),
-                          scr_as_comp_nodes_.end());
-    for (std::size_t i = 1; i < scr_as_comp_start_.size(); ++i) {
-      as_comp_start_.push_back(cb + scr_as_comp_start_[i]);
-    }
-    const std::int64_t sb = as_save_start_[keep_off];
-    as_save_nodes_.resize(static_cast<std::size_t>(sb));
-    as_save_start_.resize(keep_off + 1);
-    as_save_nodes_.insert(as_save_nodes_.end(), scr_as_save_nodes_.begin(),
-                          scr_as_save_nodes_.end());
-    for (std::size_t i = 1; i < scr_as_save_start_.size(); ++i) {
-      as_save_start_.push_back(sb + scr_as_save_start_[i]);
-    }
-    const std::int64_t lb = as_load_start_[keep_off];
-    as_load_nodes_.resize(static_cast<std::size_t>(lb));
-    as_load_start_.resize(keep_off + 1);
-    as_load_nodes_.insert(as_load_nodes_.end(), scr_as_load_nodes_.begin(),
-                          scr_as_load_nodes_.end());
-    for (std::size_t i = 1; i < scr_as_load_start_.size(); ++i) {
-      as_load_start_.push_back(lb + scr_as_load_start_[i]);
-    }
-    as_save_prefix_.resize(keep);
-    for (std::size_t i = 0; i < scr_as_save_prefix_.size(); ++i) {
-      as_save_prefix_.push_back(scr_as_save_prefix_[i]);
-    }
+    // Committed async op pools: slots 0..b-1 kept (boundary b's straddling
+    // slot is re-derived in scratch), then the scratch slots, then the
+    // committed tail slots; save prefixes follow the boundary layout.
+    splice_csr(as_comp_start_, as_comp_nodes_, b * P, tail * P,
+               scr_as_comp_start_, scr_as_comp_nodes_);
+    splice_csr(as_save_start_, as_save_nodes_, b * P, tail * P,
+               scr_as_save_start_, scr_as_save_nodes_);
+    splice_csr(as_load_start_, as_load_nodes_, b * P, tail * P,
+               scr_as_load_start_, scr_as_load_nodes_);
+    replace_range(as_save_prefix_, keep, tail * P, scr_as_save_prefix_.begin(),
+                  scr_as_save_prefix_.end());
   }
 
-  // Blue rounds: drop the old suffix slices, install the new ones.
-  for (int r = b; r < old_rounds; ++r) {
-    for (std::int64_t i = blued_start_[static_cast<std::size_t>(r)];
-         i < blued_start_[static_cast<std::size_t>(r) + 1]; ++i) {
-      const NodeId v = blued_nodes_[static_cast<std::size_t>(i)];
-      if (blue_round_[static_cast<std::size_t>(v)] == r) {
-        blue_round_[static_cast<std::size_t>(v)] = INT_MAX;
-      }
+  // Blue rounds: clear the dropped rounds' nodes, move the tail's by
+  // c - r_c, then install the re-derived ones (disjoint from both).
+  const auto blued = [&](std::size_t r) {
+    return std::pair{blued_nodes_.begin() + blued_start_[r],
+                     blued_nodes_.begin() + blued_start_[r + 1]};
+  };
+  for (std::size_t r = b; r < tail_round; ++r) {
+    const auto [lo, hi] = blued(r);
+    for (auto it = lo; it != hi; ++it) {
+      blue_round_[static_cast<std::size_t>(*it)] = INT_MAX;
     }
   }
-  blued_nodes_.resize(
-      static_cast<std::size_t>(blued_start_[static_cast<std::size_t>(b)]));
-  blued_start_.resize(static_cast<std::size_t>(b) + 1);
-  for (const BlueRec& rec : eval_blued_) {
-    while (static_cast<int>(blued_start_.size()) <= rec.round) {
-      blued_start_.push_back(static_cast<std::int64_t>(blued_nodes_.size()));
+  for (std::size_t r = tail_round; r < static_cast<std::size_t>(old_rounds);
+       ++r) {
+    const auto [lo, hi] = blued(r);
+    for (auto it = lo; it != hi; ++it) {
+      blue_round_[static_cast<std::size_t>(*it)] += conv_c_ - conv_r_;
     }
-    blued_nodes_.push_back(rec.node);
-    blue_round_[static_cast<std::size_t>(rec.node)] = rec.round;
   }
-  while (static_cast<int>(blued_start_.size()) < committed_rounds_ + 1) {
-    blued_start_.push_back(static_cast<std::int64_t>(blued_nodes_.size()));
+  // Re-derived rounds [b, c) as a CSR (ends per round) for the splice.
+  const int eval_end = conv ? conv_c_ : cand_rounds_;
+  ArenaVector<std::int64_t> ends(&eval_arena_);
+  ArenaVector<NodeId> nodes(&eval_arena_);
+  ends.push_back(0);
+  std::size_t i = 0;
+  for (int r = eval_b_; r < eval_end; ++r) {
+    for (; i < eval_blued_.size() && eval_blued_[i].round == r; ++i) {
+      nodes.push_back(eval_blued_[i].node);
+      blue_round_[static_cast<std::size_t>(eval_blued_[i].node)] = r;
+    }
+    ends.push_back(static_cast<std::int64_t>(nodes.size()));
   }
+  assert(i == eval_blued_.size());
+  splice_csr(blued_start_, blued_nodes_, b, tail_round, ends, nodes);
   // Home groups ride on the blue rounds: entries dropped above are
-  // invalidated by their blue reset; the new suffix installs its own.
+  // invalidated by their blue reset; the new rounds install their own.
   for (const HomeRec& rec : eval_homes_) {
     home_group_[static_cast<std::size_t>(rec.node)] = rec.grp;
   }

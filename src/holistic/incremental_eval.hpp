@@ -12,7 +12,8 @@
 // memory_completion.cpp) whose cross-processor coupling is forward-only:
 // the shared blue set only grows and is only read by later rounds. The
 // engine checkpoints the completion state at every round boundary and,
-// per move, re-completes only rounds >= b, where b is a *provably safe*
+// per move, re-completes only rounds >= b (usually only the first few of
+// them: see the reconvergence exit below), where b is a *provably safe*
 // dirty bound:
 //
 //  * A move edits processor p around position i. Completion decisions
@@ -40,6 +41,58 @@
 //    gap-closing merge after an erase) is a pure relabel: it costs *no*
 //    re-completion at all, only a label fixup of the kept round table.
 //    Splits are bounded symmetrically.
+//
+// ## Reconvergence exit
+//
+// The dirty suffix rarely needs to run to the end of the plan: a few
+// rounds after the edit the candidate's completion state usually rejoins
+// the committed run. After each round's drain, at candidate boundary c,
+// evaluate_from looks for the committed boundary r_c whose per-proc
+// positions equal the candidate positions mapped into the committed frame
+// (shifted by the move's net inserts - erases on each edited processor),
+// and stops re-completing once all of these hold there:
+//
+//  * the per-proc cache rows (in order) and weights match, and so do the
+//    straddling slot's partial accumulators (sync: comp/save/load/any;
+//    async: the slot's compute list and its post-save prefix);
+//  * the nodes first blued in candidate rounds [b, c) and the committed
+//    ones of rounds [b, r_c) agree, with equal home groups, on every node
+//    still live at the boundary: cached on some processor, or with a
+//    compute or use event at or after some processor's position. The
+//    completion reads a blue bit or home only for a cached node or at one
+//    of the node's own events, so a dead node's are never read again and
+//    no later op names it.
+//
+// and the exit is admissible at all:
+//
+//  * every edited processor's position lies past its last edited
+//    position, so the plan suffix on it is the committed suffix shifted;
+//  * the committed round r_c lies past every block a merge or split
+//    relabeled (its label clears each relabel threshold in turn), so the
+//    suffix's block structure is unchanged and only its labels shift;
+//  * the move flipped no save_required bit;
+//  * under LRU, every affected (node, edited processor) pair whose key
+//    can still be read — the node is cached at the boundary or has an
+//    event at or after it — has its last event before the boundary inside
+//    the unedited region, so its last-active key names the same
+//    occurrence in both frames.
+//
+// Soundness: the completion from a boundary on is a deterministic
+// function of exactly that state — positions and the plan suffix
+// (forward lookahead only reads positions >= the query point), the cache
+// rows and weights, the straddling slot, the live nodes' blue bits and
+// home groups, save_required, the block structure, and (LRU only) the
+// last-active keys, which are compared but never priced. Equal inputs
+// replay the committed rounds r_c.. bitwise, so the candidate's remaining
+// rounds are the committed ones relabeled. The cost folds the candidate
+// rows [b, c) and then the committed rows [r_c, R] — the same rows in the
+// same add order as evaluate_plan, hence bitwise equal; the async cost
+// replays the committed op pool past slot c. commit() splices the
+// committed suffix into the promoted state (checkpoint positions
+// shifted, round labels through the relabel fixups, blue rounds moved by
+// c - r_c); rollback() needs nothing extra. With no exit the whole
+// suffix runs, exactly as before. Every cost model, eviction policy and
+// machine kind takes the exit; none keeps the full suffix.
 //
 // Everything the suffix run reuses — boundary caches, blue rounds, home
 // groups, per-slot cost rows, per-(slot, proc) async op lists — is
@@ -124,9 +177,10 @@ class IncrementalEvaluator {
   /// pre-begin_move state bitwise.
   void rollback();
 
-  /// Number of completion rounds the last finish_move re-derived (the
-  /// dirty suffix). Benches and tests use this to observe how
-  /// incremental the search actually is.
+  /// Number of completion rounds the last finish_move re-derived: from
+  /// the dirty bound to the reconvergence exit, or to the end of the plan
+  /// when the exit did not fire. Benches and tests use this to observe
+  /// how incremental the search actually is.
   long last_dirty_rounds() const { return last_dirty_; }
   /// Total committed completion rounds of the current plan.
   long committed_rounds() const { return committed_rounds_; }
@@ -188,7 +242,13 @@ class IncrementalEvaluator {
   void refresh_save_required();
 
   // -- completion ----------------------------------------------------------
-  double evaluate_from(int b);
+  /// Re-completes from committed boundary b; `may_exit` allows the
+  /// reconvergence exit (moves only — attach and the checkpoint verifier
+  /// must run the whole plan).
+  double evaluate_from(int b, bool may_exit);
+  bool prepare_exit();
+  int reconvergence_round();
+  bool dead_at_boundary(NodeId v);
   void restore_boundary(int b);
   void record_checkpoint();
   bool plan_segment(int p, int superstep);
@@ -414,10 +474,19 @@ class IncrementalEvaluator {
   std::vector<std::pair<NodeId, int>> ed_before_;  // (node, committed ed)
   std::vector<NodeId> affected_nodes_;             // counts changed
   std::vector<std::pair<NodeId, char>> save_req_before_;
-  // Superstep-label fixups of the *kept* round table for pure-relabel
-  // merges/splits (threshold, delta): applied to ck_step_ at promote.
+  // Superstep-label fixups (threshold, delta) of every merge/split, in
+  // apply order: applied at promote to the kept rounds and to a committed
+  // tail reused past a reconvergence exit.
   std::vector<std::pair<int, int>> relabel_fixups_;
   long last_dirty_ = 0;
+  // Reconvergence exit: candidate positions >= edit_hi_[p] are unedited
+  // and sit edit_shift_[p] past their committed images; lru_keys_ lists
+  // the (edited proc, affected node) pairs whose LRU keys may differ.
+  std::vector<std::int64_t> edit_hi_, edit_shift_;  // [p]
+  std::vector<std::pair<int, NodeId>> lru_keys_;
+  // The last evaluation stopped at candidate boundary conv_c_, rejoining
+  // committed boundary conv_r_ (both -1: it ran to the end).
+  int conv_c_ = -1, conv_r_ = -1;
 
   // -- per-eval scratch (arena-backed where append-only) -------------------
   Arena eval_arena_;

@@ -167,6 +167,9 @@ class ArenaVector {
   }
 
   void append(const T* src, std::size_t count) {
+    // An empty append may carry null pointers (an empty std::vector's
+    // data()); memcpy must not see them, even for zero bytes.
+    if (count == 0) return;
     while (size_ + count > cap_) grow();
     std::memcpy(data_ + size_, src, count * sizeof(T));
     size_ += count;

@@ -11,6 +11,7 @@
 #include "src/holistic/incremental_eval.hpp"
 #include "src/holistic/lns.hpp"
 #include "src/model/cost.hpp"
+#include "src/model/machine_registry.hpp"
 #include "src/model/validate.hpp"
 #include "src/twostage/two_stage.hpp"
 #include "src/util/rng.hpp"
@@ -42,6 +43,47 @@ const char* kFamilies[] = {
     "mapreduce:maps=8,reducers=3",
 };
 
+/// Applies one random primitive edit inside an open move: erase a random
+/// occurrence and reinsert it at a random position of the same superstep
+/// block on a random processor — the core shape of every non-structural
+/// move. Returns false (nothing applied) on an empty plan.
+bool apply_random_relocation(IncrementalEvaluator& eval, Rng& rng) {
+  const ComputePlan& plan = eval.plan();
+  const std::size_t total = plan.total_computes();
+  if (total == 0) return false;
+  std::size_t pick = rng.index(total);
+  int p = 0;
+  for (; p < plan.num_procs; ++p) {
+    if (pick < plan.seq[p].size()) break;
+    pick -= plan.seq[p].size();
+  }
+  const PlannedCompute pc = plan.seq[p][pick];
+  PlanDeltaOp erase;
+  erase.kind = PlanDeltaOpKind::kErase;
+  erase.proc = p;
+  erase.pos = pick;
+  erase.pc = pc;
+  eval.apply_op(erase);
+  const int q =
+      static_cast<int>(rng.index(static_cast<std::size_t>(plan.num_procs)));
+  // Insert at a random position within the same superstep block on q.
+  const auto& qseq = plan.seq[q];
+  const auto lo = std::lower_bound(
+      qseq.begin(), qseq.end(), pc.superstep,
+      [](const PlannedCompute& a, int s) { return a.superstep < s; });
+  const auto hi = std::upper_bound(
+      qseq.begin(), qseq.end(), pc.superstep,
+      [](int s, const PlannedCompute& a) { return s < a.superstep; });
+  PlanDeltaOp insert;
+  insert.kind = PlanDeltaOpKind::kInsert;
+  insert.proc = q;
+  insert.pos = static_cast<std::size_t>(lo - qseq.begin()) +
+               rng.index(static_cast<std::size_t>(hi - lo) + 1);
+  insert.pc = pc;
+  eval.apply_op(insert);
+  return true;
+}
+
 /// Runs `iterations` random LNS-style moves through the evaluator,
 /// asserting incremental == full cost after every apply and every undo.
 void differential_run(const MbspInstance& inst, const LnsOptions& options,
@@ -64,42 +106,10 @@ void differential_run(const MbspInstance& inst, const LnsOptions& options,
   for (long it = 0; it < iterations; ++it) {
     const ComputePlan before = eval.plan();
     eval.begin_move();
-    // Random primitive edit: move one occurrence somewhere else (erase +
-    // insert), the core shape of every non-structural move.
-    const std::size_t total = before.total_computes();
-    if (total == 0) break;
-    std::size_t pick = rng.index(total);
-    int p = 0;
-    for (; p < before.num_procs; ++p) {
-      if (pick < before.seq[p].size()) break;
-      pick -= before.seq[p].size();
+    if (!apply_random_relocation(eval, rng)) {
+      eval.rollback();
+      break;
     }
-    const PlannedCompute pc = before.seq[p][pick];
-    PlanDeltaOp erase;
-    erase.kind = PlanDeltaOpKind::kErase;
-    erase.proc = p;
-    erase.pos = pick;
-    erase.pc = pc;
-    eval.apply_op(erase);
-    const int q = static_cast<int>(rng.index(
-        static_cast<std::size_t>(before.num_procs)));
-    // Insert at a random position within the same superstep block on q.
-    const auto& qseq = eval.plan().seq[q];
-    const auto lo = std::lower_bound(
-        qseq.begin(), qseq.end(), pc.superstep,
-        [](const PlannedCompute& a, int s) { return a.superstep < s; });
-    const auto hi = std::upper_bound(
-        qseq.begin(), qseq.end(), pc.superstep,
-        [](int s, const PlannedCompute& a) { return s < a.superstep; });
-    const std::size_t at =
-        static_cast<std::size_t>(lo - qseq.begin()) +
-        rng.index(static_cast<std::size_t>(hi - lo) + 1);
-    PlanDeltaOp insert;
-    insert.kind = PlanDeltaOpKind::kInsert;
-    insert.proc = q;
-    insert.pos = at;
-    insert.pc = pc;
-    eval.apply_op(insert);
 
     const auto out = eval.finish_move();
     if (out.valid) {
@@ -228,6 +238,28 @@ TEST(IncrementalEval, ImprovePlanMatchesReferenceAsyncAndLru) {
     LnsOptions options;
     options.budget_ms = 0;
     options.max_iterations = 600;
+    options.completion_policy = PolicyKind::kLru;
+    expect_identical_results(inst, options);
+  }
+}
+
+TEST(IncrementalEval, ImprovePlanMatchesReferenceLruTightMemory) {
+  // Tight memories keep many values cached across rounds, so moves often
+  // rejoin the committed run while an affected node's LRU key still names
+  // an edited occurrence; the reconvergence exit must refuse those
+  // boundaries (these configurations diverge from the reference when it
+  // does not).
+  auto dataset = tiny_dataset(2025);
+  for (int index : {5, 7}) {
+    ComputeDag dag = std::move(dataset[index]);
+    const double r0 = min_memory_r0(dag);
+    const MbspInstance inst{std::move(dag),
+                            Architecture::make(4, 1.5 * r0, 1, 10)};
+    LnsOptions options;
+    options.budget_ms = 0;
+    options.max_iterations = 4000;
+    options.seed = 42 + index;
+    options.cost = CostModel::kAsynchronous;
     options.completion_policy = PolicyKind::kLru;
     expect_identical_results(inst, options);
   }
@@ -436,6 +468,119 @@ TEST(IncrementalEval, ZeroLengthSuffixAfterTopSuperstepErase) {
   ASSERT_TRUE(redo.valid);
   EXPECT_EQ(redo.cost, evaluate_plan(inst, eval.plan(), options));
   eval.rollback();
+}
+
+TEST(IncrementalEval, ReconvergenceExitSkipsTheCommittedTail) {
+  // A move in the first superstep of a deep plan disturbs the completion
+  // for a few rounds only: the evaluation must rejoin the committed run
+  // and stop there. The dirty suffix of such a move is the whole plan, so
+  // without the exit every move would re-derive all committed rounds.
+  const MbspInstance inst = workload_instance("stencil2d:nx=8,ny=8,steps=12");
+  LnsOptions options;
+  IncrementalEvaluator eval(inst, options);
+  eval.attach(warm_plan(inst));
+  long moves = 0;
+  for (int p = 0; p < inst.arch.num_processors; ++p) {
+    const auto& seq = eval.plan().seq[p];
+    // Superstep 0's block on p: move its first occurrence to the end.
+    std::size_t end = 0;
+    while (end < seq.size() && seq[end].superstep == 0) ++end;
+    if (end < 2) continue;
+    const PlannedCompute pc = seq[0];
+    eval.begin_move();
+    PlanDeltaOp erase;
+    erase.kind = PlanDeltaOpKind::kErase;
+    erase.proc = p;
+    erase.pos = 0;
+    erase.pc = pc;
+    eval.apply_op(erase);
+    PlanDeltaOp insert;
+    insert.kind = PlanDeltaOpKind::kInsert;
+    insert.proc = p;
+    insert.pos = end - 1;
+    insert.pc = pc;
+    eval.apply_op(insert);
+    const auto out = eval.finish_move();
+    if (out.valid) {
+      EXPECT_EQ(out.cost, evaluate_plan(inst, eval.plan(), options));
+      EXPECT_LT(2 * eval.last_dirty_rounds(), eval.committed_rounds())
+          << "processor " << p << ": the evaluation did not rejoin the "
+          << "committed run";
+      ++moves;
+    }
+    eval.rollback();
+  }
+  EXPECT_GT(moves, 0) << "no valid first-superstep move";
+}
+
+TEST(IncrementalEval, CommitHeavyDifferentialAcrossConfigs) {
+  // Accepting every valid move makes nearly every commit splice a reused
+  // committed tail into the state the next move starts from. Release
+  // builds compile out the per-move oracle assert and the checkpoint
+  // verifier, so the drift a wrong splice leaves is caught here: every
+  // cost against evaluate_plan, then a fresh evaluator attached to the
+  // final plan must price the same next moves identically.
+  std::string error;
+  auto dag = WorkloadRegistry::global().make_dag("stencil2d:nx=4,ny=4,steps=5",
+                                                 2025, &error);
+  ASSERT_TRUE(dag.has_value()) << error;
+  const double r0 = min_memory_r0(*dag);
+  // Tight memories (1.5-2.5 r0) split supersteps into many rounds.
+  auto numa = MachineRegistry::global().make_machine(
+      "numa:groups=2x2,gin=1,gout=4,rf=1.5", r0, &error);
+  ASSERT_TRUE(numa.has_value()) << error;
+  const std::pair<const char*, Machine> machines[] = {
+      {"uniform", Architecture::make(4, 1.5 * r0, 1, 10)},
+      {"hetero", hetero_machine(0.5 * r0)},
+      {"numa", *numa}};
+  for (const auto& [label, machine] : machines) {
+    const MbspInstance inst{*dag, machine};
+    for (CostModel cost : {CostModel::kSynchronous, CostModel::kAsynchronous}) {
+      for (PolicyKind policy : {PolicyKind::kClairvoyant, PolicyKind::kLru}) {
+        LnsOptions options;
+        options.cost = cost;
+        options.completion_policy = policy;
+        const std::string config = std::string(label) + " cost=" +
+                                   std::to_string(static_cast<int>(cost)) +
+                                   " policy=" +
+                                   std::to_string(static_cast<int>(policy));
+        IncrementalEvaluator eval(inst, options);
+        eval.attach(warm_plan(inst));
+        Rng rng(101);
+        long committed = 0;
+        for (long it = 0; it < 2000; ++it) {
+          eval.begin_move();
+          ASSERT_TRUE(apply_random_relocation(eval, rng));
+          const auto out = eval.finish_move();
+          if (!out.valid) {
+            eval.rollback();
+            continue;
+          }
+          ASSERT_EQ(out.cost, evaluate_plan(inst, eval.plan(), options))
+              << config << " move " << it;
+          eval.commit();
+          ++committed;
+        }
+        EXPECT_GT(committed, 100) << config;
+        // The spliced state must price moves exactly like a fresh attach.
+        IncrementalEvaluator fresh(inst, options);
+        fresh.attach(eval.plan());
+        Rng rng_a(202), rng_b(202);
+        for (int it = 0; it < 50; ++it) {
+          eval.begin_move();
+          fresh.begin_move();
+          ASSERT_TRUE(apply_random_relocation(eval, rng_a));
+          ASSERT_TRUE(apply_random_relocation(fresh, rng_b));
+          const auto a = eval.finish_move();
+          const auto b = fresh.finish_move();
+          ASSERT_EQ(a.valid, b.valid) << config << " probe " << it;
+          if (a.valid) ASSERT_EQ(a.cost, b.cost) << config << " probe " << it;
+          eval.rollback();
+          fresh.rollback();
+        }
+      }
+    }
+  }
 }
 
 TEST(IncrementalEval, MoveMaskParsing) {
