@@ -134,7 +134,7 @@ int main() {
     }
     const MbspInstance inst = make_instance(std::move(*dag), 4, 3.0, 1, 10);
     const ComputePlan initial =
-        run_baseline(inst, BaselineKind::kGreedyClairvoyant).plan;
+        baseline_plan(inst, BaselineKind::kGreedyClairvoyant);
 
     LnsOptions options;
     options.budget_ms = 0;  // no deadline: fixed, reproducible trajectories

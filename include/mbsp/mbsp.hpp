@@ -59,11 +59,13 @@
 #include "src/twostage/compute_plan.hpp"
 // complete_memory(): clairvoyant/LRU memory completion; deterministic.
 #include "src/twostage/memory_completion.hpp"
-// run_baseline(): stage 1 + completion = the paper's two-stage baselines.
+// run_baseline(): stage 1 + completion = the paper's two-stage baselines;
+// baseline_plan(): stage 1 only, for callers that complete it themselves.
 #include "src/twostage/two_stage.hpp"
 
 // -- Holistic improvers -----------------------------------------------------
-// Simulated-annealing LNS over plans (improve_plan); bitwise-reproducible
+// Simulated-annealing LNS over plans (search_plan; improve_plan adds the
+// completed schedule of the best plan); bitwise-reproducible
 // per (seed, options) when iteration-capped; never worse than warm start.
 #include "src/holistic/lns.hpp"
 // K-worker parallel portfolio LNS with deterministic incumbent exchange

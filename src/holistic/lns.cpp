@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cassert>
 #include <cmath>
 #include <optional>
 
@@ -419,14 +420,14 @@ std::vector<unsigned> enabled_moves(const LnsOptions& options) {
   return moves;
 }
 
-}  // namespace
-
-LnsResult improve_plan_reference(const MbspInstance& inst,
+/// The historical copy-and-reevaluate loop behind improve_plan_reference
+/// (and behind search_plan on gappy warm starts).
+LnsSearchResult reference_search(const MbspInstance& inst,
                                  const ComputePlan& initial,
                                  const LnsOptions& options) {
-  LnsResult result;
+  LnsSearchResult result;
   result.plan = initial;
-  result.initial_cost = evaluate_plan(inst, initial, options, &result.schedule);
+  result.initial_cost = evaluate_plan(inst, initial, options);
   result.cost = result.initial_cost;
 
   ComputePlan current = initial;
@@ -486,27 +487,54 @@ LnsResult improve_plan_reference(const MbspInstance& inst,
       result.plan = current;
     }
   }
-  // Re-derive the best schedule (plan is stored; completion deterministic).
-  result.cost = evaluate_plan(inst, result.plan, options, &result.schedule);
   return result;
+}
+
+/// Completes the search's best plan: the one completion a returned
+/// schedule needs. The tracked cost already is its cost, bitwise.
+LnsResult with_schedule(const MbspInstance& inst, LnsSearchResult search,
+                        const LnsOptions& options) {
+  LnsResult result{std::move(search), {}};
+  result.schedule =
+      complete_memory(inst, result.plan, options.completion_policy);
+  assert(result.cost == (options.cost == CostModel::kSynchronous
+                             ? sync_cost(inst, result.schedule)
+                             : async_cost(inst, result.schedule)));
+  return result;
+}
+
+}  // namespace
+
+LnsResult improve_plan_reference(const MbspInstance& inst,
+                                 const ComputePlan& initial,
+                                 const LnsOptions& options) {
+  return with_schedule(inst, reference_search(inst, initial, options),
+                       options);
 }
 
 LnsResult improve_plan(const MbspInstance& inst, const ComputePlan& initial,
                        const LnsOptions& options) {
+  return with_schedule(inst, search_plan(inst, initial, options), options);
+}
+
+LnsSearchResult search_plan(const MbspInstance& inst,
+                            const ComputePlan& initial,
+                            const LnsOptions& options) {
   // The incremental engine maintains dense superstep indices as an
   // invariant; a gappy warm start would change move semantics, so it runs
   // on the historical loop (whose per-candidate normalization tolerates
   // gaps) to preserve behavior exactly.
   if (!has_dense_supersteps(initial)) {
-    return improve_plan_reference(inst, initial, options);
+    return reference_search(inst, initial, options);
   }
 
-  LnsResult result;
+  LnsSearchResult result;
   result.plan = initial;
 
   // attach() is bitwise-equal to evaluate_plan on the same plan (the
   // engine's oracle invariant), so the warm start needs no separate full
-  // completion; the best schedule is derived once at exit.
+  // completion, and every tracked cost is the cost evaluate_plan would
+  // report for the same plan.
   IncrementalEvaluator eval(inst, options);
   result.initial_cost = eval.attach(initial);
   result.cost = result.initial_cost;
@@ -520,10 +548,7 @@ LnsResult improve_plan(const MbspInstance& inst, const ComputePlan& initial,
   const double cooling = 0.9995;
 
   const std::vector<unsigned> moves = enabled_moves(options);
-  if (moves.empty()) {
-    result.cost = evaluate_plan(inst, result.plan, options, &result.schedule);
-    return result;
-  }
+  if (moves.empty()) return result;
 
   // The deadline poll leaves the hot loop: the clock is only read every
   // deadline_poll_interval iterations (rounded down to a power of two, so
@@ -589,8 +614,6 @@ LnsResult improve_plan(const MbspInstance& inst, const ComputePlan& initial,
       result.plan = eval.plan();
     }
   }
-  // Re-derive the best schedule (plan is stored; completion deterministic).
-  result.cost = evaluate_plan(inst, result.plan, options, &result.schedule);
   return result;
 }
 

@@ -18,16 +18,18 @@
 //
 // ## Hot path
 //
-// improve_plan applies each move *in place* as a reversible PlanDelta and
+// search_plan applies each move *in place* as a reversible PlanDelta and
 // costs it through the IncrementalEvaluator (incremental_eval.hpp): only
 // the supersteps a move dirtied are re-completed and re-costed, the
 // accept path keeps the applied plan (no copy), and the reject path
-// undoes the delta. The historical copy-normalize-validate-recomplete
-// loop is preserved verbatim as improve_plan_reference: it is the
-// bitwise oracle of the differential tests and the baseline of
-// bench_lns_throughput. For a fixed seed and options the two return
-// identical results; debug builds additionally assert, every iteration,
-// that the incremental candidate cost equals the full evaluator's.
+// undoes the delta. improve_plan is search_plan plus the one full
+// completion its returned schedule needs. The historical
+// copy-normalize-validate-recomplete loop is preserved verbatim as
+// improve_plan_reference: it is the bitwise oracle of the differential
+// tests and the baseline of bench_lns_throughput. For a fixed seed and
+// options the two return identical results; debug builds additionally
+// assert, every iteration, that the incremental candidate cost equals the
+// full evaluator's.
 
 #include <array>
 #include <cstdint>
@@ -100,10 +102,13 @@ struct LnsOptions {
   const std::vector<char>* node_mask = nullptr;
 };
 
-struct LnsResult {
+/// What the search itself produces: the best plan and its cost, without
+/// the completed schedule. Callers that only keep the plan (shard
+/// fan-out, portfolio slices, repair's polish stages) stop here and skip
+/// a full memory completion.
+struct LnsSearchResult {
   ComputePlan plan;
-  MbspSchedule schedule;
-  double cost = 0;           ///< cost of `schedule` under options.cost
+  double cost = 0;           ///< bitwise equal to evaluate_plan(plan)
   double initial_cost = 0;   ///< cost of the warm start
   long iterations = 0;
   long accepted = 0;
@@ -115,11 +120,24 @@ struct LnsResult {
   std::array<long, kNumMoveClasses> accepted_by_class{};
 };
 
+/// A search result plus the completed schedule of its plan.
+struct LnsResult : LnsSearchResult {
+  MbspSchedule schedule;  ///< completion of `plan`; `cost` is its cost
+};
+
 /// Evaluates a plan: completes memory and returns the configured cost.
 double evaluate_plan(const MbspInstance& inst, const ComputePlan& plan,
                      const LnsOptions& options, MbspSchedule* out = nullptr);
 
-/// Improves `initial` within the budget. `initial` must pass validate_plan.
+/// Improves `initial` within the budget and returns the best plan and its
+/// cost, never completing that plan into a schedule. `initial` must pass
+/// validate_plan.
+LnsSearchResult search_plan(const MbspInstance& inst,
+                            const ComputePlan& initial,
+                            const LnsOptions& options);
+
+/// search_plan plus one memory completion of the best plan: the same plan,
+/// cost and counters, and its schedule.
 LnsResult improve_plan(const MbspInstance& inst, const ComputePlan& initial,
                        const LnsOptions& options);
 

@@ -72,7 +72,7 @@ PortfolioResult from_single(LnsResult single) {
   return result;
 }
 
-void accumulate(const LnsResult& slice, PortfolioResult* result) {
+void accumulate(const LnsSearchResult& slice, PortfolioResult* result) {
   result->iterations += slice.iterations;
   result->accepted += slice.accepted;
   for (int c = 0; c < kNumMoveClasses; ++c) {
@@ -144,8 +144,7 @@ PortfolioResult PortfolioLns::improve_deterministic(
   const int E = options_.epochs;
 
   PortfolioResult result;
-  result.initial_cost =
-      evaluate_plan(inst, initial, options_.lns, &result.schedule);
+  result.initial_cost = evaluate_plan(inst, initial, options_.lns);
   result.plan = initial;
   result.cost = result.initial_cost;
 
@@ -164,7 +163,7 @@ PortfolioResult PortfolioLns::improve_deterministic(
   ThreadPool pool(options_.threads != 0 ? options_.threads
                                         : static_cast<std::size_t>(W));
   const Deadline deadline(options_.lns.budget_ms);
-  std::vector<LnsResult> slices(static_cast<std::size_t>(W));
+  std::vector<LnsSearchResult> slices(static_cast<std::size_t>(W));
   for (int e = 0; e < E; ++e) {
     // Exchange: a strictly better incumbent replaces a worker's plan; the
     // incumbent holder itself keeps its trajectory (strict <, so equal-
@@ -185,13 +184,13 @@ PortfolioResult PortfolioLns::improve_deterministic(
     parallel_for(pool, static_cast<std::size_t>(W), [&](std::size_t w) {
       LnsOptions o = portfolio_worker_options(options_, static_cast<int>(w), e);
       o.budget_ms = slice_budget;
-      slices[w] = improve_plan(inst, workers[w].plan, o);
+      slices[w] = search_plan(inst, workers[w].plan, o);
     });
     // Barrier passed: fold the slice results back in worker order, so the
     // incumbent scan (strict <, ascending worker index) is deterministic
     // no matter which pool thread ran which worker.
     for (int w = 0; w < W; ++w) {
-      LnsResult& slice = slices[static_cast<std::size_t>(w)];
+      LnsSearchResult& slice = slices[static_cast<std::size_t>(w)];
       accumulate(slice, &result);
       workers[static_cast<std::size_t>(w)].plan = std::move(slice.plan);
       workers[static_cast<std::size_t>(w)].cost = slice.cost;
@@ -218,8 +217,7 @@ PortfolioResult PortfolioLns::improve_free_running(
   const int E = options_.epochs;
 
   PortfolioResult result;
-  result.initial_cost =
-      evaluate_plan(inst, initial, options_.lns, &result.schedule);
+  result.initial_cost = evaluate_plan(inst, initial, options_.lns);
   result.plan = initial;
   result.cost = result.initial_cost;
   result.worker_costs.assign(static_cast<std::size_t>(W),
@@ -249,7 +247,7 @@ PortfolioResult PortfolioLns::improve_free_running(
         if (o.budget_ms > 0) {
           o.budget_ms = std::max(1.0, deadline.remaining_ms() / (E - e));
         }
-        LnsResult slice = improve_plan(inst, plan, o);
+        LnsSearchResult slice = search_plan(inst, plan, o);
         plan = std::move(slice.plan);
         cost = slice.cost;
         {

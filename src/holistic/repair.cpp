@@ -618,8 +618,6 @@ std::optional<RepairResult> repair_plan(const MbspInstance& inst,
   }
   for (char bit : mask) result.masked_nodes += bit != 0;
 
-  result.patched_cost = evaluate_plan(inst, patched, options.lns);
-
   // --- 5. Polish seeded from the patch, in two stages: two thirds of the
   // budget run under the locality mask (the delta's blast radius, where
   // moves are most likely to pay), the rest unmasked — the global pass is
@@ -627,10 +625,15 @@ std::optional<RepairResult> repair_plan(const MbspInstance& inst,
   // masked move can do once repairs chain along a trace. A full mask
   // makes the stages identical, so the whole budget runs in one pass.
   // An empty mask means the delta changed nothing a move could exploit.
-  if (options.polish && result.masked_nodes > 0) {
+  //
+  // The patched plan is priced once: by the masked polish that starts
+  // from it (its initial cost is bitwise evaluate_plan's), by the final
+  // evaluation when nothing polishes it, and up front only when a
+  // machine delta must compare it with a fresh baseline first.
+  const bool run_polish = options.polish && result.masked_nodes > 0;
+  if (run_polish) {
     const auto polish = [&](const ComputePlan& seed_plan,
-                            const LnsOptions& lns)
-        -> std::pair<ComputePlan, long> {
+                            const LnsOptions& lns) -> LnsSearchResult {
       if (options.workers > 1) {
         PortfolioOptions popt;
         popt.lns = lns;
@@ -641,10 +644,13 @@ std::optional<RepairResult> repair_plan(const MbspInstance& inst,
             options.threads > 0 ? options.threads : 0);
         const PortfolioLns portfolio(popt);
         PortfolioResult polished = portfolio.improve(inst, seed_plan);
-        return {std::move(polished.plan), polished.iterations};
+        LnsSearchResult out;
+        out.plan = std::move(polished.plan);
+        out.initial_cost = polished.initial_cost;
+        out.iterations = polished.iterations;
+        return out;
       }
-      LnsResult polished = improve_plan(inst, seed_plan, lns);
-      return {std::move(polished.plan), polished.iterations};
+      return search_plan(inst, seed_plan, lns);
     };
     // A machine delta invalidates the incumbent's load balance wholesale,
     // and the order-preserving relocation can leave a seed a fresh
@@ -654,7 +660,8 @@ std::optional<RepairResult> repair_plan(const MbspInstance& inst,
     const ComputePlan* polish_seed = &patched;
     ComputePlan rebalanced;
     if (result.full_mask) {
-      rebalanced = run_baseline(inst, BaselineKind::kGreedyClairvoyant).plan;
+      result.patched_cost = evaluate_plan(inst, patched, options.lns);
+      rebalanced = baseline_plan(inst, BaselineKind::kGreedyClairvoyant);
       if (evaluate_plan(inst, rebalanced, options.lns) <
           result.patched_cost) {
         polish_seed = &rebalanced;
@@ -671,13 +678,14 @@ std::optional<RepairResult> repair_plan(const MbspInstance& inst,
       masked.budget_ms = options.lns.budget_ms * 2 / 3;
       global.budget_ms = options.lns.budget_ms - masked.budget_ms;
     }
-    auto [masked_plan, masked_iters] = polish(*polish_seed, masked);
-    result.plan = std::move(masked_plan);
-    result.polish_iterations = masked_iters;
+    LnsSearchResult masked_run = polish(*polish_seed, masked);
+    if (!result.full_mask) result.patched_cost = masked_run.initial_cost;
+    result.plan = std::move(masked_run.plan);
+    result.polish_iterations = masked_run.iterations;
     if (global_iters > 0) {
-      auto [global_plan, global_polish_iters] = polish(result.plan, global);
-      result.plan = std::move(global_plan);
-      result.polish_iterations += global_polish_iters;
+      LnsSearchResult global_run = polish(result.plan, global);
+      result.plan = std::move(global_run.plan);
+      result.polish_iterations += global_run.iterations;
     }
   } else {
     result.plan = patched;
@@ -686,6 +694,7 @@ std::optional<RepairResult> repair_plan(const MbspInstance& inst,
   // The reported cost is always a from-scratch evaluation of the returned
   // plan on the mutated instance — the differential-oracle contract.
   result.cost = evaluate_plan(inst, result.plan, options.lns, &result.schedule);
+  if (!run_polish) result.patched_cost = result.cost;
   return result;
 }
 

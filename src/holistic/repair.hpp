@@ -13,7 +13,7 @@
 //      availability inserts — all expressed as PlanDelta kInsert ops
 //      applied through the PlanOccurrenceIndex, the same O(delta) edit
 //      language the incremental LNS engine uses;
-//   2. locality-masked polish: an LNS run (improve_plan, or a
+//   2. locality-masked polish: an LNS run (search_plan, or a
 //      deterministic PortfolioLns when workers > 1) seeded from the
 //      patched plan, with a node mask restricted to the delta's blast
 //      radius (touched nodes plus `mask_radius` DAG hops) so the search
@@ -145,7 +145,7 @@ struct RepairOptions {
   /// DAG hops around the delta's touched nodes included in the polish
   /// mask (parents and children per hop).
   int mask_radius = 1;
-  /// Polish engine: 1 = improve_plan; > 1 = deterministic PortfolioLns
+  /// Polish engine: 1 = search_plan; > 1 = deterministic PortfolioLns
   /// with this many workers (thread-count independent for fixed seed).
   int workers = 1;
   int epochs = 2;

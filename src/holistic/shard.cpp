@@ -246,7 +246,7 @@ ShardResult shard_schedule(const MbspInstance& inst,
                      ? options.lns.seed + static_cast<std::uint64_t>(q) *
                                               options.part_seed_stride
                      : shard_seed(options.lns.seed, q);
-      LnsResult improved = improve_plan(sub_inst, initial, lns);
+      LnsSearchResult improved = search_plan(sub_inst, initial, lns);
       solved[q] = {std::move(sub.globals), std::move(improved.plan)};
     });
   }
@@ -300,52 +300,56 @@ ShardResult shard_schedule(const MbspInstance& inst,
   }
   for (char bit : mask) result.boundary_nodes += bit != 0;
 
-  // The returned schedule comes from the step that produced the final
-  // plan. The stitched plan keeps its schedule only when it is final by
-  // construction (no polish, no seed compare), so the polish never runs
-  // beside a second full schedule.
+  // Every completion below has a reader, and at most one full schedule is
+  // alive at a time. The polish's attach() prices the stitched plan
+  // bitwise like evaluate_plan, so a polished run gets stitched_cost for
+  // free; the returned schedule is completed once, from the final plan.
   const bool run_polish = result.num_shards > 1 && result.boundary_nodes > 0 &&
                           options.polish_max_iterations > 0;
-  const bool stitched_is_final = !run_polish && !options.compare_full_seed;
-  result.stitched_cost =
-      evaluate_plan(inst, global_plan, options.lns,
-                    stitched_is_final ? &result.schedule : nullptr);
-  result.cost = result.stitched_cost;
+  bool completed = false;  // result.schedule is result.plan's completion
   result.plan = std::move(global_plan);
-
-  // Global polish restricted to the boundary (O(delta) per move through
-  // the incremental evaluator). improve_plan never returns a worse plan.
   if (run_polish) {
+    // Global polish restricted to the boundary (O(delta) per move through
+    // the incremental evaluator). The search never returns a worse plan.
     LnsOptions polish = options.lns;
     polish.budget_ms = options.polish_budget_ms;
     polish.max_iterations = options.polish_max_iterations;
     polish.seed = splitmix64_mix(options.lns.seed ^ kPolishSalt);
     polish.node_mask = &mask;
-    LnsResult polished = improve_plan(inst, result.plan, polish);
+    LnsSearchResult polished = search_plan(inst, result.plan, polish);
+    result.stitched_cost = polished.initial_cost;
     result.cost = polished.cost;
     result.plan = std::move(polished.plan);
-    result.schedule = std::move(polished.schedule);
+  } else {
+    // Without a seed compare the stitched plan is final by construction.
+    completed = !options.compare_full_seed;
+    result.stitched_cost = evaluate_plan(
+        inst, result.plan, options.lns, completed ? &result.schedule : nullptr);
+    result.cost = result.stitched_cost;
   }
 
   // Safety net: the unpartitioned greedy warm start. Returning the
   // cheaper of the two makes the pipeline cost-<= the seed by
-  // construction (tests assert this).
+  // construction (tests assert this). A winning seed keeps the schedule
+  // its pricing already built.
   if (options.compare_full_seed) {
     GreedyBspScheduler greedy;
     const BspSchedule bsp = greedy.schedule(dag, inst.arch);
     ComputePlan seed_plan = plan_from_bsp(dag, bsp, P);
-    result.seed_cost = evaluate_plan(inst, seed_plan, options.lns, nullptr);
+    MbspSchedule seed_schedule;
+    result.seed_cost =
+        evaluate_plan(inst, seed_plan, options.lns, &seed_schedule);
     if (result.seed_cost < result.cost) {
       result.cost = result.seed_cost;
       result.plan = std::move(seed_plan);
+      result.schedule = std::move(seed_schedule);
       result.used_full_seed = true;
+      completed = true;
     }
-    // Complete the winner, unless it is the polished plan (whose
-    // schedule improve_plan already returned).
-    if (result.used_full_seed || !run_polish) {
-      result.cost =
-          evaluate_plan(inst, result.plan, options.lns, &result.schedule);
-    }
+  }
+  if (!completed) {
+    result.schedule =
+        complete_memory(inst, result.plan, options.lns.completion_policy);
   }
   return result;
 }

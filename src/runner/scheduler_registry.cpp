@@ -48,8 +48,7 @@ ComputePlan initial_plan(const MbspInstance& inst,
                          const ComputePlan* warm) {
   if (warm != nullptr) return *warm;
   if (options.cold_start) return trivial_plan(inst);
-  return run_baseline(inst, options.warm_start, options.stage1_budget_ms)
-      .plan;
+  return baseline_plan(inst, options.warm_start, options.stage1_budget_ms);
 }
 
 /// The row of an LNS-family result (LnsResult or PortfolioResult): its
@@ -105,25 +104,14 @@ class TwoStageAdapter final : public MbspScheduler {
   ScheduleResult run(const MbspInstance& inst,
                      const SchedulerOptions& options) const override {
     const Timer timer;
-    TwoStageResult two_stage =
-        run_baseline(inst, stage1_, options.stage1_budget_ms);
     ScheduleResult result;
-    if (policy_ == baseline_policy(stage1_)) {
-      result.schedule = std::move(two_stage.mbsp);
-    } else {
-      result.schedule = complete_memory(inst, two_stage.plan, policy_);
-    }
-    result.plan = std::move(two_stage.plan);
+    result.plan = baseline_plan(inst, stage1_, options.stage1_budget_ms);
+    result.schedule = complete_memory(inst, result.plan, policy_);
     finalize(name(), inst, options, timer, result);
     return result;
   }
 
  private:
-  static PolicyKind baseline_policy(BaselineKind kind) {
-    return kind == BaselineKind::kCilkLru ? PolicyKind::kLru
-                                          : PolicyKind::kClairvoyant;
-  }
-
   std::string name_;
   BaselineKind stage1_;
   PolicyKind policy_;
@@ -227,11 +215,14 @@ class HolisticAdapter final : public MbspScheduler {
       finalize(name(), inst, options, timer, result);
       return result;
     }
-    const TwoStageResult baseline =
-        run_baseline(inst, options.warm_start, options.stage1_budget_ms);
+    // The baseline's schedule is only priced: drop it before the solve.
+    const double baseline_cost = schedule_cost(
+        inst,
+        run_baseline(inst, options.warm_start, options.stage1_budget_ms).mbsp,
+        options.cost);
     ScheduleResult result =
         divide_conquer_solve(inst, options, options.budget_ms / 8);
-    result.baseline_cost = schedule_cost(inst, baseline.mbsp, options.cost);
+    result.baseline_cost = baseline_cost;
     finalize(name(), inst, options, timer, result);
     return result;
   }

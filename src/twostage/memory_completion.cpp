@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdint>
-#include <functional>
+#include <iterator>
 #include <limits>
-#include <optional>
+#include <utility>
 #include <vector>
 
 namespace mbsp {
@@ -19,7 +19,9 @@ constexpr std::int64_t kNever = std::numeric_limits<std::int64_t>::max();
 /// the I/O that realizes it and the processor-state delta after it. The
 /// segment carries only its *changes* (never an O(n) cache snapshot), so a
 /// planning attempt costs O(segment), not O(graph) — the property that
-/// keeps completion tractable on 10^6-node plans (docs/SCALE.md).
+/// keeps completion tractable on 10^6-node plans (docs/SCALE.md). The
+/// completer owns two and swaps them, so its vectors keep their capacity
+/// across attempts and a try allocates nothing once they have grown.
 struct SegmentPlan {
   std::vector<NodeId> loads;
   std::vector<NodeId> pre_saves;    // dirty upfront evictions (prev slot)
@@ -33,6 +35,20 @@ struct SegmentPlan {
   double cache_weight = 0;
   std::vector<NodeId> made_blue;  // pre_saves + post_saves (commit order)
   std::vector<std::pair<NodeId, std::int64_t>> touched;  // last_active, deduped
+
+  void clear() {
+    loads.clear();
+    pre_saves.clear();
+    pre_deletes.clear();
+    ops.clear();
+    post_saves.clear();
+    post_deletes.clear();
+    count = 0;
+    cache_changes.clear();
+    cache_weight = 0;
+    made_blue.clear();
+    touched.clear();
+  }
 };
 
 /// Per-processor static index: node -> ascending positions in seq[p],
@@ -42,11 +58,23 @@ struct SegmentPlan {
 struct PlanIndex {
   std::vector<std::uint32_t> offset;  // n + 1
   std::vector<std::int64_t> pos;      // ascending per node
+  std::vector<std::uint32_t> cursor;  // n: index into pos of v's last seek
 
   bool empty(NodeId v) const { return offset[v + 1] == offset[v]; }
-  const std::int64_t* begin(NodeId v) const { return pos.data() + offset[v]; }
   const std::int64_t* end(NodeId v) const {
     return pos.data() + offset[v + 1];
+  }
+
+  /// lower_bound(from) over v's positions, walked from v's cursor instead
+  /// of bisected: queries move forward with the completion, plus short
+  /// steps back when a try restarts at its segment start, so a seek is
+  /// amortized O(1).
+  const std::int64_t* seek(NodeId v, std::int64_t from) {
+    std::uint32_t c = cursor[v];
+    while (c < offset[v + 1] && pos[c] < from) ++c;
+    while (c > offset[v] && pos[c - 1] >= from) --c;
+    cursor[v] = c;
+    return pos.data() + c;
   }
 };
 
@@ -67,14 +95,16 @@ class Completer {
 
  private:
   void precompute();
-  std::optional<SegmentPlan> try_segment(int p, std::int64_t count);
-  SegmentPlan plan_largest_segment(int p, int superstep);
+  /// Plans the first `count` computes of p's current superstep into cur_;
+  /// false when they cannot form one I/O-free segment.
+  bool try_segment(int p, std::int64_t count);
+  const SegmentPlan& plan_largest_segment(int p, int superstep);
   void commit(int p, const SegmentPlan& seg);
 
   /// Position (in seq[p]) of the next *need* of the current copy of v at or
   /// after `from`: the next use as a parent, unless v is recomputed on p
   /// before that use (then the current copy is not needed). kNever if none.
-  std::int64_t effective_next_need(int p, NodeId v, std::int64_t from) const;
+  std::int64_t effective_next_need(int p, NodeId v, std::int64_t from);
 
   bool save_required(NodeId v) const { return save_required_[v] != 0; }
 
@@ -147,7 +177,10 @@ class Completer {
   std::vector<NodeId> cache_touched_;  // nodes with a stamped cache slot
   std::vector<NodeId> touch_list_;
   std::vector<NodeId> candidates_;  // sorted superset of in-cache nodes
+  std::vector<NodeId> sorted_;      // sorted scratch merged into the above
+  std::vector<NodeId> merged_;
   std::vector<VictimInfo> victims_;
+  SegmentPlan best_, cur_;  // largest feasible segment so far / this try
 };
 
 void Completer::precompute() {
@@ -173,17 +206,19 @@ void Completer::precompute() {
     }
     uses.pos.resize(uses.offset[n]);
     comps.pos.resize(comps.offset[n]);
-    std::vector<std::uint32_t> ucur(uses.offset.begin(),
-                                    uses.offset.end() - 1);
-    std::vector<std::uint32_t> ccur(comps.offset.begin(),
-                                    comps.offset.end() - 1);
+    // The seek cursors double as fill cursors, then rewind to each
+    // list's start.
+    uses.cursor.assign(uses.offset.begin(), uses.offset.end() - 1);
+    comps.cursor.assign(comps.offset.begin(), comps.offset.end() - 1);
     for (std::size_t i = 0; i < seq.size(); ++i) {
       const NodeId v = seq[i].node;
-      comps.pos[ccur[v]++] = static_cast<std::int64_t>(i);
+      comps.pos[comps.cursor[v]++] = static_cast<std::int64_t>(i);
       for (NodeId u : dag_.parents(v)) {
-        uses.pos[ucur[u]++] = static_cast<std::int64_t>(i);
+        uses.pos[uses.cursor[u]++] = static_cast<std::int64_t>(i);
       }
     }
+    uses.cursor.assign(uses.offset.begin(), uses.offset.end() - 1);
+    comps.cursor.assign(comps.offset.begin(), comps.offset.end() - 1);
   }
   save_required_.assign(n, 0);
   for (NodeId v = 0; v < n; ++v) {
@@ -231,24 +266,24 @@ void Completer::precompute() {
 }
 
 std::int64_t Completer::effective_next_need(int p, NodeId v,
-                                            std::int64_t from) const {
-  const auto& uses = use_idx_[static_cast<std::size_t>(p)];
-  const std::int64_t* uit = std::lower_bound(uses.begin(v), uses.end(v), from);
+                                            std::int64_t from) {
+  auto& uses = use_idx_[static_cast<std::size_t>(p)];
+  const std::int64_t* uit = uses.seek(v, from);
   if (uit == uses.end(v)) return kNever;
-  const auto& comps = comp_idx_[static_cast<std::size_t>(p)];
-  const std::int64_t* cit =
-      std::lower_bound(comps.begin(v), comps.end(v), from);
+  auto& comps = comp_idx_[static_cast<std::size_t>(p)];
+  const std::int64_t* cit = comps.seek(v, from);
   if (cit != comps.end(v) && *cit < *uit) return kNever;  // recomputed first
   return *uit;
 }
 
-std::optional<SegmentPlan> Completer::try_segment(int p, std::int64_t count) {
+bool Completer::try_segment(int p, std::int64_t count) {
   ++epoch_;
   cache_touched_.clear();
   touch_list_.clear();
   const auto& seq = plan_.seq[p];
   const std::int64_t i0 = pos_[p];
-  SegmentPlan seg;
+  SegmentPlan& seg = cur_;
+  seg.clear();
   seg.count = count;
   seg.cache_weight = cache_weight_[p];
 
@@ -263,7 +298,7 @@ std::optional<SegmentPlan> Completer::try_segment(int p, std::int64_t count) {
         needed_st_[u] = epoch_;
         continue;
       }
-      if (!blue_[u]) return std::nullopt;  // not loadable yet
+      if (!blue_[u]) return false;  // not loadable yet
       load_st_[u] = epoch_;
       seg.loads.push_back(u);
       load_weight += dag_.mu(u);
@@ -275,20 +310,21 @@ std::optional<SegmentPlan> Completer::try_segment(int p, std::int64_t count) {
   // segment: the committed cache contents plus the loads and computes.
   // Victim enumeration and the post-delete sweep walk this list (filtered
   // by the live cache overlay) in ascending node order — the same victims
-  // in the same order as a full 0..n scan, at O(candidates) cost.
-  candidates_.clear();
-  candidates_.insert(candidates_.end(), cache_list_[p].begin(),
-                     cache_list_[p].end());
-  candidates_.insert(candidates_.end(), seg.loads.begin(), seg.loads.end());
+  // in the same order as a full 0..n scan, at O(candidates) cost. Only the
+  // small loads + computes tail is sorted; the cache list already is.
+  sorted_.assign(seg.loads.begin(), seg.loads.end());
   for (std::int64_t j = 0; j < count; ++j) {
-    candidates_.push_back(seq[i0 + j].node);
+    sorted_.push_back(seq[i0 + j].node);
   }
-  std::sort(candidates_.begin(), candidates_.end());
-  candidates_.erase(std::unique(candidates_.begin(), candidates_.end()),
-                    candidates_.end());
+  std::sort(sorted_.begin(), sorted_.end());
+  sorted_.erase(std::unique(sorted_.begin(), sorted_.end()), sorted_.end());
+  candidates_.clear();
+  std::set_union(cache_list_[p].begin(), cache_list_[p].end(),
+                 sorted_.begin(), sorted_.end(),
+                 std::back_inserter(candidates_));
 
-  auto make_victims = [&](const std::function<bool(NodeId)>& allowed,
-                          std::int64_t from) -> const std::vector<VictimInfo>& {
+  auto make_victims = [&](const auto& allowed, std::int64_t from)
+      -> const std::vector<VictimInfo>& {
     victims_.clear();
     for (NodeId v : candidates_) {
       if (!in_seg_cache(p, v) || !allowed(v)) continue;
@@ -307,7 +343,7 @@ std::optional<SegmentPlan> Completer::try_segment(int p, std::int64_t count) {
   while (seg.cache_weight + load_weight > r_p + kMemEps) {
     const auto& victims = make_victims(
         [&](NodeId v) { return needed_st_[v] != epoch_; }, i0);
-    if (victims.empty()) return std::nullopt;
+    if (victims.empty()) return false;
     const NodeId victim = policy_.choose_victim(victims);
     const bool live = effective_next_need(p, victim, i0) != kNever;
     if (!seg_blue(victim) && (live || save_required(victim))) {
@@ -361,7 +397,7 @@ std::optional<SegmentPlan> Completer::try_segment(int p, std::int64_t count) {
                      !save_required(c);
             },
             gpos + 1);
-        if (victims.empty()) return std::nullopt;
+        if (victims.empty()) return false;
         const NodeId victim = policy_.choose_victim(victims);
         const bool dirty_live =
             !seg_blue(victim) &&
@@ -424,10 +460,10 @@ std::optional<SegmentPlan> Completer::try_segment(int p, std::int64_t count) {
     if (cache_ov_[v] != cache_[p][v]) seg.cache_changes.push_back({v, cache_ov_[v]});
   }
   for (NodeId v : touch_list_) seg.touched.push_back({v, touch_ov_[v]});
-  return seg;
+  return true;
 }
 
-SegmentPlan Completer::plan_largest_segment(int p, int superstep) {
+const SegmentPlan& Completer::plan_largest_segment(int p, int superstep) {
   const auto& seq = plan_.seq[p];
   std::int64_t limit = 0;
   while (pos_[p] + limit < static_cast<std::int64_t>(seq.size()) &&
@@ -435,14 +471,15 @@ SegmentPlan Completer::plan_largest_segment(int p, int superstep) {
     ++limit;
   }
   assert(limit > 0);
-  std::optional<SegmentPlan> best;
+  std::int64_t best = 0;
   for (std::int64_t count = 1; count <= limit; ++count) {
-    auto attempt = try_segment(p, count);
-    if (!attempt) break;
-    best = std::move(attempt);
+    if (!try_segment(p, count)) break;
+    std::swap(best_, cur_);
+    best = count;
   }
-  assert(best && "first compute of a segment must always be schedulable");
-  return *std::move(best);
+  assert(best > 0 && "first compute of a segment must always be schedulable");
+  (void)best;
+  return best_;
 }
 
 void Completer::commit(int p, const SegmentPlan& seg) {
@@ -459,14 +496,15 @@ void Completer::commit(int p, const SegmentPlan& seg) {
   // runs keeps the list duplicate-free).
   auto& list = cache_list_[p];
   std::erase_if(list, [&](NodeId v) { return cache_[p][v] == 0; });
-  const std::size_t old_size = list.size();
+  sorted_.clear();
   for (const auto& [node, state] : seg.cache_changes) {
-    if (state != 0) list.push_back(node);
+    if (state != 0) sorted_.push_back(node);
   }
-  std::sort(list.begin() + static_cast<std::ptrdiff_t>(old_size), list.end());
-  std::inplace_merge(list.begin(),
-                     list.begin() + static_cast<std::ptrdiff_t>(old_size),
-                     list.end());
+  std::sort(sorted_.begin(), sorted_.end());
+  merged_.clear();
+  std::merge(list.begin(), list.end(), sorted_.begin(), sorted_.end(),
+             std::back_inserter(merged_));
+  list.swap(merged_);
 }
 
 MbspSchedule Completer::run() {
@@ -493,7 +531,7 @@ MbspSchedule Completer::run() {
             seq[pos_[p]].superstep != k) {
           continue;
         }
-        const SegmentPlan seg = plan_largest_segment(p, k);
+        const SegmentPlan& seg = plan_largest_segment(p, k);
         ProcStep& stage = out.steps[cur].proc[p];
         stage.saves.insert(stage.saves.end(), seg.pre_saves.begin(),
                            seg.pre_saves.end());

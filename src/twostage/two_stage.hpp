@@ -37,6 +37,11 @@ enum class BaselineKind {
 TwoStageResult run_baseline(const MbspInstance& inst, BaselineKind kind,
                             double stage1_budget_ms = 300);
 
+/// Stage 1 of run_baseline only: the same validated plan, not completed.
+/// For callers that complete it under another policy, or never.
+ComputePlan baseline_plan(const MbspInstance& inst, BaselineKind kind,
+                          double stage1_budget_ms = 300);
+
 std::string baseline_name(BaselineKind kind);
 
 }  // namespace mbsp

@@ -191,6 +191,69 @@ TEST(Lns, MoveMaskRestrictsSearch) {
   }
 }
 
+TEST(LnsSearch, IsImprovePlanWithoutTheCompletion) {
+  // improve_plan is search_plan plus one completion: the same plan, cost
+  // and counters, and the search's tracked cost is evaluate_plan's,
+  // bitwise. A gappy warm start runs the reference loop.
+  const MbspInstance inst = tiny_instance(3);
+  const ComputePlan dense =
+      baseline_plan(inst, BaselineKind::kGreedyClairvoyant);
+  ComputePlan gappy = dense;
+  for (auto& seq : gappy.seq) {
+    for (PlannedCompute& pc : seq) pc.superstep *= 2;
+  }
+  ASSERT_TRUE(validate_plan(inst.dag, gappy).ok);
+  ASSERT_FALSE(has_dense_supersteps(gappy));
+  struct Config {
+    CostModel cost;
+    PolicyKind policy;
+    unsigned move_mask;
+    const ComputePlan* warm;
+  };
+  const Config configs[] = {
+      {CostModel::kSynchronous, PolicyKind::kClairvoyant, kAllMoves, &dense},
+      {CostModel::kSynchronous, PolicyKind::kLru, kAllMoves, &dense},
+      {CostModel::kAsynchronous, PolicyKind::kClairvoyant, kAllMoves, &dense},
+      {CostModel::kAsynchronous, PolicyKind::kLru, kAllMoves, &dense},
+      {CostModel::kSynchronous, PolicyKind::kClairvoyant, 0, &dense},
+      {CostModel::kSynchronous, PolicyKind::kClairvoyant, kAllMoves, &gappy},
+      {CostModel::kAsynchronous, PolicyKind::kLru, kAllMoves, &gappy},
+  };
+  for (const Config& c : configs) {
+    LnsOptions options;
+    options.budget_ms = 0;
+    options.max_iterations = 800;
+    options.cost = c.cost;
+    options.completion_policy = c.policy;
+    options.move_mask = c.move_mask;
+    const std::string label =
+        std::string(c.cost == CostModel::kSynchronous ? "sync" : "async") +
+        (c.policy == PolicyKind::kLru ? " lru" : " clairvoyant") +
+        " mask=" + std::to_string(c.move_mask) +
+        (c.warm == &gappy ? " gappy" : " dense");
+    const LnsSearchResult search = search_plan(inst, *c.warm, options);
+    const LnsResult full = improve_plan(inst, *c.warm, options);
+    EXPECT_TRUE(search.plan.seq == full.plan.seq) << label;
+    EXPECT_EQ(search.cost, full.cost) << label;
+    EXPECT_EQ(search.initial_cost, full.initial_cost) << label;
+    EXPECT_EQ(search.iterations, full.iterations) << label;
+    EXPECT_EQ(search.accepted, full.accepted) << label;
+    EXPECT_EQ(search.proposed_by_class, full.proposed_by_class) << label;
+    EXPECT_EQ(search.accepted_by_class, full.accepted_by_class) << label;
+    EXPECT_EQ(search.cost, evaluate_plan(inst, search.plan, options)) << label;
+    EXPECT_EQ(search.initial_cost, evaluate_plan(inst, *c.warm, options))
+        << label;
+    const double schedule_cost = c.cost == CostModel::kSynchronous
+                                     ? sync_cost(inst, full.schedule)
+                                     : async_cost(inst, full.schedule);
+    EXPECT_EQ(full.cost, schedule_cost) << label;
+    if (c.move_mask == 0) {
+      EXPECT_EQ(search.iterations, 0) << label;
+      EXPECT_EQ(search.cost, search.initial_cost) << label;
+    }
+  }
+}
+
 TEST(EvaluatePlan, MatchesScheduleCost) {
   const MbspInstance inst = tiny_instance(0);
   const TwoStageResult base =

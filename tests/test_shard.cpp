@@ -149,6 +149,25 @@ TEST(ShardSchedule, ValidatesAndNeverLosesToGreedySeed) {
   }
 }
 
+TEST(ShardSchedule, PolishPricesTheStitchedPlan) {
+  // With the polish on, stitched_cost comes from the polish's own pricing
+  // of the stitched plan; it must equal the cost of the same pipeline
+  // with the polish (and the seed compare) switched off.
+  for (const char* spec :
+       {"stencil2d:nx=6,ny=6,steps=4", "mapreduce:maps=8,reducers=4",
+        "wavefront:nx=8,ny=8", "fft:n=32"}) {
+    const MbspInstance inst = workload_instance(spec, 4, 3.0);
+    ShardOptions options = deterministic_options(4);
+    const ShardResult polished = shard_schedule(inst, options);
+    ASSERT_GT(polished.boundary_nodes, 0u) << spec;
+    options.polish_max_iterations = 0;
+    options.compare_full_seed = false;
+    const ShardResult unpolished = shard_schedule(inst, options);
+    EXPECT_EQ(polished.stitched_cost, unpolished.cost) << spec;
+    EXPECT_EQ(unpolished.stitched_cost, unpolished.cost) << spec;
+  }
+}
+
 TEST(ShardSchedule, SingleShardDegeneratesGracefully) {
   const MbspInstance inst = workload_instance("wavefront:nx=6,ny=5", 2, 3.0);
   const ShardResult result = shard_schedule(inst, deterministic_options(1));

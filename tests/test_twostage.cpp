@@ -5,11 +5,14 @@
 #include <gtest/gtest.h>
 
 #include "src/bsp/greedy_scheduler.hpp"
+#include "src/graph/dag_io.hpp"
 #include "src/graph/generators.hpp"
 #include "src/model/cost.hpp"
+#include "src/model/machine_registry.hpp"
 #include "src/model/validate.hpp"
 #include "src/twostage/memory_completion.hpp"
 #include "src/twostage/two_stage.hpp"
+#include "src/workload/workload_registry.hpp"
 
 namespace mbsp {
 namespace {
@@ -231,6 +234,21 @@ TEST(Baselines, AllKindsRunOnSmallInstance) {
   }
 }
 
+TEST(Baselines, PlanOnlyIsRunBaselinesPlan) {
+  Rng rng(4);
+  ComputeDag dag = iterated_spmv_dag(4, 2, 2, rng, "x");
+  assign_random_memory_weights(dag, rng);
+  const MbspInstance inst = make_instance(std::move(dag), 2, 3);
+  // The refined stage 1 is wall-clock budgeted, so it is left out.
+  for (BaselineKind kind : {BaselineKind::kGreedyClairvoyant,
+                            BaselineKind::kCilkLru,
+                            BaselineKind::kDfsClairvoyant}) {
+    EXPECT_TRUE(baseline_plan(inst, kind).seq ==
+                run_baseline(inst, kind).plan.seq)
+        << baseline_name(kind);
+  }
+}
+
 TEST(Baselines, DfsForSingleProcessor) {
   Rng rng(4);
   ComputeDag dag = spmv_dag(5, 3, rng, "p1");
@@ -240,6 +258,157 @@ TEST(Baselines, DfsForSingleProcessor) {
       run_baseline(inst, BaselineKind::kDfsClairvoyant);
   const auto valid = validate(inst, res.mbsp);
   EXPECT_TRUE(valid.ok) << valid.error;
+}
+
+/// FNV-1a digest of every operation of `sched`, in order, with the
+/// per-phase lengths mixed in so ops cannot migrate between phases,
+/// processors or supersteps unnoticed.
+std::uint64_t schedule_digest(const MbspSchedule& sched) {
+  std::uint64_t h = kFnvOffset;
+  const auto mix = [&h](std::uint64_t word) {
+    h = fnv1a_64(&word, sizeof(word), h);
+  };
+  const auto mix_nodes = [&mix](const std::vector<NodeId>& nodes) {
+    mix(nodes.size());
+    for (NodeId v : nodes) mix(v);
+  };
+  mix(sched.steps.size());
+  for (const Superstep& step : sched.steps) {
+    mix(step.proc.size());
+    for (const ProcStep& ps : step.proc) {
+      mix(ps.compute_phase.size());
+      for (const PhaseOp& op : ps.compute_phase) {
+        mix(static_cast<std::uint64_t>(op.kind) << 32 | op.node);
+      }
+      mix_nodes(ps.saves);
+      mix_nodes(ps.deletes);
+      mix_nodes(ps.loads);
+    }
+  }
+  return h;
+}
+
+/// Adds recomputation to `plan`: every occurrence whose parent is a
+/// non-source computed elsewhere, with only source parents of its own,
+/// gets that parent recomputed locally right before it.
+ComputePlan with_local_recomputes(const ComputeDag& dag,
+                                  const ComputePlan& plan) {
+  ComputePlan out = plan;
+  for (int p = 0; p < plan.num_procs; ++p) {
+    std::vector<PlannedCompute> seq;
+    std::vector<char> local(dag.num_nodes(), 0);
+    for (const PlannedCompute& pc : plan.seq[p]) {
+      for (NodeId u : dag.parents(pc.node)) {
+        if (dag.is_source(u) || local[u]) continue;
+        bool leaf = true;
+        for (NodeId w : dag.parents(u)) leaf = leaf && dag.is_source(w);
+        if (!leaf) continue;
+        seq.push_back({u, pc.superstep});
+        local[u] = 1;
+      }
+      seq.push_back(pc);
+      local[pc.node] = 1;
+    }
+    out.seq[p] = std::move(seq);
+  }
+  return out;
+}
+
+// Pins the completer's decisions, not just their cost: a change that
+// picks another victim or order at equal cost moves a digest. Recorded
+// from the completer before its allocation-free rewrite.
+TEST(Completion, MatchesHistoricalScheduleDigests) {
+  // Tight memories (completion sees a machine only through them), so
+  // nearly every segment evicts.
+  constexpr const char* kUniform = "uniform:P=4,rf=1";
+  constexpr const char* kHetero = "hetero:P=4,mems=1x2+2x2,rf=1,speeds=1x2+2x2";
+  constexpr const char* kNuma = "numa:gin=1,gout=4,groups=2x2,mems=1x3+2x1,rf=1.2";
+  struct Golden {
+    const char* workload;
+    bool recompute;
+    const char* machine;
+    std::uint64_t clairvoyant, lru;
+  };
+  const Golden goldens[] = {
+      {"stencil2d:nx=5,ny=4,steps=3", false, kUniform,
+       0x2bd84cc139b2058aull, 0x3616199251addf59ull},
+      {"stencil2d:nx=5,ny=4,steps=3", false, kHetero,
+       0xea295e943615f43eull, 0xff6773b7a486edfeull},
+      {"stencil2d:nx=5,ny=4,steps=3", false, kNuma,
+       0xd9579400601cd3dbull, 0x2e8d5ee064deeb5dull},
+      {"fft:n=16", false, kUniform,
+       0x0996d39486910900ull, 0xf02cfc798c096b9cull},
+      {"fft:n=16", false, kHetero,
+       0x0afbb8c48ab51a80ull, 0xdc24962308e6d6efull},
+      {"fft:n=16", false, kNuma,
+       0xd677f610ef118989ull, 0x88224ae77f47c880ull},
+      {"wavefront:nx=6,ny=6", false, kUniform,
+       0x701c70405aa7a249ull, 0xded75390e9e2d413ull},
+      {"wavefront:nx=6,ny=6", false, kHetero,
+       0x701c70405aa7a249ull, 0xded75390e9e2d413ull},
+      {"wavefront:nx=6,ny=6", false, kNuma,
+       0x124016a4f91dffccull, 0xd30ef760db01de54ull},
+      {"spmv", false, kUniform,
+       0x385ba8dfed24c8ccull, 0xedbaea19bbdde44cull},
+      {"spmv", false, kHetero,
+       0x2fda9229c03b35efull, 0x7f0562f4cda70594ull},
+      {"spmv", false, kNuma,
+       0xb78a14b27b01a611ull, 0xc48548062915d79bull},
+      {"lu:blocks=4", false, kUniform,
+       0x5dc683933e87c8e3ull, 0x9e19e5ec33006177ull},
+      {"lu:blocks=4", false, kHetero,
+       0x5dc683933e87c8e3ull, 0x9e19e5ec33006177ull},
+      {"lu:blocks=4", false, kNuma,
+       0x9ec996c81fb90b02ull, 0x7f241b9868765f30ull},
+      {"attention", false, kUniform,
+       0xd5284dc83b760bf0ull, 0x8204e9d0393939f3ull},
+      {"attention", false, kHetero,
+       0x68fc2edbad7fd082ull, 0xb543b2a142cb0554ull},
+      {"attention", false, kNuma,
+       0x0d8a62da44cf14ffull, 0xc7ae0727e1091627ull},
+      {"stencil2d:nx=5,ny=4,steps=3", true, kUniform,
+       0x5a2850d4963456e2ull, 0x72739926f0ff501full},
+      {"stencil2d:nx=5,ny=4,steps=3", true, kHetero,
+       0x99fc40ae5e39853eull, 0xd2461b895c57b0cfull},
+      {"stencil2d:nx=5,ny=4,steps=3", true, kNuma,
+       0xe5c07780b99fa4f0ull, 0x0bc7436f8f2ad284ull},
+      {"fft:n=16", true, kUniform,
+       0x93ca3338e2dd0166ull, 0x0bb39a2c443d3938ull},
+      {"fft:n=16", true, kHetero,
+       0x4e516f20b220f1afull, 0x3c3b1d28db6e6240ull},
+      {"fft:n=16", true, kNuma,
+       0x35a501f7457e686full, 0x776c259c4a44c466ull},
+  };
+  for (const Golden& g : goldens) {
+    std::string error;
+    auto dag = WorkloadRegistry::global().make_dag(g.workload, 2025, &error);
+    ASSERT_TRUE(dag.has_value()) << g.workload << ": " << error;
+    auto machine = MachineRegistry::global().make_machine(
+        g.machine, min_memory_r0(*dag), &error);
+    ASSERT_TRUE(machine.has_value()) << g.machine << ": " << error;
+    const MbspInstance inst{std::move(*dag), std::move(*machine)};
+    GreedyBspScheduler stage1;
+    ComputePlan plan = plan_from_bsp(
+        inst.dag, stage1.schedule(inst.dag, inst.arch), inst.arch.num_processors);
+    if (g.recompute) {
+      const std::size_t computes = plan.total_computes();
+      plan = with_local_recomputes(inst.dag, plan);
+      ASSERT_GT(plan.total_computes(), computes) << g.workload;
+    }
+    ASSERT_TRUE(validate_plan(inst.dag, plan).ok) << g.workload;
+    const std::string label = std::string(g.workload) +
+                              (g.recompute ? "+recompute" : "") + " on " +
+                              g.machine;
+    for (PolicyKind policy : {PolicyKind::kClairvoyant, PolicyKind::kLru}) {
+      const MbspSchedule sched = complete_memory(inst, plan, policy);
+      EXPECT_TRUE(validate(inst, sched).ok) << label;
+      const std::uint64_t digest = schedule_digest(sched);
+      EXPECT_EQ(digest, policy == PolicyKind::kClairvoyant ? g.clairvoyant
+                                                           : g.lru)
+          << label << (policy == PolicyKind::kClairvoyant ? " clairvoyant"
+                                                          : " lru");
+    }
+  }
 }
 
 // Random layered DAGs: fuzz the completion engine across shapes and seeds.
