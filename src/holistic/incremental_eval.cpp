@@ -8,6 +8,8 @@
 #include <cstring>
 #include <limits>
 
+#include "src/graph/dag_io.hpp"
+
 namespace mbsp {
 
 namespace {
@@ -239,6 +241,9 @@ double IncrementalEvaluator::attach(const ComputePlan& plan) {
   t_ov_.assign(n_, TryOv{});
   t_epoch_ = 1;
   t_added_.clear();
+  best_ov_.assign(n_, TryOv{});
+  best_epoch_ = 1;
+  best_added_.clear();
 
   reserve_from_attached();
 
@@ -293,6 +298,8 @@ void IncrementalEvaluator::reserve_from_attached() {
   pending_blue_.reserve(4 * P);
   sorted_members_.reserve(64);
   t_added_.reserve(64);
+  best_added_.reserve(64);
+  s_upfront_.reserve(64);
   s_loads_.reserve(64);
   delta_ops_.reserve(16);
   touched_procs_.reserve(P);
@@ -1381,6 +1388,15 @@ double IncrementalEvaluator::evaluate_from(int b, bool may_exit) {
 // ---------------------------------------------------------------------------
 // Completion: segment planning (the try_segment / plan_largest_segment
 // replica, with the prefix scan shared across growing counts).
+//
+// A try's success depends only on phases A and B (the post phase never
+// fails), so each try runs just those: on success its state (overlay,
+// additions, weight) is swapped into the best_* buffers like best_seg_,
+// and finish_segment runs the post phase and builds the final cache once,
+// on the winner. The post phase reads only that state, the eval-level
+// blue set and the lookahead, none of which a later (failing) try
+// touches, so the winner's post phase is the one its own try would have
+// run.
 
 bool IncrementalEvaluator::plan_segment(int p, int superstep) {
   const auto& seq = plan_.seq[static_cast<std::size_t>(p)];
@@ -1395,6 +1411,7 @@ bool IncrementalEvaluator::plan_segment(int p, int superstep) {
   clear_seg_overlay();
   s_loads_.clear();
   s_load_weight_ = 0;
+  s_upfront_sorted_ = false;
   bool best_found = false;
   for (std::int64_t count = 1; count <= limit; ++count) {
     // Extend the segment prefix state by entry count-1: upfront loads in
@@ -1420,9 +1437,43 @@ bool IncrementalEvaluator::plan_segment(int p, int superstep) {
     seg_ov(v).produced = 1;
     if (!run_phases(p, i0, count)) break;
     std::swap(best_seg_, cur_seg_);
+    swap_best_try();
     best_found = true;
   }
+  if (best_found) finish_segment(p, i0);
   return best_found;
+}
+
+// Phase A's candidates are the start cache minus the values the segment
+// needs, and its keys are taken at i0, so every try of the segment ranks
+// them identically. Both policies' keys are strict total orders (the id
+// breaks every tie), so the victims choose_victim would pick one scan at
+// a time are this order's non-needed entries, in order.
+void IncrementalEvaluator::sort_upfront_order(int p, std::int64_t i0) {
+  const auto& pp = index_.proc_positions(p);
+  s_upfront_.clear();
+  for (NodeId v : ec_list_[static_cast<std::size_t>(p)]) {
+    s_upfront_.push_back({effective_next_need(p, pp, v, i0),
+                          lru_ ? committed_last_active(pp, v, i0) : 0, v});
+  }
+  if (lru_) {
+    // Dead first, then least recently active, then the smaller id.
+    std::sort(s_upfront_.begin(), s_upfront_.end(),
+              [](const UpfrontKey& a, const UpfrontKey& b) {
+                const bool a_dead = a.next == kNever;
+                const bool b_dead = b.next == kNever;
+                if (a_dead != b_dead) return a_dead;
+                return a.la < b.la || (a.la == b.la && a.v < b.v);
+              });
+  } else {
+    // Furthest next use (dead values last used at kNever) first, then
+    // the smaller id.
+    std::sort(s_upfront_.begin(), s_upfront_.end(),
+              [](const UpfrontKey& a, const UpfrontKey& b) {
+                return a.next > b.next || (a.next == b.next && a.v < b.v);
+              });
+  }
+  s_upfront_sorted_ = true;
 }
 
 bool IncrementalEvaluator::run_phases(int p, std::int64_t i0,
@@ -1436,8 +1487,6 @@ bool IncrementalEvaluator::run_phases(int p, std::int64_t i0,
   seg.loads.assign(s_loads_.begin(), s_loads_.end());
   seg.pre_saves.clear();
   seg.pre_deletes.clear();
-  seg.post_saves.clear();
-  seg.post_deletes.clear();
   seg.ops.clear();
   seg.count = count;
 
@@ -1447,10 +1496,6 @@ bool IncrementalEvaluator::run_phases(int p, std::int64_t i0,
   auto needed = [&](NodeId v) {
     const SegOv* ov = seg_find(v);
     return ov != nullptr && ov->needed;
-  };
-  auto in_load_set = [&](NodeId v) {
-    const SegOv* ov = seg_find(v);
-    return ov != nullptr && ov->load;
   };
   auto mark_blue = [&](NodeId v) { try_ov(v).blue = 1; };
 
@@ -1509,19 +1554,24 @@ bool IncrementalEvaluator::run_phases(int p, std::int64_t i0,
     return best;
   };
 
-  // Phase A: upfront evictions so start cache + loads fit.
+  // Phase A: upfront evictions so start cache + loads fit, walking the
+  // segment's victim order (sort_upfront_order) past the needed values.
   const double r_p = mem_[static_cast<std::size_t>(p)];
-  while (t_weight_ + s_load_weight_ > r_p + kMemEps) {
-    const NodeId victim =
-        choose_victim([&](NodeId v) { return !needed(v); }, i0);
-    if (victim == kInvalidNode) return false;
-    const bool live = effective_next_need(p, pp, victim, i0) != kNever;
-    if (!try_blue(victim) && (live || save_required(victim))) {
+  if (t_weight_ + s_load_weight_ > r_p + kMemEps && !s_upfront_sorted_) {
+    sort_upfront_order(p, i0);
+  }
+  for (auto it = s_upfront_.begin();
+       t_weight_ + s_load_weight_ > r_p + kMemEps; ++it) {
+    while (it != s_upfront_.end() && needed(it->v)) ++it;
+    if (it == s_upfront_.end()) return false;
+    const NodeId victim = it->v;
+    if (!try_blue(victim) && (it->next != kNever || save_required(victim))) {
       seg.pre_saves.push_back(victim);
       mark_blue(victim);
     }
     seg.pre_deletes.push_back(victim);
     try_set_member(p, victim, false);
+    try_ov(victim).upfront = 1;
     t_weight_ -= dag_.mu(victim);
   }
 
@@ -1533,18 +1583,16 @@ bool IncrementalEvaluator::run_phases(int p, std::int64_t i0,
     }
   }
 
-  // Hoistable start-cache values: untouched by the segment (see
-  // memory_completion.cpp for why hoisting their eviction is sound).
-  // Snapshot once post-load; nodes added later (computes) stay
-  // non-hoistable, matching the oracle's one-time scan.
-  for (NodeId v : ec_list_[static_cast<std::size_t>(p)]) {
-    if (!try_member(p, v)) continue;
-    if (needed(v) || in_load_set(v)) continue;
-    try_ov(v).hoist = 1;
-  }
+  // Hoistable values: start-cache values untouched by the segment (see
+  // memory_completion.cpp for why hoisting their eviction is sound) —
+  // in the start cache, not needed, and still cached after phase A. The
+  // oracle snapshots that set once post-load; its three conditions never
+  // change later in the try, so the lazy test is the same set (a value
+  // recomputed after a phase-B eviction keeps its start-cache answer).
   auto hoistable = [&](NodeId v) {
+    if (!eval_cache_member(p, v) || needed(v)) return false;
     const TryOv* ov = try_find(v);
-    return ov != nullptr && ov->hoist != 0;
+    return ov == nullptr || ov->upfront == 0;
   };
   auto remneed = [&](NodeId v) -> std::int32_t {
     const TryOv* ov = try_find(v);
@@ -1606,14 +1654,27 @@ bool IncrementalEvaluator::run_phases(int p, std::int64_t i0,
       t_weight_ -= dag_.mu(u);
     }
   }
+  return true;
+}
+
+void IncrementalEvaluator::finish_segment(int p, std::int64_t i0) {
+  const auto& seq = plan_.seq[static_cast<std::size_t>(p)];
+  const auto& pp = index_.proc_positions(p);
+  swap_best_try();  // the try accessors now read the winner's state
+  Segment& seg = best_seg_;
+  seg.post_saves.clear();
+  seg.post_deletes.clear();
+  auto save_required = [&](NodeId v) {
+    return save_req_[static_cast<std::size_t>(v)] != 0;
+  };
 
   // Post phase: save outputs that need a blue pebble, then drop dead
   // values in ascending node order (matches the oracle's full scan).
-  for (std::int64_t j = 0; j < count; ++j) {
+  for (std::int64_t j = 0; j < seg.count; ++j) {
     const NodeId v = seq[static_cast<std::size_t>(i0 + j)].node;
     if (try_member(p, v) && !try_blue(v) && save_required(v)) {
       seg.post_saves.push_back(v);
-      mark_blue(v);
+      try_ov(v).blue = 1;
     }
   }
   sorted_members_.clear();
@@ -1625,7 +1686,7 @@ bool IncrementalEvaluator::run_phases(int p, std::int64_t i0,
     if (ov != nullptr && ov->member == 1) sorted_members_.push_back(v);
   }
   std::sort(sorted_members_.begin(), sorted_members_.end());
-  const std::int64_t after = i0 + count;
+  const std::int64_t after = i0 + seg.count;
   for (NodeId v : sorted_members_) {
     if (effective_next_need(p, pp, v, after) != kNever) continue;
     if (!try_blue(v) && save_required(v)) continue;
@@ -1646,7 +1707,6 @@ bool IncrementalEvaluator::run_phases(int p, std::int64_t i0,
     if (ov != nullptr && ov->member == 1) seg.final_cache.push_back(v);
   }
   seg.final_weight = t_weight_;
-  return true;
 }
 
 void IncrementalEvaluator::commit_segment(int p) {
@@ -2001,6 +2061,37 @@ void IncrementalEvaluator::promote_eval() {
   for (const HomeRec& rec : eval_homes_) {
     home_group_[static_cast<std::size_t>(rec.node)] = rec.grp;
   }
+}
+
+std::uint64_t IncrementalEvaluator::checkpoint_digest() const {
+  std::uint64_t h = kFnvOffset;
+  const auto mix = [&h](const auto& values) {
+    const std::uint64_t size = values.size();
+    h = fnv1a_64(&size, sizeof(size), h);
+    h = fnv1a_64(values.data(), values.size() * sizeof(values[0]), h);
+  };
+  mix(ck_pos_);
+  mix(ck_weight_);
+  mix(ck_cache_start_);
+  mix(ck_cache_nodes_);
+  mix(ck_step_);
+  if (sync_) {
+    mix(ck_comp_);
+    mix(ck_save_);
+    mix(ck_load_);
+    mix(ck_any_);
+    mix(rows_);
+    mix(row_empty_);
+  } else {
+    mix(as_comp_start_);
+    mix(as_comp_nodes_);
+    mix(as_save_start_);
+    mix(as_save_nodes_);
+    mix(as_load_start_);
+    mix(as_load_nodes_);
+    mix(as_save_prefix_);
+  }
+  return h;
 }
 
 }  // namespace mbsp

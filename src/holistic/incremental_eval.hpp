@@ -120,9 +120,10 @@
 //    array with offsets — no per-round vectors;
 //  * per-eval scratch (checkpoint rows, async op lists, blue/home logs)
 //    lives in a bump Arena (src/util/arena.hpp), reset per evaluation;
-//  * the hot per-node overlays (tentative membership, blue, hoist,
-//    remaining-need; the eval cache sets) are dense epoch-stamped arrays
-//    — one direct indexed load per probe, O(1) clears by epoch bump —
+//  * the hot per-node overlays (tentative membership, blue, phase-A
+//    eviction, remaining-need; the eval cache sets) are dense
+//    epoch-stamped arrays — one direct indexed load per probe, O(1)
+//    clears by epoch bump —
 //    while the sparse, rarely-touched validator remote-requirement rows
 //    stay open-addressing FlatMaps (src/util/flat_map.hpp);
 //  * slot cost accumulators are structure-of-arrays folded by contiguous
@@ -130,6 +131,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "src/holistic/lns.hpp"
@@ -184,6 +186,12 @@ class IncrementalEvaluator {
   long last_dirty_rounds() const { return last_dirty_; }
   /// Total committed completion rounds of the current plan.
   long committed_rounds() const { return committed_rounds_; }
+  /// FNV-1a digest of the committed checkpoint rows: per-boundary
+  /// positions, weights and cache rows (in row order), then the sync
+  /// straddling accumulators and slot cost rows, or the async op pools.
+  /// Tests pin the completion's decisions with it: another victim or cache
+  /// row order at equal cost moves the digest, not the cost.
+  std::uint64_t checkpoint_digest() const;
 
  private:
   struct Segment {
@@ -195,11 +203,17 @@ class IncrementalEvaluator {
     double final_weight = 0;
   };
   /// Per-try overlay entry, one dense slot per node; live iff
-  /// stamp == t_epoch_ (one indexed load per probe, no hashing).
+  /// stamp == t_epoch_ (one indexed load per probe, no hashing). A try of
+  /// the grow-by-one segment loop writes only what its success test
+  /// needs (phases A and B); the winner's overlay is kept in best_ov_ for
+  /// finish_segment's post phase. Hoistability is not stored: it is
+  /// "in the start cache, not needed, and not `upfront`", which equals the
+  /// completer's post-load snapshot because none of the three changes
+  /// after phase A.
   struct TryOv {
     std::int8_t member = -1;  ///< -1 inherit from eval cache, else 0/1
     std::int8_t blue = 0;     ///< made blue in this try
-    std::int8_t hoist = 0;    ///< hoistable snapshot (set once post-load)
+    std::int8_t upfront = 0;  ///< evicted by this try's phase A
     std::int8_t in_added = 0; ///< already logged in t_added_
     std::int32_t remneed = 0; ///< remaining in-segment parent uses
     std::uint32_t stamp = 0;  ///< live iff == t_epoch_
@@ -253,6 +267,8 @@ class IncrementalEvaluator {
   void record_checkpoint();
   bool plan_segment(int p, int superstep);
   bool run_phases(int p, std::int64_t i0, std::int64_t count);
+  void sort_upfront_order(int p, std::int64_t i0);
+  void finish_segment(int p, std::int64_t i0);
   void commit_segment(int p);
   std::int64_t effective_next_need(int p,
                                    const PlanOccurrenceIndex::ProcPositions& pp,
@@ -328,6 +344,13 @@ class IncrementalEvaluator {
       for (TryOv& o : t_ov_) o.stamp = 0;
       t_epoch_ = 1;
     }
+  }
+  // Exchanges the running try's state with the last successful try's.
+  void swap_best_try() {
+    std::swap(best_ov_, t_ov_);
+    std::swap(best_epoch_, t_epoch_);
+    std::swap(best_added_, t_added_);
+    std::swap(best_weight_, t_weight_);
   }
   SegOv& seg_ov(NodeId v) {
     SegOv& o = s_ov_[static_cast<std::size_t>(v)];
@@ -542,10 +565,24 @@ class IncrementalEvaluator {
   std::uint32_t s_epoch_ = 0;
   std::vector<NodeId> s_loads_;
   double s_load_weight_ = 0;
-  std::vector<TryOv> t_ov_;  // [v]
-  std::uint32_t t_epoch_ = 0;
-  std::vector<NodeId> t_added_;  // try members not in the eval cache list
-  double t_weight_ = 0;
+  // Phase A's victim order: the segment's start cache sorted by the
+  // eviction policy's key at i0, rebuilt by the first try of each segment
+  // that evicts upfront (s_upfront_sorted_ says whether it is current).
+  struct UpfrontKey {
+    std::int64_t next;  ///< effective next need at i0 (kNever: dead)
+    std::int64_t la;    ///< LRU: committed last-active before i0
+    NodeId v;
+  };
+  std::vector<UpfrontKey> s_upfront_;
+  bool s_upfront_sorted_ = false;
+  // The running try's state and, swapped in on each success like
+  // best_seg_/cur_seg_, the last successful try's: finish_segment runs
+  // the post phase once, on the winner.
+  std::vector<TryOv> t_ov_, best_ov_;  // [v]
+  std::uint32_t t_epoch_ = 0, best_epoch_ = 0;
+  // try members not in the eval cache list
+  std::vector<NodeId> t_added_, best_added_;
+  double t_weight_ = 0, best_weight_ = 0;
   Segment cur_seg_, best_seg_;
   std::vector<NodeId> sorted_members_;
 

@@ -6,6 +6,8 @@
 // preserved copy-and-reevaluate reference loop.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "src/bsp/greedy_scheduler.hpp"
 #include "src/graph/generators.hpp"
 #include "src/holistic/incremental_eval.hpp"
@@ -16,6 +18,7 @@
 #include "src/twostage/two_stage.hpp"
 #include "src/util/rng.hpp"
 #include "src/workload/workload_registry.hpp"
+#include "tests/recompute_plan.hpp"
 
 namespace mbsp {
 namespace {
@@ -308,6 +311,38 @@ TEST(IncrementalEval, ImprovePlanMatchesReferenceHeteroMachine) {
   }
 }
 
+TEST(IncrementalEval, ImprovePlanMatchesReferenceTightMemory) {
+  // At rf = 1 nearly every segment evicts upfront and hoists, and dead
+  // values tie on their next use, so the victim orders' id tie-breaks
+  // decide: every machine kind under both policies and cost models.
+  for (const char* spec : {"uniform:P=4,rf=1",
+                           "hetero:P=4,mems=1x2+2x2,rf=1,speeds=1x2+2x2",
+                           "numa:gin=1,gout=4,groups=2x2,mems=1x3+2x1,rf=1"}) {
+    std::string error;
+    auto dag = WorkloadRegistry::global().make_dag(
+        "stencil2d:nx=5,ny=4,steps=3", 2025, &error);
+    ASSERT_TRUE(dag.has_value()) << error;
+    auto machine = MachineRegistry::global().make_machine(
+        spec, min_memory_r0(*dag), &error);
+    ASSERT_TRUE(machine.has_value()) << spec << ": " << error;
+    const MbspInstance inst{std::move(*dag), std::move(*machine)};
+    for (CostModel cost : {CostModel::kSynchronous, CostModel::kAsynchronous}) {
+      for (PolicyKind policy : {PolicyKind::kClairvoyant, PolicyKind::kLru}) {
+        SCOPED_TRACE(std::string(spec) + " cost=" +
+                     std::to_string(static_cast<int>(cost)) + " policy=" +
+                     std::to_string(static_cast<int>(policy)));
+        LnsOptions options;
+        options.budget_ms = 0;
+        options.max_iterations = 800;
+        options.seed = 17;
+        options.cost = cost;
+        options.completion_policy = policy;
+        expect_identical_results(inst, options);
+      }
+    }
+  }
+}
+
 TEST(IncrementalEval, AsyncAndLruTakeIncrementalPath) {
   // Async cost and LRU eviction must run through the O(dirty) incremental
   // path, not a full-evaluation fallback: the evaluator reports itself
@@ -578,6 +613,131 @@ TEST(IncrementalEval, CommitHeavyDifferentialAcrossConfigs) {
           eval.rollback();
           fresh.rollback();
         }
+      }
+    }
+  }
+}
+
+// Pins the evaluator's completion decisions, not just its costs: attach
+// every plan of Completion.MatchesHistoricalScheduleDigests' grid under
+// both policies and both cost models and digest the committed checkpoint
+// rows. The cost differentials cannot see another victim at equal cost
+// or a reordered cache row; these digests can. Recorded before the
+// segment planner took its per-segment upfront-eviction order and its
+// deferred post phase.
+TEST(IncrementalEval, AttachMatchesHistoricalCheckpointDigests) {
+  // Tight memories, so nearly every segment evicts upfront and hoists.
+  constexpr const char* kUniform = "uniform:P=4,rf=1";
+  constexpr const char* kHetero = "hetero:P=4,mems=1x2+2x2,rf=1,speeds=1x2+2x2";
+  constexpr const char* kNuma = "numa:gin=1,gout=4,groups=2x2,mems=1x3+2x1,rf=1.2";
+  struct Golden {
+    const char* workload;
+    bool recompute;
+    const char* machine;
+    // sync clairvoyant, sync LRU, async clairvoyant, async LRU
+    std::uint64_t digest[4];
+  };
+  const Golden goldens[] = {
+      {"stencil2d:nx=5,ny=4,steps=3", false, kUniform,
+       {0x9d4370ddf2935273ull, 0x20bd7b33e02407beull, 0x0160070cb1a9d0d5ull,
+        0x3c3d0e8b7a13a738ull}},
+      {"stencil2d:nx=5,ny=4,steps=3", false, kHetero,
+       {0x706cca6626fcb3c6ull, 0xa73470439ae30da6ull, 0x497767cb31232b1bull,
+        0x3753205cf3865d3dull}},
+      {"stencil2d:nx=5,ny=4,steps=3", false, kNuma,
+       {0xa0effa6c35838583ull, 0xfd40318b4e772347ull, 0x0ad467a55afaee04ull,
+        0xe6c321e83e265630ull}},
+      {"fft:n=16", false, kUniform,
+       {0xb3a8241d6147741aull, 0xd09108adc7155327ull, 0x46493c56745043e2ull,
+        0xc90c2368d2b93445ull}},
+      {"fft:n=16", false, kHetero,
+       {0xb0bdd399974234bdull, 0xd1a9d9d6c4228918ull, 0x92b7c85c35205e37ull,
+        0x89fb42cc10cee4f0ull}},
+      {"fft:n=16", false, kNuma,
+       {0x3e1a873591b2f13cull, 0x9ea63d5dc545e688ull, 0x4f4326f36b31013full,
+        0x67f25d7d0f6aab0bull}},
+      {"wavefront:nx=6,ny=6", false, kUniform,
+       {0x4e58446db5633d07ull, 0xa977f843ec015c9bull, 0x7ca300f6e5ef4131ull,
+        0xe79aa8a7d8092811ull}},
+      {"wavefront:nx=6,ny=6", false, kHetero,
+       {0x4e58446db5633d07ull, 0xa977f843ec015c9bull, 0x7ca300f6e5ef4131ull,
+        0xe79aa8a7d8092811ull}},
+      {"wavefront:nx=6,ny=6", false, kNuma,
+       {0x71c60dd74c684992ull, 0xa6e06fbbd7020307ull, 0xca43c7bae3d7e6bbull,
+        0x12f2acc3d5679c51ull}},
+      {"spmv", false, kUniform,
+       {0xadf3cede4587136bull, 0xadf3cede4587136bull, 0xef768e8e08a8445full,
+        0x8e8962cb3bdb918full}},
+      {"spmv", false, kHetero,
+       {0xe95fcea685da580full, 0x232506591e77b33aull, 0x41aa195c762e6e20ull,
+        0x0c73fe8e26a94cfbull}},
+      {"spmv", false, kNuma,
+       {0x8ae4a7db1a2af54eull, 0x12eea3f26c9b4d5full, 0xe15479cc977f9f4dull,
+        0x56b97958cab232c5ull}},
+      {"lu:blocks=4", false, kUniform,
+       {0x8b7e343af07646e2ull, 0x96dc94debc2d7c90ull, 0xa80ffa7eebcab1ceull,
+        0x480ab6029af49b2bull}},
+      {"lu:blocks=4", false, kHetero,
+       {0x8b7e343af07646e2ull, 0x96dc94debc2d7c90ull, 0xa80ffa7eebcab1ceull,
+        0x480ab6029af49b2bull}},
+      {"lu:blocks=4", false, kNuma,
+       {0x3e8bd7e1733cb8f6ull, 0xde8ca113eee41e97ull, 0xbc96fdaf66ede7d5ull,
+        0x5a0d58ad00386b69ull}},
+      {"attention", false, kUniform,
+       {0x25c2b981deb265f6ull, 0x87710064cd682f1dull, 0xe2e72177d617a338ull,
+        0x488e1cad8c4ab4a0ull}},
+      {"attention", false, kHetero,
+       {0x9bc19214f4c93a78ull, 0xa9aac39dec2f4b5dull, 0xb0cab4731c54ed3bull,
+        0x5c0265c74c339abbull}},
+      {"attention", false, kNuma,
+       {0x0df40ea81b04f20dull, 0xa4cd6750c4483a02ull, 0xe6b2d4d7457c01c5ull,
+        0x3bf8d21f25dd1b14ull}},
+      {"stencil2d:nx=5,ny=4,steps=3", true, kUniform,
+       {0x88b21845eaba8191ull, 0xe48e4d65e114726full, 0xec8c528a77bb0396ull,
+        0x4c679824d08371a0ull}},
+      {"stencil2d:nx=5,ny=4,steps=3", true, kHetero,
+       {0xc02ca89a6b212001ull, 0xd548b8491e9e9fafull, 0xe4b1d5d399cbaac2ull,
+        0xf11c04e29705144bull}},
+      {"stencil2d:nx=5,ny=4,steps=3", true, kNuma,
+       {0x9d30cd7693715174ull, 0xc9566dd222a161c0ull, 0x3e0f7340f93fe8f7ull,
+        0x7ade9512be2c9192ull}},
+      {"fft:n=16", true, kUniform,
+       {0xc31da3f852097b68ull, 0x42fd14b080fa1f13ull, 0x270525e15b711f6eull,
+        0x9294ef9580c31c41ull}},
+      {"fft:n=16", true, kHetero,
+       {0xa0f43278fca2fbd3ull, 0x25c3c510f59a3b98ull, 0x977529eac057e374ull,
+        0x570b12a50eb74d85ull}},
+      {"fft:n=16", true, kNuma,
+       {0x1b651821c5a03630ull, 0xd62a5acebe5c2a94ull, 0x370043d299de02acull,
+        0x47f7a2d97ce93c60ull}},
+  };
+  for (const Golden& g : goldens) {
+    std::string error;
+    auto dag = WorkloadRegistry::global().make_dag(g.workload, 2025, &error);
+    ASSERT_TRUE(dag.has_value()) << g.workload << ": " << error;
+    auto machine = MachineRegistry::global().make_machine(
+        g.machine, min_memory_r0(*dag), &error);
+    ASSERT_TRUE(machine.has_value()) << g.machine << ": " << error;
+    const MbspInstance inst{std::move(*dag), std::move(*machine)};
+    GreedyBspScheduler stage1;
+    ComputePlan plan = plan_from_bsp(
+        inst.dag, stage1.schedule(inst.dag, inst.arch), inst.arch.num_processors);
+    if (g.recompute) plan = with_local_recomputes(inst.dag, plan);
+    ASSERT_TRUE(validate_plan(inst.dag, plan).ok) << g.workload;
+    int column = 0;
+    for (CostModel cost : {CostModel::kSynchronous, CostModel::kAsynchronous}) {
+      for (PolicyKind policy : {PolicyKind::kClairvoyant, PolicyKind::kLru}) {
+        LnsOptions options;
+        options.cost = cost;
+        options.completion_policy = policy;
+        IncrementalEvaluator eval(inst, options);
+        EXPECT_EQ(eval.attach(plan), evaluate_plan(inst, plan, options));
+        const std::uint64_t digest = eval.checkpoint_digest();
+        EXPECT_EQ(digest, g.digest[column])
+            << g.workload << (g.recompute ? "+recompute" : "") << " on "
+            << g.machine << " column " << column << ": 0x" << std::hex
+            << digest << std::dec;
+        ++column;
       }
     }
   }

@@ -13,6 +13,7 @@
 #include "src/twostage/memory_completion.hpp"
 #include "src/twostage/two_stage.hpp"
 #include "src/workload/workload_registry.hpp"
+#include "tests/recompute_plan.hpp"
 
 namespace mbsp {
 namespace {
@@ -286,32 +287,6 @@ std::uint64_t schedule_digest(const MbspSchedule& sched) {
     }
   }
   return h;
-}
-
-/// Adds recomputation to `plan`: every occurrence whose parent is a
-/// non-source computed elsewhere, with only source parents of its own,
-/// gets that parent recomputed locally right before it.
-ComputePlan with_local_recomputes(const ComputeDag& dag,
-                                  const ComputePlan& plan) {
-  ComputePlan out = plan;
-  for (int p = 0; p < plan.num_procs; ++p) {
-    std::vector<PlannedCompute> seq;
-    std::vector<char> local(dag.num_nodes(), 0);
-    for (const PlannedCompute& pc : plan.seq[p]) {
-      for (NodeId u : dag.parents(pc.node)) {
-        if (dag.is_source(u) || local[u]) continue;
-        bool leaf = true;
-        for (NodeId w : dag.parents(u)) leaf = leaf && dag.is_source(w);
-        if (!leaf) continue;
-        seq.push_back({u, pc.superstep});
-        local[u] = 1;
-      }
-      seq.push_back(pc);
-      local[pc.node] = 1;
-    }
-    out.seq[p] = std::move(seq);
-  }
-  return out;
 }
 
 // Pins the completer's decisions, not just their cost: a change that
