@@ -13,7 +13,7 @@
 //                [--moves proc,step,swap,merge,split,recompute,drop|all]
 //                [--lns-budget-ms x]
 //                [--workers K] [--epochs E] [--shards K]
-//                [--profile uniform|diverse] [--free-running]
+//                [--profile uniform|diverse]
 //                [--seed 2025] [--threads N] [--wall] [--csv path.csv]
 //   suite_runner --repair --trace spec [--trace spec ...]
 //                [--machine spec] [--seed n] [--max-iterations n]
@@ -47,8 +47,8 @@
 // recompiling); --lns-budget-ms overrides the optimization budget for the
 // LNS-family schedulers (lns / lns-portfolio / holistic / divide-conquer)
 // only, so a grid can mix fast baselines with a separately-budgeted
-// anytime improver. --workers / --epochs / --profile / --free-running
-// shape the lns-portfolio scheduler (see docs/CLI.md); --shards sizes the
+// anytime improver. --workers / --epochs / --profile shape the
+// lns-portfolio scheduler (see docs/CLI.md); --shards sizes the
 // "sharded" out-of-core scheduler's partition (see docs/SCALE.md).
 
 #include <cstdio>
@@ -77,7 +77,7 @@ int usage(const char* argv0) {
                "          [--cost sync|async] [--budget-ms x] [--seed n]\n"
                "          [--moves a,b,...|all] [--lns-budget-ms x]\n"
                "          [--workers k] [--epochs e] [--shards k]\n"
-               "          [--profile uniform|diverse] [--free-running]\n"
+               "          [--profile uniform|diverse]\n"
                "          [--max-iterations n] [--threads n] [--wall]\n"
                "          [--csv path.csv]\n",
                argv0);
@@ -258,8 +258,6 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "unknown --profile (uniform | diverse)\n");
         return 2;
       }
-    } else if (arg == "--free-running") {
-      batch.scheduler.free_running = true;
     } else if (arg == "--max-iterations") {
       // With --budget-ms 0 this makes runs bit-for-bit reproducible.
       batch.scheduler.max_iterations = std::atol(value());

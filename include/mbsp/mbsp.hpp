@@ -69,7 +69,7 @@
 // per (seed, options) when iteration-capped; never worse than warm start.
 #include "src/holistic/lns.hpp"
 // K-worker parallel portfolio LNS with deterministic incumbent exchange
-// at epoch barriers; thread-timing-independent in deterministic mode.
+// at epoch barriers; independent of thread count and timing.
 #include "src/holistic/portfolio.hpp"
 // Incremental evaluation engine: O(delta) re-costing of LNS moves,
 // bitwise-equal to the full evaluator (the oracle; asserted in debug).

@@ -54,7 +54,6 @@ std::string scheduler_cache_spec(const std::string& scheduler,
   spec += "|epochs=" + std::to_string(options.epochs);
   spec += "|profile=" +
           std::to_string(static_cast<int>(options.portfolio_profile));
-  spec += "|free=" + std::to_string(options.free_running ? 1 : 0);
   return spec;
 }
 

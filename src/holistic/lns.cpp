@@ -420,8 +420,7 @@ std::vector<unsigned> enabled_moves(const LnsOptions& options) {
   return moves;
 }
 
-/// The historical copy-and-reevaluate loop behind improve_plan_reference
-/// (and behind search_plan on gappy warm starts).
+/// The historical copy-and-reevaluate loop behind improve_plan_reference.
 LnsSearchResult reference_search(const MbspInstance& inst,
                                  const ComputePlan& initial,
                                  const LnsOptions& options) {
@@ -521,22 +520,19 @@ LnsSearchResult search_plan(const MbspInstance& inst,
                             const ComputePlan& initial,
                             const LnsOptions& options) {
   // The incremental engine maintains dense superstep indices as an
-  // invariant; a gappy warm start would change move semantics, so it runs
-  // on the historical loop (whose per-candidate normalization tolerates
-  // gaps) to preserve behavior exactly.
-  if (!has_dense_supersteps(initial)) {
-    return reference_search(inst, initial, options);
-  }
-
+  // invariant, so a gappy warm start is searched from its normalized copy.
+  // The completion drops empty supersteps, so both price identically and
+  // initial_cost is still the warm start's.
   LnsSearchResult result;
   result.plan = initial;
+  if (!has_dense_supersteps(result.plan)) normalize_supersteps(result.plan);
 
   // attach() is bitwise-equal to evaluate_plan on the same plan (the
   // engine's oracle invariant), so the warm start needs no separate full
   // completion, and every tracked cost is the cost evaluate_plan would
   // report for the same plan.
   IncrementalEvaluator eval(inst, options);
-  result.initial_cost = eval.attach(initial);
+  result.initial_cost = eval.attach(result.plan);
   result.cost = result.initial_cost;
 
   double current_cost = result.initial_cost;

@@ -23,13 +23,15 @@
 // the supersteps a move dirtied are re-completed and re-costed, the
 // accept path keeps the applied plan (no copy), and the reject path
 // undoes the delta. improve_plan is search_plan plus the one full
-// completion its returned schedule needs. The historical
+// completion its returned schedule needs; search_plan is the one LNS loop
+// every production caller runs (the portfolio's epoch slices, the shard
+// fan-out and repair's polish included). The historical
 // copy-normalize-validate-recomplete loop is preserved verbatim as
 // improve_plan_reference: it is the bitwise oracle of the differential
-// tests and the baseline of bench_lns_throughput. For a fixed seed and
-// options the two return identical results; debug builds additionally
-// assert, every iteration, that the incremental candidate cost equals the
-// full evaluator's.
+// tests and the baseline of bench_lns_throughput. For a fixed seed, options
+// and a warm start with dense supersteps the two return identical results;
+// debug builds additionally assert, every iteration, that the incremental
+// candidate cost equals the full evaluator's.
 
 #include <array>
 #include <cstdint>
@@ -131,7 +133,9 @@ double evaluate_plan(const MbspInstance& inst, const ComputePlan& plan,
 
 /// Improves `initial` within the budget and returns the best plan and its
 /// cost, never completing that plan into a schedule. `initial` must pass
-/// validate_plan.
+/// validate_plan. A warm start with empty supersteps is searched from its
+/// normalize_supersteps copy, which prices identically (the completion
+/// drops empty supersteps), so initial_cost is the warm start's cost.
 LnsSearchResult search_plan(const MbspInstance& inst,
                             const ComputePlan& initial,
                             const LnsOptions& options);

@@ -1,7 +1,7 @@
 #include "src/holistic/portfolio.hpp"
 
 #include <algorithm>
-#include <mutex>
+#include <limits>
 #include <utility>
 
 #include "src/util/thread_pool.hpp"
@@ -56,20 +56,6 @@ void apply_diverse_profile(int worker, LnsOptions* o) {
       break;
     }
   }
-}
-
-PortfolioResult from_single(LnsResult single) {
-  PortfolioResult result;
-  result.plan = std::move(single.plan);
-  result.schedule = std::move(single.schedule);
-  result.cost = single.cost;
-  result.initial_cost = single.initial_cost;
-  result.iterations = single.iterations;
-  result.accepted = single.accepted;
-  result.proposed_by_class = single.proposed_by_class;
-  result.accepted_by_class = single.accepted_by_class;
-  result.worker_costs = {single.cost};
-  return result;
 }
 
 void accumulate(const LnsSearchResult& slice, PortfolioResult* result) {
@@ -127,38 +113,18 @@ PortfolioLns::PortfolioLns(PortfolioOptions options)
 
 PortfolioResult PortfolioLns::improve(const MbspInstance& inst,
                                       const ComputePlan& initial) const {
-  if (options_.workers == 1 && options_.epochs == 1) {
-    // Degenerate portfolio: a verbatim single-worker call (worker 0's
-    // options at epoch 0 ARE the base LnsOptions), so the result is
-    // bitwise identical to improve_plan by construction.
-    return from_single(
-        improve_plan(inst, initial, portfolio_worker_options(options_, 0, 0)));
-  }
-  return options_.free_running ? improve_free_running(inst, initial)
-                               : improve_deterministic(inst, initial);
-}
-
-PortfolioResult PortfolioLns::improve_deterministic(
-    const MbspInstance& inst, const ComputePlan& initial) const {
   const int W = options_.workers;
   const int E = options_.epochs;
 
+  // Every worker starts on the warm start, which the epoch-0 slices price
+  // (search_plan's initial_cost is bitwise evaluate_plan's). Until then
+  // the costs are +inf, so the epoch-0 exchange is a no-op and worker 0's
+  // slice seeds the incumbent.
+  const double unpriced = std::numeric_limits<double>::infinity();
+  std::vector<ComputePlan> plans(static_cast<std::size_t>(W));
+  std::vector<double> costs(static_cast<std::size_t>(W), unpriced);
   PortfolioResult result;
-  result.initial_cost = evaluate_plan(inst, initial, options_.lns);
-  result.plan = initial;
-  result.cost = result.initial_cost;
-
-  struct WorkerState {
-    ComputePlan plan;
-    double cost = 0;
-  };
-  std::vector<WorkerState> workers(static_cast<std::size_t>(W));
-  for (WorkerState& w : workers) {
-    w.plan = initial;
-    w.cost = result.initial_cost;
-  }
-  ComputePlan incumbent = initial;
-  double incumbent_cost = result.initial_cost;
+  result.cost = unpriced;  // the incumbent: result.plan at result.cost
 
   ThreadPool pool(options_.threads != 0 ? options_.threads
                                         : static_cast<std::size_t>(W));
@@ -168,10 +134,10 @@ PortfolioResult PortfolioLns::improve_deterministic(
     // Exchange: a strictly better incumbent replaces a worker's plan; the
     // incumbent holder itself keeps its trajectory (strict <, so equal-
     // cost workers are left alone and diversity survives the exchange).
-    for (WorkerState& w : workers) {
-      if (incumbent_cost < w.cost) {
-        w.plan = incumbent;
-        w.cost = incumbent_cost;
+    for (int w = 0; w < W; ++w) {
+      if (result.cost < costs[static_cast<std::size_t>(w)]) {
+        plans[static_cast<std::size_t>(w)] = result.plan;
+        costs[static_cast<std::size_t>(w)] = result.cost;
       }
     }
     // Redistribute the remaining wall budget over the remaining epochs
@@ -184,19 +150,20 @@ PortfolioResult PortfolioLns::improve_deterministic(
     parallel_for(pool, static_cast<std::size_t>(W), [&](std::size_t w) {
       LnsOptions o = portfolio_worker_options(options_, static_cast<int>(w), e);
       o.budget_ms = slice_budget;
-      slices[w] = search_plan(inst, workers[w].plan, o);
+      slices[w] = search_plan(inst, e == 0 ? initial : plans[w], o);
     });
+    if (e == 0) result.initial_cost = slices[0].initial_cost;
     // Barrier passed: fold the slice results back in worker order, so the
     // incumbent scan (strict <, ascending worker index) is deterministic
     // no matter which pool thread ran which worker.
     for (int w = 0; w < W; ++w) {
       LnsSearchResult& slice = slices[static_cast<std::size_t>(w)];
       accumulate(slice, &result);
-      workers[static_cast<std::size_t>(w)].plan = std::move(slice.plan);
-      workers[static_cast<std::size_t>(w)].cost = slice.cost;
-      if (slice.cost < incumbent_cost) {
-        incumbent = workers[static_cast<std::size_t>(w)].plan;
-        incumbent_cost = slice.cost;
+      plans[static_cast<std::size_t>(w)] = std::move(slice.plan);
+      costs[static_cast<std::size_t>(w)] = slice.cost;
+      if (slice.cost < result.cost) {
+        result.plan = plans[static_cast<std::size_t>(w)];
+        result.cost = slice.cost;
         result.best_worker = w;
         result.best_epoch = e;
       }
@@ -204,70 +171,11 @@ PortfolioResult PortfolioLns::improve_deterministic(
     if (options_.lns.budget_ms > 0 && deadline.expired()) break;
   }
 
-  result.worker_costs.reserve(workers.size());
-  for (const WorkerState& w : workers) result.worker_costs.push_back(w.cost);
-  result.plan = std::move(incumbent);
-  result.cost = evaluate_plan(inst, result.plan, options_.lns, &result.schedule);
-  return result;
-}
-
-PortfolioResult PortfolioLns::improve_free_running(
-    const MbspInstance& inst, const ComputePlan& initial) const {
-  const int W = options_.workers;
-  const int E = options_.epochs;
-
-  PortfolioResult result;
-  result.initial_cost = evaluate_plan(inst, initial, options_.lns);
-  result.plan = initial;
-  result.cost = result.initial_cost;
-  result.worker_costs.assign(static_cast<std::size_t>(W),
-                             result.initial_cost);
-
-  std::mutex mutex;
-  ComputePlan incumbent = initial;
-  double incumbent_cost = result.initial_cost;
-
-  {
-    ThreadPool pool(options_.threads != 0 ? options_.threads
-                                          : static_cast<std::size_t>(W));
-    parallel_for(pool, static_cast<std::size_t>(W), [&](std::size_t w) {
-      ComputePlan plan = initial;
-      double cost = result.initial_cost;
-      const Deadline deadline(options_.lns.budget_ms);
-      for (int e = 0; e < E; ++e) {
-        {
-          std::lock_guard lock(mutex);
-          if (incumbent_cost < cost) {
-            plan = incumbent;
-            cost = incumbent_cost;
-          }
-        }
-        LnsOptions o =
-            portfolio_worker_options(options_, static_cast<int>(w), e);
-        if (o.budget_ms > 0) {
-          o.budget_ms = std::max(1.0, deadline.remaining_ms() / (E - e));
-        }
-        LnsSearchResult slice = search_plan(inst, plan, o);
-        plan = std::move(slice.plan);
-        cost = slice.cost;
-        {
-          std::lock_guard lock(mutex);
-          accumulate(slice, &result);
-          if (cost < incumbent_cost) {
-            incumbent = plan;
-            incumbent_cost = cost;
-            result.best_worker = static_cast<int>(w);
-            result.best_epoch = e;
-          }
-        }
-        if (options_.lns.budget_ms > 0 && deadline.expired()) break;
-      }
-      result.worker_costs[w] = cost;  // per-slot write, no lock needed
-    });
-  }
-
-  result.plan = std::move(incumbent);
-  result.cost = evaluate_plan(inst, result.plan, options_.lns, &result.schedule);
+  result.worker_costs = std::move(costs);
+  // The one full completion: the returned schedule's. The tracked cost
+  // already is its cost, bitwise.
+  result.schedule =
+      complete_memory(inst, result.plan, options_.lns.completion_policy);
   return result;
 }
 

@@ -14,29 +14,23 @@
 // worker's current plan whenever it is strictly cheaper, so good moves
 // propagate while the leading worker keeps its own trajectory.
 //
-// Two execution modes:
+// Epochs are synchronous barriers: all K epoch-slices run in parallel,
+// the exchange happens only after every worker reached the barrier, and
+// the incumbent scan is ordered by worker index. The outcome is bitwise
+// reproducible for a fixed (seed, workers, epochs, profile) — independent
+// of the pool's thread count and of thread timing — under the repo's
+// reproducibility convention (budget_ms = 0 plus a finite max_iterations;
+// a wall-clock budget cuts trajectories by elapsed time and is inherently
+// timing-dependent, in the portfolio exactly as in improve_plan).
 //
-//  * Deterministic (default): epochs are synchronous barriers. All K
-//    epoch-slices run in parallel, the exchange happens only after every
-//    worker reached the barrier, and the incumbent scan is ordered by
-//    worker index. The outcome is bitwise reproducible for a fixed
-//    (seed, workers, epochs, profile) — independent of the pool's thread
-//    count and of thread timing — under the repo's reproducibility
-//    convention (budget_ms = 0 plus a finite max_iterations; a wall-clock
-//    budget cuts trajectories by elapsed time and is inherently timing-
-//    dependent, in the portfolio exactly as in improve_plan).
-//  * free_running: no barrier. Each worker runs all its slices back to
-//    back, publishing to / adopting from a mutex-protected shared
-//    incumbent at slice boundaries. Maximum wall-clock throughput, no
-//    run-to-run reproducibility guarantee.
-//
-// With workers = 1 and epochs = 1 both modes degenerate to a verbatim
-// improve_plan call: the result is bitwise identical to single-worker
-// LNS (enforced by tests/test_portfolio.cpp). In every configuration the
-// returned plan is never worse than the warm start, because each slice is
-// an improve_plan run and improve_plan never worsens its input.
+// Each slice is a search_plan run, and the warm start is priced by the
+// epoch-0 slices (their initial_cost is bitwise evaluate_plan's), so the
+// loop runs exactly one full completion: the returned schedule's. With
+// workers = 1 and epochs = 1 the loop therefore is improve_plan, bitwise
+// (enforced by tests/test_portfolio.cpp). In every configuration the
+// returned plan is never worse than the warm start, because search_plan
+// never worsens its input.
 
-#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -74,23 +68,14 @@ struct PortfolioOptions {
   int workers = 4;
   int epochs = 4;
   PortfolioProfile profile = PortfolioProfile::kDiverse;
-  /// Relax the deterministic epoch barrier (see file comment).
-  bool free_running = false;
-  /// Pool size; 0 means one thread per worker. The result of the
-  /// deterministic mode does not depend on this.
+  /// Pool size; 0 means one thread per worker. The result does not
+  /// depend on this.
   std::size_t threads = 0;
 };
 
-struct PortfolioResult {
-  ComputePlan plan;        ///< best plan found by any worker (or the input)
-  MbspSchedule schedule;   ///< completed schedule of `plan`
-  double cost = 0;         ///< cost of `schedule` under options.lns.cost
-  double initial_cost = 0; ///< cost of the warm start
-  long iterations = 0;     ///< summed over all workers and epochs
-  long accepted = 0;
-  /// Summed per-move-class counters (indexed like lns_move_class_name).
-  std::array<long, kNumMoveClasses> proposed_by_class{};
-  std::array<long, kNumMoveClasses> accepted_by_class{};
+/// The LNS result of the returned incumbent, with iterations, acceptances
+/// and per-class counters summed over all workers and epochs.
+struct PortfolioResult : LnsResult {
   /// Which worker / epoch produced the returned incumbent (0/0 when the
   /// warm start was never improved).
   int best_worker = 0;
@@ -119,19 +104,14 @@ class PortfolioLns {
   explicit PortfolioLns(PortfolioOptions options);
 
   /// Improves `initial` (must pass validate_plan) with the configured
-  /// portfolio. Deterministic given (instance, options) in the default
-  /// mode under the budget_ms = 0 convention.
+  /// portfolio. Deterministic given (instance, options) under the
+  /// budget_ms = 0 convention.
   PortfolioResult improve(const MbspInstance& inst,
                           const ComputePlan& initial) const;
 
   const PortfolioOptions& options() const { return options_; }
 
  private:
-  PortfolioResult improve_deterministic(const MbspInstance& inst,
-                                        const ComputePlan& initial) const;
-  PortfolioResult improve_free_running(const MbspInstance& inst,
-                                       const ComputePlan& initial) const;
-
   PortfolioOptions options_;
 };
 

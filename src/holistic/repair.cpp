@@ -6,10 +6,10 @@
 #include <cstring>
 #include <deque>
 #include <limits>
+#include <numeric>
 
 #include "src/graph/dag_io.hpp"
 #include "src/graph/topology.hpp"
-#include "src/holistic/portfolio.hpp"
 #include "src/twostage/two_stage.hpp"
 
 namespace mbsp {
@@ -323,23 +323,23 @@ void undo_instance_delta(MbspInstance& inst,
 
 namespace {
 
-/// Sum of omega over a processor's occurrences, speed-scaled: the load
-/// metric of the deterministic argmin target choice (ties -> lowest id).
-double proc_load(const MbspInstance& inst, const ComputePlan& plan, int p) {
-  double load = 0;
-  for (const PlannedCompute& pc : plan.seq[static_cast<std::size_t>(p)]) {
-    load += inst.dag.omega(pc.node);
-  }
-  return load / inst.arch.speed(p);
-}
-
+/// The relocation target of a dropped processor: the plan processor with
+/// the least omega sum over the speed the mutated machine gives it (ties
+/// -> lowest id). `slot` maps plan processors to their mutated-machine
+/// index, -1 for those the delta drops (the dropped one included), which
+/// are no target.
 int argmin_load(const MbspInstance& inst, const ComputePlan& plan,
-                int exclude = -1) {
+                const std::vector<int>& slot) {
   int best = -1;
   double best_load = std::numeric_limits<double>::infinity();
   for (int p = 0; p < plan.num_procs; ++p) {
-    if (p == exclude) continue;
-    const double load = proc_load(inst, plan, p);
+    const int s = slot[static_cast<std::size_t>(p)];
+    if (s < 0) continue;
+    double load = 0;
+    for (const PlannedCompute& pc : plan.seq[static_cast<std::size_t>(p)]) {
+      load += inst.dag.omega(pc.node);
+    }
+    load /= inst.arch.speed(s);
     if (load < best_load) {
       best_load = load;
       best = p;
@@ -436,18 +436,34 @@ std::optional<RepairResult> repair_plan(const MbspInstance& inst,
   // least-loaded survivor, merging by superstep so the relative order of
   // both sequences (and with it every same-processor dependency) is kept.
   // op.proc indices refer to the numbering at the op's apply time, exactly
-  // as apply_instance_delta interpreted them.
+  // as apply_instance_delta interpreted them. Replaying the drops on the
+  // pre-delta processor ids first gives each plan processor its index in
+  // the mutated machine (`slot`, renumbered alongside the plan), so every
+  // candidate is priced with its own post-delta speed.
+  std::vector<int> slot;
+  {
+    std::vector<int> survivors(static_cast<std::size_t>(pre_procs));
+    std::iota(survivors.begin(), survivors.end(), 0);
+    for (const InstanceDeltaOp& op : delta.ops) {
+      if (op.kind != InstanceDeltaOpKind::kDropProcessor) continue;
+      if (op.proc < 0 || op.proc >= static_cast<int>(survivors.size()) ||
+          survivors.size() <= 1) {
+        set_error(error, "repair_plan: drop_processor " +
+                             std::to_string(op.proc) +
+                             " does not match the incumbent's shape");
+        return std::nullopt;
+      }
+      survivors.erase(survivors.begin() + op.proc);
+    }
+    slot.assign(static_cast<std::size_t>(pre_procs), -1);
+    for (std::size_t i = 0; i < survivors.size(); ++i) {
+      slot[static_cast<std::size_t>(survivors[i])] = static_cast<int>(i);
+    }
+  }
   for (const InstanceDeltaOp& op : delta.ops) {
     if (op.kind != InstanceDeltaOpKind::kDropProcessor) continue;
-    if (op.proc < 0 || op.proc >= patched.num_procs ||
-        patched.num_procs <= 1) {
-      set_error(error, "repair_plan: drop_processor " +
-                           std::to_string(op.proc) +
-                           " does not match the incumbent's shape");
-      return std::nullopt;
-    }
     const std::size_t p = static_cast<std::size_t>(op.proc);
-    const int target = argmin_load(inst, patched, op.proc);
+    const int target = argmin_load(inst, patched, slot);
     auto& src = patched.seq[p];
     auto& dst = patched.seq[static_cast<std::size_t>(target)];
     for (const PlannedCompute& pc : src) {
@@ -462,6 +478,7 @@ std::optional<RepairResult> repair_plan(const MbspInstance& inst,
                });
     dst = std::move(merged);
     patched.seq.erase(patched.seq.begin() + static_cast<std::ptrdiff_t>(p));
+    slot.erase(slot.begin() + static_cast<std::ptrdiff_t>(p));
     patched.num_procs -= 1;
   }
 
@@ -632,26 +649,6 @@ std::optional<RepairResult> repair_plan(const MbspInstance& inst,
   // machine delta must compare it with a fresh baseline first.
   const bool run_polish = options.polish && result.masked_nodes > 0;
   if (run_polish) {
-    const auto polish = [&](const ComputePlan& seed_plan,
-                            const LnsOptions& lns) -> LnsSearchResult {
-      if (options.workers > 1) {
-        PortfolioOptions popt;
-        popt.lns = lns;
-        popt.workers = options.workers;
-        popt.epochs = options.epochs;
-        popt.profile = PortfolioProfile::kUniform;
-        popt.threads = static_cast<std::size_t>(
-            options.threads > 0 ? options.threads : 0);
-        const PortfolioLns portfolio(popt);
-        PortfolioResult polished = portfolio.improve(inst, seed_plan);
-        LnsSearchResult out;
-        out.plan = std::move(polished.plan);
-        out.initial_cost = polished.initial_cost;
-        out.iterations = polished.iterations;
-        return out;
-      }
-      return search_plan(inst, seed_plan, lns);
-    };
     // A machine delta invalidates the incumbent's load balance wholesale,
     // and the order-preserving relocation can leave a seed a fresh
     // two-stage baseline on the mutated machine beats outright. Polish
@@ -678,12 +675,12 @@ std::optional<RepairResult> repair_plan(const MbspInstance& inst,
       masked.budget_ms = options.lns.budget_ms * 2 / 3;
       global.budget_ms = options.lns.budget_ms - masked.budget_ms;
     }
-    LnsSearchResult masked_run = polish(*polish_seed, masked);
+    LnsSearchResult masked_run = search_plan(inst, *polish_seed, masked);
     if (!result.full_mask) result.patched_cost = masked_run.initial_cost;
     result.plan = std::move(masked_run.plan);
     result.polish_iterations = masked_run.iterations;
     if (global_iters > 0) {
-      LnsSearchResult global_run = polish(result.plan, global);
+      LnsSearchResult global_run = search_plan(inst, result.plan, global);
       result.plan = std::move(global_run.plan);
       result.polish_iterations += global_run.iterations;
     }

@@ -13,8 +13,7 @@
 //      availability inserts — all expressed as PlanDelta kInsert ops
 //      applied through the PlanOccurrenceIndex, the same O(delta) edit
 //      language the incremental LNS engine uses;
-//   2. locality-masked polish: an LNS run (search_plan, or a
-//      deterministic PortfolioLns when workers > 1) seeded from the
+//   2. locality-masked polish: a search_plan run seeded from the
 //      patched plan, with a node mask restricted to the delta's blast
 //      radius (touched nodes plus `mask_radius` DAG hops) so the search
 //      spends its budget where the instance actually changed. Machine
@@ -25,8 +24,7 @@
 // mutated instance, its reported cost is bitwise equal to a from-scratch
 // evaluate_plan of the same plan (the PR 3 oracle discipline), the
 // repair-then-polish result is never worse than the patched seed, and for
-// budget_ms = 0 the whole pipeline is deterministic — independent of the
-// polish pool's thread count.
+// budget_ms = 0 the whole pipeline is deterministic.
 //
 // apply_instance_delta / undo_instance_delta are an exact apply/undo pair
 // (the InstanceDelta mirror of PlanDelta's): a failed apply rolls back
@@ -145,13 +143,6 @@ struct RepairOptions {
   /// DAG hops around the delta's touched nodes included in the polish
   /// mask (parents and children per hop).
   int mask_radius = 1;
-  /// Polish engine: 1 = search_plan; > 1 = deterministic PortfolioLns
-  /// with this many workers (thread-count independent for fixed seed).
-  int workers = 1;
-  int epochs = 2;
-  /// Pool threads for the portfolio polish (0 = one per worker). Never
-  /// changes the result.
-  int threads = 0;
 };
 
 struct RepairResult {

@@ -67,13 +67,11 @@ struct SchedulerOptions : LnsOptions {
 
   /// Portfolio (lns-portfolio) sizing: concurrent LNS workers with
   /// SplitMix-derived per-worker seeds, exchanging incumbents every
-  /// `epochs`-th slice of the iteration budget. Deterministic by default
-  /// (epoch barriers; reproducible for budget_ms = 0 regardless of thread
-  /// count); free_running trades that for wall-clock throughput.
+  /// `epochs`-th slice of the iteration budget at deterministic epoch
+  /// barriers (reproducible for budget_ms = 0 regardless of thread count).
   int workers = 4;
   int epochs = 4;
   PortfolioProfile portfolio_profile = PortfolioProfile::kDiverse;
-  bool free_running = false;
 
   /// Online repair ("repair" scheduler; docs/REPAIR.md). The instance
   /// passed to run() is the MUTATED one; `repair_delta` is the

@@ -149,7 +149,6 @@ class PortfolioAdapter final : public MbspScheduler {
     portfolio.workers = options.workers;
     portfolio.epochs = options.epochs;
     portfolio.profile = options.portfolio_profile;
-    portfolio.free_running = options.free_running;
     ScheduleResult result = improved_result(PortfolioLns(portfolio).improve(
         inst, initial_plan(inst, options, options.warm_start_plan)));
     finalize(name(), inst, options, timer, result);
@@ -175,9 +174,6 @@ class RepairAdapter final : public MbspScheduler {
       repair.lns = options;
       repair.polish = options.repair_polish;
       repair.mask_radius = options.repair_mask_radius;
-      // Single-worker polish: repair is the serving-latency path; callers
-      // that want a portfolio polish call repair_plan directly.
-      repair.workers = 1;
       std::string error;
       auto repaired = repair_plan(inst, *options.warm_start_plan,
                                   *options.repair_delta, repair, &error);

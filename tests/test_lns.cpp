@@ -194,16 +194,24 @@ TEST(Lns, MoveMaskRestrictsSearch) {
 TEST(LnsSearch, IsImprovePlanWithoutTheCompletion) {
   // improve_plan is search_plan plus one completion: the same plan, cost
   // and counters, and the search's tracked cost is evaluate_plan's,
-  // bitwise. A gappy warm start runs the reference loop.
+  // bitwise, for dense and gappy warm starts alike. A gappy warm start
+  // is searched from its normalize_supersteps copy: the same result, and
+  // initial_cost is still the gappy plan's own cost.
   const MbspInstance inst = tiny_instance(3);
   const ComputePlan dense =
       baseline_plan(inst, BaselineKind::kGreedyClairvoyant);
-  ComputePlan gappy = dense;
-  for (auto& seq : gappy.seq) {
-    for (PlannedCompute& pc : seq) pc.superstep *= 2;
+  ComputePlan gappy = dense;    // an empty superstep between every pair
+  ComputePlan leading = dense;  // three empty leading supersteps
+  for (int p = 0; p < dense.num_procs; ++p) {
+    for (std::size_t i = 0; i < dense.seq[p].size(); ++i) {
+      gappy.seq[p][i].superstep *= 2;
+      leading.seq[p][i].superstep += 3;
+    }
   }
-  ASSERT_TRUE(validate_plan(inst.dag, gappy).ok);
-  ASSERT_FALSE(has_dense_supersteps(gappy));
+  for (const ComputePlan* plan : {&gappy, &leading}) {
+    ASSERT_TRUE(validate_plan(inst.dag, *plan).ok);
+    ASSERT_FALSE(has_dense_supersteps(*plan));
+  }
   struct Config {
     CostModel cost;
     PolicyKind policy;
@@ -218,6 +226,9 @@ TEST(LnsSearch, IsImprovePlanWithoutTheCompletion) {
       {CostModel::kSynchronous, PolicyKind::kClairvoyant, 0, &dense},
       {CostModel::kSynchronous, PolicyKind::kClairvoyant, kAllMoves, &gappy},
       {CostModel::kAsynchronous, PolicyKind::kLru, kAllMoves, &gappy},
+      {CostModel::kSynchronous, PolicyKind::kLru, kAllMoves, &leading},
+      {CostModel::kAsynchronous, PolicyKind::kClairvoyant, kAllMoves,
+       &leading},
   };
   for (const Config& c : configs) {
     LnsOptions options;
@@ -230,7 +241,9 @@ TEST(LnsSearch, IsImprovePlanWithoutTheCompletion) {
         std::string(c.cost == CostModel::kSynchronous ? "sync" : "async") +
         (c.policy == PolicyKind::kLru ? " lru" : " clairvoyant") +
         " mask=" + std::to_string(c.move_mask) +
-        (c.warm == &gappy ? " gappy" : " dense");
+        (c.warm == &dense   ? " dense"
+         : c.warm == &gappy ? " gappy"
+                            : " leading");
     const LnsSearchResult search = search_plan(inst, *c.warm, options);
     const LnsResult full = improve_plan(inst, *c.warm, options);
     EXPECT_TRUE(search.plan.seq == full.plan.seq) << label;
@@ -250,6 +263,18 @@ TEST(LnsSearch, IsImprovePlanWithoutTheCompletion) {
     if (c.move_mask == 0) {
       EXPECT_EQ(search.iterations, 0) << label;
       EXPECT_EQ(search.cost, search.initial_cost) << label;
+    }
+    if (c.warm != &dense) {
+      ComputePlan normalized = *c.warm;
+      normalize_supersteps(normalized);
+      const LnsSearchResult ref = search_plan(inst, normalized, options);
+      EXPECT_TRUE(search.plan.seq == ref.plan.seq) << label;
+      EXPECT_EQ(search.cost, ref.cost) << label;
+      EXPECT_EQ(search.initial_cost, ref.initial_cost) << label;
+      EXPECT_EQ(search.iterations, ref.iterations) << label;
+      EXPECT_EQ(search.accepted, ref.accepted) << label;
+      EXPECT_EQ(search.proposed_by_class, ref.proposed_by_class) << label;
+      EXPECT_EQ(search.accepted_by_class, ref.accepted_by_class) << label;
     }
   }
 }

@@ -3,7 +3,7 @@
 // differential oracle (repaired plans validate and their reported cost is
 // bitwise equal to a from-scratch evaluate_plan on the mutated instance),
 // apply/undo exactness of InstanceDelta chains, typed rejection of
-// cycle-creating edges, thread-count independence of the portfolio polish,
+// cycle-creating edges, speed-aware relocation of dropped processors,
 // the "repair" registry adapter, and the determinism / streaming / hashing
 // contracts of the trace families.
 #include <gtest/gtest.h>
@@ -243,31 +243,42 @@ TEST(RepairEngine, PolishOffReturnsThePatchedSeed) {
   expect_plans_equal(repaired->plan, repaired->patched);
 }
 
-TEST(RepairEngine, BitwiseReproducibleAcrossPolishThreadCounts) {
-  std::string error;
-  auto trace = make_trace("trace-mixed:base=stencil2d,events=2", 13,
-                          "uniform:P=4", &error);
-  ASSERT_TRUE(trace.has_value()) << error;
-  MbspInstance inst = trace->base;
-  const ComputePlan incumbent = greedy_plan(inst);
-  ASSERT_TRUE(
-      apply_instance_delta(inst, trace->events[0].delta, nullptr, &error))
-      << error;
+TEST(RepairEngine, DropRelocationPricesEachSurvivorWithItsOwnSpeed) {
+  // Four processors with speeds {1, 4, 1, 1}; processor 0 drops out. The
+  // survivors carry omega 8, 4 and 4, so speed-scaled loads are 2, 4 and 4
+  // and the dropped node belongs on the fast processor (mutated index 0).
+  // Pricing each survivor with its right neighbour's speed instead would
+  // see loads 8, 4, 4 and pick the second survivor.
+  ComputeDag dag("hetero-drop");
+  const NodeId source = dag.add_node();
+  const NodeId dropped = dag.add_node(1.0);
+  const NodeId heavy = dag.add_node(8.0);
+  const NodeId light_a = dag.add_node(4.0);
+  const NodeId light_b = dag.add_node(4.0);
+  for (NodeId v : {dropped, heavy, light_a, light_b}) dag.add_edge(source, v);
+  Machine machine = Machine::make(4, 3 * min_memory_r0(dag), 1, 5);
+  machine.speeds = {1, 4, 1, 1};
+  MbspInstance inst{std::move(dag), std::move(machine)};
+  ComputePlan incumbent;
+  incumbent.num_procs = 4;
+  incumbent.seq = {{{dropped, 0}}, {{heavy, 0}}, {{light_a, 0}},
+                   {{light_b, 0}}};
+  ASSERT_TRUE(validate_plan(inst.dag, incumbent).ok);
 
-  auto run = [&](int threads) {
-    RepairOptions options = deterministic_repair(2000);
-    options.workers = 3;  // deterministic portfolio polish
-    options.threads = threads;
-    auto repaired = repair_plan(inst, incumbent, trace->events[0].delta,
-                                options, &error);
-    EXPECT_TRUE(repaired.has_value()) << error;
-    return std::move(*repaired);
-  };
-  const RepairResult serial = run(1);
-  const RepairResult parallel = run(4);
-  EXPECT_EQ(serial.cost, parallel.cost);  // bitwise, not approximate
-  EXPECT_EQ(serial.patched_cost, parallel.patched_cost);
-  expect_plans_equal(serial.plan, parallel.plan);
+  InstanceDelta delta;
+  delta.drop_processor(0);
+  std::string error;
+  ASSERT_TRUE(apply_instance_delta(inst, delta, nullptr, &error)) << error;
+  ASSERT_EQ(inst.arch.speeds, (std::vector<double>{4, 1, 1}));
+  RepairOptions options = deterministic_repair();
+  options.polish = false;
+  auto repaired = repair_plan(inst, incumbent, delta, options, &error);
+  ASSERT_TRUE(repaired.has_value()) << error;
+  const std::vector<PlannedCompute> fast = {{heavy, 0}, {dropped, 0}};
+  EXPECT_EQ(repaired->patched.seq[0], fast);
+  EXPECT_EQ(repaired->patched.seq[1].size(), 1u);
+  EXPECT_EQ(repaired->patched.seq[2].size(), 1u);
+  EXPECT_EQ(repaired->cost, evaluate_plan(inst, repaired->plan, options.lns));
 }
 
 TEST(RepairEngine, WrongIncumbentShapeIsATypedError) {
