@@ -10,7 +10,7 @@
 //   corpus convert <in> <out> [--text | --binary]
 //   corpus sweep --workload spec [--workload spec ...]
 //               [--machine spec ...] [--list-machines]
-//               [--schedulers a,b,...] [--shards k] [--P n] [--r-factor x]
+//               [--schedulers spec,...] [--P n] [--r-factor x]
 //               [--g x] [--L x] [--cost sync|async] [--seed n]
 //               [--budget-ms x] [--max-iterations n] [--threads n]
 //               [--wall] [--csv path]
@@ -25,8 +25,8 @@
 //
 // `generate --stream` emits the binary through the out-of-core writer
 // (docs/SCALE.md): O(1) memory, so 10^6..10^7-node instances fit in a few
-// hundred MB of RSS. `sweep --shards k` sizes the "sharded" scheduler's
-// partition.
+// hundred MB of RSS. `sweep --schedulers sharded:shards=k` sizes the
+// "sharded" scheduler's partition (scheduler specs: docs/CLI.md).
 //
 // Examples:
 //   corpus generate stencil2d:nx=16,ny=16,steps=4 -o stencil.dag --binary
@@ -39,16 +39,15 @@
 #include <cstring>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
-#include "examples/cli_util.hpp"
 #include "include/mbsp/mbsp.hpp"
 
 namespace {
 
 using namespace mbsp;
-using mbsp::cli::split_csv;
 
 int usage() {
   std::fprintf(
@@ -62,7 +61,7 @@ int usage() {
       "  convert <in> <out> [--text | --binary]\n"
       "  sweep --workload spec [--workload spec ...]\n"
       "        [--machine spec ...] [--list-machines]\n"
-      "        [--schedulers a,b,...] [--shards k] [--P n] [--r-factor x]\n"
+      "        [--schedulers spec,...] [--P n] [--r-factor x]\n"
       "        [--g x] [--L x] [--cost sync|async] [--seed n]\n"
       "        [--budget-ms x] [--max-iterations n] [--threads n]\n"
       "        [--wall] [--csv path]\n");
@@ -293,17 +292,15 @@ int cmd_sweep(int argc, char** argv) {
       }
       return 0;
     } else if (arg == "--schedulers") {
-      schedulers = split_csv(value());
-    } else if (arg == "--shards") {
-      const char* token = value();
-      const int shards = std::atoi(token);
-      if (shards < 1) {
-        std::fprintf(stderr,
-                     "--shards: expected a positive shard count, got '%s'\n",
-                     token);
-        return 2;
+      schedulers = split_scheduler_list(value());
+      for (const std::string& spec : schedulers) {  // fail before any work
+        try {
+          SchedulerRegistry::global().at(resolve_scheduler_spec(spec).name);
+        } catch (const std::logic_error& e) {
+          std::fprintf(stderr, "--schedulers: %s\n", e.what());
+          return 2;
+        }
       }
-      batch.scheduler.shards = shards;
     } else if (arg == "--P") {
       P = std::atoi(value());
     } else if (arg == "--r-factor") {
@@ -336,14 +333,6 @@ int cmd_sweep(int argc, char** argv) {
   if (workloads.empty()) {
     std::fprintf(stderr, "sweep needs at least one --workload spec\n");
     return 2;
-  }
-  for (const std::string& name : schedulers) {
-    if (!SchedulerRegistry::global().contains(name)) {
-      std::fprintf(stderr,
-                   "unknown scheduler '%s' (see suite_runner --list)\n",
-                   name.c_str());
-      return 2;
-    }
   }
   std::vector<MbspInstance> instances;
   instances.reserve(workloads.size() * std::max<std::size_t>(

@@ -5,14 +5,16 @@
 //
 //   mbsp-client --socket path [--ping | --stats]
 //               [--workload spec | --dag file | --pin-hash hex | --trace spec]
-//               [--machine spec] [--scheduler name] [--cost sync|async]
+//               [--machine spec] [--scheduler spec] [--cost sync|async]
 //               [--budget-ms x] [--max-iterations n] [--seed n]
 //               [--deadline-ms x] [--no-cache] [--repeat k] [--quiet]
 //
 // The final line is machine-greppable:
 //   final: scheduler=lns machine=uniform:P=4 hash=<16 hex> cost=... \
 //          baseline=... supersteps=... cache=cold|exact|warm
-// --repeat sends the identical request k times — the second and later
+// --scheduler takes a scheduler spec (`lns-portfolio:workers=2,epochs=2`,
+// docs/DAEMON.md); its keys override --cost/--budget-ms/--max-iterations/
+// --seed. --repeat sends the identical request k times — the second and later
 // replies must come back cache=exact (the CI smoke asserts exactly that).
 //
 // --trace replays a timed-arrival trace (docs/REPAIR.md) over the wire:
@@ -40,7 +42,7 @@ int usage(const char* argv0) {
       "usage: %s --socket path [--ping | --stats]\n"
       "          [--workload spec | --dag file | --pin-hash hex |\n"
       "           --trace spec]\n"
-      "          [--machine spec] [--scheduler name] [--cost sync|async]\n"
+      "          [--machine spec] [--scheduler spec] [--cost sync|async]\n"
       "          [--budget-ms x] [--max-iterations n] [--seed n]\n"
       "          [--deadline-ms x] [--no-cache] [--repeat k] [--quiet]\n",
       argv0);

@@ -5,15 +5,11 @@
 // with no code changes.
 //
 //   suite_runner --list | --list-workloads | --list-machines | --list-traces
-//   suite_runner [--schedulers a,b,...] [--dataset tiny|small]
+//   suite_runner [--schedulers spec,spec,...] [--dataset tiny|small]
 //                [--dag file.dag ...] [--workload spec ...]
 //                [--machine spec ...]
 //                [--P 4] [--r-factor 3] [--g 1]
 //                [--L 10] [--cost sync|async] [--budget-ms 1500]
-//                [--moves proc,step,swap,merge,split,recompute,drop|all]
-//                [--lns-budget-ms x]
-//                [--workers K] [--epochs E] [--shards K]
-//                [--profile uniform|diverse]
 //                [--seed 2025] [--threads N] [--wall] [--csv path.csv]
 //   suite_runner --repair --trace spec [--trace spec ...]
 //                [--machine spec] [--seed n] [--max-iterations n]
@@ -23,8 +19,8 @@
 //   suite_runner --dataset small --schedulers bspg+clairvoyant,divide-conquer
 //   suite_runner --dag my.dag --P 1 --schedulers dfs+clairvoyant,exact-pebbler
 //   suite_runner --workload stencil2d:nx=8,ny=8 --workload fft:n=16
-//   suite_runner --schedulers lns --moves proc,swap --lns-budget-ms 500
-//   suite_runner --schedulers lns,lns-portfolio --workers 8 --epochs 4
+//   suite_runner --schedulers lns:moves=proc+swap,budget_ms=500
+//   suite_runner --schedulers lns,lns-portfolio:workers=8,epochs=4
 //   suite_runner --workload fft:n=16 --machine uniform:P=8 \
 //                --machine "numa:groups=2x4,gin=1,gout=4"
 //
@@ -43,41 +39,32 @@
 // repair lost to re-solving at equal budget). Deterministic for
 // --max-iterations with the default budget-free replay.
 //
-// --moves restricts the LNS move classes (ablation sweeps without
-// recompiling); --lns-budget-ms overrides the optimization budget for the
-// LNS-family schedulers (lns / lns-portfolio / holistic / divide-conquer)
-// only, so a grid can mix fast baselines with a separately-budgeted
-// anytime improver. --workers / --epochs / --profile shape the
-// lns-portfolio scheduler (see docs/CLI.md); --shards sizes the
-// "sharded" out-of-core scheduler's partition (see docs/SCALE.md).
+// Each --schedulers item is a scheduler spec `name[:key=value,...]`
+// (docs/CLI.md#scheduler-specs) whose keys override the grid-wide flags
+// for that column only.
 
 #include <cstdio>
 #include <cstring>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
-#include "examples/cli_util.hpp"
 #include "include/mbsp/mbsp.hpp"
 #include "src/util/stats.hpp"
 
 namespace {
 
 using namespace mbsp;
-using mbsp::cli::split_csv;
-
 int usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--list] [--list-workloads] [--list-machines]\n"
                "          [--list-traces]\n"
                "          [--repair] [--trace spec ...]\n"
-               "          [--schedulers a,b,...]\n"
+               "          [--schedulers name[:key=value,...],...]\n"
                "          [--dataset tiny|small] [--dag file ...]\n"
                "          [--workload spec ...] [--machine spec ...]\n"
                "          [--P n] [--r-factor x] [--g x] [--L x]\n"
                "          [--cost sync|async] [--budget-ms x] [--seed n]\n"
-               "          [--moves a,b,...|all] [--lns-budget-ms x]\n"
-               "          [--workers k] [--epochs e] [--shards k]\n"
-               "          [--profile uniform|diverse]\n"
                "          [--max-iterations n] [--threads n] [--wall]\n"
                "          [--csv path.csv]\n",
                argv0);
@@ -159,7 +146,6 @@ int main(int argc, char** argv) {
   batch.scheduler.budget_ms = 1500;
   std::uint64_t seed = 2025;
   bool wall = false;
-  double lns_budget_ms = -1;  // < 0: no LNS-specific override
   bool repair_mode = false;
   std::vector<std::string> trace_specs;
 
@@ -199,7 +185,15 @@ int main(int argc, char** argv) {
     } else if (arg == "--machine") {
       machine_specs.push_back(value());
     } else if (arg == "--schedulers") {
-      schedulers = split_csv(value());
+      schedulers = split_scheduler_list(value());
+      for (const std::string& spec : schedulers) {  // fail before any work
+        try {
+          SchedulerRegistry::global().at(resolve_scheduler_spec(spec).name);
+        } catch (const std::logic_error& e) {
+          std::fprintf(stderr, "--schedulers: %s\n", e.what());
+          return 2;
+        }
+      }
     } else if (arg == "--dataset") {
       dataset = value();
     } else if (arg == "--dag") {
@@ -221,43 +215,6 @@ int main(int argc, char** argv) {
                                             : CostModel::kAsynchronous;
     } else if (arg == "--budget-ms") {
       batch.scheduler.budget_ms = std::atof(value());
-    } else if (arg == "--moves") {
-      unsigned mask = 0;
-      std::string unknown;
-      if (!parse_move_mask(value(), &mask, &unknown)) {
-        std::fprintf(stderr,
-                     "unknown move class '%s' in --moves (known: all, none",
-                     unknown.c_str());
-        for (int m = 0; m < kNumMoveClasses; ++m) {
-          std::fprintf(stderr, ", %s", lns_move_class_name(m));
-        }
-        std::fprintf(stderr, ")\n");
-        return 2;
-      }
-      batch.scheduler.move_mask = mask;
-    } else if (arg == "--lns-budget-ms") {
-      lns_budget_ms = std::atof(value());
-    } else if (arg == "--workers") {
-      batch.scheduler.workers = std::atoi(value());
-    } else if (arg == "--shards") {
-      // Partition size for the "sharded" scheduler (docs/SCALE.md).
-      const char* token = value();
-      const int shards = std::atoi(token);
-      if (shards < 1) {
-        std::fprintf(stderr,
-                     "--shards: expected a positive shard count, got '%s'\n",
-                     token);
-        return 2;
-      }
-      batch.scheduler.shards = shards;
-    } else if (arg == "--epochs") {
-      batch.scheduler.epochs = std::atoi(value());
-    } else if (arg == "--profile") {
-      if (!parse_portfolio_profile(value(),
-                                   &batch.scheduler.portfolio_profile)) {
-        std::fprintf(stderr, "unknown --profile (uniform | diverse)\n");
-        return 2;
-      }
     } else if (arg == "--max-iterations") {
       // With --budget-ms 0 this makes runs bit-for-bit reproducible.
       batch.scheduler.max_iterations = std::atol(value());
@@ -295,15 +252,6 @@ int main(int argc, char** argv) {
         trace_specs,
         machine_specs.empty() ? "uniform:P=4" : machine_specs.front(), seed,
         options);
-  }
-
-  for (const std::string& name : schedulers) {
-    if (!SchedulerRegistry::global().contains(name)) {
-      std::fprintf(stderr,
-                   "unknown scheduler '%s' (see --list for the registry)\n",
-                   name.c_str());
-      return 2;
-    }
   }
 
   // Assemble the instance set: file-loaded DAGs and workload specs win
@@ -368,25 +316,8 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::vector<BatchCell> cells;
-  if (lns_budget_ms >= 0) {
-    // Per-cell options: the LNS-family schedulers get their own budget
-    // (cell order matches run_grid: instance-major, scheduler-minor).
-    std::vector<BatchRunner::CellSpec> specs;
-    for (const MbspInstance& inst : instances) {
-      for (const std::string& name : schedulers) {
-        SchedulerOptions options = batch.scheduler;
-        if (name == "lns" || name == "lns-portfolio" || name == "holistic" ||
-            name == "divide-conquer") {
-          options.budget_ms = lns_budget_ms;
-        }
-        specs.push_back({&inst, name, options});
-      }
-    }
-    cells = BatchRunner(batch).run_cells(specs);
-  } else {
-    cells = BatchRunner(batch).run_grid(instances, schedulers);
-  }
+  const std::vector<BatchCell> cells =
+      BatchRunner(batch).run_grid(instances, schedulers);
   const Table table = batch_table(cells, wall);
   const std::string title =
       machine_specs.empty()

@@ -116,6 +116,7 @@
 // Name -> scheduler registry (pre-populated global; lookup is read-only
 // and thread-safe after registration).
 #include "src/runner/scheduler_registry.hpp"
+#include "src/runner/scheduler_spec.hpp"
 // Parallel batch-experiment engine; result tables are bitwise identical
 // for any thread count (cells indexed up front).
 #include "src/runner/batch_runner.hpp"

@@ -1,24 +1,12 @@
 #include "src/daemon/schedule_cache.hpp"
 
-#include <cstdio>
 #include <limits>
 #include <utility>
 
 #include "src/graph/dag_io.hpp"
+#include "src/runner/scheduler_spec.hpp"
 
 namespace mbsp::daemon {
-
-namespace {
-
-/// Shortest round-trip-safe rendering, so textually equal options always
-/// fingerprint equally.
-std::string num(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
-}
-
-}  // namespace
 
 std::size_t ScheduleCacheKeyHash::operator()(
     const ScheduleCacheKey& key) const {
@@ -32,36 +20,20 @@ double effective_budget_ms(double budget_ms) {
   return budget_ms == 0 ? std::numeric_limits<double>::infinity() : budget_ms;
 }
 
-std::string scheduler_cache_spec(const std::string& scheduler,
-                                 const SchedulerOptions& options) {
-  std::string spec = scheduler;
-  spec += options.cost == CostModel::kSynchronous ? "|cost=sync"
-                                                  : "|cost=async";
-  spec += "|rec=" + std::to_string(options.allow_recompute ? 1 : 0);
-  spec += "|seed=" + std::to_string(options.seed);
-  spec += "|warm=" + std::to_string(static_cast<int>(options.warm_start));
-  spec += "|s1=" + num(options.stage1_budget_ms);
-  spec += "|cold=" + std::to_string(options.cold_start ? 1 : 0);
-  spec += "|moves=" + std::to_string(options.move_mask);
-  spec +=
-      "|policy=" + std::to_string(static_cast<int>(options.completion_policy));
-  spec += "|temp=" + num(options.initial_temperature_frac);
-  spec += "|dc=" + std::to_string(options.divide_conquer_threshold);
-  spec += "|part=" + std::to_string(options.max_part_size);
-  spec += "|shards=" + std::to_string(options.shards);
-  spec += "|cmp=" + std::to_string(options.compare_full_seed ? 1 : 0);
-  spec += "|workers=" + std::to_string(options.workers);
-  spec += "|epochs=" + std::to_string(options.epochs);
-  spec += "|profile=" +
-          std::to_string(static_cast<int>(options.portfolio_profile));
-  return spec;
+ScheduleCacheKey make_cache_key(std::uint64_t dag_hash, std::string machine,
+                                const std::string& scheduler,
+                                SchedulerOptions options) {
+  options.budget_ms = SchedulerOptions{}.budget_ms;  // effort is no identity
+  options.max_iterations = SchedulerOptions{}.max_iterations;
+  return {dag_hash, std::move(machine),
+          canonical_scheduler_spec(scheduler, options)};
 }
 
 ScheduleCacheKey make_cache_key(const MbspInstance& inst,
                                 const std::string& scheduler,
                                 const SchedulerOptions& options) {
-  return {dag_canonical_hash(inst.dag), inst.arch.name,
-          scheduler_cache_spec(scheduler, options)};
+  return make_cache_key(dag_canonical_hash(inst.dag), inst.arch.name,
+                        scheduler, options);
 }
 
 ScheduleCache::ScheduleCache(std::size_t capacity)

@@ -3,13 +3,13 @@
 // a scheduling scenario: (canonical DAG hash, canonical machine name,
 // scheduler spec). The first two come for free from dag_canonical_hash
 // (docs/FORMATS.md) and MachineRegistry canonicalization (docs/MACHINES.md);
-// the scheduler spec is a deterministic fingerprint of the scheduler name
-// plus every SchedulerOptions field that changes the produced plan —
-// excluding the budget fields (budget_ms, max_iterations), which are the
-// *effort* dimension. deadline_poll_interval and arena_paranoid never
-// change an iteration-capped plan, so they stay out; node_mask, like
-// warm_start_plan and repair_delta, is a caller-owned pointer and no part
-// of a request's identity:
+// the scheduler spec is the canonical scheduler spec string
+// (src/runner/scheduler_spec.hpp) without its effort keys (budget_ms,
+// iters), which are the *effort* dimension. Every option that changes a
+// plan has a key in that spec table, so the canonical form fingerprints
+// it; options without a key never change an iteration-capped plan or
+// are caller-owned pointers (warm_start_plan, repair_delta, node_mask)
+// and no part of a request's identity:
 //
 //   * a request whose effort is within the cached entry's is an EXACT hit:
 //     the cached plan is returned as-is, no solver runs. Because every
@@ -38,7 +38,7 @@ namespace mbsp::daemon {
 struct ScheduleCacheKey {
   std::uint64_t dag_hash = 0;   ///< dag_canonical_hash of the instance DAG
   std::string machine;          ///< canonical machine name (Machine::name)
-  std::string scheduler_spec;   ///< scheduler_cache_spec() fingerprint
+  std::string scheduler_spec;   ///< canonical spec without effort keys
 
   bool operator==(const ScheduleCacheKey&) const = default;
 };
@@ -74,15 +74,15 @@ enum class CacheHit { kMiss, kExact, kWarm };
 /// comparisons it is +infinity, not the smallest budget.
 double effective_budget_ms(double budget_ms);
 
-/// Deterministic fingerprint of (scheduler name, plan-affecting options),
-/// budget fields excluded. Two requests with equal fingerprints and equal
-/// effort produce bitwise-identical plans on the same instance.
-std::string scheduler_cache_spec(const std::string& scheduler,
-                                 const SchedulerOptions& options);
-
 /// Cache key of an instance under a scheduler configuration: canonical
-/// DAG hash + canonical machine name + options fingerprint. The hash
-/// equals what `corpus hash` prints for the same DAG.
+/// DAG hash + canonical machine name + canonical_scheduler_spec(scheduler,
+/// options) with the effort fields at their defaults, so default options
+/// key as the bare name. Two keys that compare equal at equal effort
+/// produce bitwise-identical plans. The hash equals what `corpus hash`
+/// prints for the same DAG.
+ScheduleCacheKey make_cache_key(std::uint64_t dag_hash, std::string machine,
+                                const std::string& scheduler,
+                                SchedulerOptions options);
 ScheduleCacheKey make_cache_key(const MbspInstance& inst,
                                 const std::string& scheduler,
                                 const SchedulerOptions& options);

@@ -4,12 +4,14 @@
 #include <chrono>
 #include <future>
 #include <optional>
+#include <stdexcept>
 #include <utility>
 
 #include "src/daemon/socket_io.hpp"
 #include "src/graph/dag_io.hpp"
 #include "src/model/instance.hpp"
 #include "src/model/machine_registry.hpp"
+#include "src/runner/scheduler_spec.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <poll.h>
@@ -128,11 +130,30 @@ bool MbspdServer::serve_request(int fd, const ScheduleRequest& request,
   };
 
   // Scheduler and machine resolve first: cheap, and their errors name the
-  // offending token without touching the DAG.
-  const MbspScheduler* scheduler = registry_.find(request.scheduler);
+  // offending token without touching the DAG. The request's scheduler is
+  // a spec string whose keys override the request's option fields.
+  SchedulerOptions base;
+  base.budget_ms = request.budget_ms;
+  base.max_iterations = request.max_iterations;
+  base.seed = request.seed;
+  base.cost = request.cost_model == 0 ? CostModel::kSynchronous
+                                      : CostModel::kAsynchronous;
+  SchedulerSpec spec;
+  try {
+    spec = resolve_scheduler_spec(request.scheduler, base);
+  } catch (const std::invalid_argument& e) {
+    return send_error(fd, WireError::kBadRequest,
+                      "scheduler spec '" + request.scheduler + "': " +
+                          e.what());
+  }
+  SchedulerOptions& opts = spec.options;
+  // The effort the request asks for; a deadline may clamp opts.budget_ms.
+  const double budget_ms = opts.budget_ms;
+  const std::int64_t max_iterations = opts.max_iterations;
+  const MbspScheduler* scheduler = registry_.find(spec.name);
   if (scheduler == nullptr) {
     return send_error(fd, WireError::kUnknownScheduler,
-                      "unknown scheduler '" + request.scheduler + "'");
+                      "unknown scheduler '" + spec.name + "'");
   }
   const MbspScheduler* repairer =
       delta != nullptr ? registry_.find("repair") : nullptr;
@@ -146,13 +167,6 @@ bool MbspdServer::serve_request(int fd, const ScheduleRequest& request,
   const auto probe = MachineRegistry::global().make_machine(
       request.machine_spec, 1.0, &machine_err);
   if (!probe) return send_error(fd, WireError::kBadMachineSpec, machine_err);
-
-  SchedulerOptions opts;
-  opts.budget_ms = request.budget_ms;
-  opts.max_iterations = request.max_iterations;
-  opts.seed = request.seed;
-  opts.cost = request.cost_model == 0 ? CostModel::kSynchronous
-                                      : CostModel::kAsynchronous;
 
   // The DAG: inline payload, or a pinned canonical hash that a SCHEDULE
   // may answer from the cache alone.
@@ -209,22 +223,23 @@ bool MbspdServer::serve_request(int fd, const ScheduleRequest& request,
   // "repair+" spec prefix: repeat REPAIRs exact-hit it, while plain
   // SCHEDULE requests for the mutated dag keep their own bitwise
   // solve-equality contract untouched.
-  const std::string plain_spec =
-      scheduler_cache_spec(request.scheduler, opts);
-  const std::string repair_spec =
-      scheduler_cache_spec("repair+" + request.scheduler, opts);
+  const ScheduleCacheKey plain =
+      make_cache_key(dag_hash, probe->name, spec.name, opts);
+  const std::string repair_spec = "repair+" + plain.scheduler_spec;
   const ScheduleCacheKey key =
       delta != nullptr
           ? ScheduleCacheKey{dag_canonical_hash(inst->dag), inst->arch.name,
                              repair_spec}
-          : ScheduleCacheKey{dag_hash, probe->name, plain_spec};
+          : plain;
 
   // Streams the final frame for `entry`. A fresh solve is memoized first,
   // even when the client is gone: the work is done either way, and the
   // next identical request becomes an exact hit.
   const auto finish = [&](ScheduleCacheEntry entry, CacheStatus cache) {
+    // The cost model the cost is priced under: a spec's cost key wins.
+    const std::uint8_t cost = opts.cost == CostModel::kAsynchronous;
     FinalResult fin{key.dag_hash,        key.machine,
-                    request.scheduler,   request.cost_model,
+                    request.scheduler,   cost,
                     cache,               entry.cost,
                     entry.baseline_cost, entry.io_volume,
                     entry.supersteps,    {}};
@@ -246,8 +261,7 @@ bool MbspdServer::serve_request(int fd, const ScheduleRequest& request,
   ScheduleCacheEntry cached;
   CacheHit hit = CacheHit::kMiss;
   if (!request.no_cache) {
-    hit = cache_.lookup(key, request.budget_ms, request.max_iterations,
-                        &cached);
+    hit = cache_.lookup(key, budget_ms, max_iterations, &cached);
   }
   if (hit == CacheHit::kExact) {
     // Served in O(1): no solver invocation, bitwise-identical plan.
@@ -284,9 +298,10 @@ bool MbspdServer::serve_request(int fd, const ScheduleRequest& request,
       outcome = CacheStatus::kWarm;
     }
   } else if (!request.no_cache) {
-    for (const std::string& spec : {plain_spec, repair_spec}) {
-      if (cache_.lookup({dag_hash, probe->name, spec}, request.budget_ms,
-                        request.max_iterations, &cached) != CacheHit::kMiss) {
+    for (const std::string& base_spec :
+         {plain.scheduler_spec, repair_spec}) {
+      if (cache_.lookup({dag_hash, probe->name, base_spec}, budget_ms,
+                        max_iterations, &cached) != CacheHit::kMiss) {
         outcome = CacheStatus::kRepaired;
         break;
       }
@@ -326,9 +341,8 @@ bool MbspdServer::serve_request(int fd, const ScheduleRequest& request,
   entry.budget_ms = warm ? max_budget_ms(cached.budget_ms, opts.budget_ms)
                          : opts.budget_ms;
   entry.max_iterations =
-      warm ? std::max<std::int64_t>(cached.max_iterations,
-                                    request.max_iterations)
-           : request.max_iterations;
+      warm ? std::max<std::int64_t>(cached.max_iterations, max_iterations)
+           : max_iterations;
   return finish(std::move(entry), outcome);
 }
 

@@ -364,7 +364,7 @@ bool parse_move_mask(const std::string& spec, unsigned* mask,
   unsigned out = 0;
   std::size_t start = 0;
   while (start <= spec.size()) {
-    std::size_t end = spec.find(',', start);
+    std::size_t end = spec.find('+', start);
     if (end == std::string::npos) end = spec.size();
     const std::string name = spec.substr(start, end - start);
     if (name == "all") {

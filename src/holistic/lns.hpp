@@ -64,10 +64,11 @@ constexpr int kNumMoveClasses = 7;
 /// proc, step, swap, merge, split, recompute, drop).
 const char* lns_move_class_name(int index);
 
-/// Parses a comma-separated list of move-class names (or "all" / "none")
+/// Parses a '+'-separated list of move-class names (or "all" / "none")
 /// into a move mask; returns false on an unknown name, copying the
 /// offending name into *unknown (when non-null) so CLIs can say which
-/// token was wrong. Used by CLI ablations.
+/// token was wrong. '+' rather than ',' because the list is the value of
+/// a scheduler spec's `moves` key (`lns:moves=proc+swap`).
 bool parse_move_mask(const std::string& spec, unsigned* mask,
                      std::string* unknown = nullptr);
 

@@ -69,23 +69,6 @@ void accumulate(const LnsSearchResult& slice, PortfolioResult* result) {
 
 }  // namespace
 
-const char* portfolio_profile_name(PortfolioProfile profile) {
-  return profile == PortfolioProfile::kUniform ? "uniform" : "diverse";
-}
-
-bool parse_portfolio_profile(const std::string& name,
-                             PortfolioProfile* profile) {
-  if (name == "uniform") {
-    *profile = PortfolioProfile::kUniform;
-    return true;
-  }
-  if (name == "diverse") {
-    *profile = PortfolioProfile::kDiverse;
-    return true;
-  }
-  return false;
-}
-
 std::uint64_t portfolio_worker_seed(std::uint64_t seed, int worker) {
   if (worker == 0) return seed;
   return splitmix64_mix(seed ^

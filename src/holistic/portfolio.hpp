@@ -32,7 +32,6 @@
 // never worsens its input.
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "src/holistic/lns.hpp"
@@ -50,13 +49,6 @@ enum class PortfolioProfile {
   /// annealing temperatures and a placement-only move mask.
   kDiverse,
 };
-
-/// Stable CLI name of a profile ("uniform" / "diverse").
-const char* portfolio_profile_name(PortfolioProfile profile);
-
-/// Parses a profile name; returns false on an unknown name.
-bool parse_portfolio_profile(const std::string& name,
-                             PortfolioProfile* profile);
 
 struct PortfolioOptions {
   /// Base options of every worker. budget_ms and max_iterations are

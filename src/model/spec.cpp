@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <climits>
+#include <cmath>
 #include <cstdlib>
 #include <stdexcept>
 
@@ -88,7 +89,7 @@ std::string SpecString::canonical() const {
 }
 
 int spec_get_int(const SpecParamList& params, const std::string& key, int def,
-                 int lo) {
+                 int lo, int hi) {
   const std::string* value = find_param(params, key);
   if (value == nullptr) return def;
   char* end = nullptr;
@@ -106,6 +107,10 @@ int spec_get_int(const SpecParamList& params, const std::string& key, int def,
     throw std::invalid_argument("parameter '" + key + "': " + *value +
                                 " is below the minimum " + std::to_string(lo));
   }
+  if (parsed > hi) {
+    throw std::invalid_argument("parameter '" + key + "': " + *value +
+                                " is above the maximum " + std::to_string(hi));
+  }
   return static_cast<int>(parsed);
 }
 
@@ -115,9 +120,9 @@ double spec_get_double(const SpecParamList& params, const std::string& key,
   if (value == nullptr) return def;
   char* end = nullptr;
   const double parsed = std::strtod(value->c_str(), &end);
-  if (end == value->c_str() || *end != '\0') {
+  if (end == value->c_str() || *end != '\0' || !std::isfinite(parsed)) {
     throw std::invalid_argument("parameter '" + key + "': '" + *value +
-                                "' is not a number");
+                                "' is not a finite number");
   }
   if (parsed < lo) {
     throw std::invalid_argument("parameter '" + key + "': " + *value +

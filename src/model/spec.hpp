@@ -6,6 +6,7 @@
 // naming the offending token and, where a key set is known, listing the
 // valid keys (see spec_unknown_key_error).
 
+#include <climits>
 #include <optional>
 #include <string>
 #include <utility>
@@ -39,13 +40,13 @@ struct SpecString {
 /// std::invalid_argument naming key and value.
 using SpecParamList = std::vector<std::pair<std::string, std::string>>;
 
-/// Integer parameter (default `def` when absent) clamped from below by
-/// `lo`; non-numeric, out-of-range or < lo throws.
+/// Integer parameter (default `def` when absent) in [lo, hi];
+/// non-numeric, out-of-range, < lo or > hi throws.
 int spec_get_int(const SpecParamList& params, const std::string& key, int def,
-                 int lo = 1);
+                 int lo = 1, int hi = INT_MAX);
 
-/// Double parameter (default `def` when absent); non-numeric or < lo
-/// throws.
+/// Double parameter (default `def` when absent); non-numeric, non-finite
+/// or < lo throws.
 double spec_get_double(const SpecParamList& params, const std::string& key,
                        double def, double lo = 0);
 

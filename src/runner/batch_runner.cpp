@@ -7,6 +7,7 @@
 
 #include "src/graph/dag_io.hpp"
 #include "src/model/validate.hpp"
+#include "src/runner/scheduler_spec.hpp"
 #include "src/util/thread_pool.hpp"
 
 namespace mbsp {
@@ -38,10 +39,12 @@ std::vector<BatchCell> BatchRunner::run_grid(
 std::vector<BatchCell> BatchRunner::run_cells(
     const std::vector<CellSpec>& cells) const {
   std::vector<BatchCell> out(cells.size());
-  // Resolve every scheduler up front so a typo fails fast, before any work.
-  std::vector<const MbspScheduler*> resolved(cells.size());
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    resolved[i] = &registry_.at(cells[i].scheduler);
+  // Resolve every spec up front so a typo fails fast, before any work.
+  std::vector<std::pair<const MbspScheduler*, SchedulerOptions>> resolved;
+  resolved.reserve(cells.size());
+  for (const CellSpec& cell : cells) {
+    SchedulerSpec spec = resolve_scheduler_spec(cell.scheduler, cell.options);
+    resolved.emplace_back(&registry_.at(spec.name), std::move(spec.options));
   }
   // Hash each distinct instance once, not once per grid cell.
   std::unordered_map<const MbspInstance*, std::uint64_t> hashes;
@@ -64,14 +67,14 @@ std::vector<BatchCell> BatchRunner::run_cells(
     cell.dag_hash = hashes.at(spec.instance);
     cell.machine = spec.instance->arch.name;
     cell.scheduler = spec.scheduler;
-    cell.cost_model = spec.options.cost;
-    const MbspScheduler& scheduler = *resolved[i];
-    if (!scheduler.supports(*spec.instance)) {
+    const auto& [scheduler, options] = resolved[i];
+    cell.cost_model = options.cost;
+    if (!scheduler->supports(*spec.instance)) {
       cell.error = "unsupported instance";
       return;
     }
     try {
-      cell.result = scheduler.run(*spec.instance, spec.options);
+      cell.result = scheduler->run(*spec.instance, options);
     } catch (const std::exception& e) {
       cell.error = e.what();
       return;

@@ -25,7 +25,7 @@ struct BatchCell {
   std::string instance;   ///< instance name (workload spec for corpus runs)
   std::uint64_t dag_hash = 0;  ///< dag_canonical_hash of the instance DAG
   std::string machine;    ///< canonical machine name (Machine::name)
-  std::string scheduler;  ///< scheduler name
+  std::string scheduler;  ///< scheduler spec, as the cell named it
   CostModel cost_model = CostModel::kSynchronous;
   bool ok = false;
   std::string error;      ///< unsupported scheduler / invalid schedule / throw
@@ -48,18 +48,23 @@ class BatchRunner {
                            SchedulerRegistry::global());
 
   /// Non-rectangular sweeps: one cell per spec, options per cell.
+  /// `scheduler` is a spec string (src/runner/scheduler_spec.hpp) whose
+  /// keys override `options`; a bare name runs `options` as given.
   struct CellSpec {
     const MbspInstance* instance = nullptr;
     std::string scheduler;
     SchedulerOptions options;
   };
 
-  /// Runs every (instance, scheduler) pair with the base options.
+  /// Runs every (instance, scheduler spec) pair with the base options.
   /// Cell order: instance-major, scheduler-minor.
   std::vector<BatchCell> run_grid(
       const std::vector<MbspInstance>& instances,
       const std::vector<std::string>& schedulers) const;
 
+  /// Throws before running any cell when a spec is malformed
+  /// (std::invalid_argument) or names no registered scheduler
+  /// (std::out_of_range); both messages name the offending token.
   std::vector<BatchCell> run_cells(const std::vector<CellSpec>& cells) const;
 
   const SchedulerRegistry& registry() const { return registry_; }

@@ -22,6 +22,9 @@ struct InstanceDelta;  // src/holistic/repair.hpp
 
 /// One option struct shared by every scheduler; fields a given scheduler
 /// does not understand are ignored (e.g. move_mask outside the LNS).
+/// Scheduler specs (`lns-portfolio:workers=8`, src/runner/scheduler_spec.hpp)
+/// set its fields by key and fingerprint it for the schedule cache: a
+/// field that changes a plan needs a row in that table.
 ///
 /// The LnsOptions base is the one LNS vocabulary: budget_ms (the total
 /// optimization budget of the anytime solvers), cost, seed, the move and
@@ -49,21 +52,11 @@ struct SchedulerOptions : LnsOptions {
   /// the warm start (move_mask and completion_policy are the others).
   bool cold_start = false;
 
-  /// Divide-and-conquer sizing; "holistic" switches from the plain LNS to
-  /// divide-and-conquer above divide_conquer_threshold nodes.
-  int divide_conquer_threshold = 120;
-  int max_part_size = 60;
-
   /// Sharded out-of-core pipeline ("sharded" scheduler; docs/SCALE.md):
   /// acyclic k-way partition into `shards` intervals, per-shard LNS fanned
-  /// out on `shard_threads` workers (0 = hardware concurrency; the thread
-  /// count never changes the result), then a boundary-masked global
-  /// polish. compare_full_seed returns the cheaper of the sharded plan
-  /// and the unpartitioned greedy seed — disable for instances too large
-  /// to schedule unsharded.
+  /// out on every hardware thread (the thread count never changes the
+  /// result), then a boundary-masked global polish.
   int shards = 8;
-  int shard_threads = 0;
-  bool compare_full_seed = true;
 
   /// Portfolio (lns-portfolio) sizing: concurrent LNS workers with
   /// SplitMix-derived per-worker seeds, exchanging incumbents every
@@ -80,9 +73,6 @@ struct SchedulerOptions : LnsOptions {
   /// the repair scheduler degenerates to a plain "lns" run. The pointer
   /// must outlive the run() call, like warm_start_plan.
   const InstanceDelta* repair_delta = nullptr;
-  /// Disable the locality-masked polish after patching (bench ablation:
-  /// measures the pure structural patch).
-  bool repair_polish = true;
   /// DAG hops around the delta's touched nodes that stay movable during
   /// the repair polish.
   int repair_mask_radius = 1;

@@ -21,6 +21,13 @@ namespace mbsp {
 
 namespace {
 
+/// "holistic" switches from the plain LNS to divide-and-conquer above
+/// this many nodes.
+constexpr int kDivideConquerThreshold = 120;
+
+/// Largest part of divide-and-conquer's recursive ILP bipartition.
+constexpr int kMaxPartSize = 60;
+
 /// Cost of a schedule under the configured cost model.
 double schedule_cost(const MbspInstance& inst, const MbspSchedule& sched,
                      CostModel cost) {
@@ -83,7 +90,7 @@ ScheduleResult divide_conquer_solve(const MbspInstance& inst,
   LnsOptions per_part = options;
   per_part.budget_ms = per_part_budget_ms;
   ShardResult res = shard_schedule(
-      inst, recursive_acyclic_partition(inst.dag, options.max_part_size),
+      inst, recursive_acyclic_partition(inst.dag, kMaxPartSize),
       divide_conquer_options(per_part));
   ScheduleResult result;
   result.schedule = std::move(res.schedule);
@@ -172,7 +179,6 @@ class RepairAdapter final : public MbspScheduler {
     if (options.warm_start_plan != nullptr && options.repair_delta != nullptr) {
       RepairOptions repair;
       repair.lns = options;
-      repair.polish = options.repair_polish;
       repair.mask_radius = options.repair_mask_radius;
       std::string error;
       auto repaired = repair_plan(inst, *options.warm_start_plan,
@@ -206,7 +212,7 @@ class HolisticAdapter final : public MbspScheduler {
   ScheduleResult run(const MbspInstance& inst,
                      const SchedulerOptions& options) const override {
     const Timer timer;
-    if (inst.dag.num_nodes() <= options.divide_conquer_threshold) {
+    if (inst.dag.num_nodes() <= kDivideConquerThreshold) {
       ScheduleResult result = lns_solve(inst, options, nullptr);
       finalize(name(), inst, options, timer, result);
       return result;
@@ -243,7 +249,9 @@ class DivideConquerAdapter final : public MbspScheduler {
 /// The sharded out-of-core pipeline (docs/SCALE.md): acyclic k-way
 /// partition, per-shard LNS fan-out with shard-indexed seeds, stitch,
 /// boundary-masked global polish. budget_ms is split across the shards;
-/// a quarter of the iteration budget funds the polish.
+/// a quarter of the iteration budget funds the polish. The fan-out uses
+/// every hardware thread and the result is the cheaper of the sharded
+/// plan and the unpartitioned seed (the ShardOptions defaults).
 class ShardedAdapter final : public MbspScheduler {
  public:
   std::string name() const override { return "sharded"; }
@@ -257,8 +265,6 @@ class ShardedAdapter final : public MbspScheduler {
     shard.lns.budget_ms = options.budget_ms / shard.num_shards;  // per shard
     shard.polish_budget_ms = options.budget_ms / 4;
     shard.polish_max_iterations = std::max(1L, options.max_iterations / 4);
-    shard.num_threads = options.shard_threads;
-    shard.compare_full_seed = options.compare_full_seed;
     ShardResult res = shard_schedule(inst, shard);
     ScheduleResult result;
     result.schedule = std::move(res.schedule);
@@ -418,10 +424,6 @@ void SchedulerRegistry::add(std::unique_ptr<MbspScheduler> scheduler) {
     }
   }
   schedulers_.push_back(std::move(scheduler));
-}
-
-bool SchedulerRegistry::contains(const std::string& name) const {
-  return find(name) != nullptr;
 }
 
 const MbspScheduler* SchedulerRegistry::find(const std::string& name) const {

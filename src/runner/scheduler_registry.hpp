@@ -10,9 +10,9 @@
 //   lns                  holistic LNS improving a (configurable) warm start
 //   lns-portfolio        K-worker parallel portfolio LNS with deterministic
 //                        incumbent exchange at epoch barriers
-//   holistic             registry dispatch: the lns solve up to
-//                        divide_conquer_threshold nodes, the
-//                        divide-conquer solve (budget / 8) above it
+//   holistic             registry dispatch: the lns solve up to 120
+//                        nodes, the divide-conquer solve (budget / 8)
+//                        above it
 //   divide-conquer       divide-and-conquer, always: shard_schedule on
 //                        recursive ILP parts, divide_conquer_options()
 //   exact-pebbler        exact P = 1 red-blue pebbling (small DAGs)
@@ -21,8 +21,9 @@
 //                        the mutated instance + locality-masked polish
 //
 // Adding a scheduler is one `add(...)` call (see README.md); everything
-// driving the registry — benches, suite_runner, BatchRunner — picks the
-// newcomer up by name with no further changes.
+// driving the registry — benches, suite_runner, BatchRunner, mbspd —
+// picks the newcomer up by name with no further changes, and its options
+// by spec string (src/runner/scheduler_spec.hpp).
 
 #include <memory>
 #include <string>
@@ -45,10 +46,6 @@ class SchedulerRegistry {
   /// Registers `scheduler` under its name(); replaces any previous holder
   /// of that name.
   void add(std::unique_ptr<MbspScheduler> scheduler);
-
-  /// Whether a scheduler of that exact name is registered (read-only,
-  /// thread-safe after registration).
-  bool contains(const std::string& name) const;
 
   /// Looks a scheduler up by name; nullptr when absent. The returned
   /// scheduler is stateless: run() is const, thread-safe, and

@@ -17,6 +17,7 @@
 #include "src/graph/dag_io.hpp"
 #include "src/model/machine_registry.hpp"
 #include "src/runner/scheduler_registry.hpp"
+#include "src/runner/scheduler_spec.hpp"
 #include "src/workload/workload_registry.hpp"
 
 #include <unistd.h>
@@ -86,10 +87,10 @@ ScheduleResult local_solve(const std::string& workload,
   options.budget_ms = request.budget_ms;
   options.max_iterations = request.max_iterations;
   options.seed = request.seed;
-  const MbspScheduler* scheduler =
-      SchedulerRegistry::global().find(request.scheduler);
+  const SchedulerSpec spec = resolve_scheduler_spec(request.scheduler, options);
+  const MbspScheduler* scheduler = SchedulerRegistry::global().find(spec.name);
   EXPECT_NE(scheduler, nullptr);
-  return scheduler->run(inst, options);
+  return scheduler->run(inst, spec.options);
 }
 
 std::string plan_bytes(const ComputePlan& plan) {
@@ -172,6 +173,45 @@ TEST_F(DaemonTest, ExactHitIsBitwiseIdenticalAndInvokesNoSolver) {
   const MbspClient::Outcome third = run_ok(client, smaller);
   EXPECT_EQ(third.final.cache, CacheStatus::kExact);
   EXPECT_EQ(server_->stats().solver_calls, solver_calls_after_first);
+}
+
+TEST_F(DaemonTest, SchedulerSpecRequestIsSolvedThenAnExactHit) {
+  start_server();
+  const std::string workload = "fft:n=16";
+  ScheduleRequest request = make_request(workload, 600);
+  request.scheduler = "lns-portfolio:workers=2,epochs=2";
+  const ScheduleResult reference = local_solve(workload, request);
+  MbspClient client;
+  connect_ok(client);
+
+  const MbspClient::Outcome first = run_ok(client, request);
+  EXPECT_EQ(first.final.cache, CacheStatus::kCold);
+  EXPECT_EQ(first.final.scheduler, request.scheduler);
+  EXPECT_EQ(plan_bytes(first.final.plan), plan_bytes(reference.plan));
+  const MbspClient::Outcome second = run_ok(client, request);
+  EXPECT_EQ(second.final.cache, CacheStatus::kExact);
+  EXPECT_EQ(plan_bytes(second.final.plan), plan_bytes(first.final.plan));
+
+  // The spec's keys are the options: the default portfolio is another
+  // cache entry, and an out-of-range key is a typed error naming it —
+  // rejected at parse time, so a huge worker or epoch count starts no
+  // thread and runs no solver.
+  request.scheduler = "lns-portfolio";
+  EXPECT_EQ(run_ok(client, request).final.cache, CacheStatus::kCold);
+  for (const std::string& bad :
+       {"lns-portfolio:workers=0", "lns-portfolio:workers=1000000",
+        "lns-portfolio:epochs=1000000000"}) {
+    request.scheduler = bad;
+    MbspClient::Outcome outcome;
+    std::string error;
+    ASSERT_TRUE(client.run(request, &outcome, &error)) << error;
+    ASSERT_FALSE(outcome.ok) << bad;
+    EXPECT_EQ(outcome.error.code, WireError::kBadRequest) << bad;
+    const std::string key = bad.substr(bad.find(':') + 1, 6);
+    EXPECT_NE(outcome.error.message.find(key), std::string::npos)
+        << outcome.error.message;
+  }
+  EXPECT_EQ(server_->stats().solver_calls, 2u);
 }
 
 TEST_F(DaemonTest, WarmStartNeverLosesToTheCachedIncumbent) {

@@ -747,9 +747,9 @@ TEST(IncrementalEval, MoveMaskParsing) {
   unsigned mask = 0;
   EXPECT_TRUE(parse_move_mask("all", &mask));
   EXPECT_EQ(mask, kAllMoves);
-  EXPECT_TRUE(parse_move_mask("proc,swap", &mask));
+  EXPECT_TRUE(parse_move_mask("proc+swap", &mask));
   EXPECT_EQ(mask, kMoveProc | kSwapProcs);
-  EXPECT_TRUE(parse_move_mask("merge,split,drop", &mask));
+  EXPECT_TRUE(parse_move_mask("merge+split+drop", &mask));
   EXPECT_EQ(mask, kMergeSupersteps | kSplitSuperstep | kRemoveOccurrence);
   EXPECT_TRUE(parse_move_mask("none", &mask));
   EXPECT_EQ(mask, 0u);
@@ -762,10 +762,10 @@ TEST(IncrementalEval, MoveMaskParseErrorNamesUnknownToken) {
   EXPECT_FALSE(parse_move_mask("bogus", &mask, &unknown));
   EXPECT_EQ(unknown, "bogus");
   // The first unknown token of a mixed list is the one reported.
-  EXPECT_FALSE(parse_move_mask("proc,stepp,swap", &mask, &unknown));
+  EXPECT_FALSE(parse_move_mask("proc+stepp+swap", &mask, &unknown));
   EXPECT_EQ(unknown, "stepp");
-  // A trailing comma parses as an empty (ignored) item, not an error.
-  EXPECT_TRUE(parse_move_mask("proc,", &mask, &unknown));
+  // A trailing separator parses as an empty (ignored) item, not an error.
+  EXPECT_TRUE(parse_move_mask("proc+", &mask, &unknown));
   EXPECT_EQ(mask, kMoveProc);
 }
 

@@ -157,7 +157,7 @@ TEST(HolisticFacade, BelowThresholdIsTheLnsEntry) {
       options.budget_ms = 0;
       options.max_iterations = 1500;
       options.cost = cost;
-      ASSERT_LE(inst.dag.num_nodes(), options.divide_conquer_threshold);
+      ASSERT_LE(inst.dag.num_nodes(), 120);  // holistic's threshold
       const ScheduleResult lns = registry.at("lns").run(inst, options);
       const ScheduleResult holistic =
           registry.at("holistic").run(inst, options);

@@ -55,6 +55,7 @@ TEST(ScheduleCacheKey, MachineComponentIsTheCanonicalName) {
 }
 
 TEST(ScheduleCacheKey, SpecExcludesBudgetFields) {
+  const MbspInstance inst = test_instance();
   SchedulerOptions cheap;
   cheap.budget_ms = 10;
   cheap.max_iterations = 100;
@@ -63,35 +64,9 @@ TEST(ScheduleCacheKey, SpecExcludesBudgetFields) {
   expensive.max_iterations = 2'000'000;
   // Budget is the effort dimension, not part of the identity: the same
   // scenario at different effort must map to the same entry.
-  EXPECT_EQ(scheduler_cache_spec("lns", cheap),
-            scheduler_cache_spec("lns", expensive));
-}
-
-TEST(ScheduleCacheKey, SpecSeparatesPlanAffectingOptions) {
-  const SchedulerOptions base;
-  const std::string reference = scheduler_cache_spec("lns", base);
-
-  EXPECT_NE(scheduler_cache_spec("lns-portfolio", base), reference);
-
-  SchedulerOptions other = base;
-  other.seed = base.seed + 1;
-  EXPECT_NE(scheduler_cache_spec("lns", other), reference);
-
-  other = base;
-  other.cost = CostModel::kAsynchronous;
-  EXPECT_NE(scheduler_cache_spec("lns", other), reference);
-
-  other = base;
-  other.move_mask = 1;
-  EXPECT_NE(scheduler_cache_spec("lns", other), reference);
-
-  other = base;
-  other.cold_start = true;
-  EXPECT_NE(scheduler_cache_spec("lns", other), reference);
-
-  other = base;
-  other.initial_temperature_frac = base.initial_temperature_frac * 2;
-  EXPECT_NE(scheduler_cache_spec("lns", other), reference);
+  EXPECT_EQ(make_cache_key(inst, "lns", cheap),
+            make_cache_key(inst, "lns", expensive));
+  EXPECT_EQ(make_cache_key(inst, "lns", cheap).scheduler_spec, "lns");
 }
 
 TEST(ScheduleCacheEffort, BudgetZeroMeansUnlimited) {
