@@ -1,10 +1,11 @@
 // LNS throughput bench: iterations/sec of the incremental improve_plan
-// versus the copy-and-reevaluate baseline (improve_plan_reference) on
-// corpus workload families with n >= 1000 nodes (plus one ~5000-node
-// point to show the O(delta) scaling). Both loops are run with a fixed
-// iteration count and no deadline, so the trajectories are deterministic
-// and must be bitwise identical — the bench aborts if they are not, which
-// doubles as an end-to-end differential check of the evaluation engine.
+// versus the copy-and-reevaluate baseline (improve_plan_reference, from
+// the oracle library in tests/support/) on corpus workload families with
+// n >= 1000 nodes (plus one ~5000-node point to show the O(delta)
+// scaling). Both loops are run with a fixed iteration count and no
+// deadline, so the trajectories are deterministic and must be bitwise
+// identical — the bench aborts if they are not, which doubles as an
+// end-to-end differential check of the evaluation engine.
 //
 // It also reports how much of the plan an evaluation re-derives: an
 // untimed probe replays a fixed stream of relocation moves (erase one
@@ -28,6 +29,7 @@
 #include "src/holistic/lns.hpp"
 #include "src/twostage/two_stage.hpp"
 #include "src/util/rng.hpp"
+#include "tests/support/reference_lns.hpp"
 
 using namespace mbsp;
 using namespace mbsp::bench;

@@ -49,15 +49,13 @@
 #include "src/bsp/dfs_scheduler.hpp"  // P = 1 DFS pebbling order
 #include "src/bsp/greedy_scheduler.hpp" // BSPg, the paper's main baseline
 #include "src/bsp/refined_scheduler.hpp" // "ILP-BSP" LP-refined stage 1
-// Eviction policies (clairvoyant / LRU) + cache simulator; deterministic.
-#include "src/cache/cache_sim.hpp"
-#include "src/cache/policy.hpp"
 
 // -- Stage 2 and compute plans ----------------------------------------------
 // ComputePlan + reversible PlanDelta edits + occurrence indexes (the LNS
 // hot-path substrate; apply/undo is exact, asserted in debug builds).
 #include "src/twostage/compute_plan.hpp"
-// complete_memory(): clairvoyant/LRU memory completion; deterministic.
+// complete_memory(): clairvoyant/LRU memory completion, one attach of the
+// incremental evaluator (the library's one completion engine); deterministic.
 #include "src/twostage/memory_completion.hpp"
 // run_baseline(): stage 1 + completion = the paper's two-stage baselines;
 // baseline_plan(): stage 1 only, for callers that complete it themselves.

@@ -9,12 +9,12 @@
 #include <limits>
 
 #include "src/graph/dag_io.hpp"
+#include "src/model/validate.hpp"
 
 namespace mbsp {
 
 namespace {
 
-constexpr double kMemEps = 1e-9;  // must match memory_completion.cpp
 constexpr std::int64_t kNever = std::numeric_limits<std::int64_t>::max();
 
 // One non-empty slot row into the sync cost accumulator, in the full
@@ -26,12 +26,12 @@ void fold_row(SyncCostBreakdown& bd, const SyncStepCost& row, double L) {
 }
 
 // Replaces v[lo, hi) by [first, last), moving the tail once.
-template <class T, class It>
-void replace_range(std::vector<T>& v, std::size_t lo, std::size_t hi, It first,
-                   It last) {
+template <class Vec, class It>
+void replace_range(Vec& v, std::size_t lo, std::size_t hi, It first, It last) {
   const auto n = static_cast<std::size_t>(last - first);
   if (n > hi - lo) {
-    v.insert(v.begin() + static_cast<std::ptrdiff_t>(hi), n - (hi - lo), T{});
+    v.insert(v.begin() + static_cast<std::ptrdiff_t>(hi), n - (hi - lo),
+             typename Vec::value_type{});
   } else {
     v.erase(v.begin() + static_cast<std::ptrdiff_t>(lo + n),
             v.begin() + static_cast<std::ptrdiff_t>(hi));
@@ -42,7 +42,7 @@ void replace_range(std::vector<T>& v, std::size_t lo, std::size_t hi, It first,
 // Replaces rows [lo, hi) of a pooled CSR (start holds rows + 1 offsets) by
 // the rows of a scratch CSR whose offsets start at 0; later rows rebase.
 template <class T>
-void splice_csr(std::vector<std::int64_t>& start, std::vector<T>& nodes,
+void splice_csr(PageVector<std::int64_t>& start, PageVector<T>& nodes,
                 std::size_t lo, std::size_t hi,
                 const ArenaVector<std::int64_t>& scr_start,
                 const ArenaVector<T>& scr_nodes) {
@@ -64,8 +64,8 @@ void splice_csr(std::vector<std::int64_t>& start, std::vector<T>& nodes,
 bool has_event_from(const PlanOccurrenceIndex::ProcPositions& pp, NodeId v,
                     std::int64_t at) {
   const std::size_t v_ = static_cast<std::size_t>(v);
-  const auto any_from = [&](const std::vector<std::int64_t>& start,
-                            const std::vector<std::int64_t>& items) {
+  const auto any_from = [&](const std::vector<std::int32_t>& start,
+                            const std::vector<std::int32_t>& items) {
     const auto end = items.begin() + start[v_ + 1];
     return std::lower_bound(items.begin() + start[v_], end, at) != end;
   };
@@ -132,7 +132,45 @@ double IncrementalEvaluator::comm_cost(int p, int home) const {
   return home == grp_[static_cast<std::size_t>(p)] ? g_in_ : g_out_;
 }
 
-double IncrementalEvaluator::attach(const ComputePlan& plan) {
+MbspSchedule CompletionLog::to_schedule() const {
+  MbspSchedule out;
+  out.steps.assign(static_cast<std::size_t>(num_rounds_) + 1,
+                   Superstep(num_procs_));
+  const NodeId* w = words_.data();
+  const NodeId* const end = w + words_.size();
+  while (w != end) {
+    const auto slot = static_cast<std::size_t>(w[0]);
+    const auto p = static_cast<std::size_t>(w[1]);
+    const NodeId* len = w + 2;
+    w += 8;
+    const auto take = [&w](std::vector<NodeId>& to, NodeId count) {
+      to.insert(to.end(), w, w + count);
+      w += count;
+    };
+    ProcStep& stage = out.steps[slot].proc[p];
+    take(stage.saves, len[0]);
+    take(stage.deletes, len[1]);
+    take(stage.loads, len[2]);
+    ProcStep& body = out.steps[slot + 1].proc[p];
+    for (const NodeId* op_end = w + len[3]; w != op_end; ++w) {
+      body.compute_phase.push_back(*w >= 0 ? PhaseOp::compute(*w)
+                                           : PhaseOp::erase(-1 - *w));
+    }
+    take(body.saves, len[4]);
+    take(body.deletes, len[5]);
+  }
+  out.drop_empty_supersteps();
+  return out;
+}
+
+double IncrementalEvaluator::attach(const ComputePlan& plan,
+                                    CompletionLog* log) {
+#ifndef NDEBUG
+  // Debug builds always record, to check the completion below against the
+  // model layer's validator and cost functions.
+  CompletionLog own;
+  if (log == nullptr) log = &own;
+#endif
   plan_ = plan;
   P_ = plan_.num_procs;
   index_.attach(&dag_, &plan_);
@@ -222,11 +260,8 @@ double IncrementalEvaluator::attach(const ComputePlan& plan) {
   }
 
   // Per-eval / per-try scratch (epoch 1 + zeroed stamps = all empty).
-  nn_stamp_.assign(static_cast<std::size_t>(P_) * n_, 0);
+  nn_.assign(static_cast<std::size_t>(P_) * n_, NextNeed{});
   nn_epoch_.assign(static_cast<std::size_t>(P_), 1);
-  nn_from_.assign(static_cast<std::size_t>(P_) * n_, 0);
-  nn_use_.assign(static_cast<std::size_t>(P_) * n_, 0);
-  nn_comp_.assign(static_cast<std::size_t>(P_) * n_, 0);
   ec_stamp_.assign(static_cast<std::size_t>(P_) * n_, 0);
   ec_epoch_.assign(static_cast<std::size_t>(P_), 1);
   ec_list_.assign(static_cast<std::size_t>(P_), {});
@@ -247,10 +282,21 @@ double IncrementalEvaluator::attach(const ComputePlan& plan) {
 
   reserve_from_attached();
 
+  log_ = log;
+  if (log_ != nullptr) {
+    log_->num_procs_ = P_;
+    log_->words_.clear();
+  }
   const double cost = evaluate_from(0, /*may_exit=*/false);
+  if (log_ != nullptr) log_->num_rounds_ = eval_cur_;
+  log_ = nullptr;
   promote_eval();
 #ifndef NDEBUG
-  assert(cost == evaluate_plan(inst_, plan_, options_));
+  const MbspSchedule schedule = log->to_schedule();
+  assert(validate(inst_, schedule).ok && "completed schedule is invalid");
+  assert(cost == (async_ ? async_cost(inst_, schedule)
+                         : sync_cost(inst_, schedule)) &&
+         "engine cost differs from the completed schedule's");
 #endif
   return cost;
 }
@@ -314,7 +360,7 @@ void IncrementalEvaluator::reserve_from_attached() {
 
 void IncrementalEvaluator::bump_occurrence_counts(int p, NodeId v, int delta) {
   const std::size_t base = static_cast<std::size_t>(p) * n_;
-  long& cc = comp_cnt_[base + static_cast<std::size_t>(v)];
+  std::int32_t& cc = comp_cnt_[base + static_cast<std::size_t>(v)];
   const bool had = cc > 0;
   cc += delta;
   const bool has = cc > 0;
@@ -448,10 +494,11 @@ IncrementalEvaluator::Outcome IncrementalEvaluator::finish_move() {
 
   const int b = std::max(std::min(dirty_bound(), committed_rounds_), 0);
   const double cost = evaluate_from(b, prepare_exit());
-  // Differential oracle check: the incremental cost must equal the full
-  // evaluator's bitwise, every iteration.
+  // The incremental cost must equal a from-scratch evaluation's bitwise,
+  // every iteration (the cross-engine check against the reference
+  // completer lives in the differential tests).
   assert(cost == evaluate_plan(inst_, plan_, options_) &&
-         "incremental cost diverged from the full evaluator");
+         "incremental cost diverged from a from-scratch evaluation");
   return {true, cost};
 }
 
@@ -714,8 +761,8 @@ int IncrementalEvaluator::dirty_bound() {
     const auto& seq = plan_.seq[static_cast<std::size_t>(p)];
     const auto& pp = index_.proc_positions(p);
     std::int64_t last = -1;
-    const auto find_last = [&](const std::vector<std::int64_t>& start,
-                               const std::vector<std::int64_t>& items) {
+    const auto find_last = [&](const std::vector<std::int32_t>& start,
+                               const std::vector<std::int32_t>& items) {
       const auto lo =
           items.begin() +
           static_cast<std::ptrdiff_t>(start[static_cast<std::size_t>(a)]);
@@ -723,7 +770,7 @@ int IncrementalEvaluator::dirty_bound() {
           items.begin() +
           static_cast<std::ptrdiff_t>(start[static_cast<std::size_t>(a) + 1]);
       const auto it = std::lower_bound(lo, hi, static_cast<std::int64_t>(pos));
-      if (it != lo) last = std::max(last, *(it - 1));
+      if (it != lo) last = std::max<std::int64_t>(last, *(it - 1));
     };
     find_last(pp.comp_start, pp.comp_items);
     find_last(pp.use_start, pp.use_items);
@@ -1046,7 +1093,7 @@ int IncrementalEvaluator::reconvergence_round() {
 // Completion: eval-level state.
 
 // Memoized per (proc, node). A cached (use, comp) lower-bound pair
-// computed at nn_from_ stays exact for any later query from >= nn_from_:
+// computed at `from` stays exact for any later query from >= `from`:
 // a cached position >= from is still the first one >= from (nothing can
 // exist between the old query point and it), and kNever at an earlier
 // point is kNever forever after. choose_victim re-scans every cache
@@ -1056,17 +1103,13 @@ int IncrementalEvaluator::reconvergence_round() {
 inline std::int64_t IncrementalEvaluator::effective_next_need(
     int p, const PlanOccurrenceIndex::ProcPositions& pp, NodeId v,
     std::int64_t from) {
-  const std::size_t at =
-      static_cast<std::size_t>(p) * n_ + static_cast<std::size_t>(v);
-  if (nn_stamp_[at] == nn_epoch_[static_cast<std::size_t>(p)] &&
-      from >= nn_from_[at]) {
-    const std::int64_t use = nn_use_[at];
-    if (use == kNever) return kNever;
-    if (use >= from) {
-      const std::int64_t comp = nn_comp_[at];
-      if (comp == kNever || comp >= from) {
-        return comp < use ? kNever : use;  // kNever compares greatest
-      }
+  const NextNeed& e =
+      nn_[static_cast<std::size_t>(p) * n_ + static_cast<std::size_t>(v)];
+  if (e.stamp == nn_epoch_[static_cast<std::size_t>(p)] && from >= e.from) {
+    if (e.use == kNoPos) return kNever;
+    // kNoPos compares greatest, so a never-recomputed value passes both.
+    if (e.use >= from && e.comp >= from) {
+      return e.comp < e.use ? kNever : e.use;
     }
   }
   return next_need_refill(p, pp, v, from);
@@ -1076,10 +1119,11 @@ std::int64_t IncrementalEvaluator::next_need_refill(
     int p, const PlanOccurrenceIndex::ProcPositions& pp, NodeId v,
     std::int64_t from) {
   const std::size_t v_ = static_cast<std::size_t>(v);
-  const std::size_t at = static_cast<std::size_t>(p) * n_ + v_;
-  const bool live = nn_stamp_[at] == nn_epoch_[static_cast<std::size_t>(p)] &&
-                    from >= nn_from_[at];
-  std::int64_t use = live ? nn_use_[at] : 0;
+  NextNeed& e = nn_[static_cast<std::size_t>(p) * n_ + v_];
+  const bool live =
+      e.stamp == nn_epoch_[static_cast<std::size_t>(p)] && from >= e.from;
+  std::int64_t use = live ? e.use : 0;
+  if (use == kNoPos) use = kNever;
   if (!live || (use != kNever && use < from)) {
     const auto ub =
         pp.use_items.begin() + static_cast<std::ptrdiff_t>(pp.use_start[v_]);
@@ -1088,7 +1132,8 @@ std::int64_t IncrementalEvaluator::next_need_refill(
     const auto uit = std::lower_bound(ub, ue, from);
     use = uit == ue ? kNever : *uit;
   }
-  std::int64_t comp = live ? nn_comp_[at] : 0;
+  std::int64_t comp = live ? e.comp : 0;
+  if (comp == kNoPos) comp = kNever;
   if (use == kNever) {
     comp = kNever;  // never consulted while use stays kNever
   } else if (!live || (comp != kNever && comp < from)) {
@@ -1099,10 +1144,13 @@ std::int64_t IncrementalEvaluator::next_need_refill(
     const auto cit = std::lower_bound(cb, ce, from);
     comp = cit == ce ? kNever : *cit;
   }
-  nn_stamp_[at] = nn_epoch_[static_cast<std::size_t>(p)];
-  nn_from_[at] = from;
-  nn_use_[at] = use;
-  nn_comp_[at] = comp;
+  const auto pos32 = [](std::int64_t pos) {
+    return pos == kNever ? kNoPos : static_cast<std::int32_t>(pos);
+  };
+  e.stamp = nn_epoch_[static_cast<std::size_t>(p)];
+  e.from = static_cast<std::int32_t>(from);
+  e.use = pos32(use);
+  e.comp = pos32(comp);
   if (use == kNever) return kNever;
   if (comp != kNever && comp < use) return kNever;  // recomputed first
   return use;
@@ -1124,7 +1172,7 @@ std::int64_t IncrementalEvaluator::committed_last_active(
     const auto hi = pp.comp_items.begin() +
                     static_cast<std::ptrdiff_t>(pp.comp_start[v_ + 1]);
     const auto it = std::lower_bound(lo, hi, before);
-    if (it != lo) last = std::max(last, *(it - 1));
+    if (it != lo) last = std::max<std::int64_t>(last, *(it - 1));
   }
   {
     const auto lo =
@@ -1132,7 +1180,7 @@ std::int64_t IncrementalEvaluator::committed_last_active(
     const auto hi =
         pp.use_items.begin() + static_cast<std::ptrdiff_t>(pp.use_start[v_ + 1]);
     const auto it = std::lower_bound(lo, hi, before);
-    if (it != lo) last = std::max(last, *(it - 1));
+    if (it != lo) last = std::max<std::int64_t>(last, *(it - 1));
   }
   return last;
 }
@@ -1511,16 +1559,15 @@ bool IncrementalEvaluator::run_phases(int p, std::int64_t i0,
     auto consider = [&](NodeId v) {
       if (!allowed(v)) return;
       const std::int64_t need = effective_next_need(p, pp, v, from);
-      const std::int64_t next_use = need == kNever ? kNoNextUse : need;
       if (!lru_) {
-        if (best == kInvalidNode || next_use > best_next ||
-            (next_use == best_next && v < best)) {
+        if (best == kInvalidNode || need > best_next ||
+            (need == best_next && v < best)) {
           best = v;
-          best_next = next_use;
+          best_next = need;
         }
         return;
       }
-      const bool dead = next_use == kNoNextUse;
+      const bool dead = need == kNever;
       const std::int64_t la = committed_last_active(pp, v, i0);
       if (best == kInvalidNode) {
         best = v;
@@ -1633,12 +1680,12 @@ bool IncrementalEvaluator::run_phases(int p, std::int64_t i0,
           mark_blue(victim);
           seg.pre_deletes.push_back(victim);
         } else {
-          seg.ops.push_back({0, victim});
+          seg.ops.push_back(PhaseOp::erase(victim));
         }
         try_set_member(p, victim, false);
         t_weight_ -= dag_.mu(victim);
       }
-      seg.ops.push_back({1, v});
+      seg.ops.push_back(PhaseOp::compute(v));
       try_set_member(p, v, true);
       t_weight_ += dag_.mu(v);
     }
@@ -1649,7 +1696,7 @@ bool IncrementalEvaluator::run_phases(int p, std::int64_t i0,
       if (!try_member(p, u) || remneed(u) > 0) continue;
       if (effective_next_need(p, pp, u, gpos + 1) != kNever) continue;
       if (!try_blue(u) && save_required(u)) continue;
-      seg.ops.push_back({0, u});
+      seg.ops.push_back(PhaseOp::erase(u));
       try_set_member(p, u, false);
       t_weight_ -= dag_.mu(u);
     }
@@ -1731,8 +1778,8 @@ void IncrementalEvaluator::commit_segment(int p) {
         !seg.loads.empty()) {
       slot_any_[stage] = 1;
     }
-    for (const auto& [is_compute, v] : seg.ops) {
-      if (is_compute) slot_comp_[body] += dag_.omega(v);
+    for (const PhaseOp& op : seg.ops) {
+      if (op.kind == OpKind::kCompute) slot_comp_[body] += dag_.omega(op.node);
     }
     // post_saves are priced at the round drain (see evaluate_from), where
     // their home groups are final.
@@ -1752,10 +1799,27 @@ void IncrementalEvaluator::commit_segment(int p) {
     // round r]; loads are stage-only; computes are body-only.
     for (NodeId v : seg.pre_saves) cur.save.push_back(v);
     for (NodeId v : seg.loads) cur.load.push_back(v);
-    for (const auto& [is_compute, v] : seg.ops) {
-      if (is_compute) nxt.comp.push_back(v);
+    for (const PhaseOp& op : seg.ops) {
+      if (op.kind == OpKind::kCompute) nxt.comp.push_back(op.node);
     }
     for (NodeId v : seg.post_saves) nxt.save.push_back(v);
+  }
+  if (log_ != nullptr) {
+    PageVector<NodeId>& w = log_->words_;
+    const auto size = [](const auto& list) {
+      return static_cast<NodeId>(list.size());
+    };
+    w.insert(w.end(), {eval_cur_, p, size(seg.pre_saves),
+                       size(seg.pre_deletes), size(seg.loads), size(seg.ops),
+                       size(seg.post_saves), size(seg.post_deletes)});
+    w.insert(w.end(), seg.pre_saves.begin(), seg.pre_saves.end());
+    w.insert(w.end(), seg.pre_deletes.begin(), seg.pre_deletes.end());
+    w.insert(w.end(), seg.loads.begin(), seg.loads.end());
+    for (const PhaseOp& op : seg.ops) {
+      w.push_back(op.kind == OpKind::kCompute ? op.node : -1 - op.node);
+    }
+    w.insert(w.end(), seg.post_saves.begin(), seg.post_saves.end());
+    w.insert(w.end(), seg.post_deletes.begin(), seg.post_deletes.end());
   }
 
   // Fold the segment's end state into the eval-level processor state.

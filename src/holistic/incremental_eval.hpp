@@ -5,11 +5,16 @@
 // O(delta) bookkeeping plus a *suffix* of the memory completion instead of
 // a full copy + validate + complete + cost pass.
 //
+// It is also the library's one memory completion engine: attach() runs
+// the whole completion, and with a CompletionLog it records every
+// committed segment's operations, from which complete_memory and
+// evaluate_plan build the MBSP schedule once the evaluator is freed.
+//
 // ## Dirty-round invariants
 //
 // The memory completion is a deterministic left-to-right simulation over
 // *rounds* (one maximal segment per participating processor per round;
-// memory_completion.cpp) whose cross-processor coupling is forward-only:
+// memory_completion.hpp) whose cross-processor coupling is forward-only:
 // the shared blue set only grows and is only read by later rounds. The
 // engine checkpoints the completion state at every round boundary and,
 // per move, re-completes only rounds >= b (usually only the first few of
@@ -86,9 +91,9 @@
 // replay the committed rounds r_c.. bitwise, so the candidate's remaining
 // rounds are the committed ones relabeled. The cost folds the candidate
 // rows [b, c) and then the committed rows [r_c, R] — the same rows in the
-// same add order as evaluate_plan, hence bitwise equal; the async cost
-// replays the committed op pool past slot c. commit() splices the
-// committed suffix into the promoted state (checkpoint positions
+// same add order as a from-scratch attach, hence bitwise equal; the
+// async cost replays the committed op pool past slot c. commit() splices
+// the committed suffix into the promoted state (checkpoint positions
 // shifted, round labels through the relabel fixups, blue rounds moved by
 // c - r_c); rollback() needs nothing extra. With no exit the whole
 // suffix runs, exactly as before. Every cost model, eviction policy and
@@ -97,10 +102,12 @@
 // Everything the suffix run reuses — boundary caches, blue rounds, home
 // groups, per-slot cost rows, per-(slot, proc) async op lists — is
 // restored exactly as a from-scratch run of the edited plan would have
-// produced it, so the incremental cost is *bitwise identical* to the full
-// evaluator (evaluate_plan), which remains the oracle: debug builds
-// assert equality after every move, and tests/test_incremental_eval.cpp
-// drives randomized apply/undo sequences against it.
+// produced it, so the incremental cost is *bitwise identical* to a
+// from-scratch evaluation (evaluate_plan): debug builds assert equality
+// after every move. The oracle is the reference completer of
+// tests/support/: tests/test_incremental_eval.cpp drives randomized
+// apply/undo sequences against it, and tests/test_twostage.cpp requires
+// attach's schedules to equal its schedules op for op.
 //
 // Every cost model / eviction policy combination runs incrementally:
 // synchronous cost folds per-slot accumulator rows (heterogeneous
@@ -138,24 +145,48 @@
 #include "src/model/cost.hpp"
 #include "src/twostage/compute_plan.hpp"
 #include "src/util/arena.hpp"
+#include "src/util/page_alloc.hpp"
 #include "src/util/flat_map.hpp"
 
 namespace mbsp {
+
+/// The operations of one completion, in emission order: per committed
+/// segment its round, processor and six op lists, packed into one word
+/// array (about one word per op). A one-shot completion frees the
+/// evaluator before it builds the schedule from the log, so the
+/// schedule's many small vectors reuse the evaluator's memory instead of
+/// pinning it.
+class CompletionLog {
+ public:
+  /// The completed schedule: slot 0 carries the first loads, round r
+  /// writes its segments' upfront I/O to slot r (the stage) and their
+  /// computes and post phase to slot r + 1 (the body); empty supersteps
+  /// are dropped.
+  MbspSchedule to_schedule() const;
+
+ private:
+  friend class IncrementalEvaluator;
+  int num_procs_ = 0;
+  int num_rounds_ = 0;
+  // Per segment: round, proc, the lengths of pre_saves, pre_deletes,
+  // loads, ops, post_saves and post_deletes, then their nodes (a delete
+  // op as -1 - node).
+  PageVector<NodeId> words_;
+};
 
 class IncrementalEvaluator {
  public:
   IncrementalEvaluator(const MbspInstance& inst, const LnsOptions& options);
 
   /// Attaches to `plan` (superstep indices must be dense 0..k-1) and fully
-  /// evaluates it. Returns the cost, bitwise equal to evaluate_plan's.
-  double attach(const ComputePlan& plan);
+  /// evaluates it. Returns the cost; when `log` is non-null, also records
+  /// the completion's operations there (the one memory completion of the
+  /// library: complete_memory and evaluate_plan build their schedule from
+  /// it).
+  double attach(const ComputePlan& plan, CompletionLog* log = nullptr);
 
   const ComputePlan& plan() const { return plan_; }
   PlanOccurrenceIndex& index() { return index_; }
-  /// The incremental completion path covers every cost model and
-  /// eviction policy; kept (always true) so callers and tests can assert
-  /// no configuration falls back to full evaluation.
-  bool incremental() const { return true; }
 
   struct Outcome {
     bool valid = false;
@@ -197,7 +228,7 @@ class IncrementalEvaluator {
   struct Segment {
     std::vector<NodeId> loads, pre_saves, pre_deletes, post_saves,
         post_deletes;
-    std::vector<std::pair<char, NodeId>> ops;  ///< (is_compute, node)
+    std::vector<PhaseOp> ops;  ///< computes + interleaved deletes
     std::int64_t count = 0;
     std::vector<NodeId> final_cache;
     double final_weight = 0;
@@ -406,9 +437,9 @@ class IncrementalEvaluator {
     if (++epoch == 0) {
       const std::ptrdiff_t base =
           static_cast<std::ptrdiff_t>(static_cast<std::size_t>(p) * n_);
-      std::fill(nn_stamp_.begin() + base,
-                nn_stamp_.begin() + base + static_cast<std::ptrdiff_t>(n_),
-                0u);
+      std::for_each(nn_.begin() + base,
+                    nn_.begin() + base + static_cast<std::ptrdiff_t>(n_),
+                    [](NextNeed& e) { e.stamp = 0; });
       epoch = 1;
     }
   }
@@ -438,23 +469,25 @@ class IncrementalEvaluator {
   PlanOccurrenceIndex index_;
 
   // -- committed state -----------------------------------------------------
-  std::vector<long> comp_cnt_, use_cnt_;  // [p * n + v]
-  std::vector<int> comp_proc_count_;      // [v]
-  std::vector<char> save_req_;            // [v]
-  std::vector<int> blue_round_;           // [v]: -1 sources, else first
-                                          // blue round, INT_MAX never
-  std::vector<int> home_group_;           // [v]: first saver's group; valid
-                                          // exactly when blue_round_ is
+  // Arrays sized by n, P·n or the round count are PageVectors
+  // (src/util/page_alloc.hpp): an attach's memory leaves RSS with it.
+  PageVector<std::int32_t> comp_cnt_, use_cnt_;  // [p * n + v]
+  PageVector<int> comp_proc_count_;              // [v]
+  PageVector<char> save_req_;                    // [v]
+  PageVector<int> blue_round_;  // [v]: -1 sources, else first blue round,
+                                // INT_MAX never
+  PageVector<int> home_group_;  // [v]: first saver's group; valid exactly
+                                // when blue_round_ is
   // blued-by-round pool: nodes first blued in round r are
   // blued_nodes_[blued_start_[r] .. blued_start_[r+1]).
-  std::vector<NodeId> blued_nodes_;
-  std::vector<std::int64_t> blued_start_;  // [R + 1]
-  std::vector<SyncStepCost> rows_;         // per slot (sync only)
-  std::vector<char> row_empty_;
+  PageVector<NodeId> blued_nodes_;
+  PageVector<std::int64_t> blued_start_;  // [R + 1]
+  PageVector<SyncStepCost> rows_;          // per slot (sync only)
+  PageVector<char> row_empty_;
   // row_prefix_[i]: the cost accumulator state after folding rows [0..i]
   // (skipping empties) — finalize_cost resumes from it instead of
   // rescanning the committed prefix, preserving the exact fp add order.
-  std::vector<SyncCostBreakdown> row_prefix_;
+  PageVector<SyncCostBreakdown> row_prefix_;
 
   // Round-granular checkpoints, structure-of-arrays: row r (0..R) is the
   // completion state at the boundary *before* round r; the straddling
@@ -462,21 +495,21 @@ class IncrementalEvaluator {
   // part of the boundary. All arrays are indexed [r * P + p].
   int committed_rounds_ = 0;  // R
   int committed_steps_ = 0;   // K (committed superstep count)
-  std::vector<std::int64_t> ck_pos_;
-  std::vector<double> ck_weight_, ck_comp_, ck_save_, ck_load_;
-  std::vector<char> ck_any_;
-  std::vector<std::int64_t> ck_cache_start_;  // [(R+1)*P + 1]
-  std::vector<NodeId> ck_cache_nodes_;        // pooled cache rows
-  std::vector<int> ck_step_;           // [R]: superstep round r processed
-  std::vector<int> step_first_round_;  // [K+1], [K] = R
+  PageVector<std::int64_t> ck_pos_;
+  PageVector<double> ck_weight_, ck_comp_, ck_save_, ck_load_;
+  PageVector<char> ck_any_;
+  PageVector<std::int64_t> ck_cache_start_;  // [(R+1)*P + 1]
+  PageVector<NodeId> ck_cache_nodes_;         // pooled cache rows
+  PageVector<int> ck_step_;           // [R]: superstep round r processed
+  PageVector<int> step_first_round_;  // [K+1], [K] = R
 
   // Committed per-(slot, proc) async op lists (async cost only), pooled
   // CSR: slot s, proc p occupies [start[s*P+p], start[s*P+p+1]).
-  std::vector<NodeId> as_comp_nodes_, as_save_nodes_, as_load_nodes_;
-  std::vector<std::int64_t> as_comp_start_, as_save_start_, as_load_start_;
+  PageVector<NodeId> as_comp_nodes_, as_save_nodes_, as_load_nodes_;
+  PageVector<std::int64_t> as_comp_start_, as_save_start_, as_load_start_;
   // Boundary r: how many of slot r's saves existed at the boundary (the
   // post-saves of round r-1; the rest are re-derived stage pre-saves).
-  std::vector<std::int32_t> as_save_prefix_;  // [(R+1)*P]
+  PageVector<std::int32_t> as_save_prefix_;  // [(R+1)*P]
 
   // Validator: committed remote-requirement rows, R_map_[p][v] = min
   // superstep of an occurrence on p that needs v from another processor
@@ -512,15 +545,18 @@ class IncrementalEvaluator {
   int conv_c_ = -1, conv_r_ = -1;
 
   // -- per-eval scratch (arena-backed where append-only) -------------------
+  // attach's operation log: commit_segment appends each segment (null:
+  // cost only).
+  CompletionLog* log_ = nullptr;
   Arena eval_arena_;
   int eval_b_ = 0;  ///< restart round of the running evaluation
   // Per-proc eval cache membership, dense epoch-stamped: v is in proc
   // p's eval cache iff ec_stamp_[p * n + v] == ec_epoch_[p].
-  std::vector<std::uint32_t> ec_stamp_;       // [p * n + v]
+  PageVector<std::uint32_t> ec_stamp_;        // [p * n + v]
   std::vector<std::uint32_t> ec_epoch_;       // [p]
   std::vector<std::vector<NodeId>> ec_list_;  // per-proc ordered cache
   std::vector<double> ec_weight_;
-  std::vector<std::uint32_t> eb_stamp_;  // [v]: blued this eval iff == epoch
+  PageVector<std::uint32_t> eb_stamp_;  // [v]: blued this eval iff == epoch
   std::uint32_t eb_epoch_ = 0;
   FlatMap<NodeId, int> eh_map_;  // home overlay (set at first save)
   std::vector<PendRec> pending_blue_;  // post_saves of the running round
@@ -529,13 +565,13 @@ class IncrementalEvaluator {
   std::vector<std::int64_t> pos_;
   // Slot cost accumulators, structure-of-arrays: local index
   // (slot - first_eval_slot_) * P + p.
-  std::vector<double> slot_comp_, slot_save_, slot_load_;
-  std::vector<char> slot_any_;
+  PageVector<double> slot_comp_, slot_save_, slot_load_;
+  PageVector<char> slot_any_;
   int first_eval_slot_ = 0;
   int num_slots_ = 0;
   int eval_cur_ = 0;  ///< round being processed / straddling slot index
-  std::vector<SyncStepCost> scratch_rows_;  // slots >= first_eval_slot_
-  std::vector<char> scratch_row_empty_;
+  PageVector<SyncStepCost> scratch_rows_;  // slots >= first_eval_slot_
+  PageVector<char> scratch_row_empty_;
   // Scratch checkpoint rows (boundaries b+1 .. R_cand), SoA like ck_*.
   ArenaVector<std::int64_t> scr_pos_;
   ArenaVector<double> scr_weight_, scr_comp_, scr_save_, scr_load_;
@@ -555,13 +591,13 @@ class IncrementalEvaluator {
   ArenaVector<std::int32_t> scr_as_save_prefix_;
   // Async finalize scratch (epoch-stamped per finalize).
   int async_epoch_ = 0;
-  std::vector<int> fs_stamp_;       // [v]
-  std::vector<int> first_save_;     // [v]: slot of the first save
-  std::vector<double> gets_blue_;   // [v]: availability time
-  std::vector<double> now_;         // [p]: finishing time per proc
+  PageVector<int> fs_stamp_;      // [v]
+  PageVector<int> first_save_;    // [v]: slot of the first save
+  PageVector<double> gets_blue_;  // [v]: availability time
+  std::vector<double> now_;       // [p]: finishing time per proc
 
   // -- per-segment / per-try scratch (dense epoch-stamped) ----------------
-  std::vector<SegOv> s_ov_;  // [v]
+  PageVector<SegOv> s_ov_;  // [v]
   std::uint32_t s_epoch_ = 0;
   std::vector<NodeId> s_loads_;
   double s_load_weight_ = 0;
@@ -578,7 +614,7 @@ class IncrementalEvaluator {
   // The running try's state and, swapped in on each success like
   // best_seg_/cur_seg_, the last successful try's: finish_segment runs
   // the post phase once, on the winner.
-  std::vector<TryOv> t_ov_, best_ov_;  // [v]
+  PageVector<TryOv> t_ov_, best_ov_;  // [v]
   std::uint32_t t_epoch_ = 0, best_epoch_ = 0;
   // try members not in the eval cache list
   std::vector<NodeId> t_added_, best_added_;
@@ -587,17 +623,23 @@ class IncrementalEvaluator {
   std::vector<NodeId> sorted_members_;
 
   // effective_next_need memo: the (use, comp) lower-bound pair of node v
-  // on proc p at query position nn_from_; live iff the stamp matches the
-  // proc's epoch. Survives across moves for untouched processors.
-  std::vector<std::uint32_t> nn_stamp_;                   // [p * n + v]
-  std::vector<std::uint32_t> nn_epoch_;                   // [p]
-  std::vector<std::int64_t> nn_from_, nn_use_, nn_comp_;  // [p * n + v]
+  // on proc p at query position `from`; live iff the stamp matches the
+  // proc's epoch. Survives across moves for untouched processors. One
+  // 16-byte entry per (proc, node): plan positions fit 32 bits, and
+  // kNoPos (above every position) stands for kNever.
+  struct NextNeed {
+    std::uint32_t stamp = 0;
+    std::int32_t from = 0, use = 0, comp = 0;
+  };
+  static constexpr std::int32_t kNoPos = INT32_MAX;
+  PageVector<NextNeed> nn_;             // [p * n + v]
+  std::vector<std::uint32_t> nn_epoch_;  // [p]
 
   // validator scratch
   int scan_epoch_ = 0;
-  std::vector<int> scan_stamp_;
+  PageVector<int> scan_stamp_;
   int affected_epoch_ = 0;
-  std::vector<int> affected_stamp_;
+  PageVector<int> affected_stamp_;
 };
 
 }  // namespace mbsp

@@ -25,13 +25,14 @@
 // undoes the delta. improve_plan is search_plan plus the one full
 // completion its returned schedule needs; search_plan is the one LNS loop
 // every production caller runs (the portfolio's epoch slices, the shard
-// fan-out and repair's polish included). The historical
-// copy-normalize-validate-recomplete loop is preserved verbatim as
+// fan-out and repair's polish included). evaluate_plan and
+// complete_memory run the same engine once, from scratch. The historical
+// copy-normalize-validate-recomplete loop is kept under tests/support/ as
 // improve_plan_reference: it is the bitwise oracle of the differential
 // tests and the baseline of bench_lns_throughput. For a fixed seed, options
 // and a warm start with dense supersteps the two return identical results;
 // debug builds additionally assert, every iteration, that the incremental
-// candidate cost equals the full evaluator's.
+// candidate cost equals a from-scratch evaluation's.
 
 #include <array>
 #include <cstdint>
@@ -128,7 +129,10 @@ struct LnsResult : LnsSearchResult {
   MbspSchedule schedule;  ///< completion of `plan`; `cost` is its cost
 };
 
-/// Evaluates a plan: completes memory and returns the configured cost.
+/// Evaluates a plan: completes memory and returns the configured cost (a
+/// fresh IncrementalEvaluator's attach). With `out`, also returns the
+/// completed schedule, the one complete_memory returns. Superstep labels
+/// may have gaps.
 double evaluate_plan(const MbspInstance& inst, const ComputePlan& plan,
                      const LnsOptions& options, MbspSchedule* out = nullptr);
 
@@ -145,13 +149,5 @@ LnsSearchResult search_plan(const MbspInstance& inst,
 /// cost and counters, and its schedule.
 LnsResult improve_plan(const MbspInstance& inst, const ComputePlan& initial,
                        const LnsOptions& options);
-
-/// The historical copy-and-reevaluate implementation (every candidate is a
-/// full plan copy, normalized, validated and costed from scratch). Same
-/// results as improve_plan for fixed seed and options; kept as the
-/// differential oracle and as the throughput-bench baseline.
-LnsResult improve_plan_reference(const MbspInstance& inst,
-                                 const ComputePlan& initial,
-                                 const LnsOptions& options);
 
 }  // namespace mbsp

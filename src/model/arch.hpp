@@ -33,6 +33,11 @@
 
 namespace mbsp {
 
+/// Tolerance of every memory-bound test, so accumulated floating-point
+/// weights never spuriously violate an exactly tight memory(p). Completion
+/// and validation share it: a schedule the completion emits validates.
+constexpr double kMemEps = 1e-9;
+
 struct Machine {
   int num_processors = 1;  ///< P >= 1
   double fast_memory = 0;  ///< r, per-processor cache capacity (base)

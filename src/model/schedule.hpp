@@ -43,6 +43,8 @@ struct ProcStep {
            loads.empty();
   }
 
+  bool operator==(const ProcStep&) const = default;
+
   /// Sum of omega over COMPUTE ops of this phase.
   double compute_cost(const ComputeDag& dag) const;
   /// Sum of g * mu over saves / loads.
@@ -56,6 +58,8 @@ struct Superstep {
   explicit Superstep(int num_procs = 0) : proc(num_procs) {}
 
   bool empty() const;
+
+  bool operator==(const Superstep&) const = default;
 };
 
 /// A full MBSP schedule. Validity is checked by `validate()` (validate.hpp);
@@ -64,6 +68,9 @@ struct MbspSchedule {
   std::vector<Superstep> steps;
 
   int num_supersteps() const { return static_cast<int>(steps.size()); }
+
+  /// Same operations in the same phases, processors and supersteps.
+  bool operator==(const MbspSchedule&) const = default;
 
   /// Appends an empty superstep for `num_procs` processors, returns it.
   Superstep& append(int num_procs);

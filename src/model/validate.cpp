@@ -9,10 +9,6 @@ namespace mbsp {
 
 namespace {
 
-// Small epsilon so accumulated floating-point weights never spuriously
-// violate an exactly-tight memory bound.
-constexpr double kMemEps = 1e-9;
-
 struct SimState {
   std::vector<std::vector<char>> red;   // red[p][v]
   std::vector<double> red_weight;       // cached sum of mu over red[p]

@@ -426,19 +426,19 @@ void PlanOccurrenceIndex::rebuild_into(int p, ProcPositions& pp) {
   }
   pp.comp_items.assign(static_cast<std::size_t>(pp.comp_start[n]), 0);
   pp.use_items.assign(static_cast<std::size_t>(pp.use_start[n]), 0);
-  std::vector<std::int64_t> comp_fill(pp.comp_start.begin(),
+  std::vector<std::int32_t> comp_fill(pp.comp_start.begin(),
                                       pp.comp_start.end() - 1);
-  std::vector<std::int64_t> use_fill(pp.use_start.begin(),
+  std::vector<std::int32_t> use_fill(pp.use_start.begin(),
                                      pp.use_start.end() - 1);
   for (std::size_t i = 0; i < seq.size(); ++i) {
     const PlannedCompute& pc = seq[i];
     pp.comp_items[static_cast<std::size_t>(
         comp_fill[static_cast<std::size_t>(pc.node)]++)] =
-        static_cast<std::int64_t>(i);
+        static_cast<std::int32_t>(i);
     for (NodeId u : dag_->parents(pc.node)) {
       pp.use_items[static_cast<std::size_t>(
           use_fill[static_cast<std::size_t>(u)]++)] =
-          static_cast<std::int64_t>(i);
+          static_cast<std::int32_t>(i);
     }
   }
 }

@@ -122,11 +122,13 @@ class PlanOccurrenceIndex {
   /// Sorted occurrence / use positions of every node on one processor,
   /// CSR-flattened. Positions refer to the current seq[p]; any delta op
   /// touching p invalidates the view (it is rebuilt on next access).
+  /// Positions and offsets fit 32 bits (a processor's plan holds far
+  /// fewer than 2^31 occurrences and parent uses).
   struct ProcPositions {
-    std::vector<std::int64_t> comp_start;  ///< n+1 offsets into comp_items
-    std::vector<std::int64_t> comp_items;
-    std::vector<std::int64_t> use_start;   ///< n+1 offsets into use_items
-    std::vector<std::int64_t> use_items;
+    std::vector<std::int32_t> comp_start;  ///< n+1 offsets into comp_items
+    std::vector<std::int32_t> comp_items;
+    std::vector<std::int32_t> use_start;   ///< n+1 offsets into use_items
+    std::vector<std::int32_t> use_items;
   };
 
   void attach(const ComputeDag* dag, const ComputePlan* plan);

@@ -22,10 +22,12 @@
 //    every processor's capacity (Machine::memory(p); fast_memory on the
 //    uniform machine) is at least r0 (min_memory_r0).
 //
-// The eviction *choice* is delegated to an EvictionPolicy (clairvoyant or
-// LRU), which is stage 2's only degree of freedom in the paper.
-
-#include <memory>
+// The eviction *choice* is the policy (clairvoyant or LRU), which is stage
+// 2's only degree of freedom in the paper. The completion runs on the
+// IncrementalEvaluator (src/holistic/incremental_eval.hpp), the engine the
+// LNS re-costs its moves with; complete_memory is its one-shot call. The
+// historical stand-alone completer is kept under tests/support/ as the
+// oracle the tests compare this one against, bitwise.
 
 #include "src/cache/policy.hpp"
 #include "src/model/schedule.hpp"
@@ -36,14 +38,9 @@ namespace mbsp {
 
 /// Completes `plan` into a full MBSP schedule. The plan must satisfy
 /// validate_plan(); every processor's memory capacity must be at least
-/// min_memory_r0(dag).
+/// min_memory_r0(dag). Superstep labels may have gaps: empty supersteps
+/// produce nothing.
 MbspSchedule complete_memory(const MbspInstance& inst, const ComputePlan& plan,
-                             const EvictionPolicy& policy);
-
-inline MbspSchedule complete_memory(const MbspInstance& inst,
-                                    const ComputePlan& plan,
-                                    PolicyKind kind) {
-  return complete_memory(inst, plan, *make_policy(kind));
-}
+                             PolicyKind kind);
 
 }  // namespace mbsp

@@ -29,6 +29,8 @@
 #include <utility>
 #include <vector>
 
+#include "src/util/page_alloc.hpp"
+
 namespace mbsp {
 
 class Arena {
@@ -86,7 +88,7 @@ class Arena {
   /// Frees all chunks (back to a freshly constructed arena).
   void release() {
     reset();
-    for (const Chunk& c : chunks_) ::operator delete(c.data);
+    for (const Chunk& c : chunks_) page_free(c.data, c.size);
     chunks_.clear();
     cursor_ = chunk_end_ = nullptr;
     chunk_at_ = 0;
@@ -123,7 +125,7 @@ class Arena {
     }
     const std::size_t size = at_least > chunk_bytes_ ? at_least : chunk_bytes_;
     Chunk c;
-    c.data = static_cast<char*>(::operator new(size));
+    c.data = static_cast<char*>(page_alloc(size));
     c.size = size;
     chunks_.push_back(c);
     chunk_at_ = chunks_.size() - 1;

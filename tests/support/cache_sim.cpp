@@ -1,4 +1,4 @@
-#include "src/cache/cache_sim.hpp"
+#include "tests/support/cache_sim.hpp"
 
 #include <algorithm>
 #include <cassert>

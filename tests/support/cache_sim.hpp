@@ -5,7 +5,7 @@
 
 #include <vector>
 
-#include "src/cache/policy.hpp"
+#include "tests/support/eviction_policy.hpp"
 
 namespace mbsp {
 

@@ -1,4 +1,4 @@
-#include "src/cache/policy.hpp"
+#include "tests/support/eviction_policy.hpp"
 
 #include <cassert>
 

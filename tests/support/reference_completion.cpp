@@ -1,4 +1,4 @@
-#include "src/twostage/memory_completion.hpp"
+#include "tests/support/reference_completion.hpp"
 
 #include <algorithm>
 #include <cassert>
@@ -12,7 +12,6 @@ namespace mbsp {
 
 namespace {
 
-constexpr double kMemEps = 1e-9;
 constexpr std::int64_t kNever = std::numeric_limits<std::int64_t>::max();
 
 /// One planned maximal segment of computes on one processor, together with

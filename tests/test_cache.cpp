@@ -1,9 +1,9 @@
 // Tests for eviction policies and the weighted cache simulator.
 #include <gtest/gtest.h>
 
-#include "src/cache/cache_sim.hpp"
-#include "src/cache/policy.hpp"
 #include "src/util/rng.hpp"
+#include "tests/support/cache_sim.hpp"
+#include "tests/support/eviction_policy.hpp"
 
 namespace mbsp {
 namespace {

@@ -1,7 +1,7 @@
 // Differential oracle tests for the incremental evaluation engine:
 // randomized move sequences over several workload families, asserting
 // after every apply AND every undo that the incremental cost equals the
-// full evaluator's (evaluate_plan -> complete_memory -> sync_cost)
+// reference completer's (reference_evaluate_plan: Completer -> sync_cost)
 // bitwise, and that improve_plan returns results identical to the
 // preserved copy-and-reevaluate reference loop.
 #include <gtest/gtest.h>
@@ -19,6 +19,7 @@
 #include "src/util/rng.hpp"
 #include "src/workload/workload_registry.hpp"
 #include "tests/recompute_plan.hpp"
+#include "tests/support/reference_lns.hpp"
 
 namespace mbsp {
 namespace {
@@ -97,7 +98,7 @@ void differential_run(const MbspInstance& inst, const LnsOptions& options,
 
   IncrementalEvaluator eval(inst, options);
   const double attach_cost = eval.attach(initial);
-  EXPECT_EQ(attach_cost, evaluate_plan(inst, initial, options))
+  EXPECT_EQ(attach_cost, reference_evaluate_plan(inst, initial, options))
       << inst.name() << ": attach cost differs from the oracle";
 
   // Drive the evaluator with the same move generators improve_plan uses,
@@ -117,10 +118,11 @@ void differential_run(const MbspInstance& inst, const LnsOptions& options,
     const auto out = eval.finish_move();
     if (out.valid) {
       // Incremental cost must equal the oracle on the applied plan.
-      const double full = evaluate_plan(inst, eval.plan(), options);
+      const double full =
+          reference_evaluate_plan(inst, eval.plan(), options);
       ASSERT_EQ(out.cost, full)
           << inst.name() << " iteration " << it
-          << ": incremental cost diverged from evaluate_plan";
+          << ": incremental cost diverged from the reference";
       ASSERT_TRUE(validate_plan(inst.dag, eval.plan()).ok);
     }
     if (out.valid && rng.chance(0.5)) {
@@ -345,10 +347,9 @@ TEST(IncrementalEval, ImprovePlanMatchesReferenceTightMemory) {
 
 TEST(IncrementalEval, AsyncAndLruTakeIncrementalPath) {
   // Async cost and LRU eviction must run through the O(dirty) incremental
-  // path, not a full-evaluation fallback: the evaluator reports itself
-  // incremental, and local moves re-derive strictly fewer rounds than the
-  // committed total (while still matching the oracle bitwise — checked by
-  // differential_run's per-move asserts).
+  // path, not a full-evaluation fallback: local moves re-derive strictly
+  // fewer rounds than the committed total (while still matching the
+  // oracle bitwise — checked by differential_run's per-move asserts).
   for (auto [cost, policy] :
        {std::pair{CostModel::kAsynchronous, PolicyKind::kClairvoyant},
         std::pair{CostModel::kSynchronous, PolicyKind::kLru},
@@ -362,7 +363,6 @@ TEST(IncrementalEval, AsyncAndLruTakeIncrementalPath) {
     const ComputePlan initial = warm_plan(inst);
     IncrementalEvaluator eval(inst, options);
     eval.attach(initial);
-    ASSERT_TRUE(eval.incremental());
     // Touch the last occurrence of the highest processor: a tail-local
     // move whose dirty suffix must not span the whole plan.
     long partial = 0;
@@ -389,7 +389,8 @@ TEST(IncrementalEval, AsyncAndLruTakeIncrementalPath) {
       eval.apply_op(insert);
       const auto out = eval.finish_move();
       if (out.valid) {
-        EXPECT_EQ(out.cost, evaluate_plan(inst, eval.plan(), options));
+        EXPECT_EQ(out.cost,
+                  reference_evaluate_plan(inst, eval.plan(), options));
         if (eval.last_dirty_rounds() < eval.committed_rounds()) ++partial;
       }
       eval.rollback();
@@ -489,7 +490,7 @@ TEST(IncrementalEval, ZeroLengthSuffixAfterTopSuperstepErase) {
   eval.apply_op(erase);
   const auto out = eval.finish_move();
   ASSERT_TRUE(out.valid);
-  EXPECT_EQ(out.cost, evaluate_plan(inst, eval.plan(), options));
+  EXPECT_EQ(out.cost, reference_evaluate_plan(inst, eval.plan(), options));
   eval.commit();
   // The committed state must still evaluate correctly afterwards.
   eval.begin_move();
@@ -501,7 +502,7 @@ TEST(IncrementalEval, ZeroLengthSuffixAfterTopSuperstepErase) {
   eval.apply_op(back);
   const auto redo = eval.finish_move();
   ASSERT_TRUE(redo.valid);
-  EXPECT_EQ(redo.cost, evaluate_plan(inst, eval.plan(), options));
+  EXPECT_EQ(redo.cost, reference_evaluate_plan(inst, eval.plan(), options));
   eval.rollback();
 }
 
@@ -537,7 +538,7 @@ TEST(IncrementalEval, ReconvergenceExitSkipsTheCommittedTail) {
     eval.apply_op(insert);
     const auto out = eval.finish_move();
     if (out.valid) {
-      EXPECT_EQ(out.cost, evaluate_plan(inst, eval.plan(), options));
+      EXPECT_EQ(out.cost, reference_evaluate_plan(inst, eval.plan(), options));
       EXPECT_LT(2 * eval.last_dirty_rounds(), eval.committed_rounds())
           << "processor " << p << ": the evaluation did not rejoin the "
           << "committed run";
@@ -553,7 +554,7 @@ TEST(IncrementalEval, CommitHeavyDifferentialAcrossConfigs) {
   // committed tail into the state the next move starts from. Release
   // builds compile out the per-move oracle assert and the checkpoint
   // verifier, so the drift a wrong splice leaves is caught here: every
-  // cost against evaluate_plan, then a fresh evaluator attached to the
+  // cost against the reference, then a fresh evaluator attached to the
   // final plan must price the same next moves identically.
   std::string error;
   auto dag = WorkloadRegistry::global().make_dag("stencil2d:nx=4,ny=4,steps=5",
@@ -591,7 +592,8 @@ TEST(IncrementalEval, CommitHeavyDifferentialAcrossConfigs) {
             eval.rollback();
             continue;
           }
-          ASSERT_EQ(out.cost, evaluate_plan(inst, eval.plan(), options))
+          ASSERT_EQ(out.cost,
+                    reference_evaluate_plan(inst, eval.plan(), options))
               << config << " move " << it;
           eval.commit();
           ++committed;
@@ -731,7 +733,8 @@ TEST(IncrementalEval, AttachMatchesHistoricalCheckpointDigests) {
         options.cost = cost;
         options.completion_policy = policy;
         IncrementalEvaluator eval(inst, options);
-        EXPECT_EQ(eval.attach(plan), evaluate_plan(inst, plan, options));
+        EXPECT_EQ(eval.attach(plan),
+                  reference_evaluate_plan(inst, plan, options));
         const std::uint64_t digest = eval.checkpoint_digest();
         EXPECT_EQ(digest, g.digest[column])
             << g.workload << (g.recompute ? "+recompute" : "") << " on "

@@ -19,6 +19,7 @@
 #include "src/runner/batch_runner.hpp"
 #include "src/twostage/two_stage.hpp"
 #include "src/workload/workload_registry.hpp"
+#include "tests/support/reference_lns.hpp"
 
 namespace mbsp {
 namespace {

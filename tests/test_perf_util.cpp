@@ -1,8 +1,10 @@
 // Unit tests for the hot-path memory-layout substrate: the bump arena
-// (reuse/reset semantics, no stale-data leakage across resets) and the
-// open-addressing FlatMap (epoch clears, growth, iteration).
+// (reuse/reset semantics, no stale-data leakage across resets), the
+// page-mapped PageVector and the open-addressing FlatMap (epoch clears,
+// growth, iteration).
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstring>
 #include <numeric>
 #include <set>
@@ -10,6 +12,7 @@
 
 #include "src/util/arena.hpp"
 #include "src/util/flat_map.hpp"
+#include "src/util/page_alloc.hpp"
 
 namespace mbsp {
 namespace {
@@ -93,6 +96,35 @@ TEST(ArenaVector, AppendBulk) {
   EXPECT_EQ(vec[0], -1);
   EXPECT_EQ(vec[1], 5);
   EXPECT_EQ(vec[100], 104);
+}
+
+TEST(PageVector, GrowsAcrossTheMappingThresholdKeepingContents) {
+  PageVector<std::int64_t> vec;
+  const std::size_t count = 4 * kPageAllocMinBytes / sizeof(std::int64_t);
+  for (std::size_t i = 0; i < count; ++i) {
+    vec.push_back(static_cast<std::int64_t>(i) * 7);
+  }
+  for (std::size_t i = 0; i < count; ++i) {
+    ASSERT_EQ(vec[i], static_cast<std::int64_t>(i) * 7);
+  }
+  // A block of at least the threshold is mapped: page-aligned and zeroed.
+  PageVector<char> big(kPageAllocMinBytes);
+  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(big.data()) % 4096, 0u);
+  vec.assign(3, -1);
+  vec.shrink_to_fit();
+  EXPECT_EQ(vec, (PageVector<std::int64_t>{-1, -1, -1}));
+}
+
+TEST(Arena, LargeChunksRoundTrip) {
+  Arena arena;
+  auto* p = arena.allocate_array<double>(kPageAllocMinBytes);
+  for (std::size_t i = 0; i < kPageAllocMinBytes; i += 4096) {
+    p[i] = static_cast<double>(i);
+  }
+  EXPECT_EQ(p[4096], 4096.0);
+  EXPECT_GE(arena.capacity_bytes(), kPageAllocMinBytes * sizeof(double));
+  arena.release();
+  EXPECT_EQ(arena.capacity_bytes(), 0u);
 }
 
 TEST(FlatMap, InsertFindClear) {

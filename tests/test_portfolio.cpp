@@ -16,6 +16,7 @@
 #include "src/runner/scheduler_registry.hpp"
 #include "src/twostage/two_stage.hpp"
 #include "src/workload/workload_registry.hpp"
+#include "tests/support/reference_lns.hpp"
 
 namespace mbsp {
 namespace {

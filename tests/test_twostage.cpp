@@ -1,5 +1,6 @@
 // Integration tests for the two-stage pipeline: BSP scheduling, compute
-// plans, and the memory-completion engine. Heavy use of parameterized
+// plans, and the memory-completion engine (held bitwise to the reference
+// completer of tests/support/). Heavy use of parameterized
 // sweeps: every (instance, policy, memory bound) combination must produce
 // a schedule that passes full semantic validation.
 #include <gtest/gtest.h>
@@ -7,6 +8,7 @@
 #include "src/bsp/greedy_scheduler.hpp"
 #include "src/graph/dag_io.hpp"
 #include "src/graph/generators.hpp"
+#include "src/holistic/lns.hpp"
 #include "src/model/cost.hpp"
 #include "src/model/machine_registry.hpp"
 #include "src/model/validate.hpp"
@@ -14,6 +16,8 @@
 #include "src/twostage/two_stage.hpp"
 #include "src/workload/workload_registry.hpp"
 #include "tests/recompute_plan.hpp"
+#include "tests/support/reference_completion.hpp"
+#include "tests/support/reference_lns.hpp"
 
 namespace mbsp {
 namespace {
@@ -289,10 +293,17 @@ std::uint64_t schedule_digest(const MbspSchedule& sched) {
   return h;
 }
 
-// Pins the completer's decisions, not just their cost: a change that
-// picks another victim or order at equal cost moves a digest. Recorded
-// from the completer before its allocation-free rewrite.
-TEST(Completion, MatchesHistoricalScheduleDigests) {
+/// One of the 24 digest plans: a stage-1 plan (with local recomputation
+/// for some) on a uniform, hetero or NUMA machine with tight memories, and
+/// the digests its completions were recorded with.
+struct DigestCase {
+  std::string label;
+  MbspInstance inst;
+  ComputePlan plan;
+  std::uint64_t clairvoyant, lru;
+};
+
+std::vector<DigestCase> digest_cases() {
   // Tight memories (completion sees a machine only through them), so
   // nearly every segment evicts.
   constexpr const char* kUniform = "uniform:P=4,rf=1";
@@ -354,35 +365,117 @@ TEST(Completion, MatchesHistoricalScheduleDigests) {
       {"fft:n=16", true, kNuma,
        0x35a501f7457e686full, 0x776c259c4a44c466ull},
   };
+  std::vector<DigestCase> cases;
   for (const Golden& g : goldens) {
     std::string error;
     auto dag = WorkloadRegistry::global().make_dag(g.workload, 2025, &error);
-    ASSERT_TRUE(dag.has_value()) << g.workload << ": " << error;
+    EXPECT_TRUE(dag.has_value()) << g.workload << ": " << error;
     auto machine = MachineRegistry::global().make_machine(
         g.machine, min_memory_r0(*dag), &error);
-    ASSERT_TRUE(machine.has_value()) << g.machine << ": " << error;
-    const MbspInstance inst{std::move(*dag), std::move(*machine)};
+    EXPECT_TRUE(machine.has_value()) << g.machine << ": " << error;
+    MbspInstance inst{std::move(*dag), std::move(*machine)};
     GreedyBspScheduler stage1;
     ComputePlan plan = plan_from_bsp(
         inst.dag, stage1.schedule(inst.dag, inst.arch), inst.arch.num_processors);
     if (g.recompute) {
       const std::size_t computes = plan.total_computes();
       plan = with_local_recomputes(inst.dag, plan);
-      ASSERT_GT(plan.total_computes(), computes) << g.workload;
+      EXPECT_GT(plan.total_computes(), computes) << g.workload;
     }
-    ASSERT_TRUE(validate_plan(inst.dag, plan).ok) << g.workload;
-    const std::string label = std::string(g.workload) +
-                              (g.recompute ? "+recompute" : "") + " on " +
-                              g.machine;
+    EXPECT_TRUE(validate_plan(inst.dag, plan).ok) << g.workload;
+    cases.push_back({std::string(g.workload) +
+                         (g.recompute ? "+recompute" : "") + " on " + g.machine,
+                     std::move(inst), std::move(plan), g.clairvoyant, g.lru});
+  }
+  return cases;
+}
+
+// Pins the completer's decisions, not just their cost: a change that
+// picks another victim or order at equal cost moves a digest. Recorded
+// from the completer before its allocation-free rewrite; the library's
+// completion and the reference completer must both reproduce them.
+TEST(Completion, MatchesHistoricalScheduleDigests) {
+  for (const DigestCase& c : digest_cases()) {
     for (PolicyKind policy : {PolicyKind::kClairvoyant, PolicyKind::kLru}) {
-      const MbspSchedule sched = complete_memory(inst, plan, policy);
-      EXPECT_TRUE(validate(inst, sched).ok) << label;
-      const std::uint64_t digest = schedule_digest(sched);
-      EXPECT_EQ(digest, policy == PolicyKind::kClairvoyant ? g.clairvoyant
-                                                           : g.lru)
-          << label << (policy == PolicyKind::kClairvoyant ? " clairvoyant"
-                                                          : " lru");
+      const std::string label =
+          c.label +
+          (policy == PolicyKind::kClairvoyant ? " clairvoyant" : " lru");
+      const char* engines[] = {" (library)", " (reference)"};
+      const MbspSchedule schedules[] = {
+          complete_memory(c.inst, c.plan, policy),
+          complete_memory(c.inst, c.plan, *make_policy(policy))};
+      for (int e = 0; e < 2; ++e) {
+        EXPECT_TRUE(validate(c.inst, schedules[e]).ok) << label << engines[e];
+        EXPECT_EQ(schedule_digest(schedules[e]),
+                  policy == PolicyKind::kClairvoyant ? c.clairvoyant : c.lru)
+            << label << engines[e];
+      }
     }
+  }
+}
+
+/// The library's completion against the reference completer on one plan,
+/// both policies and both cost models: the same schedule and the same
+/// cost, bitwise, from complete_memory and from evaluate_plan.
+void expect_matches_reference(const MbspInstance& inst, const ComputePlan& plan,
+                              const std::string& label) {
+  for (PolicyKind policy : {PolicyKind::kClairvoyant, PolicyKind::kLru}) {
+    const MbspSchedule reference =
+        complete_memory(inst, plan, *make_policy(policy));
+    EXPECT_TRUE(complete_memory(inst, plan, policy) == reference) << label;
+    for (CostModel cost : {CostModel::kSynchronous, CostModel::kAsynchronous}) {
+      LnsOptions options;
+      options.completion_policy = policy;
+      options.cost = cost;
+      MbspSchedule sched;
+      EXPECT_EQ(evaluate_plan(inst, plan, options, &sched),
+                reference_evaluate_plan(inst, plan, options))
+          << label << " policy " << static_cast<int>(policy) << " cost "
+          << static_cast<int>(cost);
+      EXPECT_TRUE(sched == reference) << label;
+    }
+  }
+}
+
+TEST(Completion, MatchesReferenceCompleterOnDigestPlans) {
+  for (const DigestCase& c : digest_cases()) {
+    expect_matches_reference(c.inst, c.plan, c.label);
+  }
+}
+
+// Randomized plans: searched (so they carry the LNS's moves, recomputation
+// included) and then spread to gapped superstep labels, on all three
+// machine kinds.
+TEST(Completion, MatchesReferenceCompleterOnRandomGappedPlans) {
+  const char* machines[] = {
+      "uniform:P=3,rf=1.5",
+      "hetero:P=4,mems=1x2+2x2,rf=1,speeds=1x2+2x2",
+      "numa:gin=1,gout=4,groups=2x2,mems=1x3+2x1,rf=1.2",
+  };
+  for (int seed = 0; seed < 12; ++seed) {
+    Rng rng(static_cast<std::uint64_t>(seed));
+    ComputeDag dag = random_layered_dag(30 + 5 * seed, 4, rng);
+    assign_random_memory_weights(dag, rng);
+    std::string error;
+    auto machine = MachineRegistry::global().make_machine(
+        machines[seed % 3], min_memory_r0(dag), &error);
+    ASSERT_TRUE(machine.has_value()) << error;
+    const MbspInstance inst{std::move(dag), std::move(*machine)};
+    GreedyBspScheduler stage1;
+    ComputePlan plan = plan_from_bsp(
+        inst.dag, stage1.schedule(inst.dag, inst.arch), inst.arch.num_processors);
+    if (seed % 2 == 1) plan = with_local_recomputes(inst.dag, plan);
+    LnsOptions search;
+    search.budget_ms = 0;
+    search.max_iterations = 200;
+    search.seed = static_cast<std::uint64_t>(seed);
+    plan = search_plan(inst, plan, search).plan;
+    for (auto& seq : plan.seq) {
+      for (PlannedCompute& pc : seq) pc.superstep = 2 * pc.superstep + 1;
+    }
+    ASSERT_FALSE(has_dense_supersteps(plan));
+    ASSERT_TRUE(validate_plan(inst.dag, plan).ok);
+    expect_matches_reference(inst, plan, "seed " + std::to_string(seed));
   }
 }
 
