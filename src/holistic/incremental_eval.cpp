@@ -5,7 +5,6 @@
 #include <climits>
 #include <cstdint>
 #include <cstdlib>
-#include <cstring>
 #include <limits>
 
 #include "src/graph/dag_io.hpp"
@@ -44,8 +43,8 @@ void replace_range(Vec& v, std::size_t lo, std::size_t hi, It first, It last) {
 template <class T>
 void splice_csr(PageVector<std::int64_t>& start, PageVector<T>& nodes,
                 std::size_t lo, std::size_t hi,
-                const ArenaVector<std::int64_t>& scr_start,
-                const ArenaVector<T>& scr_nodes) {
+                const PageVector<std::int64_t>& scr_start,
+                const PageVector<T>& scr_nodes) {
   const std::int64_t n_lo = start[lo];
   const std::int64_t n_hi = start[hi];
   replace_range(nodes, static_cast<std::size_t>(n_lo),
@@ -99,9 +98,6 @@ IncrementalEvaluator::IncrementalEvaluator(const MbspInstance& inst,
     speed_[static_cast<std::size_t>(p)] = inst.arch.speed(p);
     grp_[static_cast<std::size_t>(p)] = inst.arch.group(p);
   }
-  const char* mode = std::getenv("MBSP_ARENA_MODE");
-  eval_arena_.set_paranoid(options.arena_paranoid ||
-                           (mode != nullptr && std::strcmp(mode, "heap") == 0));
 }
 
 // Home groups mirror blue rounds: committed entries are valid exactly when
@@ -1189,27 +1185,26 @@ std::int64_t IncrementalEvaluator::committed_last_active(
 // Completion: boundary restore / checkpoint / main loop.
 
 void IncrementalEvaluator::restore_boundary(int b) {
-  // All per-eval append-only scratch lives in the arena; one reset makes
-  // the previous evaluation's blocks reusable at once.
-  eval_arena_.reset();
-  scr_pos_.attach(&eval_arena_);
-  scr_weight_.attach(&eval_arena_);
-  scr_comp_.attach(&eval_arena_);
-  scr_save_.attach(&eval_arena_);
-  scr_load_.attach(&eval_arena_);
-  scr_any_.attach(&eval_arena_);
-  scr_cache_start_.attach(&eval_arena_);
-  scr_cache_nodes_.attach(&eval_arena_);
-  scr_round_steps_.attach(&eval_arena_);
-  eval_blued_.attach(&eval_arena_);
-  eval_homes_.attach(&eval_arena_);
-  scr_as_comp_nodes_.attach(&eval_arena_);
-  scr_as_save_nodes_.attach(&eval_arena_);
-  scr_as_load_nodes_.attach(&eval_arena_);
-  scr_as_comp_start_.attach(&eval_arena_);
-  scr_as_save_start_.attach(&eval_arena_);
-  scr_as_load_start_.attach(&eval_arena_);
-  scr_as_save_prefix_.attach(&eval_arena_);
+  // Per-eval scratch: clear() keeps every array's capacity, so once the
+  // arrays reach their high-water mark an evaluation allocates nothing.
+  scr_pos_.clear();
+  scr_weight_.clear();
+  scr_comp_.clear();
+  scr_save_.clear();
+  scr_load_.clear();
+  scr_any_.clear();
+  scr_cache_start_.clear();
+  scr_cache_nodes_.clear();
+  scr_round_steps_.clear();
+  eval_blued_.clear();
+  eval_homes_.clear();
+  scr_as_comp_nodes_.clear();
+  scr_as_save_nodes_.clear();
+  scr_as_load_nodes_.clear();
+  scr_as_comp_start_.clear();
+  scr_as_save_start_.clear();
+  scr_as_load_start_.clear();
+  scr_as_save_prefix_.clear();
 
   eval_b_ = b;
   eval_cur_ = b;
@@ -1298,7 +1293,7 @@ void IncrementalEvaluator::record_checkpoint() {
   }
   for (int p = 0; p < P_; ++p) {
     const auto& list = ec_list_[static_cast<std::size_t>(p)];
-    scr_cache_nodes_.append(list.data(), list.size());
+    scr_cache_nodes_.insert(scr_cache_nodes_.end(), list.begin(), list.end());
     scr_cache_start_.push_back(
         static_cast<std::int64_t>(scr_cache_nodes_.size()));
   }
@@ -1320,13 +1315,16 @@ double IncrementalEvaluator::evaluate_from(int b, bool may_exit) {
   const auto flush_async_slot = [&] {
     for (int p = 0; p < P_; ++p) {
       SlotOps& cur = async_cur_[static_cast<std::size_t>(p)];
-      scr_as_comp_nodes_.append(cur.comp.data(), cur.comp.size());
+      scr_as_comp_nodes_.insert(scr_as_comp_nodes_.end(), cur.comp.begin(),
+                                cur.comp.end());
       scr_as_comp_start_.push_back(
           static_cast<std::int64_t>(scr_as_comp_nodes_.size()));
-      scr_as_save_nodes_.append(cur.save.data(), cur.save.size());
+      scr_as_save_nodes_.insert(scr_as_save_nodes_.end(), cur.save.begin(),
+                                cur.save.end());
       scr_as_save_start_.push_back(
           static_cast<std::int64_t>(scr_as_save_nodes_.size()));
-      scr_as_load_nodes_.append(cur.load.data(), cur.load.size());
+      scr_as_load_nodes_.insert(scr_as_load_nodes_.end(), cur.load.begin(),
+                                cur.load.end());
       scr_as_load_start_.push_back(
           static_cast<std::int64_t>(scr_as_load_nodes_.size()));
     }
@@ -2107,19 +2105,19 @@ void IncrementalEvaluator::promote_eval() {
   }
   // Re-derived rounds [b, c) as a CSR (ends per round) for the splice.
   const int eval_end = conv ? conv_c_ : cand_rounds_;
-  ArenaVector<std::int64_t> ends(&eval_arena_);
-  ArenaVector<NodeId> nodes(&eval_arena_);
-  ends.push_back(0);
+  promote_ends_.assign(1, 0);
+  promote_nodes_.clear();
   std::size_t i = 0;
   for (int r = eval_b_; r < eval_end; ++r) {
     for (; i < eval_blued_.size() && eval_blued_[i].round == r; ++i) {
-      nodes.push_back(eval_blued_[i].node);
+      promote_nodes_.push_back(eval_blued_[i].node);
       blue_round_[static_cast<std::size_t>(eval_blued_[i].node)] = r;
     }
-    ends.push_back(static_cast<std::int64_t>(nodes.size()));
+    promote_ends_.push_back(static_cast<std::int64_t>(promote_nodes_.size()));
   }
   assert(i == eval_blued_.size());
-  splice_csr(blued_start_, blued_nodes_, b, tail_round, ends, nodes);
+  splice_csr(blued_start_, blued_nodes_, b, tail_round, promote_ends_,
+             promote_nodes_);
   // Home groups ride on the blue rounds: entries dropped above are
   // invalidated by their blue reset; the new rounds install their own.
   for (const HomeRec& rec : eval_homes_) {

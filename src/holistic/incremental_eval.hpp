@@ -126,7 +126,8 @@
 //    proc) position/weight/accumulator arrays plus one pooled cache-row
 //    array with offsets — no per-round vectors;
 //  * per-eval scratch (checkpoint rows, async op lists, blue/home logs)
-//    lives in a bump Arena (src/util/arena.hpp), reset per evaluation;
+//    is PageVectors that each evaluation clears with their capacity kept,
+//    so after warm-up they never reallocate;
 //  * the hot per-node overlays (tentative membership, blue, phase-A
 //    eviction, remaining-need; the eval cache sets) are dense
 //    epoch-stamped arrays — one direct indexed load per probe, O(1)
@@ -144,7 +145,6 @@
 #include "src/holistic/lns.hpp"
 #include "src/model/cost.hpp"
 #include "src/twostage/compute_plan.hpp"
-#include "src/util/arena.hpp"
 #include "src/util/page_alloc.hpp"
 #include "src/util/flat_map.hpp"
 
@@ -178,11 +178,12 @@ class IncrementalEvaluator {
  public:
   IncrementalEvaluator(const MbspInstance& inst, const LnsOptions& options);
 
-  /// Attaches to `plan` (superstep indices must be dense 0..k-1) and fully
-  /// evaluates it. Returns the cost; when `log` is non-null, also records
-  /// the completion's operations there (the one memory completion of the
-  /// library: complete_memory and evaluate_plan build their schedule from
-  /// it).
+  /// Attaches to `plan` and fully evaluates it. Returns the cost; when
+  /// `log` is non-null, also records the completion's operations there
+  /// (the one memory completion of the library: complete_memory and
+  /// evaluate_plan build their schedule from it). Superstep labels may
+  /// have gaps, which the completion drops, but the move protocol below
+  /// needs them dense 0..k-1.
   double attach(const ComputePlan& plan, CompletionLog* log = nullptr);
 
   const ComputePlan& plan() const { return plan_; }
@@ -544,11 +545,10 @@ class IncrementalEvaluator {
   // committed boundary conv_r_ (both -1: it ran to the end).
   int conv_c_ = -1, conv_r_ = -1;
 
-  // -- per-eval scratch (arena-backed where append-only) -------------------
+  // -- per-eval scratch (cleared per evaluation, capacity kept) ------------
   // attach's operation log: commit_segment appends each segment (null:
   // cost only).
   CompletionLog* log_ = nullptr;
-  Arena eval_arena_;
   int eval_b_ = 0;  ///< restart round of the running evaluation
   // Per-proc eval cache membership, dense epoch-stamped: v is in proc
   // p's eval cache iff ec_stamp_[p * n + v] == ec_epoch_[p].
@@ -560,8 +560,8 @@ class IncrementalEvaluator {
   std::uint32_t eb_epoch_ = 0;
   FlatMap<NodeId, int> eh_map_;  // home overlay (set at first save)
   std::vector<PendRec> pending_blue_;  // post_saves of the running round
-  ArenaVector<BlueRec> eval_blued_;
-  ArenaVector<HomeRec> eval_homes_;
+  PageVector<BlueRec> eval_blued_;
+  PageVector<HomeRec> eval_homes_;
   std::vector<std::int64_t> pos_;
   // Slot cost accumulators, structure-of-arrays: local index
   // (slot - first_eval_slot_) * P + p.
@@ -573,22 +573,25 @@ class IncrementalEvaluator {
   PageVector<SyncStepCost> scratch_rows_;  // slots >= first_eval_slot_
   PageVector<char> scratch_row_empty_;
   // Scratch checkpoint rows (boundaries b+1 .. R_cand), SoA like ck_*.
-  ArenaVector<std::int64_t> scr_pos_;
-  ArenaVector<double> scr_weight_, scr_comp_, scr_save_, scr_load_;
-  ArenaVector<char> scr_any_;
-  ArenaVector<std::int64_t> scr_cache_start_;
-  ArenaVector<NodeId> scr_cache_nodes_;
-  ArenaVector<int> scr_round_steps_;  // superstep of rounds b..R_cand-1
+  PageVector<std::int64_t> scr_pos_;
+  PageVector<double> scr_weight_, scr_comp_, scr_save_, scr_load_;
+  PageVector<char> scr_any_;
+  PageVector<std::int64_t> scr_cache_start_;
+  PageVector<NodeId> scr_cache_nodes_;
+  PageVector<int> scr_round_steps_;  // superstep of rounds b..R_cand-1
   int cand_rounds_ = 0;
   int cand_steps_ = 0;
   // Async: the two active slots' op lists and the flushed scratch pool
   // (slots b .. R_cand, same CSR layout as the committed pool).
   std::vector<SlotOps> async_cur_, async_next_;
-  ArenaVector<NodeId> scr_as_comp_nodes_, scr_as_save_nodes_,
+  PageVector<NodeId> scr_as_comp_nodes_, scr_as_save_nodes_,
       scr_as_load_nodes_;
-  ArenaVector<std::int64_t> scr_as_comp_start_, scr_as_save_start_,
+  PageVector<std::int64_t> scr_as_comp_start_, scr_as_save_start_,
       scr_as_load_start_;
-  ArenaVector<std::int32_t> scr_as_save_prefix_;
+  PageVector<std::int32_t> scr_as_save_prefix_;
+  // promote_eval's CSR of the re-derived rounds' blued nodes.
+  PageVector<std::int64_t> promote_ends_;
+  PageVector<NodeId> promote_nodes_;
   // Async finalize scratch (epoch-stamped per finalize).
   int async_epoch_ = 0;
   PageVector<int> fs_stamp_;      // [v]

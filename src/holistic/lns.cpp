@@ -1,7 +1,6 @@
 #include "src/holistic/lns.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cassert>
 #include <cmath>
 #include <optional>
@@ -13,6 +12,11 @@
 namespace mbsp {
 
 namespace {
+
+/// Iterations between two reads of the wall clock in search_plan (a power
+/// of two). Iteration-capped runs do not depend on it.
+constexpr long kDeadlinePollInterval = 256;
+static_assert((kDeadlinePollInterval & (kDeadlinePollInterval - 1)) == 0);
 
 struct OccRef {
   int proc = 0;
@@ -264,18 +268,8 @@ double evaluate_plan(const MbspInstance& inst, const ComputePlan& plan,
   CompletionLog log;
   double cost = 0;
   {
-    // The evaluator needs dense superstep labels. The completion drops
-    // empty supersteps, so a gapped plan completes like its normalized
-    // copy.
     IncrementalEvaluator eval(inst, options);
-    CompletionLog* const record = out != nullptr ? &log : nullptr;
-    if (has_dense_supersteps(plan)) {
-      cost = eval.attach(plan, record);
-    } else {
-      ComputePlan dense = plan;
-      normalize_supersteps(dense);
-      cost = eval.attach(dense, record);
-    }
+    cost = eval.attach(plan, out != nullptr ? &log : nullptr);
   }
   // Built once the evaluator is freed (CompletionLog).
   if (out != nullptr) *out = log.to_schedule();
@@ -353,15 +347,12 @@ LnsSearchResult search_plan(const MbspInstance& inst,
   if (moves.empty()) return result;
 
   // The deadline poll leaves the hot loop: the clock is only read every
-  // deadline_poll_interval iterations (rounded down to a power of two, so
-  // the check stays a mask test; iteration counts per poll window are
-  // deterministic). Every configuration costs moves in O(dirty rounds)
-  // through the incremental engine, so a whole batch cannot overshoot the
-  // budget by more than a sliver of work.
-  const long poll_mask =
-      static_cast<long>(std::bit_floor(static_cast<unsigned long>(
-          std::max(1L, options.deadline_poll_interval)))) -
-      1;
+  // kDeadlinePollInterval iterations (a power of two, so the check is a
+  // mask test; iteration counts per poll window are deterministic). Every
+  // configuration costs moves in O(dirty rounds) through the incremental
+  // engine, so a whole batch cannot overshoot the budget by more than a
+  // sliver of work.
+  constexpr long poll_mask = kDeadlinePollInterval - 1;
   while (result.iterations < options.max_iterations &&
          ((result.iterations & poll_mask) != 0 || !deadline.expired())) {
     ++result.iterations;

@@ -11,10 +11,12 @@
 //   * insert a recomputation (extra occurrence) to spare a load,
 //   * drop a redundant occurrence.
 //
-// Every candidate is checked by validate_plan(); memory management is
-// re-derived by the clairvoyant completion, and the exact synchronous or
-// asynchronous cost of the resulting schedule is the objective. The
-// returned schedule is therefore never worse than the warm start.
+// Every candidate is checked by the IncrementalEvaluator's incremental
+// validator (validate_plan's rules, re-derived only for what the move
+// touched); memory management is re-derived by the configured
+// completion policy, and the exact synchronous or asynchronous cost of the
+// resulting schedule is the objective. The returned schedule is therefore
+// never worse than the warm start.
 //
 // ## Hot path
 //
@@ -85,15 +87,6 @@ struct LnsOptions {
   /// Enabled move classes; recompute moves additionally require
   /// allow_recompute. Disabling classes is for ablation benches.
   unsigned move_mask = kAllMoves;
-  /// How many iterations improve_plan runs between deadline checks
-  /// (rounded down to a power of two). Budgeted bench runs tighten this;
-  /// iteration-capped runs are deterministic regardless of its value.
-  long deadline_poll_interval = 256;
-  /// Routes the evaluator's per-eval scratch arena through fresh poisoned
-  /// heap blocks instead of recycled bump chunks (also settable via
-  /// MBSP_ARENA_MODE=heap). Differential tests run both modes and require
-  /// bitwise-identical results; see docs/PERFORMANCE.md.
-  bool arena_paranoid = false;
   /// Optional per-node move mask (caller-owned, indexed by NodeId, must
   /// outlive the call). When set, occurrence-level moves (proc, step,
   /// swap, recompute, drop) only touch nodes whose mask entry is nonzero;

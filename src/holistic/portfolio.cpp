@@ -4,21 +4,13 @@
 #include <limits>
 #include <utility>
 
+#include "src/util/rng.hpp"
 #include "src/util/thread_pool.hpp"
 #include "src/util/timer.hpp"
 
 namespace mbsp {
 
 namespace {
-
-/// SplitMix64 finalizer (Steele, Lea & Flood), the same mixer Rng seeding
-/// uses: one well-mixed 64-bit output per distinct input.
-std::uint64_t splitmix64_mix(std::uint64_t x) {
-  x += 0x9E3779B97F4A7C15ull;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-  return x ^ (x >> 31);
-}
 
 // Distinct salts keep the worker and epoch derivations from colliding
 // (worker w epoch 0 must never share a seed with worker 0 epoch w).

@@ -8,20 +8,12 @@
 #include "src/graph/topology.hpp"
 #include "src/model/cost.hpp"
 #include "src/twostage/two_stage.hpp"
+#include "src/util/rng.hpp"
 #include "src/util/thread_pool.hpp"
 
 namespace mbsp {
 
 namespace {
-
-/// SplitMix64 finalizer, the same mixer Rng seeding and the portfolio's
-/// worker-seed derivation use: one well-mixed output per distinct input.
-std::uint64_t splitmix64_mix(std::uint64_t x) {
-  x += 0x9E3779B97F4A7C15ull;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-  return x ^ (x >> 31);
-}
 
 // Distinct salts so a shard solve and the boundary polish can never
 // collide on the same derived seed (docs/SCALE.md, determinism contract).

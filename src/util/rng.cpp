@@ -3,14 +3,6 @@
 namespace mbsp {
 namespace {
 
-std::uint64_t splitmix64(std::uint64_t& x) {
-  x += 0x9E3779B97F4A7C15ull;
-  std::uint64_t z = x;
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-  return z ^ (z >> 31);
-}
-
 std::uint64_t rotl(std::uint64_t x, int k) {
   return (x << k) | (x >> (64 - k));
 }
@@ -18,7 +10,10 @@ std::uint64_t rotl(std::uint64_t x, int k) {
 }  // namespace
 
 Rng::Rng(std::uint64_t seed) {
-  for (auto& lane : s_) lane = splitmix64(seed);
+  for (auto& lane : s_) {
+    lane = splitmix64_mix(seed);
+    seed += 0x9E3779B97F4A7C15ull;
+  }
 }
 
 Rng::result_type Rng::operator()() {

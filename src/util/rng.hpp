@@ -11,12 +11,24 @@
 
 namespace mbsp {
 
+/// The SplitMix64 step (Steele, Lea & Flood) as a pure function: one
+/// well-mixed 64-bit output per distinct input. Rng seeds its lanes from
+/// it, and the shard and portfolio pipelines derive their per-task seeds
+/// with it.
+constexpr std::uint64_t splitmix64_mix(std::uint64_t x) {
+  x += 0x9E3779B97F4A7C15ull;
+  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
+  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
+  return x ^ (x >> 31);
+}
+
 /// xoshiro256** generator. Satisfies std::uniform_random_bit_generator.
 class Rng {
  public:
   using result_type = std::uint64_t;
 
-  /// Seeds the four lanes of state from `seed` via splitmix64.
+  /// Seeds the four lanes of state from `seed`'s SplitMix64 stream: lane i
+  /// is splitmix64_mix(seed + i * 0x9E3779B97F4A7C15).
   explicit Rng(std::uint64_t seed = 0x9E3779B97F4A7C15ull);
 
   static constexpr result_type min() { return 0; }

@@ -405,28 +405,6 @@ TEST(IncrementalEval, AsyncAndLruTakeIncrementalPath) {
   }
 }
 
-TEST(IncrementalEval, ArenaParanoidMatchesBumpAllocation) {
-  // MBSP_ARENA_MODE=heap / arena_paranoid routes evaluator scratch through
-  // fresh poisoned heap blocks. Any read of recycled arena memory shows up
-  // as a bitwise divergence between the two modes.
-  for (const char* spec : kFamilies) {
-    const MbspInstance inst = workload_instance(spec);
-    const ComputePlan initial = warm_plan(inst);
-    LnsOptions fast_opts;
-    fast_opts.budget_ms = 0;
-    fast_opts.max_iterations = 400;
-    fast_opts.seed = 23;
-    LnsOptions paranoid_opts = fast_opts;
-    paranoid_opts.arena_paranoid = true;
-    const LnsResult bump = improve_plan(inst, initial, fast_opts);
-    const LnsResult heap = improve_plan(inst, initial, paranoid_opts);
-    EXPECT_EQ(bump.cost, heap.cost) << spec;
-    EXPECT_EQ(bump.iterations, heap.iterations) << spec;
-    EXPECT_EQ(bump.accepted, heap.accepted) << spec;
-    EXPECT_EQ(bump.plan.seq, heap.plan.seq) << spec;
-  }
-}
-
 TEST(IncrementalEval, MergeSplitHeavyStress) {
   // Structural moves dominate: stresses the merge/split dirty-bound
   // analysis (pure relabels, crossing occurrences, label-shift fixups).
@@ -437,29 +415,6 @@ TEST(IncrementalEval, MergeSplitHeavyStress) {
   options.move_mask = kMergeSupersteps | kSplitSuperstep | kMoveSuperstep;
   options.seed = 77;
   expect_identical_results(inst, options);
-}
-
-TEST(IncrementalEval, DeadlinePollIntervalKeepsTrajectory) {
-  // Iteration-capped runs are deterministic regardless of the poll
-  // interval (the knob only changes how often the clock is read).
-  const MbspInstance inst = workload_instance(kFamilies[2]);
-  const ComputePlan initial = warm_plan(inst);
-  LnsOptions base;
-  base.budget_ms = 0;
-  base.max_iterations = 500;
-  const LnsResult a = improve_plan(inst, initial, base);
-  LnsOptions tight = base;
-  tight.deadline_poll_interval = 1;
-  const LnsResult b = improve_plan(inst, initial, tight);
-  LnsOptions wide = base;
-  wide.deadline_poll_interval = 4096;
-  const LnsResult c = improve_plan(inst, initial, wide);
-  EXPECT_EQ(a.cost, b.cost);
-  EXPECT_EQ(a.cost, c.cost);
-  EXPECT_EQ(a.iterations, b.iterations);
-  EXPECT_EQ(a.iterations, c.iterations);
-  EXPECT_EQ(a.plan.seq, b.plan.seq);
-  EXPECT_EQ(a.plan.seq, c.plan.seq);
 }
 
 TEST(IncrementalEval, ZeroLengthSuffixAfterTopSuperstepErase) {
@@ -555,7 +510,8 @@ TEST(IncrementalEval, CommitHeavyDifferentialAcrossConfigs) {
   // builds compile out the per-move oracle assert and the checkpoint
   // verifier, so the drift a wrong splice leaves is caught here: every
   // cost against the reference, then a fresh evaluator attached to the
-  // final plan must price the same next moves identically.
+  // final plan must hold the same checkpoint rows and price the same next
+  // moves identically.
   std::string error;
   auto dag = WorkloadRegistry::global().make_dag("stencil2d:nx=4,ny=4,steps=5",
                                                  2025, &error);
@@ -599,9 +555,14 @@ TEST(IncrementalEval, CommitHeavyDifferentialAcrossConfigs) {
           ++committed;
         }
         EXPECT_GT(committed, 100) << config;
-        // The spliced state must price moves exactly like a fresh attach.
+        // The spliced state must equal a fresh attach's, row for row, and
+        // price moves exactly like it. The long-lived evaluator's scratch
+        // sits at its high-water mark while the fresh one's starts empty,
+        // so a decision that read stale spare capacity shows up here.
         IncrementalEvaluator fresh(inst, options);
         fresh.attach(eval.plan());
+        ASSERT_EQ(eval.checkpoint_digest(), fresh.checkpoint_digest())
+            << config;
         Rng rng_a(202), rng_b(202);
         for (int it = 0; it < 50; ++it) {
           eval.begin_move();

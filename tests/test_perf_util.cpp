@@ -1,102 +1,16 @@
-// Unit tests for the hot-path memory-layout substrate: the bump arena
-// (reuse/reset semantics, no stale-data leakage across resets), the
-// page-mapped PageVector and the open-addressing FlatMap (epoch clears,
-// growth, iteration).
+// Unit tests for the hot-path memory-layout substrate: the page-mapped
+// PageVector and the open-addressing FlatMap (epoch clears, growth,
+// iteration).
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstring>
-#include <numeric>
-#include <set>
 #include <vector>
 
-#include "src/util/arena.hpp"
 #include "src/util/flat_map.hpp"
 #include "src/util/page_alloc.hpp"
 
 namespace mbsp {
 namespace {
-
-TEST(Arena, AllocationsAreDisjointAndWritable) {
-  Arena arena(256);
-  std::vector<int*> ptrs;
-  for (int i = 0; i < 100; ++i) {
-    int* p = arena.allocate_array<int>(7);
-    for (int j = 0; j < 7; ++j) p[j] = i * 100 + j;
-    ptrs.push_back(p);
-  }
-  for (int i = 0; i < 100; ++i) {
-    for (int j = 0; j < 7; ++j) EXPECT_EQ(ptrs[i][j], i * 100 + j);
-  }
-}
-
-TEST(Arena, ResetReusesMemoryWithoutGrowth) {
-  Arena arena(1 << 12);
-  for (int round = 0; round < 5; ++round) {
-    for (int i = 0; i < 50; ++i) {
-      double* p = arena.allocate_array<double>(8);
-      p[0] = round + i;
-    }
-    arena.reset();
-  }
-  const std::size_t cap_after_warmup = arena.capacity_bytes();
-  for (int round = 0; round < 100; ++round) {
-    for (int i = 0; i < 50; ++i) arena.allocate_array<double>(8);
-    arena.reset();
-  }
-  // Steady state: reset recycles the same chunks, no further growth.
-  EXPECT_EQ(arena.capacity_bytes(), cap_after_warmup);
-}
-
-TEST(Arena, NoStaleDataDependenceAcrossResets) {
-  // Writing distinct values each round and never reading across resets
-  // must give identical results whether memory is recycled (bump mode)
-  // or fresh-and-poisoned every time (paranoid mode).
-  auto run = [](bool paranoid) {
-    Arena arena(512);
-    arena.set_paranoid(paranoid);
-    long checksum = 0;
-    for (int round = 0; round < 20; ++round) {
-      ArenaVector<int> vec(&arena);
-      for (int i = 0; i < 37 + round; ++i) vec.push_back(round * 1000 + i);
-      for (std::size_t i = 0; i < vec.size(); ++i) checksum += vec[i];
-      arena.reset();
-    }
-    return checksum;
-  };
-  EXPECT_EQ(run(false), run(true));
-}
-
-TEST(Arena, AlignmentRespected) {
-  Arena arena(64);
-  for (std::size_t align : {std::size_t{8}, std::size_t{16}, std::size_t{32}}) {
-    for (int i = 0; i < 10; ++i) {
-      void* p = arena.allocate(24, align);
-      EXPECT_EQ(reinterpret_cast<std::uintptr_t>(p) % align, 0u);
-    }
-  }
-}
-
-TEST(ArenaVector, GrowPreservesContents) {
-  Arena arena;
-  ArenaVector<long> vec(&arena);
-  for (long i = 0; i < 1000; ++i) vec.push_back(i * 3);
-  ASSERT_EQ(vec.size(), 1000u);
-  for (long i = 0; i < 1000; ++i) EXPECT_EQ(vec[static_cast<std::size_t>(i)], i * 3);
-}
-
-TEST(ArenaVector, AppendBulk) {
-  Arena arena;
-  ArenaVector<int> vec(&arena);
-  std::vector<int> src(100);
-  std::iota(src.begin(), src.end(), 5);
-  vec.push_back(-1);
-  vec.append(src.data(), src.size());
-  ASSERT_EQ(vec.size(), 101u);
-  EXPECT_EQ(vec[0], -1);
-  EXPECT_EQ(vec[1], 5);
-  EXPECT_EQ(vec[100], 104);
-}
 
 TEST(PageVector, GrowsAcrossTheMappingThresholdKeepingContents) {
   PageVector<std::int64_t> vec;
@@ -113,18 +27,6 @@ TEST(PageVector, GrowsAcrossTheMappingThresholdKeepingContents) {
   vec.assign(3, -1);
   vec.shrink_to_fit();
   EXPECT_EQ(vec, (PageVector<std::int64_t>{-1, -1, -1}));
-}
-
-TEST(Arena, LargeChunksRoundTrip) {
-  Arena arena;
-  auto* p = arena.allocate_array<double>(kPageAllocMinBytes);
-  for (std::size_t i = 0; i < kPageAllocMinBytes; i += 4096) {
-    p[i] = static_cast<double>(i);
-  }
-  EXPECT_EQ(p[4096], 4096.0);
-  EXPECT_GE(arena.capacity_bytes(), kPageAllocMinBytes * sizeof(double));
-  arena.release();
-  EXPECT_EQ(arena.capacity_bytes(), 0u);
 }
 
 TEST(FlatMap, InsertFindClear) {

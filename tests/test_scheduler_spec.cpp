@@ -234,9 +234,6 @@ TEST(SchedulerSpec, EveryPlanChangingOptionChangesTheCanonicalSpec) {
       {"initial_temperature_frac",
        [](SchedulerOptions& o) { o.initial_temperature_frac = 0.5; }},
       {"move_mask", [](SchedulerOptions& o) { o.move_mask = kMoveProc; }},
-      {"deadline_poll_interval",
-       [](SchedulerOptions& o) { o.deadline_poll_interval = 1; }},
-      {"arena_paranoid", [](SchedulerOptions& o) { o.arena_paranoid = true; }},
       {"warm_start",
        [](SchedulerOptions& o) { o.warm_start = BaselineKind::kCilkLru; }},
       {"stage1_budget_ms", [](SchedulerOptions& o) { o.stage1_budget_ms = 1; }},

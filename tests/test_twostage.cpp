@@ -5,9 +5,14 @@
 // a schedule that passes full semantic validation.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
+#include <utility>
+
 #include "src/bsp/greedy_scheduler.hpp"
 #include "src/graph/dag_io.hpp"
 #include "src/graph/generators.hpp"
+#include "src/holistic/incremental_eval.hpp"
 #include "src/holistic/lns.hpp"
 #include "src/model/cost.hpp"
 #include "src/model/machine_registry.hpp"
@@ -416,7 +421,8 @@ TEST(Completion, MatchesHistoricalScheduleDigests) {
 
 /// The library's completion against the reference completer on one plan,
 /// both policies and both cost models: the same schedule and the same
-/// cost, bitwise, from complete_memory and from evaluate_plan.
+/// cost, bitwise, from complete_memory, from evaluate_plan and from an
+/// IncrementalEvaluator attached to the plan as given.
 void expect_matches_reference(const MbspInstance& inst, const ComputePlan& plan,
                               const std::string& label) {
   for (PolicyKind policy : {PolicyKind::kClairvoyant, PolicyKind::kLru}) {
@@ -427,12 +433,18 @@ void expect_matches_reference(const MbspInstance& inst, const ComputePlan& plan,
       LnsOptions options;
       options.completion_policy = policy;
       options.cost = cost;
+      const std::string config = label + " policy " +
+                                 std::to_string(static_cast<int>(policy)) +
+                                 " cost " +
+                                 std::to_string(static_cast<int>(cost));
+      const double expected = reference_evaluate_plan(inst, plan, options);
       MbspSchedule sched;
-      EXPECT_EQ(evaluate_plan(inst, plan, options, &sched),
-                reference_evaluate_plan(inst, plan, options))
-          << label << " policy " << static_cast<int>(policy) << " cost "
-          << static_cast<int>(cost);
-      EXPECT_TRUE(sched == reference) << label;
+      EXPECT_EQ(evaluate_plan(inst, plan, options, &sched), expected) << config;
+      EXPECT_TRUE(sched == reference) << config;
+      CompletionLog log;
+      IncrementalEvaluator eval(inst, options);
+      EXPECT_EQ(eval.attach(plan, &log), expected) << config << " (attach)";
+      EXPECT_TRUE(log.to_schedule() == reference) << config << " (attach)";
     }
   }
 }
@@ -444,8 +456,10 @@ TEST(Completion, MatchesReferenceCompleterOnDigestPlans) {
 }
 
 // Randomized plans: searched (so they carry the LNS's moves, recomputation
-// included) and then spread to gapped superstep labels, on all three
-// machine kinds.
+// included) and then relabeled with empty supersteps below the first, in
+// the middle, below the last and between every two, on all three machine
+// kinds. The completion drops empty supersteps, so each must complete
+// like the dense plan it came from.
 TEST(Completion, MatchesReferenceCompleterOnRandomGappedPlans) {
   const char* machines[] = {
       "uniform:P=3,rf=1.5",
@@ -462,20 +476,33 @@ TEST(Completion, MatchesReferenceCompleterOnRandomGappedPlans) {
     ASSERT_TRUE(machine.has_value()) << error;
     const MbspInstance inst{std::move(dag), std::move(*machine)};
     GreedyBspScheduler stage1;
-    ComputePlan plan = plan_from_bsp(
+    ComputePlan dense = plan_from_bsp(
         inst.dag, stage1.schedule(inst.dag, inst.arch), inst.arch.num_processors);
-    if (seed % 2 == 1) plan = with_local_recomputes(inst.dag, plan);
+    if (seed % 2 == 1) dense = with_local_recomputes(inst.dag, dense);
     LnsOptions search;
     search.budget_ms = 0;
     search.max_iterations = 200;
     search.seed = static_cast<std::uint64_t>(seed);
-    plan = search_plan(inst, plan, search).plan;
-    for (auto& seq : plan.seq) {
-      for (PlannedCompute& pc : seq) pc.superstep = 2 * pc.superstep + 1;
+    dense = search_plan(inst, dense, search).plan;
+    const int k = dense.num_supersteps();
+    ASSERT_GE(k, 2);
+    const std::pair<const char*, std::function<int(int)>> relabels[] = {
+        {"bottom", [](int s) { return s + 3; }},
+        {"middle", [k](int s) { return s < k / 2 ? s : s + 3; }},
+        {"top", [k](int s) { return s < k - 1 ? s : s + 3; }},
+        {"spread", [](int s) { return 2 * s + 1; }},
+    };
+    for (const auto& [where, relabel] : relabels) {
+      ComputePlan plan = dense;
+      for (auto& seq : plan.seq) {
+        for (PlannedCompute& pc : seq) pc.superstep = relabel(pc.superstep);
+      }
+      const std::string label =
+          "seed " + std::to_string(seed) + " gaps " + where;
+      ASSERT_FALSE(has_dense_supersteps(plan)) << label;
+      ASSERT_TRUE(validate_plan(inst.dag, plan).ok) << label;
+      expect_matches_reference(inst, plan, label);
     }
-    ASSERT_FALSE(has_dense_supersteps(plan));
-    ASSERT_TRUE(validate_plan(inst.dag, plan).ok);
-    expect_matches_reference(inst, plan, "seed " + std::to_string(seed));
   }
 }
 
