@@ -5,7 +5,7 @@
 //  * warm start (baseline) vs cold start (trivial all-on-p0 plan).
 // Reported as geomean cost ratios vs the full configuration over a
 // representative subset of the tiny dataset. All configurations run as
-// "lns" registry cells with the corresponding SchedulerOptions knobs.
+// "lns" registry cells, each configuration's knobs as spec keys.
 #include "bench/bench_common.hpp"
 
 using namespace mbsp;
@@ -15,19 +15,16 @@ namespace {
 
 struct Config {
   const char* label;
-  unsigned move_mask = kAllMoves;
-  PolicyKind policy = PolicyKind::kClairvoyant;
-  bool cold_start = false;
+  const char* scheduler;
 };
 
-const Config kConfigs[] = {
-    {"full"},
-    {"no proc moves", kAllMoves & ~(kMoveProc | kSwapProcs)},
-    {"no superstep moves",
-     kAllMoves & ~(kMoveSuperstep | kMergeSupersteps | kSplitSuperstep)},
-    {"no recompute moves", kAllMoves & ~(kAddRecompute | kRemoveOccurrence)},
-    {"lru completion", kAllMoves, PolicyKind::kLru},
-    {"cold start", kAllMoves, PolicyKind::kClairvoyant, true},
+constexpr Config kConfigs[] = {
+    {"full", "lns"},
+    {"no proc moves", "lns:moves=step+merge+split+recompute+drop"},
+    {"no superstep moves", "lns:moves=proc+swap+recompute+drop"},
+    {"no recompute moves", "lns:moves=proc+step+swap+merge+split"},
+    {"lru completion", "lns:policy=lru"},
+    {"cold start", "lns:cold=1"},
 };
 
 }  // namespace
@@ -44,13 +41,7 @@ int main() {
   }
   std::vector<BatchRunner::CellSpec> specs;  // i-major, config-minor
   for (const MbspInstance& inst : instances) {
-    for (const Config& cfg : kConfigs) {
-      SchedulerOptions options = scheduler_options(config);
-      options.move_mask = cfg.move_mask;
-      options.completion_policy = cfg.policy;
-      options.cold_start = cfg.cold_start;
-      specs.push_back({&inst, "lns", options});
-    }
+    for (const Config& cfg : kConfigs) specs.push_back({&inst, cfg.scheduler});
   }
   const std::vector<BatchCell> cells = make_runner(config).run_cells(specs);
 

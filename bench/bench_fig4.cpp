@@ -13,15 +13,15 @@ struct Variant {
   const char* label;
   int P;
   double r_factor, L;
-  CostModel cost;
+  const char* scheduler;
 };
 
 constexpr Variant kVariants[] = {
-    {"base", 4, 3.0, 10, CostModel::kSynchronous},
-    {"r=5r0", 4, 5.0, 10, CostModel::kSynchronous},
-    {"P=8", 8, 3.0, 10, CostModel::kSynchronous},
-    {"L=0", 4, 3.0, 0, CostModel::kSynchronous},
-    {"async", 4, 3.0, 0, CostModel::kAsynchronous},
+    {"base", 4, 3.0, 10, "holistic"},
+    {"r=5r0", 4, 5.0, 10, "holistic"},
+    {"P=8", 8, 3.0, 10, "holistic"},
+    {"L=0", 4, 3.0, 0, "holistic"},
+    {"async", 4, 3.0, 0, "holistic:cost=async"},
 };
 
 std::string ascii_box(double lo, double q1, double med, double q3, double hi) {
@@ -55,8 +55,7 @@ int main() {
     }
   }
   for (std::size_t i = 0; i < count * kNumVariants; ++i) {
-    specs.push_back({&instances[i], "holistic",
-                     scheduler_options(config, kVariants[i % kNumVariants].cost)});
+    specs.push_back({&instances[i], kVariants[i % kNumVariants].scheduler});
   }
   const std::vector<BatchCell> cells = make_runner(config).run_cells(specs);
 

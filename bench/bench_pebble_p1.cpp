@@ -14,8 +14,6 @@ int main() {
   const std::size_t count = dataset.size();
 
   // Cell layout: i-major, r-factor-minor (r = 3r0 then r = r0).
-  SchedulerOptions options = scheduler_options(config);
-  options.warm_start = BaselineKind::kDfsClairvoyant;
   std::vector<MbspInstance> instances;
   instances.reserve(count * 2);
   for (std::size_t i = 0; i < count; ++i) {
@@ -24,7 +22,7 @@ int main() {
   }
   std::vector<BatchRunner::CellSpec> specs;
   for (const MbspInstance& inst : instances) {
-    specs.push_back({&inst, "lns", options});
+    specs.push_back({&inst, "lns:warm=dfs+clairvoyant"});
   }
   const std::vector<BatchCell> cells = make_runner(config).run_cells(specs);
 

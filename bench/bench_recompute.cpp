@@ -16,11 +16,8 @@ int main() {
   // Cell layout: i-major; recompute-allowed first, prohibited second.
   std::vector<BatchRunner::CellSpec> specs;
   for (const MbspInstance& inst : instances) {
-    for (const bool allow : {true, false}) {
-      SchedulerOptions options = scheduler_options(config);
-      options.allow_recompute = allow;
-      specs.push_back({&inst, "holistic", options});
-    }
+    specs.push_back({&inst, "holistic"});
+    specs.push_back({&inst, "holistic:rec=0"});
   }
   const std::vector<BatchCell> cells = make_runner(config).run_cells(specs);
 

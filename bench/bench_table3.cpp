@@ -16,10 +16,11 @@ int main() {
   const std::vector<MbspInstance> instances =
       make_instances(tiny_dataset(config.seed), 4, 3.0, 1, 10);
 
-  const SchedulerOptions base_options = scheduler_options(config);
-  SchedulerOptions strong_options = base_options;
+  SchedulerOptions strong_options = scheduler_options(config);
   strong_options.warm_start = BaselineKind::kRefinedClairvoyant;
   strong_options.stage1_budget_ms = config.budget_ms / 4;
+  const std::string strong_lns =
+      canonical_scheduler_spec("lns", strong_options);
 
   // The strong baseline's cost is read off the lns cell's warm start
   // (baseline_cost) rather than run as a separate cell: the refined
@@ -27,9 +28,9 @@ int main() {
   // the improver — no duplicate compute, no divergence between the two.
   std::vector<BatchRunner::CellSpec> specs;
   for (const MbspInstance& inst : instances) {
-    specs.push_back({&inst, "holistic", base_options});
-    specs.push_back({&inst, "cilk+lru", base_options});
-    specs.push_back({&inst, "lns", strong_options});
+    specs.push_back({&inst, "holistic"});
+    specs.push_back({&inst, "cilk+lru"});
+    specs.push_back({&inst, strong_lns});
   }
   const std::vector<BatchCell> cells = make_runner(config).run_cells(specs);
 

@@ -7,6 +7,18 @@
 
 namespace mbsp {
 
+namespace {
+
+/// Weight of parent locality (mu of local parents) in the assignment
+/// score, relative to one unit of processor work.
+constexpr double kLocalityWeight = 2.0;
+/// A processor may exceed the least-loaded processor's work by at most
+/// this factor of the average node weight before it stops receiving nodes
+/// in the current superstep.
+constexpr double kImbalanceSlack = 4.0;
+
+}  // namespace
+
 BspSchedule GreedyBspScheduler::schedule(const ComputeDag& dag,
                                          const Architecture& arch) {
   const NodeId n = dag.num_nodes();
@@ -30,7 +42,7 @@ BspSchedule GreedyBspScheduler::schedule(const ComputeDag& dag,
 
   const double avg_omega =
       dag.num_nodes() > 0 ? dag.total_omega() / dag.num_nodes() : 1.0;
-  const double slack = params_.imbalance_slack * std::max(avg_omega, 1.0);
+  const double slack = kImbalanceSlack * std::max(avg_omega, 1.0);
 
   // unscheduled parents count; sources count as scheduled (they are data).
   std::vector<int> waiting(n, 0);
@@ -95,7 +107,7 @@ BspSchedule GreedyBspScheduler::schedule(const ComputeDag& dag,
       for (NodeId u : dag.parents(v)) {
         if (!dag.is_source(u) && out.proc[u] == p) locality += dag.mu(u);
       }
-      const double score = params_.locality_weight * locality - work[p];
+      const double score = kLocalityWeight * locality - work[p];
       if (score > best_score) {
         best_score = score;
         best_proc = p;

@@ -12,24 +12,8 @@ namespace mbsp {
 
 class GreedyBspScheduler : public BspScheduler {
  public:
-  struct Params {
-    /// Weight of parent locality (mu of local parents) in the assignment
-    /// score, relative to one unit of processor work.
-    double locality_weight = 2.0;
-    /// A processor may exceed the least-loaded processor's work by at most
-    /// this factor of the average node weight before it stops receiving
-    /// nodes in the current superstep.
-    double imbalance_slack = 4.0;
-  };
-
-  GreedyBspScheduler() = default;
-  explicit GreedyBspScheduler(Params params) : params_(params) {}
-
   BspSchedule schedule(const ComputeDag& dag, const Architecture& arch) override;
   std::string name() const override { return "bspg"; }
-
- private:
-  Params params_;
 };
 
 }  // namespace mbsp

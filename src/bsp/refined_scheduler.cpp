@@ -10,6 +10,13 @@
 
 namespace mbsp {
 
+namespace {
+
+constexpr std::uint64_t kSearchSeed = 7;
+constexpr int kMaxRounds = 200000;  ///< local-search moves, budget allowing
+
+}  // namespace
+
 BspSchedule RefinedBspScheduler::lift_assignment(const ComputeDag& dag,
                                                  const std::vector<int>& proc) {
   const NodeId n = dag.num_nodes();
@@ -59,13 +66,12 @@ BspSchedule RefinedBspScheduler::schedule(const ComputeDag& dag,
   }
   if (movable.empty()) return best;
 
-  Rng rng(params_.seed);
+  Rng rng(kSearchSeed);
   Deadline deadline(params_.budget_ms);
   std::vector<int> current = assign;
   double current_cost = best_cost;
 
-  for (int round = 0; round < params_.max_rounds && !deadline.expired();
-       ++round) {
+  for (int round = 0; round < kMaxRounds && !deadline.expired(); ++round) {
     const NodeId v = movable[rng.index(movable.size())];
     const int old_proc = current[v];
     int best_proc = old_proc;

@@ -6,8 +6,6 @@
 // memory-oblivious schedule that is near-optimal for the BSP objective —
 // with our in-house anytime machinery (see DESIGN.md, substitutions).
 
-#include <cstdint>
-
 #include "src/bsp/bsp_schedule.hpp"
 
 namespace mbsp {
@@ -16,8 +14,6 @@ class RefinedBspScheduler : public BspScheduler {
  public:
   struct Params {
     double budget_ms = 500;  ///< local-search time budget
-    std::uint64_t seed = 7;
-    int max_rounds = 200000;
   };
 
   RefinedBspScheduler() = default;

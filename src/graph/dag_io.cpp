@@ -16,6 +16,8 @@ namespace {
 
 constexpr char kBinaryMagic[8] = {'M', 'B', 'S', 'P', 'D', 'A', 'G', '2'};
 constexpr std::uint64_t kFnvPrime = 1099511628211ull;
+/// DagStreamWriter hands its encoding to the file in blocks of this size.
+constexpr std::size_t kWriteBlock = std::size_t{1} << 20;
 
 std::string format_weight(double w) {
   char buf[64];
@@ -28,44 +30,6 @@ bool fail(std::string* error, const std::string& message) {
   if (error != nullptr) *error = message;
   return false;
 }
-
-/// Little-endian byte writer / FNV hasher over the same primitive layout,
-/// so the canonical hash and the binary encoding agree bit for bit.
-/// Pass hashing = false for pure writers (the per-byte FNV loop is the
-/// dominant cost of emitting large binary files otherwise).
-class ByteSink {
- public:
-  explicit ByteSink(std::string* out = nullptr, bool hashing = true)
-      : out_(out), hashing_(hashing) {}
-
-  void bytes(const void* data, std::size_t size) {
-    const auto* p = static_cast<const unsigned char*>(data);
-    if (hashing_) {
-      for (std::size_t i = 0; i < size; ++i) {
-        hash_ = (hash_ ^ p[i]) * kFnvPrime;
-      }
-    }
-    if (out_ != nullptr) out_->append(reinterpret_cast<const char*>(p), size);
-  }
-  void u32(std::uint32_t v) {
-    unsigned char b[4];
-    for (int i = 0; i < 4; ++i) b[i] = static_cast<unsigned char>(v >> (8 * i));
-    bytes(b, 4);
-  }
-  void u64(std::uint64_t v) {
-    unsigned char b[8];
-    for (int i = 0; i < 8; ++i) b[i] = static_cast<unsigned char>(v >> (8 * i));
-    bytes(b, 8);
-  }
-  void f64(double d) { u64(std::bit_cast<std::uint64_t>(d)); }
-
-  std::uint64_t hash() const { return hash_; }
-
- private:
-  std::string* out_;
-  bool hashing_;
-  std::uint64_t hash_ = kFnvOffset;
-};
 
 /// Byte supplier for the chunked binary parser: a file or an in-memory
 /// string, with the total size known up front and the running offset
@@ -123,37 +87,79 @@ class FileFeed final : public Feed {
   std::vector<char> buffer_;
 };
 
-std::uint32_t decode_u32(const unsigned char* b) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(b[i]) << (8 * i);
-  return v;
-}
-
-std::uint64_t decode_u64(const unsigned char* b) {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(b[i]) << (8 * i);
-  return v;
-}
-
-/// Streams the canonical form of `dag` (header-free; sorted edges) into
-/// `sink`. Shared by the hash and the binary footer.
-void stream_canonical(const ComputeDag& dag, ByteSink& sink) {
-  sink.bytes(dag.name().data(), dag.name().size());
-  sink.u32(0);  // name terminator (names cannot contain NUL-NUL-NUL-NUL)
-  sink.u32(static_cast<std::uint32_t>(dag.num_nodes()));
-  for (NodeId v = 0; v < dag.num_nodes(); ++v) {
-    sink.f64(dag.omega(v));
-    sink.f64(dag.mu(v));
+/// The format's one little-endian layout of a fixed-width word: the v2
+/// bytes and the canonical hash stream are both made of it.
+template <typename T>
+void store_le(unsigned char* out, T v) {
+  for (std::size_t i = 0; i < sizeof(T); ++i) {
+    out[i] = static_cast<unsigned char>(v >> (8 * i));
   }
-  sink.u64(dag.num_edges());
-  for (NodeId u = 0; u < dag.num_nodes(); ++u) {
-    const auto span = dag.children(u);
-    std::vector<NodeId> children(span.begin(), span.end());
-    std::sort(children.begin(), children.end());
-    for (NodeId v : children) {
-      sink.u32(static_cast<std::uint32_t>(u));
-      sink.u32(static_cast<std::uint32_t>(v));
+}
+
+template <typename T>
+T load_le(const unsigned char* in) {
+  T v = 0;
+  for (std::size_t i = 0; i < sizeof(T); ++i) {
+    v |= static_cast<T>(in[i]) << (8 * i);
+  }
+  return v;
+}
+
+template <typename T>
+std::uint64_t fnv1a_word(T v, std::uint64_t seed) {
+  unsigned char b[sizeof(T)];
+  store_le(b, v);
+  return fnv1a_64(b, sizeof(b), seed);
+}
+
+/// The canonical instance hash (docs/FORMATS.md), written once. FNV-1a
+/// over four little-endian steps, fed in this order:
+///   header      name bytes, u32 0 (name terminator), u32 n
+///   node        f64 omega, f64 mu                  (n times, id order)
+///   edge count  u64 m
+///   children    u32 u, u32 v per child v ascending (per node u, id order)
+/// dag_canonical_hash, the v2 parser and the v2 encoder all feed it, so
+/// they agree however the child lists are stored.
+class CanonicalHasher {
+ public:
+  void header(const std::string& name, std::uint32_t n) {
+    hash_ = fnv1a_64(name.data(), name.size(), hash_);
+    hash_ = fnv1a_word(n, fnv1a_word(std::uint32_t{0}, hash_));
+  }
+  void node(double omega, double mu) {
+    hash_ = fnv1a_f64(mu, fnv1a_f64(omega, hash_));
+  }
+  void edge_count(std::uint64_t m) { hash_ = fnv1a_u64(m, hash_); }
+  /// Folds in u's children in ascending order. Returns a child listed
+  /// twice (the value is then meaningless), or kInvalidNode.
+  NodeId children(NodeId u, ComputeDag::AdjSpan listed) {
+    sorted_.assign(listed.begin(), listed.end());
+    std::sort(sorted_.begin(), sorted_.end());
+    for (std::size_t i = 0; i < sorted_.size(); ++i) {
+      if (i > 0 && sorted_[i] == sorted_[i - 1]) return sorted_[i];
+      hash_ = fnv1a_word(static_cast<std::uint32_t>(u), hash_);
+      hash_ = fnv1a_word(static_cast<std::uint32_t>(sorted_[i]), hash_);
     }
+    return kInvalidNode;
+  }
+  std::uint64_t value() const { return hash_; }
+
+ private:
+  std::uint64_t hash_ = kFnvOffset;
+  std::vector<NodeId> sorted_;  // reused per-node scratch
+};
+
+/// Walks an in-memory DAG into `sink` in the DagSink call order, children
+/// in stored order: the one emit loop behind dag_to_binary and
+/// write_dag_file.
+void emit_dag(const ComputeDag& dag, DagSink& sink) {
+  sink.begin(dag.name(), static_cast<std::uint64_t>(dag.num_nodes()));
+  for (NodeId v = 0; v < dag.num_nodes(); ++v) {
+    sink.add_node(dag.omega(v), dag.mu(v));
+  }
+  sink.begin_edges(dag.num_edges());
+  for (NodeId u = 0; u < dag.num_nodes(); ++u) {
+    for (NodeId v : dag.children(u)) sink.add_edge(u, v);
   }
 }
 
@@ -162,20 +168,7 @@ void stream_canonical(const ComputeDag& dag, ByteSink& sink) {
 /// canonical hash in on the fly, and reports byte offset + section + file
 /// size on truncation or corruption.
 std::optional<ComputeDag> parse_binary_stream(Feed& in, std::string* error) {
-  std::uint64_t hash = kFnvOffset;
-  const auto hash_bytes = [&](const void* data, std::size_t size) {
-    hash = fnv1a_64(data, size, hash);
-  };
-  const auto hash_u32 = [&](std::uint32_t v) {
-    unsigned char b[4];
-    for (int i = 0; i < 4; ++i) b[i] = static_cast<unsigned char>(v >> (8 * i));
-    hash_bytes(b, 4);
-  };
-  const auto hash_u64 = [&](std::uint64_t v) {
-    unsigned char b[8];
-    for (int i = 0; i < 8; ++i) b[i] = static_cast<unsigned char>(v >> (8 * i));
-    hash_bytes(b, 8);
-  };
+  CanonicalHasher hasher;
 
   // Error helpers: every message carries the byte offset where decoding
   // stopped, the section being decoded, and the file size.
@@ -212,16 +205,14 @@ std::optional<ComputeDag> parse_binary_stream(Feed& in, std::string* error) {
   }
 
   if (!read_exact(scratch, 4, "name length")) return std::nullopt;
-  const std::uint32_t name_len = decode_u32(scratch);
+  const std::uint32_t name_len = load_le<std::uint32_t>(scratch);
   if (name_len > in.remaining()) return truncated("name", name_len);
   std::string name(name_len, '\0');
   if (!read_exact(name.data(), name_len, "name")) return std::nullopt;
-  hash_bytes(name.data(), name.size());
-  hash_u32(0);  // canonical name terminator
 
   if (!read_exact(scratch, 4, "node count")) return std::nullopt;
-  const std::uint32_t n = decode_u32(scratch);
-  hash_u32(n);
+  const std::uint32_t n = load_le<std::uint32_t>(scratch);
+  hasher.header(name, n);
   if (static_cast<std::uint64_t>(n) * 16 > in.remaining()) {
     return truncated("node weights", static_cast<std::uint64_t>(n) * 16);
   }
@@ -240,20 +231,20 @@ std::optional<ComputeDag> parse_binary_stream(Feed& in, std::string* error) {
       if (!read_exact(chunk.data(), batch * 16, "node weights")) {
         return std::nullopt;
       }
-      hash_bytes(chunk.data(), batch * 16);
       for (std::size_t i = 0; i < batch; ++i) {
-        omega.push_back(
-            std::bit_cast<double>(decode_u64(chunk.data() + i * 16)));
-        mu.push_back(
-            std::bit_cast<double>(decode_u64(chunk.data() + i * 16 + 8)));
+        omega.push_back(std::bit_cast<double>(
+            load_le<std::uint64_t>(chunk.data() + i * 16)));
+        mu.push_back(std::bit_cast<double>(
+            load_le<std::uint64_t>(chunk.data() + i * 16 + 8)));
+        hasher.node(omega.back(), mu.back());
       }
       done += static_cast<std::uint32_t>(batch);
     }
   }
 
   if (!read_exact(scratch, 8, "edge count")) return std::nullopt;
-  const std::uint64_t m = decode_u64(scratch);
-  hash_u64(m);
+  const std::uint64_t m = load_le<std::uint64_t>(scratch);
+  hasher.edge_count(m);
   if (m * 8 > in.remaining()) return truncated("edges", m * 8);
 
   // Stream edges straight into the successor CSR. The format is u-major
@@ -262,25 +253,18 @@ std::optional<ComputeDag> parse_binary_stream(Feed& in, std::string* error) {
   std::vector<std::size_t> succ_off(static_cast<std::size_t>(n) + 1, 0);
   std::vector<NodeId> succ;
   succ.reserve(m);
-  std::vector<NodeId> sorted_children;  // reused per-u scratch
   std::int64_t prev_u = -1;
   std::size_t u_begin = 0;  // index into succ where prev_u's children start
   const auto flush_u = [&]() -> bool {
     if (prev_u < 0) return true;
-    sorted_children.assign(succ.begin() + static_cast<std::ptrdiff_t>(u_begin),
-                           succ.end());
-    std::sort(sorted_children.begin(), sorted_children.end());
-    for (std::size_t i = 0; i < sorted_children.size(); ++i) {
-      if (i > 0 && sorted_children[i] == sorted_children[i - 1]) {
-        fail(error, at("duplicate edge " + std::to_string(prev_u) + " -> " +
-                           std::to_string(sorted_children[i]),
-                       "edges"));
-        return false;
-      }
-      hash_u32(static_cast<std::uint32_t>(prev_u));
-      hash_u32(static_cast<std::uint32_t>(sorted_children[i]));
-    }
-    return true;
+    const NodeId repeated = hasher.children(
+        static_cast<NodeId>(prev_u),
+        {succ.data() + u_begin, succ.size() - u_begin});
+    if (repeated == kInvalidNode) return true;
+    fail(error, at("duplicate edge " + std::to_string(prev_u) + " -> " +
+                       std::to_string(repeated),
+                   "edges"));
+    return false;
   };
   {
     constexpr std::size_t kEdgesPerChunk = 8192;
@@ -291,8 +275,8 @@ std::optional<ComputeDag> parse_binary_stream(Feed& in, std::string* error) {
           std::min<std::uint64_t>(kEdgesPerChunk, m - done);
       if (!read_exact(chunk.data(), batch * 8, "edges")) return std::nullopt;
       for (std::size_t i = 0; i < batch; ++i) {
-        const std::uint32_t u = decode_u32(chunk.data() + i * 8);
-        const std::uint32_t v = decode_u32(chunk.data() + i * 8 + 4);
+        const auto u = load_le<std::uint32_t>(chunk.data() + i * 8);
+        const auto v = load_le<std::uint32_t>(chunk.data() + i * 8 + 4);
         const std::uint64_t e = done + i;
         if (u >= n || v >= n) {
           fail(error, at("edge " + std::to_string(e) + " endpoint out of "
@@ -332,7 +316,7 @@ std::optional<ComputeDag> parse_binary_stream(Feed& in, std::string* error) {
   }
 
   if (!read_exact(scratch, 8, "hash footer")) return std::nullopt;
-  const std::uint64_t stored_hash = decode_u64(scratch);
+  const std::uint64_t stored_hash = load_le<std::uint64_t>(scratch);
   if (in.remaining() != 0) {
     fail(error, at(std::to_string(in.remaining()) +
                        " trailing byte(s) after the hash footer",
@@ -347,10 +331,10 @@ std::optional<ComputeDag> parse_binary_stream(Feed& in, std::string* error) {
     fail(error, "edge set contains a cycle");
     return std::nullopt;
   }
-  if (hash != stored_hash) {
+  if (hasher.value() != stored_hash) {
     char buf[64];
     std::snprintf(buf, sizeof(buf), "%016" PRIx64 " != stored %016" PRIx64,
-                  hash, stored_hash);
+                  hasher.value(), stored_hash);
     fail(error, std::string("canonical hash mismatch (corrupt file): ") + buf);
     return std::nullopt;
   }
@@ -358,6 +342,205 @@ std::optional<ComputeDag> parse_binary_stream(Feed& in, std::string* error) {
 }
 
 }  // namespace
+
+/// The v2 encoder, written once: DagStreamWriter wraps it around a file and
+/// dag_to_binary around a string. It checks the DagSink call order, appends
+/// the little-endian layout to bytes() and folds the canonical hash in as
+/// each node's children complete. With a file it hands bytes() over in
+/// kWriteBlock pieces. Errors latch as DagStreamWriter documents.
+class DagEncoder final : public DagSink {
+ public:
+  /// In memory: the encoding stays in bytes().
+  DagEncoder() = default;
+  explicit DagEncoder(const std::string& path)
+      : file_(std::fopen(path.c_str(), "wb")) {
+    if (file_ == nullptr) {
+      set_error("cannot open " + path + " for writing");
+      return;
+    }
+    // Slack for the record that crosses the block edge, so the buffer
+    // never reallocates mid-stream.
+    bytes_.reserve(kWriteBlock + 64);
+  }
+  ~DagEncoder() override {
+    if (file_ != nullptr) std::fclose(file_);
+  }
+  DagEncoder(const DagEncoder&) = delete;
+  DagEncoder& operator=(const DagEncoder&) = delete;
+
+  void begin(const std::string& name, std::uint64_t num_nodes) override {
+    if (!ok()) return;
+    if (state_ != State::kCreated) {
+      set_error("begin() called twice");
+      return;
+    }
+    if (num_nodes > 0xFFFFFFFFull) {
+      set_error("node count " + std::to_string(num_nodes) +
+                " exceeds the format's u32 limit");
+      return;
+    }
+    state_ = State::kNodes;
+    declared_nodes_ = num_nodes;
+    put(kBinaryMagic, sizeof(kBinaryMagic));
+    put_le(static_cast<std::uint32_t>(name.size()));
+    put(name.data(), name.size());
+    put_le(static_cast<std::uint32_t>(num_nodes));
+    hasher_.header(name, static_cast<std::uint32_t>(num_nodes));
+  }
+
+  void add_node(double omega, double mu) override {
+    if (!ok()) return;
+    if (state_ != State::kNodes) {
+      set_error("add_node() outside the node section");
+      return;
+    }
+    if (emitted_nodes_ == declared_nodes_) {
+      set_error("more add_node() calls than the declared " +
+                std::to_string(declared_nodes_));
+      return;
+    }
+    ++emitted_nodes_;
+    put_le(std::bit_cast<std::uint64_t>(omega));
+    put_le(std::bit_cast<std::uint64_t>(mu));
+    hasher_.node(omega, mu);
+  }
+
+  void begin_edges(std::uint64_t num_edges) override {
+    if (!ok()) return;
+    if (state_ != State::kNodes) {
+      set_error("begin_edges() outside the node section");
+      return;
+    }
+    if (emitted_nodes_ != declared_nodes_) {
+      set_error("begin_edges() after " + std::to_string(emitted_nodes_) +
+                " of " + std::to_string(declared_nodes_) + " declared nodes");
+      return;
+    }
+    state_ = State::kEdges;
+    declared_edges_ = num_edges;
+    put_le(num_edges);
+    hasher_.edge_count(num_edges);
+  }
+
+  void add_edge(NodeId u, NodeId v) override {
+    if (!ok()) return;
+    if (state_ != State::kEdges) {
+      set_error("add_edge() outside the edge section");
+      return;
+    }
+    if (emitted_edges_ == declared_edges_) {
+      set_error("more add_edge() calls than the declared " +
+                std::to_string(declared_edges_));
+      return;
+    }
+    if (u < 0 || v < 0 || static_cast<std::uint64_t>(u) >= declared_nodes_ ||
+        static_cast<std::uint64_t>(v) >= declared_nodes_) {
+      set_error("edge " + std::to_string(u) + " -> " + std::to_string(v) +
+                " endpoint out of range [0, " +
+                std::to_string(declared_nodes_) + ")");
+      return;
+    }
+    if (u == v) {
+      set_error("self-loop edge " + std::to_string(u));
+      return;
+    }
+    if (current_u_ != kInvalidNode && u < current_u_) {
+      set_error("edges must be u-major: u=" + std::to_string(u) +
+                " after u=" + std::to_string(current_u_));
+      return;
+    }
+    if (u != current_u_) {
+      if (!hash_pending_children()) return;
+      current_u_ = u;
+    }
+    ++emitted_edges_;
+    pending_children_.push_back(v);
+    put_le(static_cast<std::uint32_t>(u));
+    put_le(static_cast<std::uint32_t>(v));
+  }
+
+  bool finish(std::uint64_t* hash_out) {
+    if (ok()) {
+      if (state_ != State::kEdges) {
+        set_error(state_ == State::kFinished ? "finish() called twice"
+                                             : "finish() before begin_edges()");
+      } else if (emitted_edges_ != declared_edges_) {
+        set_error("finish() after " + std::to_string(emitted_edges_) +
+                  " of " + std::to_string(declared_edges_) +
+                  " declared edges");
+      }
+    }
+    if (ok() && hash_pending_children()) put_le(hasher_.value());
+    if (file_ != nullptr) {
+      write_bytes();
+      if (ok() && std::fflush(file_) != 0) {
+        set_error("flush failed (disk full?)");
+      }
+      std::fclose(file_);
+      file_ = nullptr;
+    }
+    if (!ok()) return false;
+    state_ = State::kFinished;
+    if (hash_out != nullptr) *hash_out = hasher_.value();
+    return true;
+  }
+
+  bool ok() const { return error_.empty(); }
+  const std::string& error() const { return error_; }
+  std::string& bytes() { return bytes_; }
+
+ private:
+  void set_error(const std::string& message) {
+    if (error_.empty()) error_ = message;
+  }
+
+  void put(const void* data, std::size_t size) {
+    bytes_.append(static_cast<const char*>(data), size);
+    if (file_ != nullptr && bytes_.size() >= kWriteBlock) write_bytes();
+  }
+
+  template <typename T>
+  void put_le(T v) {
+    unsigned char b[sizeof(T)];
+    store_le(b, v);
+    put(b, sizeof(b));
+  }
+
+  /// Hands bytes() to the file (dropped after an error).
+  void write_bytes() {
+    if (ok() &&
+        std::fwrite(bytes_.data(), 1, bytes_.size(), file_) != bytes_.size()) {
+      set_error("write failed (disk full?)");
+    }
+    bytes_.clear();
+  }
+
+  bool hash_pending_children() {
+    if (current_u_ == kInvalidNode) return true;
+    const NodeId repeated = hasher_.children(
+        current_u_, {pending_children_.data(), pending_children_.size()});
+    if (repeated != kInvalidNode) {
+      set_error("duplicate edge " + std::to_string(current_u_) + " -> " +
+                std::to_string(repeated));
+      return false;
+    }
+    pending_children_.clear();
+    return true;
+  }
+
+  std::FILE* file_ = nullptr;
+  std::string bytes_;  // encoded, not yet handed to file_
+  std::string error_;
+  enum class State { kCreated, kNodes, kEdges, kFinished } state_ =
+      State::kCreated;
+  std::uint64_t declared_nodes_ = 0;
+  std::uint64_t declared_edges_ = 0;
+  std::uint64_t emitted_nodes_ = 0;
+  std::uint64_t emitted_edges_ = 0;
+  NodeId current_u_ = kInvalidNode;
+  std::vector<NodeId> pending_children_;  // current u, stored order
+  CanonicalHasher hasher_;
+};
 
 std::uint64_t fnv1a_64(const void* data, std::size_t size,
                        std::uint64_t seed) {
@@ -367,10 +550,25 @@ std::uint64_t fnv1a_64(const void* data, std::size_t size,
   return h;
 }
 
+std::uint64_t fnv1a_u64(std::uint64_t v, std::uint64_t seed) {
+  return fnv1a_word(v, seed);
+}
+
+std::uint64_t fnv1a_f64(double v, std::uint64_t seed) {
+  return fnv1a_word(std::bit_cast<std::uint64_t>(v), seed);
+}
+
 std::uint64_t dag_canonical_hash(const ComputeDag& dag) {
-  ByteSink sink;
-  stream_canonical(dag, sink);
-  return sink.hash();
+  CanonicalHasher hasher;
+  hasher.header(dag.name(), static_cast<std::uint32_t>(dag.num_nodes()));
+  for (NodeId v = 0; v < dag.num_nodes(); ++v) {
+    hasher.node(dag.omega(v), dag.mu(v));
+  }
+  hasher.edge_count(dag.num_edges());
+  for (NodeId u = 0; u < dag.num_nodes(); ++u) {
+    hasher.children(u, dag.children(u));
+  }
+  return hasher.value();
 }
 
 std::string dag_hash_hex(std::uint64_t hash) {
@@ -516,25 +714,10 @@ std::optional<ComputeDag> dag_from_text(const std::string& text,
 }
 
 std::string dag_to_binary(const ComputeDag& dag) {
-  std::string out;
-  ByteSink sink(&out, /*hashing=*/false);
-  sink.bytes(kBinaryMagic, sizeof(kBinaryMagic));
-  sink.u32(static_cast<std::uint32_t>(dag.name().size()));
-  sink.bytes(dag.name().data(), dag.name().size());
-  sink.u32(static_cast<std::uint32_t>(dag.num_nodes()));
-  for (NodeId v = 0; v < dag.num_nodes(); ++v) {
-    sink.f64(dag.omega(v));
-    sink.f64(dag.mu(v));
-  }
-  sink.u64(dag.num_edges());
-  for (NodeId u = 0; u < dag.num_nodes(); ++u) {
-    for (NodeId v : dag.children(u)) {
-      sink.u32(static_cast<std::uint32_t>(u));
-      sink.u32(static_cast<std::uint32_t>(v));
-    }
-  }
-  sink.u64(dag_canonical_hash(dag));
-  return out;
+  DagEncoder encoder;
+  emit_dag(dag, encoder);
+  encoder.finish(nullptr);
+  return std::move(encoder.bytes());
 }
 
 bool is_binary_dag(const std::string& bytes) {
@@ -562,17 +745,8 @@ std::optional<ComputeDag> dag_from_bytes(const std::string& bytes,
 bool write_dag_file(const ComputeDag& dag, const std::string& path,
                     bool binary) {
   if (binary) {
-    // Stream through DagStreamWriter instead of buffering dag_to_binary's
-    // full string: identical bytes, O(max-degree) extra memory.
     DagStreamWriter writer(path);
-    writer.begin(dag.name(), static_cast<std::uint64_t>(dag.num_nodes()));
-    for (NodeId v = 0; v < dag.num_nodes(); ++v) {
-      writer.add_node(dag.omega(v), dag.mu(v));
-    }
-    writer.begin_edges(dag.num_edges());
-    for (NodeId u = 0; u < dag.num_nodes(); ++u) {
-      for (NodeId v : dag.children(u)) writer.add_edge(u, v);
-    }
+    emit_dag(dag, writer);
     return writer.finish();
   }
   std::ofstream out(path, std::ios::binary);
@@ -620,205 +794,33 @@ std::optional<ComputeDag> read_dag_file(const std::string& path,
 // DagStreamWriter
 
 DagStreamWriter::DagStreamWriter(const std::string& path)
-    : hash_(kFnvOffset) {
-  file_ = std::fopen(path.c_str(), "wb");
-  if (file_ == nullptr) {
-    set_error("cannot open " + path + " for writing");
-    return;
-  }
-  io_buffer_.resize(1u << 20);
-  std::setvbuf(file_, io_buffer_.data(), _IOFBF, io_buffer_.size());
-}
+    : encoder_(std::make_unique<DagEncoder>(path)) {}
 
-DagStreamWriter::~DagStreamWriter() {
-  if (file_ != nullptr) std::fclose(file_);
-}
-
-void DagStreamWriter::set_error(const std::string& message) {
-  if (error_.empty()) error_ = message;
-}
-
-void DagStreamWriter::put_bytes(const void* data, std::size_t size) {
-  if (!ok() || file_ == nullptr) return;
-  if (std::fwrite(data, 1, size, file_) != size) {
-    set_error("write failed (disk full?)");
-  }
-}
-
-void DagStreamWriter::put_u32(std::uint32_t v) {
-  unsigned char b[4];
-  for (int i = 0; i < 4; ++i) b[i] = static_cast<unsigned char>(v >> (8 * i));
-  put_bytes(b, 4);
-}
-
-void DagStreamWriter::put_u64(std::uint64_t v) {
-  unsigned char b[8];
-  for (int i = 0; i < 8; ++i) b[i] = static_cast<unsigned char>(v >> (8 * i));
-  put_bytes(b, 8);
-}
-
-void DagStreamWriter::put_f64(double d) {
-  put_u64(std::bit_cast<std::uint64_t>(d));
-}
-
-void DagStreamWriter::hash_bytes(const void* data, std::size_t size) {
-  hash_ = fnv1a_64(data, size, hash_);
-}
-
-void DagStreamWriter::hash_u32(std::uint32_t v) {
-  unsigned char b[4];
-  for (int i = 0; i < 4; ++i) b[i] = static_cast<unsigned char>(v >> (8 * i));
-  hash_bytes(b, 4);
-}
-
-void DagStreamWriter::hash_u64(std::uint64_t v) {
-  unsigned char b[8];
-  for (int i = 0; i < 8; ++i) b[i] = static_cast<unsigned char>(v >> (8 * i));
-  hash_bytes(b, 8);
-}
-
-void DagStreamWriter::hash_f64(double d) {
-  hash_u64(std::bit_cast<std::uint64_t>(d));
-}
+DagStreamWriter::~DagStreamWriter() = default;
 
 void DagStreamWriter::begin(const std::string& name,
                             std::uint64_t num_nodes) {
-  if (!ok()) return;
-  if (state_ != State::kCreated) {
-    set_error("begin() called twice");
-    return;
-  }
-  if (num_nodes > 0xFFFFFFFFull) {
-    set_error("node count " + std::to_string(num_nodes) +
-              " exceeds the format's u32 limit");
-    return;
-  }
-  state_ = State::kNodes;
-  declared_nodes_ = num_nodes;
-  put_bytes(kBinaryMagic, sizeof(kBinaryMagic));
-  put_u32(static_cast<std::uint32_t>(name.size()));
-  put_bytes(name.data(), name.size());
-  put_u32(static_cast<std::uint32_t>(num_nodes));
-  hash_bytes(name.data(), name.size());
-  hash_u32(0);  // canonical name terminator
-  hash_u32(static_cast<std::uint32_t>(num_nodes));
+  encoder_->begin(name, num_nodes);
 }
 
 void DagStreamWriter::add_node(double omega, double mu) {
-  if (!ok()) return;
-  if (state_ != State::kNodes) {
-    set_error("add_node() outside the node section");
-    return;
-  }
-  if (emitted_nodes_ == declared_nodes_) {
-    set_error("more add_node() calls than the declared " +
-              std::to_string(declared_nodes_));
-    return;
-  }
-  ++emitted_nodes_;
-  put_f64(omega);
-  put_f64(mu);
-  hash_f64(omega);
-  hash_f64(mu);
+  encoder_->add_node(omega, mu);
 }
 
 void DagStreamWriter::begin_edges(std::uint64_t num_edges) {
-  if (!ok()) return;
-  if (state_ != State::kNodes) {
-    set_error("begin_edges() outside the node section");
-    return;
-  }
-  if (emitted_nodes_ != declared_nodes_) {
-    set_error("begin_edges() after " + std::to_string(emitted_nodes_) +
-              " of " + std::to_string(declared_nodes_) + " declared nodes");
-    return;
-  }
-  state_ = State::kEdges;
-  declared_edges_ = num_edges;
-  put_u64(num_edges);
-  hash_u64(num_edges);
-}
-
-bool DagStreamWriter::flush_pending_children() {
-  if (current_u_ == kInvalidNode) return true;
-  sorted_children_ = pending_children_;
-  std::sort(sorted_children_.begin(), sorted_children_.end());
-  for (std::size_t i = 0; i < sorted_children_.size(); ++i) {
-    if (i > 0 && sorted_children_[i] == sorted_children_[i - 1]) {
-      set_error("duplicate edge " + std::to_string(current_u_) + " -> " +
-                std::to_string(sorted_children_[i]));
-      return false;
-    }
-    hash_u32(static_cast<std::uint32_t>(current_u_));
-    hash_u32(static_cast<std::uint32_t>(sorted_children_[i]));
-  }
-  pending_children_.clear();
-  return true;
+  encoder_->begin_edges(num_edges);
 }
 
 void DagStreamWriter::add_edge(NodeId u, NodeId v) {
-  if (!ok()) return;
-  if (state_ != State::kEdges) {
-    set_error("add_edge() outside the edge section");
-    return;
-  }
-  if (emitted_edges_ == declared_edges_) {
-    set_error("more add_edge() calls than the declared " +
-              std::to_string(declared_edges_));
-    return;
-  }
-  if (u < 0 || v < 0 ||
-      static_cast<std::uint64_t>(u) >= declared_nodes_ ||
-      static_cast<std::uint64_t>(v) >= declared_nodes_) {
-    set_error("edge " + std::to_string(u) + " -> " + std::to_string(v) +
-              " endpoint out of range [0, " +
-              std::to_string(declared_nodes_) + ")");
-    return;
-  }
-  if (u == v) {
-    set_error("self-loop edge " + std::to_string(u));
-    return;
-  }
-  if (current_u_ != kInvalidNode && u < current_u_) {
-    set_error("edges must be u-major: u=" + std::to_string(u) +
-              " after u=" + std::to_string(current_u_));
-    return;
-  }
-  if (u != current_u_) {
-    if (!flush_pending_children()) return;
-    current_u_ = u;
-  }
-  ++emitted_edges_;
-  pending_children_.push_back(v);
-  put_u32(static_cast<std::uint32_t>(u));
-  put_u32(static_cast<std::uint32_t>(v));
+  encoder_->add_edge(u, v);
 }
 
 bool DagStreamWriter::finish(std::uint64_t* hash_out) {
-  if (ok()) {
-    if (state_ != State::kEdges) {
-      set_error(state_ == State::kFinished ? "finish() called twice"
-                                           : "finish() before begin_edges()");
-    } else if (emitted_edges_ != declared_edges_) {
-      set_error("finish() after " + std::to_string(emitted_edges_) + " of " +
-                std::to_string(declared_edges_) + " declared edges");
-    }
-  }
-  if (ok()) flush_pending_children();
-  if (ok()) {
-    put_u64(hash_);
-    if (file_ != nullptr && std::fflush(file_) != 0) {
-      set_error("flush failed (disk full?)");
-    }
-  }
-  if (file_ != nullptr) {
-    std::fclose(file_);
-    file_ = nullptr;
-  }
-  if (!ok()) return false;
-  state_ = State::kFinished;
-  if (hash_out != nullptr) *hash_out = hash_;
-  return true;
+  return encoder_->finish(hash_out);
 }
+
+bool DagStreamWriter::ok() const { return encoder_->ok(); }
+
+const std::string& DagStreamWriter::error() const { return encoder_->error(); }
 
 }  // namespace mbsp

@@ -26,23 +26,27 @@
 // Both formats preserve child order exactly, so text -> binary -> text is
 // bitwise identity. `dag_canonical_hash` is an FNV-1a digest over a
 // canonicalized stream (edges sorted per node), identical however the DAG
-// was built or loaded.
+// was built or loaded. dag_io.cpp writes that stream in one place, a
+// hasher with four steps (header, node, edge count, one node's sorted
+// children) that dag_canonical_hash, the binary parser and the binary
+// encoder all feed, and writes the v2 byte layout in one place too, the
+// encoder behind both dag_to_binary and DagStreamWriter.
 //
 // ## Out-of-core paths (docs/SCALE.md)
 //
 // DagStreamWriter emits the v2 binary incrementally — counts up front,
 // then one add_node / add_edge call per record — holding only the current
-// node's child list in memory, with the canonical hash folded in on the
-// fly. Workload generators stream 10^6..10^7-node instances through it in
-// O(1) extra memory. The binary read path (read_dag_file and
-// dag_from_binary) is the mirror image: it decodes chunk-wise straight
-// into the CSR arrays of a CSR-native ComputeDag (see ComputeDag::from_csr)
-// without ever materializing per-node std::vectors, verifying the hash
-// footer as it goes. Binary parse errors report the byte offset, the
+// node's child list and a 1 MiB write block in memory, with the canonical
+// hash folded in on the fly. Workload generators stream 10^6..10^7-node
+// instances through it in O(1) extra memory. The binary read path
+// (read_dag_file and dag_from_binary) is the mirror image: it decodes
+// chunk-wise straight into the CSR arrays of a CSR-native ComputeDag (see
+// ComputeDag::from_csr) without ever materializing per-node std::vectors,
+// verifying the hash footer as it goes. Binary parse errors report the byte offset, the
 // section being decoded, and the file size.
 
 #include <cstdint>
-#include <cstdio>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -55,6 +59,12 @@ namespace mbsp {
 constexpr std::uint64_t kFnvOffset = 14695981039346656037ull;
 std::uint64_t fnv1a_64(const void* data, std::size_t size,
                        std::uint64_t seed = kFnvOffset);
+
+/// FNV-1a over the 8 little-endian bytes of `v` (fnv1a_f64: of its IEEE
+/// bits), chained from `seed`: the canonical hash's word step, which
+/// instance_delta_hash and trace_canonical_hash chain too.
+std::uint64_t fnv1a_u64(std::uint64_t v, std::uint64_t seed = kFnvOffset);
+std::uint64_t fnv1a_f64(double v, std::uint64_t seed = kFnvOffset);
 
 /// Canonical instance hash: digests name, weights and the per-node sorted
 /// edge lists, so structurally identical DAGs hash identically no matter
@@ -111,6 +121,9 @@ class DagSink {
   virtual void add_edge(NodeId u, NodeId v) = 0;
 };
 
+/// The v2 encoder (dag_io.cpp) that DagStreamWriter and dag_to_binary share.
+class DagEncoder;
+
 /// Incremental v2 binary writer: O(1) memory beyond the current node's
 /// child list, canonical FNV-1a hash computed on the fly (bitwise equal to
 /// dag_canonical_hash of the equivalent in-memory DAG). Errors (I/O
@@ -135,34 +148,11 @@ class DagStreamWriter final : public DagSink {
   /// non-null) receives the canonical hash.
   bool finish(std::uint64_t* hash_out = nullptr);
 
-  bool ok() const { return error_.empty(); }
-  const std::string& error() const { return error_; }
+  bool ok() const;
+  const std::string& error() const;
 
  private:
-  void set_error(const std::string& message);
-  void put_bytes(const void* data, std::size_t size);
-  void put_u32(std::uint32_t v);
-  void put_u64(std::uint64_t v);
-  void put_f64(double d);
-  void hash_bytes(const void* data, std::size_t size);
-  void hash_u32(std::uint32_t v);
-  void hash_u64(std::uint64_t v);
-  void hash_f64(double d);
-  bool flush_pending_children();
-
-  std::FILE* file_ = nullptr;
-  std::vector<char> io_buffer_;
-  std::string error_;
-  enum class State { kCreated, kNodes, kEdges, kFinished } state_ =
-      State::kCreated;
-  std::uint64_t declared_nodes_ = 0;
-  std::uint64_t declared_edges_ = 0;
-  std::uint64_t emitted_nodes_ = 0;
-  std::uint64_t emitted_edges_ = 0;
-  NodeId current_u_ = kInvalidNode;
-  std::vector<NodeId> pending_children_;  // current u, stored order
-  std::vector<NodeId> sorted_children_;   // reused sort scratch for hashing
-  std::uint64_t hash_;
+  std::unique_ptr<DagEncoder> encoder_;
 };
 
 }  // namespace mbsp

@@ -1,6 +1,6 @@
 #pragma once
 // Incremental evaluation engine for the holistic LNS: applies moves to a
-// ComputePlan *in place* as reversible PlanDelta ops and maintains plan
+// ComputePlan *in place* as reversible PlanDeltaOps and maintains plan
 // validity and schedule cost incrementally, so evaluating a move costs
 // O(delta) bookkeeping plus a *suffix* of the memory completion instead of
 // a full copy + validate + complete + cost pass.

@@ -20,7 +20,7 @@
 //
 // ## Hot path
 //
-// search_plan applies each move *in place* as a reversible PlanDelta and
+// search_plan applies each move *in place* as reversible PlanDeltaOps and
 // costs it through the IncrementalEvaluator (incremental_eval.hpp): only
 // the supersteps a move dirtied are re-completed and re-costed, the
 // accept path keeps the applied plan (no copy), and the reject path

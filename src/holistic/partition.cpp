@@ -10,6 +10,13 @@
 
 namespace mbsp {
 
+namespace {
+
+/// Minimum share of the nodes on each side.
+constexpr double kMinSideFraction = 1.0 / 3.0;
+
+}  // namespace
+
 ilp::Model build_bipartition_ilp(const ComputeDag& dag, int lo_ones,
                                  int hi_ones) {
   using ilp::LinExpr;
@@ -53,7 +60,7 @@ ilp::Model build_bipartition_ilp(const ComputeDag& dag, int lo_ones,
 BipartitionResult greedy_bipartition(const ComputeDag& dag,
                                      const BipartitionOptions& options) {
   const NodeId n = dag.num_nodes();
-  const int lo = std::max(1, static_cast<int>(options.min_fraction * n));
+  const int lo = std::max(1, static_cast<int>(kMinSideFraction * n));
   const int hi = n - lo;
   Rng rng(options.seed);
   BipartitionResult best;
@@ -163,7 +170,7 @@ BipartitionResult acyclic_bipartition(const ComputeDag& dag,
   if (!options.use_ilp) return greedy;
 
   const NodeId n = dag.num_nodes();
-  const int lo = std::max(1, static_cast<int>(options.min_fraction * n));
+  const int lo = std::max(1, static_cast<int>(kMinSideFraction * n));
   ilp::Model model = build_bipartition_ilp(dag, lo, n - lo);
 
   // Warm start: part variables from the greedy solution, cut indicators

@@ -3,7 +3,7 @@
 // such that the quotient is acyclic — for two parts this means no edge may
 // go from part 1 back to part 0, i.e. part 0 is closed under predecessors —
 // while minimizing the number of cut edges under a balance constraint
-// (each side gets at least `min_fraction` of the nodes).
+// (each side gets at least a third of the nodes).
 //
 // Two engines, matching the paper: an exact ILP (solved by the in-house
 // branch and bound; the paper notes COPT solves these "in negligible
@@ -20,7 +20,6 @@
 namespace mbsp {
 
 struct BipartitionOptions {
-  double min_fraction = 1.0 / 3.0;  ///< min share of nodes per side
   double ilp_budget_ms = 1000;
   bool use_ilp = true;
   std::uint64_t seed = 11;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdio>
-#include <cstring>
 #include <deque>
 #include <limits>
 #include <numeric>
@@ -59,38 +58,7 @@ void snapshot_machine(MbspInstance& inst, AppliedInstanceDelta& undo) {
   undo.machine_snapshot = true;
 }
 
-std::uint64_t hash_u64(std::uint64_t h, std::uint64_t x) {
-  unsigned char bytes[8];
-  for (int i = 0; i < 8; ++i) {
-    bytes[i] = static_cast<unsigned char>(x >> (8 * i));
-  }
-  return fnv1a_64(bytes, sizeof(bytes), h);
-}
-
-std::uint64_t hash_double(std::uint64_t h, double x) {
-  std::uint64_t bits;
-  static_assert(sizeof(bits) == sizeof(x));
-  std::memcpy(&bits, &x, sizeof(bits));
-  return hash_u64(h, bits);
-}
-
 }  // namespace
-
-const char* instance_delta_op_name(InstanceDeltaOpKind kind) {
-  switch (kind) {
-    case InstanceDeltaOpKind::kAddNode:
-      return "add_node";
-    case InstanceDeltaOpKind::kAddEdge:
-      return "add_edge";
-    case InstanceDeltaOpKind::kSetNodeWeight:
-      return "set_node_weight";
-    case InstanceDeltaOpKind::kDropProcessor:
-      return "drop_processor";
-    case InstanceDeltaOpKind::kShrinkMemory:
-      return "shrink_memory";
-  }
-  return "?";
-}
 
 void InstanceDelta::add_node(double omega, double mu) {
   InstanceDeltaOp op;
@@ -156,13 +124,12 @@ std::uint64_t instance_delta_hash(const InstanceDelta& delta,
   for (const InstanceDeltaOp& op : delta.ops) {
     const unsigned char kind = static_cast<unsigned char>(op.kind);
     h = fnv1a_64(&kind, 1, h);
-    h = hash_u64(h, static_cast<std::uint64_t>(static_cast<std::int64_t>(op.u)));
-    h = hash_u64(h, static_cast<std::uint64_t>(static_cast<std::int64_t>(op.v)));
-    h = hash_double(h, op.omega);
-    h = hash_double(h, op.mu);
-    h = hash_u64(h,
-                 static_cast<std::uint64_t>(static_cast<std::int64_t>(op.proc)));
-    h = hash_double(h, op.capacity);
+    h = fnv1a_u64(static_cast<std::uint64_t>(std::int64_t{op.u}), h);
+    h = fnv1a_u64(static_cast<std::uint64_t>(std::int64_t{op.v}), h);
+    h = fnv1a_f64(op.omega, h);
+    h = fnv1a_f64(op.mu, h);
+    h = fnv1a_u64(static_cast<std::uint64_t>(std::int64_t{op.proc}), h);
+    h = fnv1a_f64(op.capacity, h);
   }
   return h;
 }

@@ -10,7 +10,7 @@
 //      relocated (order-preserving, so every same-processor dependency
 //      chain survives), new non-source nodes receive occurrences, and
 //      edges retrofitted into already-planned nodes trigger recompute-style
-//      availability inserts — all expressed as PlanDelta kInsert ops
+//      availability inserts — all expressed as PlanDeltaOp kInsert ops
 //      applied through the PlanOccurrenceIndex, the same O(delta) edit
 //      language the incremental LNS engine uses;
 //   2. locality-masked polish: a search_plan run seeded from the
@@ -26,10 +26,10 @@
 // repair-then-polish result is never worse than the patched seed, and for
 // budget_ms = 0 the whole pipeline is deterministic.
 //
-// apply_instance_delta / undo_instance_delta are an exact apply/undo pair
-// (the InstanceDelta mirror of PlanDelta's): a failed apply rolls back
-// every already-applied op, and undo restores the instance bitwise —
-// adjacency orders, weights, machine vectors and names included.
+// apply_instance_delta / undo_instance_delta are an exact apply/undo pair:
+// a failed apply rolls back every already-applied op, and undo restores
+// the instance bitwise — adjacency orders, weights, machine vectors and
+// names included.
 
 #include <cstdint>
 #include <optional>
@@ -49,9 +49,6 @@ enum class InstanceDeltaOpKind : std::uint8_t {
   kDropProcessor = 3,  ///< remove processor `proc` from the machine
   kShrinkMemory = 4,   ///< set fast-memory capacity of `proc` (-1 = all)
 };
-
-/// Stable lower-case op name ("add_node", ...), for errors and docs.
-const char* instance_delta_op_name(InstanceDeltaOpKind kind);
 
 struct InstanceDeltaOp {
   InstanceDeltaOpKind kind = InstanceDeltaOpKind::kAddNode;

@@ -19,6 +19,9 @@ namespace {
 // collide on the same derived seed (docs/SCALE.md, determinism contract).
 constexpr std::uint64_t kShardSalt = 0xA24BAED4963EE407ull;
 constexpr std::uint64_t kPolishSalt = 0x9FB21C651E98DF25ull;
+/// Hops of DAG neighborhood around cut-edge endpoints included in the
+/// boundary polish's move mask (0 would be the endpoints only).
+constexpr int kBoundaryHalo = 1;
 
 std::uint64_t shard_seed(std::uint64_t base, std::size_t shard) {
   return splitmix64_mix(base ^
@@ -281,7 +284,7 @@ ShardResult shard_schedule(const MbspInstance& inst,
       }
     }
   }
-  for (int hop = 0; hop < options.boundary_halo; ++hop) {
+  for (int hop = 0; hop < kBoundaryHalo; ++hop) {
     std::vector<char> next = mask;
     for (NodeId v = 0; v < dag.num_nodes(); ++v) {
       if (mask[static_cast<std::size_t>(v)] == 0) continue;

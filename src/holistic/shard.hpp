@@ -81,9 +81,6 @@ struct ShardOptions {
   /// cap keeps the polish bit-reproducible; 0 iterations disables it.
   double polish_budget_ms = 0;
   long polish_max_iterations = 20'000;
-  /// Hops of DAG neighborhood around cut-edge endpoints included in the
-  /// polish move mask (0 = endpoints only).
-  int boundary_halo = 1;
   /// Worker threads for the per-shard fan-out (0 = hardware concurrency).
   /// Thread count never changes the result, only the wall clock.
   int num_threads = 0;

@@ -8,6 +8,10 @@ namespace mbsp::ilp {
 
 namespace {
 
+constexpr double kIntTol = 1e-6;  ///< integrality tolerance for branching
+/// Absolute bound-to-incumbent gap at which a node is pruned.
+constexpr double kGapTol = 1e-9;
+
 struct Node {
   // Variable bound overrides relative to the root model.
   std::vector<std::pair<VarId, std::pair<double, double>>> bounds;
@@ -66,7 +70,7 @@ MipResult BranchAndBoundSolver::solve(const Model& root,
     ++result.nodes_explored;
 
     if (have_incumbent && node.parent_bound > -kInf &&
-        node.parent_bound >= result.objective - options_.gap_tol) {
+        node.parent_bound >= result.objective - kGapTol) {
       continue;  // cannot improve
     }
 
@@ -113,12 +117,12 @@ MipResult BranchAndBoundSolver::solve(const Model& root,
       }
       continue;
     }
-    if (have_incumbent && lp.objective >= result.objective - options_.gap_tol) {
+    if (have_incumbent && lp.objective >= result.objective - kGapTol) {
       restore();
       continue;
     }
 
-    const int branch_var = most_fractional_var(root, lp.x, options_.int_tol);
+    const int branch_var = most_fractional_var(root, lp.x, kIntTol);
     if (branch_var == -1) {
       // Integer feasible: new incumbent.
       if (!have_incumbent || lp.objective < result.objective) {

@@ -30,9 +30,6 @@ struct MipResult {
 struct MipOptions {
   double budget_ms = 10000;
   long max_nodes = 1000000;
-  double int_tol = 1e-6;
-  /// Relative optimality gap at which the search stops.
-  double gap_tol = 1e-9;
   SimplexOptions lp;
 };
 

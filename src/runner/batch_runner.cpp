@@ -30,7 +30,7 @@ std::vector<BatchCell> BatchRunner::run_grid(
   specs.reserve(instances.size() * schedulers.size());
   for (const MbspInstance& inst : instances) {
     for (const std::string& scheduler : schedulers) {
-      specs.push_back({&inst, scheduler, options_.scheduler});
+      specs.push_back({&inst, scheduler});
     }
   }
   return run_cells(specs);
@@ -43,7 +43,8 @@ std::vector<BatchCell> BatchRunner::run_cells(
   std::vector<std::pair<const MbspScheduler*, SchedulerOptions>> resolved;
   resolved.reserve(cells.size());
   for (const CellSpec& cell : cells) {
-    SchedulerSpec spec = resolve_scheduler_spec(cell.scheduler, cell.options);
+    SchedulerSpec spec =
+        resolve_scheduler_spec(cell.scheduler, options_.scheduler);
     resolved.emplace_back(&registry_.at(spec.name), std::move(spec.options));
   }
   // Hash each distinct instance once, not once per grid cell.

@@ -1,6 +1,6 @@
 #pragma once
-// Parallel batch-experiment engine: fans an instance x scheduler (x options)
-// grid across the ThreadPool — one cell per (instance, scheduler) pair, each
+// Parallel batch-experiment engine: fans an instance x scheduler-spec grid
+// across the ThreadPool — one cell per (instance, scheduler) pair, each
 // solve single-threaded and deterministic — and collects per-cell
 // ScheduleResult rows. Cells are indexed up front and written into a
 // preallocated vector, so the result (and any table rendered from it) is
@@ -37,7 +37,7 @@ struct BatchOptions {
   std::size_t threads = 0;
   /// Re-validate every produced schedule; failures turn into cell errors.
   bool validate = true;
-  /// Base scheduler options used by run_grid (per-cell runs override).
+  /// Base scheduler options; each cell's spec keys override them.
   SchedulerOptions scheduler;
 };
 
@@ -47,16 +47,15 @@ class BatchRunner {
                        const SchedulerRegistry& registry =
                            SchedulerRegistry::global());
 
-  /// Non-rectangular sweeps: one cell per spec, options per cell.
+  /// Non-rectangular sweeps: one cell per (instance, spec) pair.
   /// `scheduler` is a spec string (src/runner/scheduler_spec.hpp) whose
-  /// keys override `options`; a bare name runs `options` as given.
+  /// keys override BatchOptions::scheduler; a bare name runs it as given.
   struct CellSpec {
     const MbspInstance* instance = nullptr;
     std::string scheduler;
-    SchedulerOptions options;
   };
 
-  /// Runs every (instance, scheduler spec) pair with the base options.
+  /// Runs every (instance, scheduler spec) pair.
   /// Cell order: instance-major, scheduler-minor.
   std::vector<BatchCell> run_grid(
       const std::vector<MbspInstance>& instances,

@@ -188,12 +188,6 @@ void undo_delta_op(ComputePlan& plan, const PlanDeltaOp& op) {
   }
 }
 
-void undo_delta(ComputePlan& plan, const PlanDelta& delta) {
-  for (auto it = delta.ops.rbegin(); it != delta.ops.rend(); ++it) {
-    undo_delta_op(plan, *it);
-  }
-}
-
 // ---------------------------------------------------------------------------
 // PlanOccurrenceIndex.
 
@@ -410,14 +404,18 @@ int PlanOccurrenceIndex::gap_step() {
 }
 
 void PlanOccurrenceIndex::rebuild_into(int p, ProcPositions& pp) {
+  // Counting sort by node, in place: count into the offsets, prefix-sum
+  // them to end offsets, then place positions walking seq backwards with
+  // pre-decrement, which leaves each run ascending and each offset at its
+  // run's start.
   const std::size_t n = static_cast<std::size_t>(dag_->num_nodes());
   const auto& seq = plan_->seq[static_cast<std::size_t>(p)];
   pp.comp_start.assign(n + 1, 0);
   pp.use_start.assign(n + 1, 0);
   for (const PlannedCompute& pc : seq) {
-    ++pp.comp_start[static_cast<std::size_t>(pc.node) + 1];
+    ++pp.comp_start[static_cast<std::size_t>(pc.node)];
     for (NodeId u : dag_->parents(pc.node)) {
-      ++pp.use_start[static_cast<std::size_t>(u) + 1];
+      ++pp.use_start[static_cast<std::size_t>(u)];
     }
   }
   for (std::size_t v = 0; v < n; ++v) {
@@ -426,18 +424,14 @@ void PlanOccurrenceIndex::rebuild_into(int p, ProcPositions& pp) {
   }
   pp.comp_items.assign(static_cast<std::size_t>(pp.comp_start[n]), 0);
   pp.use_items.assign(static_cast<std::size_t>(pp.use_start[n]), 0);
-  std::vector<std::int32_t> comp_fill(pp.comp_start.begin(),
-                                      pp.comp_start.end() - 1);
-  std::vector<std::int32_t> use_fill(pp.use_start.begin(),
-                                     pp.use_start.end() - 1);
-  for (std::size_t i = 0; i < seq.size(); ++i) {
-    const PlannedCompute& pc = seq[i];
+  for (std::size_t i = seq.size(); i-- > 0;) {
+    const NodeId v = seq[i].node;
     pp.comp_items[static_cast<std::size_t>(
-        comp_fill[static_cast<std::size_t>(pc.node)]++)] =
+        --pp.comp_start[static_cast<std::size_t>(v)])] =
         static_cast<std::int32_t>(i);
-    for (NodeId u : dag_->parents(pc.node)) {
+    for (NodeId u : dag_->parents(v)) {
       pp.use_items[static_cast<std::size_t>(
-          use_fill[static_cast<std::size_t>(u)]++)] =
+          --pp.use_start[static_cast<std::size_t>(u)])] =
           static_cast<std::int32_t>(i);
     }
   }

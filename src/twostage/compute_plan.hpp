@@ -88,27 +88,11 @@ struct PlanDeltaOp {
   std::vector<std::size_t> cuts;   ///< kMergeStep / kSplitStep only
 };
 
-/// A move's worth of ops, applied in order. `structural` marks superstep
-/// renumbering (merge/split/gap close): incremental evaluation falls back
-/// to a full evaluation for those.
-struct PlanDelta {
-  std::vector<PlanDeltaOp> ops;
-  bool structural = false;
-
-  void clear() {
-    ops.clear();
-    structural = false;
-  }
-};
-
 /// Applies one op to the plan in place.
 void apply_delta_op(ComputePlan& plan, const PlanDeltaOp& op);
 
 /// Applies the inverse of one op (exact undo of apply_delta_op).
 void undo_delta_op(ComputePlan& plan, const PlanDeltaOp& op);
-
-/// Undoes a whole delta (inverse ops in reverse order).
-void undo_delta(ComputePlan& plan, const PlanDelta& delta);
 
 // ---------------------------------------------------------------------------
 // Occurrence index: per-superstep and per-(proc, node) lookups maintained

@@ -1,7 +1,6 @@
 #include "src/workload/trace.hpp"
 
 #include <algorithm>
-#include <cstring>
 
 #include "src/graph/dag_io.hpp"
 #include "src/model/machine_registry.hpp"
@@ -268,14 +267,7 @@ std::uint64_t trace_canonical_hash(const RepairTrace& trace) {
   std::uint64_t h = dag_canonical_hash(trace.base.dag);
   h = fnv1a_64(trace.base.arch.name.data(), trace.base.arch.name.size(), h);
   for (const TraceEvent& event : trace.events) {
-    std::uint64_t bits;
-    static_assert(sizeof(bits) == sizeof(event.at_ms));
-    std::memcpy(&bits, &event.at_ms, sizeof(bits));
-    unsigned char bytes[8];
-    for (int i = 0; i < 8; ++i) {
-      bytes[i] = static_cast<unsigned char>(bits >> (8 * i));
-    }
-    h = fnv1a_64(bytes, sizeof(bytes), h);
+    h = fnv1a_f64(event.at_ms, h);
     h = instance_delta_hash(event.delta, h);
   }
   return h;

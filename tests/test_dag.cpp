@@ -1,10 +1,16 @@
 // Unit tests for the DAG container and topological utilities.
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <sstream>
+
 #include "src/graph/dag.hpp"
 #include "src/graph/dag_io.hpp"
 #include "src/graph/generators.hpp"
 #include "src/graph/topology.hpp"
+#include "src/holistic/repair.hpp"
+#include "src/workload/trace.hpp"
+#include "src/workload/workload_registry.hpp"
 
 namespace mbsp {
 namespace {
@@ -342,6 +348,95 @@ TEST(DagIo, BinaryFileRoundTrip) {
   const auto loaded = read_dag_file(path, &error);  // auto-detected
   ASSERT_TRUE(loaded.has_value()) << error;
   EXPECT_EQ(dag_to_text(*loaded), dag_to_text(dag));
+}
+
+std::string slurp_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream out;
+  out << in.rdbuf();
+  return out.str();
+}
+
+// Pins the codec to recorded values: the canonical hash, the v2 bytes (via
+// their FNV-1a digest), the streamed file, the delta hash and the trace
+// hash. These are instance identities (corpus rows, cache keys, file
+// footers), so any change here is a format break, never a re-recording.
+TEST(DagIo, CodecMatchesRecordedHashesAndBytes) {
+  struct Pinned {
+    std::string label;
+    ComputeDag dag;
+    const char* hash_hex;
+    std::uint64_t bytes_fnv;
+  };
+  const WorkloadRegistry& registry = WorkloadRegistry::global();
+  const auto make = [&](const std::string& spec, std::uint64_t seed) {
+    std::string error;
+    auto dag = registry.make_dag(spec, seed, &error);
+    EXPECT_TRUE(dag.has_value()) << spec << ": " << error;
+    return dag.value_or(ComputeDag{});
+  };
+  std::string error;
+  // Empty name, children listed out of order (0: 3 1 2; 1: 3 2).
+  const auto text_dag = dag_from_text(
+      "mbsp-dag v1\nname\nnodes 4\n1 2\n0.5 1e-3\n3 0\n2.25 7\n"
+      "edges 5\n0 3\n0 1\n0 2\n1 3\n1 2\n",
+      &error);
+  ASSERT_TRUE(text_dag.has_value()) << error;
+  std::vector<Pinned> pinned = {
+      {"stencil2d", make("stencil2d:nx=4,ny=4,steps=2", 1),
+       "35accded1afaf987", 0x9b42ef7dc004e34dull},
+      {"fft", make("fft:n=8", 1), "7c6fbfa31a80760b", 0x757b7a387922287aull},
+      {"lu", make("lu:blocks=3", 1), "8ad135074c97dc3d", 0x12165ee426520e83ull},
+      {"random-layered", make("random-layered:nodes=40,width=5", 7),
+       "733f528f8a1527c7", 0x3b0998d79b5ae8f6ull},
+      {"text", *text_dag, "998a228ba8ab83a1", 0xdadfe7ba99a22828ull},
+  };
+  for (const Pinned& p : pinned) {
+    SCOPED_TRACE(p.label);
+    const std::string bytes = dag_to_binary(p.dag);
+    EXPECT_EQ(dag_hash_hex(dag_canonical_hash(p.dag)), p.hash_hex);
+    EXPECT_EQ(fnv1a_64(bytes.data(), bytes.size()), p.bytes_fnv);
+    const std::string path =
+        ::testing::TempDir() + "/mbsp_codec_pin_" + p.label + ".bin";
+    ASSERT_TRUE(write_dag_file(p.dag, path, /*binary=*/true));
+    EXPECT_EQ(slurp_file(path), bytes);
+  }
+  // The generators' streaming emitters go through the same writer: each
+  // streamed file (children in emission order, so its bytes differ from
+  // the in-memory DAG's) re-encodes bitwise after a load.
+  const std::pair<std::size_t, std::uint64_t> streamed[] = {
+      {0, 0xa87611ead7278fcdull}, {1, 0xeed6a97f8b002c7aull}};
+  for (const auto& [i, bytes_fnv] : streamed) {
+    SCOPED_TRACE(pinned[i].label + " streamed");
+    const std::string path = ::testing::TempDir() + "/mbsp_codec_pin_s.bin";
+    DagStreamWriter writer(path);
+    ASSERT_TRUE(registry.make_dag_stream(pinned[i].dag.name(), 1, writer,
+                                         &error))
+        << error;
+    std::uint64_t hash = 0;
+    ASSERT_TRUE(writer.finish(&hash)) << writer.error();
+    EXPECT_EQ(dag_hash_hex(hash), pinned[i].hash_hex);
+    const std::string bytes = slurp_file(path);
+    EXPECT_EQ(fnv1a_64(bytes.data(), bytes.size()), bytes_fnv);
+    const auto loaded = read_dag_file(path, &error);
+    ASSERT_TRUE(loaded.has_value()) << error;
+    EXPECT_EQ(dag_to_binary(*loaded), bytes);
+  }
+
+  InstanceDelta delta;
+  delta.add_node(2.5, 0.75);
+  delta.add_edge(3, 4);
+  delta.set_node_weight(1, 4, 1.5);
+  delta.drop_processor(2);
+  delta.shrink_memory(0, 12.5);
+  EXPECT_EQ(dag_hash_hex(instance_delta_hash(delta, kFnvOffset)),
+            "1e639bd0535f3104");
+
+  const auto trace =
+      make_trace("trace-mixed:base=random-layered,events=6,batch=2", 5,
+                 "uniform:P=4", &error);
+  ASSERT_TRUE(trace.has_value()) << error;
+  EXPECT_EQ(dag_hash_hex(trace_canonical_hash(*trace)), "e4ef80909c9a1fe9");
 }
 
 TEST(Topology, RandomLayeredDagAcyclic) {
