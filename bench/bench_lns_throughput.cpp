@@ -13,7 +13,10 @@
 // processor; non-worsening moves committed) through an
 // IncrementalEvaluator and averages, per evaluated move, the re-derived
 // rounds over the committed rounds (mean_rederived_round_frac,
-// informational).
+// informational). The same probe reports the segment planner's counters
+// (mean_tries_per_segment, resumed_try_frac: the share of tries that
+// continued the previous try instead of replaying the segment prefix;
+// both informational).
 //
 //   MBSP_BENCH_LNS_ITERS     iterations per loop (default 300)
 //   MBSP_BENCH_LNS_SKIP_REF  1: run only the incremental loop (profiling
@@ -50,10 +53,12 @@ const Case kCases[] = {
 };
 
 /// Mean, over evaluated (valid) probe moves, of re-derived rounds over
-/// committed rounds; returns the move count through *moves.
+/// committed rounds; returns the move count through *moves and the
+/// probe's segment-planner counters through *counters.
 double rederived_round_frac(const MbspInstance& inst,
                             const ComputePlan& initial,
-                            const LnsOptions& options, long* moves) {
+                            const LnsOptions& options, long* moves,
+                            IncrementalEvaluator::PlannerCounters* counters) {
   IncrementalEvaluator eval(inst, options);
   double incumbent = eval.attach(initial);
   Rng rng(options.seed);
@@ -107,6 +112,7 @@ double rederived_round_frac(const MbspInstance& inst,
       eval.rollback();
     }
   }
+  *counters = eval.planner_counters();
   return *moves > 0 ? sum / static_cast<double>(*moves) : 0.0;
 }
 
@@ -126,6 +132,7 @@ int main() {
   bool all_identical = true;
   double rederived_sum = 0;
   long rederived_moves = 0;
+  IncrementalEvaluator::PlannerCounters planner;
   for (const Case& c : kCases) {
     std::string error;
     auto dag = WorkloadRegistry::global().make_dag(c.spec, config.seed, &error);
@@ -166,9 +173,14 @@ int main() {
     speedups.push_back(fast_rate / ref_rate);
     rates.push_back(fast_rate);
     long moves = 0;
-    const double frac = rederived_round_frac(inst, initial, options, &moves);
+    IncrementalEvaluator::PlannerCounters counters;
+    const double frac =
+        rederived_round_frac(inst, initial, options, &moves, &counters);
     rederived_sum += frac * static_cast<double>(moves);
     rederived_moves += moves;
+    planner.segments += counters.segments;
+    planner.tries += counters.tries;
+    planner.resumed_tries += counters.resumed_tries;
     table.add_row({c.spec, std::to_string(inst.dag.num_nodes()),
                    std::to_string(options.max_iterations), fmt(ref_rate, 0),
                    fmt(fast_rate, 0), fmt(fast_rate / ref_rate, 2) + "x",
@@ -199,6 +211,19 @@ int main() {
                         ? rederived_sum / static_cast<double>(rederived_moves)
                         : 0.0,
                     /*higher_is_better=*/false, /*gated=*/false);
+  // The segment planner's work over the same probes (pooled).
+  report.add_metric("mean_tries_per_segment",
+                    planner.segments > 0
+                        ? static_cast<double>(planner.tries) /
+                              static_cast<double>(planner.segments)
+                        : 0.0,
+                    /*higher_is_better=*/false, /*gated=*/false);
+  report.add_metric("resumed_try_frac",
+                    planner.tries > 0
+                        ? static_cast<double>(planner.resumed_tries) /
+                              static_cast<double>(planner.tries)
+                        : 0.0,
+                    /*higher_is_better=*/true, /*gated=*/false);
   report.write();
   if (!all_identical) {
     std::fprintf(stderr,

@@ -2,23 +2,18 @@
 
 #include <cstring>
 
+#include "src/util/little_endian.hpp"
+
 namespace mbsp::daemon {
 
 namespace {
 
-void append_le(std::string& out, std::uint64_t v, std::size_t bytes) {
-  for (std::size_t i = 0; i < bytes; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-std::uint64_t load_le(const void* data, std::size_t bytes) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  std::uint64_t v = 0;
-  for (std::size_t i = 0; i < bytes; ++i) {
-    v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
-  }
-  return v;
+// Appends v's little-endian bytes (src/util/little_endian.hpp).
+template <typename T>
+void append_le(std::string& out, T v) {
+  unsigned char bytes[sizeof(T)];
+  store_le(bytes, v);
+  out.append(reinterpret_cast<const char*>(bytes), sizeof bytes);
 }
 
 }  // namespace
@@ -65,7 +60,7 @@ std::string encode_frame(FrameType type, const std::string& payload) {
   out.reserve(kFrameHeaderSize + payload.size());
   out.append(kFrameMagic, sizeof kFrameMagic);
   out.push_back(static_cast<char>(type));
-  append_le(out, payload.size(), 4);
+  append_le(out, static_cast<std::uint32_t>(payload.size()));
   out.append(payload);
   return out;
 }
@@ -73,19 +68,19 @@ std::string encode_frame(FrameType type, const std::string& payload) {
 // ---------------------------------------------------------------------------
 // WireWriter
 
-void WireWriter::u8(std::uint8_t v) { append_le(out_, v, 1); }
-void WireWriter::u16(std::uint16_t v) { append_le(out_, v, 2); }
-void WireWriter::u32(std::uint32_t v) { append_le(out_, v, 4); }
-void WireWriter::u64(std::uint64_t v) { append_le(out_, v, 8); }
+void WireWriter::u8(std::uint8_t v) { append_le(out_, v); }
+void WireWriter::u16(std::uint16_t v) { append_le(out_, v); }
+void WireWriter::u32(std::uint32_t v) { append_le(out_, v); }
+void WireWriter::u64(std::uint64_t v) { append_le(out_, v); }
 void WireWriter::i64(std::int64_t v) {
-  append_le(out_, static_cast<std::uint64_t>(v), 8);
+  append_le(out_, static_cast<std::uint64_t>(v));
 }
 
 void WireWriter::f64(double v) {
   std::uint64_t bits;
   static_assert(sizeof bits == sizeof v);
   std::memcpy(&bits, &v, sizeof bits);
-  append_le(out_, bits, 8);
+  append_le(out_, bits);
 }
 
 void WireWriter::str(const std::string& s) {
@@ -122,28 +117,28 @@ bool WireReader::take(const char* what, std::size_t n, const void** out) {
 bool WireReader::u8(std::uint8_t* v) {
   const void* p;
   if (!take("u8", 1, &p)) return false;
-  *v = static_cast<std::uint8_t>(load_le(p, 1));
+  *v = load_le<std::uint8_t>(static_cast<const unsigned char*>(p));
   return true;
 }
 
 bool WireReader::u16(std::uint16_t* v) {
   const void* p;
   if (!take("u16", 2, &p)) return false;
-  *v = static_cast<std::uint16_t>(load_le(p, 2));
+  *v = load_le<std::uint16_t>(static_cast<const unsigned char*>(p));
   return true;
 }
 
 bool WireReader::u32(std::uint32_t* v) {
   const void* p;
   if (!take("u32", 4, &p)) return false;
-  *v = static_cast<std::uint32_t>(load_le(p, 4));
+  *v = load_le<std::uint32_t>(static_cast<const unsigned char*>(p));
   return true;
 }
 
 bool WireReader::u64(std::uint64_t* v) {
   const void* p;
   if (!take("u64", 8, &p)) return false;
-  *v = load_le(p, 8);
+  *v = load_le<std::uint64_t>(static_cast<const unsigned char*>(p));
   return true;
 }
 

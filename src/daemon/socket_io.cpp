@@ -2,6 +2,8 @@
 
 #include <cstring>
 
+#include "src/util/little_endian.hpp"
+
 #if defined(__unix__) || defined(__APPLE__)
 #include <sys/socket.h>
 #include <sys/un.h>
@@ -103,10 +105,7 @@ bool read_frame(int fd, Frame* frame, std::size_t max_payload,
     }
     return false;
   }
-  std::uint32_t payload_len = 0;
-  for (int i = 0; i < 4; ++i) {
-    payload_len |= static_cast<std::uint32_t>(header[5 + i]) << (8 * i);
-  }
+  const auto payload_len = load_le<std::uint32_t>(header + 5);
   if (payload_len > max_payload) {
     if (code != nullptr) *code = WireError::kOversizedFrame;
     if (error != nullptr) {

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "src/graph/topology.hpp"
+#include "src/util/little_endian.hpp"
 
 namespace mbsp {
 
@@ -86,24 +87,6 @@ class FileFeed final : public Feed {
   std::FILE* file_;
   std::vector<char> buffer_;
 };
-
-/// The format's one little-endian layout of a fixed-width word: the v2
-/// bytes and the canonical hash stream are both made of it.
-template <typename T>
-void store_le(unsigned char* out, T v) {
-  for (std::size_t i = 0; i < sizeof(T); ++i) {
-    out[i] = static_cast<unsigned char>(v >> (8 * i));
-  }
-}
-
-template <typename T>
-T load_le(const unsigned char* in) {
-  T v = 0;
-  for (std::size_t i = 0; i < sizeof(T); ++i) {
-    v |= static_cast<T>(in[i]) << (8 * i);
-  }
-  return v;
-}
 
 template <typename T>
 std::uint64_t fnv1a_word(T v, std::uint64_t seed) {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <climits>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <limits>
@@ -275,6 +276,14 @@ double IncrementalEvaluator::attach(const ComputePlan& plan,
   best_ov_.assign(n_, TryOv{});
   best_epoch_ = 1;
   best_added_.clear();
+  double total_mu = 0;
+  weights_exact_ = true;
+  for (NodeId v = 0; v < static_cast<NodeId>(n_); ++v) {
+    const double mu = dag_.mu(v);
+    weights_exact_ = weights_exact_ && mu >= 0 && mu == std::floor(mu);
+    total_mu += mu;
+  }
+  weights_exact_ = weights_exact_ && total_mu < 0x1p53;
 
   reserve_from_attached();
 
@@ -341,6 +350,7 @@ void IncrementalEvaluator::reserve_from_attached() {
   sorted_members_.reserve(64);
   t_added_.reserve(64);
   best_added_.reserve(64);
+  t_journal_.reserve(64);
   s_upfront_.reserve(64);
   s_loads_.reserve(64);
   delta_ops_.reserve(16);
@@ -1442,7 +1452,9 @@ double IncrementalEvaluator::evaluate_from(int b, bool may_exit) {
 // on the winner. The post phase reads only that state, the eval-level
 // blue set and the lookahead, none of which a later (failing) try
 // touches, so the winner's post phase is the one its own try would have
-// run.
+// run. A try that the resume guard admits continues the last successful
+// try's state instead of replaying the prefix (see the header's "Segment
+// planning").
 
 bool IncrementalEvaluator::plan_segment(int p, int superstep) {
   const auto& seq = plan_.seq[static_cast<std::size_t>(p)];
@@ -1454,6 +1466,7 @@ bool IncrementalEvaluator::plan_segment(int p, int superstep) {
   }
   assert(limit > 0);
 
+  ++counters_.segments;
   clear_seg_overlay();
   s_loads_.clear();
   s_load_weight_ = 0;
@@ -1463,6 +1476,8 @@ bool IncrementalEvaluator::plan_segment(int p, int superstep) {
     // Extend the segment prefix state by entry count-1: upfront loads in
     // first-encounter order, consumed start-cache values, produced set.
     const NodeId v = seq[static_cast<std::size_t>(i0 + count - 1)].node;
+    const std::size_t first_new_load = s_loads_.size();
+    double new_load_weight = 0;
     bool loadable = true;
     for (NodeId u : dag_.parents(v)) {
       SegOv& ov = seg_ov(u);
@@ -1478,16 +1493,59 @@ bool IncrementalEvaluator::plan_segment(int p, int superstep) {
       ov.load = 1;
       s_loads_.push_back(u);
       s_load_weight_ += dag_.mu(u);
+      new_load_weight += dag_.mu(u);
     }
     if (!loadable) break;
     seg_ov(v).produced = 1;
-    if (!run_phases(p, i0, count)) break;
-    std::swap(best_seg_, cur_seg_);
-    swap_best_try();
+    ++counters_.tries;
+    if (best_found && may_resume(p, v, s_loads_.size() > first_new_load,
+                                 new_load_weight)) {
+      ++counters_.resumed_tries;
+      // The last successful try continues in the running buffers; on
+      // failure resume_try restores it, so they go back to best_* either
+      // way.
+      std::swap(best_seg_, cur_seg_);
+      swap_best_try();
+      const bool ok = resume_try(p, i0, count, first_new_load);
+      std::swap(best_seg_, cur_seg_);
+      swap_best_try();
+      if (!ok) break;
+    } else {
+      if (!run_phases(p, i0, count)) break;
+      std::swap(best_seg_, cur_seg_);
+      swap_best_try();
+    }
     best_found = true;
   }
   if (best_found) finish_segment(p, i0);
   return best_found;
+}
+
+// The resume guard: a replay of try `count` (new entry v) would repeat the
+// last successful try on the segment prefix, decision for decision, when
+//  1. that try evicted no parent of v (in phase A, or in phase B as an
+//     erase or a hoist). A replay holds v's parents back from those
+//     evictions: each has a remaining need, and a start-cache parent is
+//     newly "needed". Any other victim stays the policy's first choice
+//     among what a replay allows, so it is still chosen;
+//  2. v adds no upfront load, or the loads' weight W fits under every
+//     memory test that try made: with exact weights each replayed test
+//     reads its old weight plus W, so none of them changes outcome when
+//     the try's peak tested weight plus W fits. A test that evicted had a
+//     weight above the capacity, so this also requires that the try made
+//     no victim eviction. Without exact weights the loads' weight would
+//     join the sums in another order, so only a try without new loads
+//     resumes.
+bool IncrementalEvaluator::may_resume(int p, NodeId v, bool new_loads,
+                                      double new_load_weight) const {
+  for (NodeId u : dag_.parents(v)) {
+    const TryOv& ov = best_ov_[static_cast<std::size_t>(u)];
+    if (ov.stamp == best_epoch_ && ov.evicted != 0) return false;
+  }
+  if (!new_loads) return true;
+  return weights_exact_ &&
+         !(best_peak_ + new_load_weight >
+           mem_[static_cast<std::size_t>(p)] + kMemEps);
 }
 
 // Phase A's candidates are the start cache minus the values the segment
@@ -1522,6 +1580,8 @@ void IncrementalEvaluator::sort_upfront_order(int p, std::int64_t i0) {
   s_upfront_sorted_ = true;
 }
 
+// A full try: setup, phase A, the loads, the remaining-need bumps and
+// phase B over the whole prefix.
 bool IncrementalEvaluator::run_phases(int p, std::int64_t i0,
                                       std::int64_t count) {
   const auto& seq = plan_.seq[static_cast<std::size_t>(p)];
@@ -1536,14 +1596,152 @@ bool IncrementalEvaluator::run_phases(int p, std::int64_t i0,
   seg.ops.clear();
   seg.count = count;
 
-  auto save_required = [&](NodeId v) {
-    return save_req_[static_cast<std::size_t>(v)] != 0;
-  };
   auto needed = [&](NodeId v) {
     const SegOv* ov = seg_find(v);
     return ov != nullptr && ov->needed;
   };
-  auto mark_blue = [&](NodeId v) { try_ov(v).blue = 1; };
+
+  // Phase A: upfront evictions so start cache + loads fit, walking the
+  // segment's victim order (sort_upfront_order) past the needed values.
+  const double r_p = mem_[static_cast<std::size_t>(p)];
+  t_peak_ = t_weight_ + s_load_weight_;
+  if (t_peak_ > r_p + kMemEps && !s_upfront_sorted_) sort_upfront_order(p, i0);
+  for (auto it = s_upfront_.begin();
+       t_weight_ + s_load_weight_ > r_p + kMemEps; ++it) {
+    while (it != s_upfront_.end() && needed(it->v)) ++it;
+    if (it == s_upfront_.end()) return false;
+    const NodeId victim = it->v;
+    if (!try_blue(victim) &&
+        (it->next != kNever || save_req_[static_cast<std::size_t>(victim)])) {
+      seg.pre_saves.push_back(victim);
+      try_ov(victim).blue = 1;
+    }
+    seg.pre_deletes.push_back(victim);
+    TryOv& ov = try_ov(victim);
+    ov.member = 0;
+    ov.evicted = static_cast<std::int8_t>(kEvictedUpfront | kEvictedInTry);
+    t_weight_ -= dag_.mu(victim);
+  }
+
+  // Apply the upfront loads.
+  for (NodeId u : seg.loads) {
+    if (!try_member(p, u)) {
+      try_set_member(p, u, true);
+      t_weight_ += dag_.mu(u);
+    }
+  }
+
+  for (std::int64_t j = 0; j < count; ++j) {
+    for (NodeId u : dag_.parents(seq[static_cast<std::size_t>(i0 + j)].node)) {
+      try_ov(u).remneed += 1;
+    }
+  }
+
+  // Phase B: replay the computes with mid-segment evictions.
+  for (std::int64_t j = 0; j < count; ++j) {
+    if (!replay_entry(p, pp, i0, j, /*journal=*/false)) return false;
+  }
+  return true;
+}
+
+// Try `count` as a continuation of try count - 1's finished state, which
+// the running buffers hold; the guard (may_resume) has proved that a
+// replay of the prefix would repeat that try. What a replay does
+// differently happens for the new entry only: its loads join the cache
+// (a replay adds their weight before phase B, here it comes after the
+// prefix: equal, as exact weights make the sum order-free), its parents'
+// remaining need rises by one, and then the entry itself runs. On failure
+// the journal and the recorded lengths restore the previous try exactly.
+bool IncrementalEvaluator::resume_try(int p, std::int64_t i0,
+                                      std::int64_t count,
+                                      std::size_t first_new_load) {
+  const NodeId v =
+      plan_.seq[static_cast<std::size_t>(p)][static_cast<std::size_t>(
+          i0 + count - 1)].node;
+  Segment& seg = cur_seg_;
+  const std::size_t old_loads = seg.loads.size();
+  const std::size_t old_pre_saves = seg.pre_saves.size();
+  const std::size_t old_pre_deletes = seg.pre_deletes.size();
+  const std::size_t old_ops = seg.ops.size();
+  const std::size_t old_added = t_added_.size();
+  const double old_weight = t_weight_;
+  const double old_peak = t_peak_;
+  // The entry touches only itself, its parents (the new loads among them)
+  // and its victims; replay_entry journals the victims.
+  t_journal_.clear();
+  t_journal_.push_back({v, t_ov_[static_cast<std::size_t>(v)]});
+  for (NodeId u : dag_.parents(v)) {
+    t_journal_.push_back({u, t_ov_[static_cast<std::size_t>(u)]});
+  }
+
+  for (std::size_t i = first_new_load; i < s_loads_.size(); ++i) {
+    const NodeId u = s_loads_[i];
+    assert(!try_member(p, u));
+    seg.loads.push_back(u);
+    try_set_member(p, u, true);
+    t_weight_ += dag_.mu(u);
+    t_peak_ += dag_.mu(u);  // every earlier test reads W more
+  }
+  for (NodeId u : dag_.parents(v)) try_ov(u).remneed += 1;
+  seg.count = count;
+  if (replay_entry(p, index_.proc_positions(p), i0, count - 1,
+                   /*journal=*/true)) {
+    // A replay lists its loads before phase B's additions in t_added_,
+    // which orders finish_segment's cache row: move the new loads there.
+    const auto first = t_added_.begin();
+    std::rotate(first + static_cast<std::ptrdiff_t>(old_loads),
+                first + static_cast<std::ptrdiff_t>(old_added),
+                first + static_cast<std::ptrdiff_t>(
+                            old_added + (s_loads_.size() - first_new_load)));
+    return true;
+  }
+  for (auto it = t_journal_.rbegin(); it != t_journal_.rend(); ++it) {
+    t_ov_[static_cast<std::size_t>(it->node)] = it->before;
+  }
+  seg.loads.resize(old_loads);
+  seg.pre_saves.resize(old_pre_saves);
+  seg.pre_deletes.resize(old_pre_deletes);
+  seg.ops.resize(old_ops);
+  seg.count = count - 1;
+  t_added_.resize(old_added);
+  t_weight_ = old_weight;
+  t_peak_ = old_peak;
+  return false;
+}
+
+// Phase B for entry j of the running try: the compute with its
+// mid-segment evictions, then the eager cleanup of its dead parents.
+// With `journal` each victim's overlay slot is recorded before it
+// changes. False when no value may make room for the compute.
+bool IncrementalEvaluator::replay_entry(
+    int p, const PlanOccurrenceIndex::ProcPositions& pp, std::int64_t i0,
+    std::int64_t j, bool journal) {
+  auto save_required = [&](NodeId v) {
+    return save_req_[static_cast<std::size_t>(v)] != 0;
+  };
+  // Hoistable values: start-cache values untouched by the segment (see
+  // memory_completion.cpp for why hoisting their eviction is sound) —
+  // in the start cache, not needed, and still cached after phase A. The
+  // oracle snapshots that set once post-load; its three conditions never
+  // change later in the try, so the lazy test is the same set (a value
+  // recomputed after a phase-B eviction keeps its start-cache answer).
+  auto hoistable = [&](NodeId v) {
+    if (!eval_cache_member(p, v)) return false;
+    const SegOv* sov = seg_find(v);
+    if (sov != nullptr && sov->needed) return false;
+    const TryOv* ov = try_find(v);
+    return ov == nullptr || (ov->evicted & kEvictedUpfront) == 0;
+  };
+  auto remneed = [&](NodeId v) -> std::int32_t {
+    const TryOv* ov = try_find(v);
+    return ov != nullptr ? ov->remneed : 0;
+  };
+  auto evict = [&](NodeId v) {
+    TryOv& ov = try_ov(v);
+    ov.member = 0;
+    ov.evicted |= kEvictedInTry;
+    t_weight_ -= dag_.mu(v);
+  };
 
   // Both eviction policies are strict total orders over the candidates,
   // so iterating the committed list then the additions is free. The LRU
@@ -1599,105 +1797,55 @@ bool IncrementalEvaluator::run_phases(int p, std::int64_t i0,
     return best;
   };
 
-  // Phase A: upfront evictions so start cache + loads fit, walking the
-  // segment's victim order (sort_upfront_order) past the needed values.
+  const NodeId v =
+      plan_.seq[static_cast<std::size_t>(p)][static_cast<std::size_t>(i0 + j)]
+          .node;
+  const std::int64_t gpos = i0 + j;
   const double r_p = mem_[static_cast<std::size_t>(p)];
-  if (t_weight_ + s_load_weight_ > r_p + kMemEps && !s_upfront_sorted_) {
-    sort_upfront_order(p, i0);
-  }
-  for (auto it = s_upfront_.begin();
-       t_weight_ + s_load_weight_ > r_p + kMemEps; ++it) {
-    while (it != s_upfront_.end() && needed(it->v)) ++it;
-    if (it == s_upfront_.end()) return false;
-    const NodeId victim = it->v;
-    if (!try_blue(victim) && (it->next != kNever || save_required(victim))) {
-      seg.pre_saves.push_back(victim);
-      mark_blue(victim);
-    }
-    seg.pre_deletes.push_back(victim);
-    try_set_member(p, victim, false);
-    try_ov(victim).upfront = 1;
-    t_weight_ -= dag_.mu(victim);
-  }
-
-  // Apply the upfront loads.
-  for (NodeId u : seg.loads) {
-    if (!try_member(p, u)) {
-      try_set_member(p, u, true);
-      t_weight_ += dag_.mu(u);
-    }
-  }
-
-  // Hoistable values: start-cache values untouched by the segment (see
-  // memory_completion.cpp for why hoisting their eviction is sound) —
-  // in the start cache, not needed, and still cached after phase A. The
-  // oracle snapshots that set once post-load; its three conditions never
-  // change later in the try, so the lazy test is the same set (a value
-  // recomputed after a phase-B eviction keeps its start-cache answer).
-  auto hoistable = [&](NodeId v) {
-    if (!eval_cache_member(p, v) || needed(v)) return false;
-    const TryOv* ov = try_find(v);
-    return ov == nullptr || ov->upfront == 0;
-  };
-  auto remneed = [&](NodeId v) -> std::int32_t {
-    const TryOv* ov = try_find(v);
-    return ov != nullptr ? ov->remneed : 0;
-  };
-  auto bump_remneed = [&](NodeId v, std::int32_t delta) {
-    try_ov(v).remneed += delta;
-  };
-  for (std::int64_t j = 0; j < count; ++j) {
-    for (NodeId u : dag_.parents(seq[static_cast<std::size_t>(i0 + j)].node)) {
-      bump_remneed(u, +1);
-    }
-  }
-
-  // Phase B: replay the computes with mid-segment evictions.
-  for (std::int64_t j = 0; j < count; ++j) {
-    const NodeId v = seq[static_cast<std::size_t>(i0 + j)].node;
-    const std::int64_t gpos = i0 + j;
-    if (!try_member(p, v)) {
-      while (t_weight_ + dag_.mu(v) > r_p + kMemEps) {
-        const NodeId victim = choose_victim(
-            [&](NodeId c) {
-              if (remneed(c) > 0) return false;  // still a parent here
-              if (try_blue(c)) return true;
-              if (hoistable(c)) return true;
-              return effective_next_need(p, pp, c, gpos) == kNever &&
-                     !save_required(c);
-            },
-            gpos + 1);
-        if (victim == kInvalidNode) return false;
-        const bool dirty_live =
-            !try_blue(victim) &&
-            (effective_next_need(p, pp, victim, gpos) != kNever ||
-             save_required(victim));
-        if (dirty_live) {
-          // Hoist: evict before the segment, saving first.
-          seg.pre_saves.push_back(victim);
-          mark_blue(victim);
-          seg.pre_deletes.push_back(victim);
-        } else {
-          seg.ops.push_back(PhaseOp::erase(victim));
-        }
-        try_set_member(p, victim, false);
-        t_weight_ -= dag_.mu(victim);
+  Segment& seg = cur_seg_;
+  if (!try_member(p, v)) {
+    t_peak_ = std::max(t_peak_, t_weight_ + dag_.mu(v));
+    while (t_weight_ + dag_.mu(v) > r_p + kMemEps) {
+      const NodeId victim = choose_victim(
+          [&](NodeId c) {
+            if (remneed(c) > 0) return false;  // still a parent here
+            if (try_blue(c)) return true;
+            if (hoistable(c)) return true;
+            return effective_next_need(p, pp, c, gpos) == kNever &&
+                   !save_required(c);
+          },
+          gpos + 1);
+      if (victim == kInvalidNode) return false;
+      if (journal) {
+        t_journal_.push_back({victim, t_ov_[static_cast<std::size_t>(victim)]});
       }
-      seg.ops.push_back(PhaseOp::compute(v));
-      try_set_member(p, v, true);
-      t_weight_ += dag_.mu(v);
+      const bool dirty_live =
+          !try_blue(victim) &&
+          (effective_next_need(p, pp, victim, gpos) != kNever ||
+           save_required(victim));
+      if (dirty_live) {
+        // Hoist: evict before the segment, saving first.
+        seg.pre_saves.push_back(victim);
+        try_ov(victim).blue = 1;
+        seg.pre_deletes.push_back(victim);
+      } else {
+        seg.ops.push_back(PhaseOp::erase(victim));
+      }
+      evict(victim);
     }
-    // else: value already red; the occurrence is redundant, skip the op.
-    for (NodeId u : dag_.parents(v)) bump_remneed(u, -1);
-    // Eager cleanup: drop parents that just died (free DELETE ops).
-    for (NodeId u : dag_.parents(v)) {
-      if (!try_member(p, u) || remneed(u) > 0) continue;
-      if (effective_next_need(p, pp, u, gpos + 1) != kNever) continue;
-      if (!try_blue(u) && save_required(u)) continue;
-      seg.ops.push_back(PhaseOp::erase(u));
-      try_set_member(p, u, false);
-      t_weight_ -= dag_.mu(u);
-    }
+    seg.ops.push_back(PhaseOp::compute(v));
+    try_set_member(p, v, true);
+    t_weight_ += dag_.mu(v);
+  }
+  // else: value already red; the occurrence is redundant, skip the op.
+  for (NodeId u : dag_.parents(v)) try_ov(u).remneed -= 1;
+  // Eager cleanup: drop parents that just died (free DELETE ops).
+  for (NodeId u : dag_.parents(v)) {
+    if (!try_member(p, u) || remneed(u) > 0) continue;
+    if (effective_next_need(p, pp, u, gpos + 1) != kNever) continue;
+    if (!try_blue(u) && save_required(u)) continue;
+    seg.ops.push_back(PhaseOp::erase(u));
+    evict(u);
   }
   return true;
 }

@@ -118,6 +118,31 @@
 // (they are always the position of a committed compute-or-use, so a
 // binary search recovers them exactly).
 //
+// ## Segment planning
+//
+// Each segment is the largest prefix of the processor's remaining block
+// that fits: plan_segment grows the try count 1, 2, 3, … and keeps the
+// last try that succeeded (never galloping or bisecting: success need not
+// be monotone, so any skip could change the segment). A full try replays
+// the prefix — setup, phase A (upfront evictions), the loads, the
+// remaining-need bumps and phase B (the computes with mid-segment
+// evictions) — so a k-entry segment would replay k(k+1)/2 computes. Try
+// t+1 instead continues try t's finished state, running only the new
+// entry, when the resume guard proves the replay would repeat try t:
+//
+//  1. try t evicted no parent of the new entry (a replay keeps those back:
+//     they have a remaining need, or are newly needed start-cache values);
+//  2. the entry adds no upfront load, or weights are exact integers and
+//     the loads' weight fits under the peak weight of every memory test
+//     try t made (so none changes outcome; a test that evicted already
+//     exceeded the capacity, so try t made no victim eviction).
+//
+// The resumed try adds the loads and their weight, bumps the parents'
+// remaining need, and replays the entry with an undo journal of the
+// overlay slots it writes; on failure the journal restores try t for
+// finish_segment. Otherwise the try takes the full replay. Decisions,
+// cache-row orders and weights are bitwise those of the full replay.
+//
 // ## Memory layout (docs/PERFORMANCE.md)
 //
 // The move loop runs millions of evaluations; its state is laid out to
@@ -225,6 +250,17 @@ class IncrementalEvaluator {
   /// row order at equal cost moves the digest, not the cost.
   std::uint64_t checkpoint_digest() const;
 
+  /// Segment-planner counters, accumulated over the evaluator's life
+  /// (attach included): planned segments, their tries, and the tries that
+  /// resumed from the previous try's state instead of replaying the
+  /// segment prefix. Benches and tests read them; nothing else does.
+  struct PlannerCounters {
+    long segments = 0;
+    long tries = 0;
+    long resumed_tries = 0;
+  };
+  const PlannerCounters& planner_counters() const { return counters_; }
+
  private:
   struct Segment {
     std::vector<NodeId> loads, pre_saves, pre_deletes, post_saves,
@@ -239,16 +275,24 @@ class IncrementalEvaluator {
   /// the grow-by-one segment loop writes only what its success test
   /// needs (phases A and B); the winner's overlay is kept in best_ov_ for
   /// finish_segment's post phase. Hoistability is not stored: it is
-  /// "in the start cache, not needed, and not `upfront`", which equals the
-  /// completer's post-load snapshot because none of the three changes
-  /// after phase A.
+  /// "in the start cache, not needed, and not evicted upfront", which
+  /// equals the completer's post-load snapshot because none of the three
+  /// changes after phase A.
   struct TryOv {
     std::int8_t member = -1;  ///< -1 inherit from eval cache, else 0/1
     std::int8_t blue = 0;     ///< made blue in this try
-    std::int8_t upfront = 0;  ///< evicted by this try's phase A
+    std::int8_t evicted = 0;  ///< kEvictedUpfront | kEvictedInTry bits
     std::int8_t in_added = 0; ///< already logged in t_added_
     std::int32_t remneed = 0; ///< remaining in-segment parent uses
     std::uint32_t stamp = 0;  ///< live iff == t_epoch_
+  };
+  static constexpr std::int8_t kEvictedUpfront = 1;  ///< by phase A
+  static constexpr std::int8_t kEvictedInTry = 2;    ///< anywhere in the try
+  /// A resumed try's undo record: a node's overlay slot before the
+  /// resumed entry wrote it (restored verbatim, stale stamp included).
+  struct TryJournal {
+    NodeId node;
+    TryOv before;
   };
   /// Per-segment overlay entry (cleared per plan_segment, shared across
   /// the growing try counts); live iff stamp == s_epoch_.
@@ -299,6 +343,12 @@ class IncrementalEvaluator {
   void record_checkpoint();
   bool plan_segment(int p, int superstep);
   bool run_phases(int p, std::int64_t i0, std::int64_t count);
+  bool may_resume(int p, NodeId v, bool new_loads,
+                  double new_load_weight) const;
+  bool resume_try(int p, std::int64_t i0, std::int64_t count,
+                  std::size_t first_new_load);
+  bool replay_entry(int p, const PlanOccurrenceIndex::ProcPositions& pp,
+                    std::int64_t i0, std::int64_t j, bool journal);
   void sort_upfront_order(int p, std::int64_t i0);
   void finish_segment(int p, std::int64_t i0);
   void commit_segment(int p);
@@ -383,6 +433,7 @@ class IncrementalEvaluator {
     std::swap(best_epoch_, t_epoch_);
     std::swap(best_added_, t_added_);
     std::swap(best_weight_, t_weight_);
+    std::swap(best_peak_, t_peak_);
   }
   SegOv& seg_ov(NodeId v) {
     SegOv& o = s_ov_[static_cast<std::size_t>(v)];
@@ -622,7 +673,15 @@ class IncrementalEvaluator {
   // try members not in the eval cache list
   std::vector<NodeId> t_added_, best_added_;
   double t_weight_ = 0, best_weight_ = 0;
+  // The largest weight a memory-fit test of the try compared with the
+  // capacity (phase A's, and every phase-B compute's before it evicts).
+  double t_peak_ = 0, best_peak_ = 0;
   Segment cur_seg_, best_seg_;
+  std::vector<TryJournal> t_journal_;  // the resumed entry's undo records
+  // Every mu is an integer and their total is below 2^53, so weight sums
+  // are exact and do not depend on the order of their terms.
+  bool weights_exact_ = false;
+  PlannerCounters counters_;
   std::vector<NodeId> sorted_members_;
 
   // effective_next_need memo: the (use, comp) lower-bound pair of node v

@@ -103,6 +103,9 @@ class FlatMap {
     values_.assign(cap_, Value{});
     slot_epoch_.assign(cap_, 0);
     log_.clear();
+    // The insertion log holds at most the entries the new capacity admits
+    // before the next rehash: one allocation, not a regrowth per doubling.
+    log_.reserve(cap_ * 3 / 4);
     epoch_ = 1;
     size_ = 0;
     for (const std::size_t at : old_log) {

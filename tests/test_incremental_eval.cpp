@@ -18,6 +18,7 @@
 #include "src/twostage/two_stage.hpp"
 #include "src/util/rng.hpp"
 #include "src/workload/workload_registry.hpp"
+#include "tests/expect_reference.hpp"
 #include "tests/recompute_plan.hpp"
 #include "tests/support/reference_lns.hpp"
 
@@ -702,6 +703,97 @@ TEST(IncrementalEval, AttachMatchesHistoricalCheckpointDigests) {
             << g.machine << " column " << column << ": 0x" << std::hex
             << digest << std::dec;
         ++column;
+      }
+    }
+  }
+}
+
+// The segment planner resumes a try from the previous try's state when
+// its guard proves a replay of the prefix would repeat it, and replays
+// otherwise. Loose memories make most later tries resume; memories near
+// r0 make tries evict, so the guard falls back. Fractional weights leave
+// only the resumes without new loads. Every completion must still equal
+// the reference completer's, op for op, and both paths must have run.
+// The reference's schedules and costs do not show the weights' last bits,
+// so the fractional plans' checkpoint digests, recorded before tries
+// resumed, pin the order of the weight sums too.
+TEST(IncrementalEval, ResumedTriesMatchReferenceCompleter) {
+  struct FractionalDigest {
+    const char* rf;
+    int seed;
+    // sync clairvoyant, sync LRU, async clairvoyant, async LRU
+    std::uint64_t digest[4];
+  };
+  const FractionalDigest fractional_digests[] = {
+      {"4", 2, {0x851b9afe863d3459ull, 0x851b9afe863d3459ull,
+                0x6797ed453743d535ull, 0x6797ed453743d535ull}},
+      {"4", 5, {0xea1726421276c3a4ull, 0xea1726421276c3a4ull,
+                0x5cb2f3fc3219a851ull, 0x5cb2f3fc3219a851ull}},
+      {"1.2", 2, {0xa2f8ec6aa12c0d8full, 0x5cfa5d1c87942ad5ull,
+                  0x4fba88e85fd2cb23ull, 0xb665c93513624c22ull}},
+      {"1.2", 5, {0x5e6d177892d1a2b9ull, 0xcecc75b5f141e0cfull,
+                  0xef855d3f1f01684full, 0x48f2c08fa21dc297ull}},
+  };
+  const char* machines[] = {
+      "uniform:P=4,rf=%",
+      "hetero:P=4,mems=1x2+2x2,rf=%,speeds=1x2+2x2",
+      "numa:gin=1,gout=4,groups=2x2,mems=1x3+2x1,rf=%",
+  };
+  for (const char* rf : {"4", "1.2", "1"}) {
+    for (int seed = 0; seed < 6; ++seed) {
+      Rng rng(static_cast<std::uint64_t>(500 + seed));
+      ComputeDag dag = random_layered_dag(40 + 8 * seed, 5, rng);
+      assign_random_memory_weights(dag, rng);
+      const bool fractional = seed % 3 == 2;
+      if (fractional) {
+        for (NodeId v = 0; v < dag.num_nodes(); ++v) {
+          dag.set_mu(v, dag.mu(v) + 0.3);
+        }
+      }
+      std::string spec = machines[seed % 3];
+      spec.replace(spec.find('%'), 1, rf);
+      std::string error;
+      auto machine = MachineRegistry::global().make_machine(
+          spec, min_memory_r0(dag), &error);
+      ASSERT_TRUE(machine.has_value()) << spec << ": " << error;
+      const MbspInstance inst{std::move(dag), std::move(*machine)};
+      GreedyBspScheduler stage1;
+      ComputePlan plan = plan_from_bsp(inst.dag,
+                                       stage1.schedule(inst.dag, inst.arch),
+                                       inst.arch.num_processors);
+      for (bool recompute : {false, true}) {
+        if (recompute) plan = with_local_recomputes(inst.dag, plan);
+        ASSERT_TRUE(validate_plan(inst.dag, plan).ok);
+        const std::string label = spec + " seed " + std::to_string(seed) +
+                                  (fractional ? " fractional" : "") +
+                                  (recompute ? " +recompute" : "");
+        const IncrementalEvaluator::PlannerCounters c =
+            expect_matches_reference(inst, plan, label);
+        const long later = c.tries - c.segments;
+        const long replayed = later - c.resumed_tries;
+        EXPECT_GT(c.resumed_tries, 0) << label;
+        if (rf[0] == '1') EXPECT_GT(replayed, 0) << label;
+        for (const FractionalDigest& d : fractional_digests) {
+          if (!fractional || recompute || std::string(d.rf) != rf ||
+              d.seed != seed) {
+            continue;
+          }
+          int column = 0;
+          for (CostModel cost :
+               {CostModel::kSynchronous, CostModel::kAsynchronous}) {
+            for (PolicyKind policy :
+                 {PolicyKind::kClairvoyant, PolicyKind::kLru}) {
+              LnsOptions options;
+              options.cost = cost;
+              options.completion_policy = policy;
+              IncrementalEvaluator eval(inst, options);
+              eval.attach(plan);
+              EXPECT_EQ(eval.checkpoint_digest(), d.digest[column])
+                  << label << " column " << column;
+              ++column;
+            }
+          }
+        }
       }
     }
   }

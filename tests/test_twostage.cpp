@@ -20,6 +20,7 @@
 #include "src/twostage/memory_completion.hpp"
 #include "src/twostage/two_stage.hpp"
 #include "src/workload/workload_registry.hpp"
+#include "tests/expect_reference.hpp"
 #include "tests/recompute_plan.hpp"
 #include "tests/support/reference_completion.hpp"
 #include "tests/support/reference_lns.hpp"
@@ -415,36 +416,6 @@ TEST(Completion, MatchesHistoricalScheduleDigests) {
                   policy == PolicyKind::kClairvoyant ? c.clairvoyant : c.lru)
             << label << engines[e];
       }
-    }
-  }
-}
-
-/// The library's completion against the reference completer on one plan,
-/// both policies and both cost models: the same schedule and the same
-/// cost, bitwise, from complete_memory, from evaluate_plan and from an
-/// IncrementalEvaluator attached to the plan as given.
-void expect_matches_reference(const MbspInstance& inst, const ComputePlan& plan,
-                              const std::string& label) {
-  for (PolicyKind policy : {PolicyKind::kClairvoyant, PolicyKind::kLru}) {
-    const MbspSchedule reference =
-        complete_memory(inst, plan, *make_policy(policy));
-    EXPECT_TRUE(complete_memory(inst, plan, policy) == reference) << label;
-    for (CostModel cost : {CostModel::kSynchronous, CostModel::kAsynchronous}) {
-      LnsOptions options;
-      options.completion_policy = policy;
-      options.cost = cost;
-      const std::string config = label + " policy " +
-                                 std::to_string(static_cast<int>(policy)) +
-                                 " cost " +
-                                 std::to_string(static_cast<int>(cost));
-      const double expected = reference_evaluate_plan(inst, plan, options);
-      MbspSchedule sched;
-      EXPECT_EQ(evaluate_plan(inst, plan, options, &sched), expected) << config;
-      EXPECT_TRUE(sched == reference) << config;
-      CompletionLog log;
-      IncrementalEvaluator eval(inst, options);
-      EXPECT_EQ(eval.attach(plan, &log), expected) << config << " (attach)";
-      EXPECT_TRUE(log.to_schedule() == reference) << config << " (attach)";
     }
   }
 }
