@@ -112,4 +112,25 @@ std::size_t cut_edges(const ComputeDag& dag, const std::vector<int>& part) {
   return cut;
 }
 
+void expand_mask(const ComputeDag& dag, std::vector<char>& mask, int hops) {
+  std::vector<NodeId> frontier, next;
+  for (NodeId v = 0; v < dag.num_nodes(); ++v) {
+    if (mask[static_cast<std::size_t>(v)]) frontier.push_back(v);
+  }
+  const auto reach = [&](NodeId u) {
+    if (!mask[static_cast<std::size_t>(u)]) {
+      mask[static_cast<std::size_t>(u)] = 1;
+      next.push_back(u);
+    }
+  };
+  for (int hop = 0; hop < hops && !frontier.empty(); ++hop) {
+    next.clear();
+    for (NodeId v : frontier) {
+      for (NodeId u : dag.parents(v)) reach(u);
+      for (NodeId c : dag.children(v)) reach(c);
+    }
+    frontier.swap(next);
+  }
+}
+
 }  // namespace mbsp

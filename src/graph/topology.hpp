@@ -39,4 +39,8 @@ ComputeDag quotient_graph(const ComputeDag& dag, const std::vector<int>& part,
 /// Number of DAG edges whose endpoints lie in different parts.
 std::size_t cut_edges(const ComputeDag& dag, const std::vector<int>& part);
 
+/// Grows `mask` (one entry per node, nonzero = in the set) to every node
+/// within `hops` undirected DAG edges of a node already in it.
+void expand_mask(const ComputeDag& dag, std::vector<char>& mask, int hops);
+
 }  // namespace mbsp

@@ -81,9 +81,7 @@ IncrementalEvaluator::IncrementalEvaluator(const MbspInstance& inst,
       dag_(inst.dag),
       options_(options),
       async_(options.cost == CostModel::kAsynchronous),
-      sync_(options.cost != CostModel::kAsynchronous),
       lru_(options.completion_policy == PolicyKind::kLru),
-      uniform_(inst.arch.is_uniform()),
       P_(inst.arch.num_processors),
       n_(static_cast<std::size_t>(inst.dag.num_nodes())),
       g_(inst.arch.g),
@@ -102,16 +100,16 @@ IncrementalEvaluator::IncrementalEvaluator(const MbspInstance& inst,
 }
 
 // Home groups mirror blue rounds: committed entries are valid exactly when
-// the blue round is committed-visible, the per-eval overlay is a FlatMap,
-// and assignment happens at the value's first save in blue-visibility
-// order — which equals the oracle's slot-scan order for every schedule the
-// completion can produce (post-saves of a round are priced at the round's
-// drain so a same-round earlier-slot pre-save can still claim the home
-// first).
+// the blue round is committed-visible, the per-eval overlay is a dense
+// array reset through eval_homes_, and assignment happens at the value's
+// first save in blue-visibility order — which equals the oracle's
+// slot-scan order for every schedule the completion can produce
+// (post-saves of a round are priced at the round's drain so a same-round
+// earlier-slot pre-save can still claim the home first).
 
 int IncrementalEvaluator::eval_home(NodeId v) const {
-  const int* ov = eh_map_.find(v);
-  if (ov != nullptr) return *ov;
+  const int ov = home_ov_[static_cast<std::size_t>(v)];
+  if (ov >= 0) return ov;
   if (blue_round_[static_cast<std::size_t>(v)] < eval_b_) {
     return home_group_[static_cast<std::size_t>(v)];
   }
@@ -120,7 +118,7 @@ int IncrementalEvaluator::eval_home(NodeId v) const {
 
 void IncrementalEvaluator::eval_assign_home(NodeId v, int grp) {
   if (single_group_ || eval_home(v) >= 0) return;
-  eh_map_.get_or_insert(v, grp);
+  home_ov_[static_cast<std::size_t>(v)] = grp;
   eval_homes_.push_back({v, grp});
 }
 
@@ -186,18 +184,10 @@ double IncrementalEvaluator::attach(const ComputePlan& plan,
     save_req_[static_cast<std::size_t>(v)] = compute_save_required(v) ? 1 : 0;
   }
 
-  // Validator committed rows.
-  R_map_.assign(static_cast<std::size_t>(P_), FlatMap<NodeId, int>{});
-  R_scratch_map_.assign(static_cast<std::size_t>(P_), FlatMap<NodeId, int>{});
   scan_stamp_.assign(n_, 0);
   scan_epoch_ = 0;
   affected_stamp_.assign(n_, 0);
   affected_epoch_ = 0;
-  for (int p = 0; p < P_; ++p) {
-    rescan_proc(p);  // attached plans are valid; this just fills the rows
-    std::swap(R_map_[static_cast<std::size_t>(p)],
-              R_scratch_map_[static_cast<std::size_t>(p)]);
-  }
 
   in_move_ = false;
   delta_ops_.clear();
@@ -229,7 +219,7 @@ double IncrementalEvaluator::attach(const ComputePlan& plan,
   committed_steps_ = 0;
   ck_pos_.assign(static_cast<std::size_t>(P_), 0);
   ck_weight_.assign(static_cast<std::size_t>(P_), 0.0);
-  if (sync_) {
+  if (!async_) {
     ck_comp_.assign(static_cast<std::size_t>(P_), 0.0);
     ck_save_.assign(static_cast<std::size_t>(P_), 0.0);
     ck_load_.assign(static_cast<std::size_t>(P_), 0.0);
@@ -266,7 +256,8 @@ double IncrementalEvaluator::attach(const ComputePlan& plan,
   pos_.assign(static_cast<std::size_t>(P_), 0);
   eb_stamp_.assign(n_, 0);
   eb_epoch_ = 1;
-  eh_map_.clear();
+  home_ov_.assign(n_, -1);
+  eval_homes_.clear();
   pending_blue_.clear();
   s_ov_.assign(n_, SegOv{});
   s_epoch_ = 1;
@@ -322,7 +313,7 @@ void IncrementalEvaluator::reserve_from_attached() {
   step_first_round_.reserve(K + 2);
   blued_nodes_.reserve(n_);
   blued_start_.reserve(rows + 1);
-  if (sync_) {
+  if (!async_) {
     ck_comp_.reserve(rows * P);
     ck_save_.reserve(rows * P);
     ck_load_.reserve(rows * P);
@@ -492,7 +483,15 @@ IncrementalEvaluator::Outcome IncrementalEvaluator::finish_move() {
   }
 
   refresh_save_required();
-  if (!validate_candidate()) return {false, 0};
+  // The incremental verdict must equal a from-scratch validation's, both
+  // ways, every iteration.
+  if (!validate_candidate()) {
+    assert(!validate_plan(dag_, plan_).ok &&
+           "incremental validator rejected a valid plan");
+    return {false, 0};
+  }
+  assert(validate_plan(dag_, plan_).ok &&
+         "incremental validator accepted an invalid plan");
 
   // Touched processors' candidate-frame occurrence positions changed;
   // drop their memoized lookahead (untouched rows stay warm).
@@ -511,10 +510,6 @@ IncrementalEvaluator::Outcome IncrementalEvaluator::finish_move() {
 void IncrementalEvaluator::commit() {
   assert(in_move_);
   promote_eval();
-  for (int p : touched_procs_) {
-    std::swap(R_map_[static_cast<std::size_t>(p)],
-              R_scratch_map_[static_cast<std::size_t>(p)]);
-  }
   index_.commit_move();
   in_move_ = false;
 #ifndef NDEBUG
@@ -545,7 +540,7 @@ void IncrementalEvaluator::commit() {
              "promoted home group diverges from a fresh evaluation");
       (void)rec;
     }
-    if (sync_) {
+    if (!async_) {
       assert(rows_.size() == scratch_rows_.size() &&
              "promoted slot count diverges from a fresh evaluation");
       for (std::size_t s = 0; s < rows_.size(); ++s) {
@@ -580,7 +575,7 @@ void IncrementalEvaluator::commit() {
         assert(ck_pos_[ci] == scr_pos_[si] &&
                ck_weight_[ci] == scr_weight_[si] &&
                "promoted checkpoint scalars diverge from a fresh evaluation");
-        assert((!sync_ || (ck_comp_[ci] == scr_comp_[si] &&
+        assert((async_ || (ck_comp_[ci] == scr_comp_[si] &&
                            ck_save_[ci] == scr_save_[si] &&
                            ck_load_[ci] == scr_load_[si] &&
                            ck_any_[ci] == scr_any_[si])) &&
@@ -637,12 +632,7 @@ void IncrementalEvaluator::rollback() {
 
 bool IncrementalEvaluator::rescan_proc(int p) {
   // Exact replica of validate_plan's per-processor availability scan,
-  // against the *current* (candidate) global earliest_done; also rebuilds
-  // this processor's remote-requirement row (min superstep per needed
-  // node), which guards untouched processors against later earliest_done
-  // changes.
-  auto& row = R_scratch_map_[static_cast<std::size_t>(p)];
-  row.clear();
+  // against the *current* (candidate) global earliest_done.
   ++scan_epoch_;
   const auto& seq = plan_.seq[static_cast<std::size_t>(p)];
   for (std::size_t i = 0; i < seq.size(); ++i) {
@@ -650,8 +640,6 @@ bool IncrementalEvaluator::rescan_proc(int p) {
     for (NodeId u : dag_.parents(pc.node)) {
       if (dag_.is_source(u)) continue;
       if (scan_stamp_[static_cast<std::size_t>(u)] == scan_epoch_) continue;
-      int& entry = row.get_or_insert(u, INT_MAX);
-      entry = std::min(entry, pc.superstep);
       const int ed = index_.earliest_done(u);
       const bool remote_earlier = ed >= 0 && ed < pc.superstep;
       if (!remote_earlier) return false;
@@ -666,16 +654,23 @@ bool IncrementalEvaluator::validate_candidate() {
     if (!rescan_proc(p)) return false;
   }
   // Untouched processors: their local structure is unchanged, so their
-  // occurrences can only break through a changed earliest_done of a node
-  // they need remotely — checked against the committed requirement rows.
+  // occurrences can only break through a raised earliest_done of a node
+  // they need remotely, first at its first remote use. The committed plan
+  // is valid, so an entry whose earliest_done did not rise cannot fail,
+  // and the node's first entry (its committed earliest_done) sees every
+  // rise.
   for (const auto& [v, ed_old] : ed_before_) {
-    (void)ed_old;
     const int ed = index_.earliest_done(v);
     if (ed < 0) return false;  // never computed (cannot happen for moves)
+    if (ed <= ed_old) continue;
     for (int q = 0; q < P_; ++q) {
       if (proc_touched_[static_cast<std::size_t>(q)]) continue;
-      const int* entry = R_map_[static_cast<std::size_t>(q)].find(v);
-      if (entry != nullptr && *entry <= ed) return false;
+      const std::int64_t use = index_.first_remote_use(q, v);
+      if (use >= 0 && plan_.seq[static_cast<std::size_t>(q)]
+                              [static_cast<std::size_t>(use)]
+                                  .superstep <= ed) {
+        return false;
+      }
     }
   }
   return true;
@@ -1031,7 +1026,7 @@ int IncrementalEvaluator::reconvergence_round() {
   for (std::size_t p = 0; p < P; ++p) {
     if (ck_weight_[row + p] != ec_weight_[p]) return -1;
   }
-  if (sync_) {
+  if (!async_) {
     const std::size_t at =
         static_cast<std::size_t>(eval_cur_ - first_eval_slot_) * P;
     for (std::size_t p = 0; p < P; ++p) {
@@ -1207,6 +1202,9 @@ void IncrementalEvaluator::restore_boundary(int b) {
   scr_cache_nodes_.clear();
   scr_round_steps_.clear();
   eval_blued_.clear();
+  for (const HomeRec& rec : eval_homes_) {
+    home_ov_[static_cast<std::size_t>(rec.node)] = -1;
+  }
   eval_homes_.clear();
   scr_as_comp_nodes_.clear();
   scr_as_save_nodes_.clear();
@@ -1224,7 +1222,7 @@ void IncrementalEvaluator::restore_boundary(int b) {
 
   const std::size_t row =
       static_cast<std::size_t>(b) * static_cast<std::size_t>(P_);
-  if (sync_) {
+  if (!async_) {
     slot_comp_.assign(ck_comp_.begin() + static_cast<std::ptrdiff_t>(row),
                       ck_comp_.begin() + static_cast<std::ptrdiff_t>(row) + P_);
     slot_save_.assign(ck_save_.begin() + static_cast<std::ptrdiff_t>(row),
@@ -1247,7 +1245,6 @@ void IncrementalEvaluator::restore_boundary(int b) {
     pos_[static_cast<std::size_t>(p)] = ck_pos_[at];
   }
   eb_clear();
-  eh_map_.clear();
   pending_blue_.clear();
   if (async_) {
     scr_as_comp_start_.push_back(0);
@@ -1284,7 +1281,7 @@ void IncrementalEvaluator::record_checkpoint() {
   for (int p = 0; p < P_; ++p) {
     scr_weight_.push_back(ec_weight_[static_cast<std::size_t>(p)]);
   }
-  if (sync_) {
+  if (!async_) {
     const std::size_t base =
         static_cast<std::size_t>(eval_cur_ - first_eval_slot_) *
         static_cast<std::size_t>(P_);
@@ -1368,7 +1365,7 @@ double IncrementalEvaluator::evaluate_from(int b, bool may_exit) {
       if (eval_cur_ > eval_b_) record_checkpoint();
       scr_round_steps_.push_back(k);
       // Append the body slot of this round (slot count stays cur + 2).
-      if (sync_) {
+      if (!async_) {
         slot_comp_.insert(slot_comp_.end(), static_cast<std::size_t>(P_), 0.0);
         slot_save_.insert(slot_save_.end(), static_cast<std::size_t>(P_), 0.0);
         slot_load_.insert(slot_load_.end(), static_cast<std::size_t>(P_), 0.0);
@@ -1396,7 +1393,7 @@ double IncrementalEvaluator::evaluate_from(int b, bool may_exit) {
       // so the home consulted below is final.
       for (const auto& [v, p] : pending_blue_) {
         eval_assign_home(v, grp_[static_cast<std::size_t>(p)]);
-        if (sync_) {
+        if (!async_) {
           const std::size_t at =
               static_cast<std::size_t>(eval_cur_ + 1 - first_eval_slot_) *
                   static_cast<std::size_t>(P_) +
@@ -1429,7 +1426,7 @@ double IncrementalEvaluator::evaluate_from(int b, bool may_exit) {
     // (not recorded) and the committed rounds r_c.. are the rest.
     cand_rounds_ = conv_c_ + (committed_rounds_ - conv_r_);
     last_dirty_ = conv_c_ - b;
-    return sync_ ? finalize_cost() : finalize_async_cost();
+    return async_ ? finalize_async_cost() : finalize_cost();
   }
   // Zero-length suffix (an erase shrank the plan so that no round runs):
   // the boundary checkpoint already is the end state — recording it again
@@ -1438,7 +1435,7 @@ double IncrementalEvaluator::evaluate_from(int b, bool may_exit) {
   if (async_) flush_async_slot();  // final straddling slot (complete)
   cand_rounds_ = eval_cur_;
   last_dirty_ = cand_rounds_ - b;
-  return sync_ ? finalize_cost() : finalize_async_cost();
+  return async_ ? finalize_async_cost() : finalize_cost();
 }
 
 // ---------------------------------------------------------------------------
@@ -1904,7 +1901,7 @@ void IncrementalEvaluator::finish_segment(int p, std::int64_t i0) {
 
 void IncrementalEvaluator::commit_segment(int p) {
   const Segment& seg = best_seg_;
-  if (sync_) {
+  if (!async_) {
     const std::size_t stage =
         static_cast<std::size_t>(eval_cur_ - first_eval_slot_) *
             static_cast<std::size_t>(P_) +
@@ -2047,8 +2044,8 @@ double IncrementalEvaluator::finalize_async_cost() {
   // Homes of committed-tail values are committed; every other value the
   // lists name is blue before b or homed by this evaluation.
   const auto home = [&](NodeId v) {
-    const int* ov = eh_map_.find(v);
-    if (ov != nullptr) return *ov;
+    const int ov = home_ov_[static_cast<std::size_t>(v)];
+    if (ov >= 0) return ov;
     const int br = blue_round_[static_cast<std::size_t>(v)];
     const bool committed =
         br < eval_b_ || (conv && br >= conv_r_ && br != INT_MAX);
@@ -2075,12 +2072,8 @@ double IncrementalEvaluator::finalize_async_cost() {
       const NodeId* pool =
           scratch ? scr_as_comp_nodes_.data() : as_comp_nodes_.data();
       double t = now_[static_cast<std::size_t>(p)];
-      if (uniform_) {
-        for (std::int64_t i = a0; i < a1; ++i) t += dag_.omega(pool[i]);
-      } else {
-        for (std::int64_t i = a0; i < a1; ++i) {
-          t += dag_.omega(pool[i]) / speed_[static_cast<std::size_t>(p)];
-        }
+      for (std::int64_t i = a0; i < a1; ++i) {
+        t += dag_.omega(pool[i]) / speed_[static_cast<std::size_t>(p)];
       }
       now_[static_cast<std::size_t>(p)] = t;
     }
@@ -2095,7 +2088,7 @@ double IncrementalEvaluator::finalize_async_cost() {
       for (std::int64_t i = a0; i < a1; ++i) {
         const NodeId v = pool[i];
         const std::size_t v_ = static_cast<std::size_t>(v);
-        const double gv = uniform_ ? g_ : comm_cost(p, home(v));
+        const double gv = comm_cost(p, home(v));
         now_[static_cast<std::size_t>(p)] += gv * dag_.mu(v);
         if (fs_stamp_[v_] != async_epoch_) {
           fs_stamp_[v_] = async_epoch_;
@@ -2120,7 +2113,7 @@ double IncrementalEvaluator::finalize_async_cost() {
         const std::size_t v_ = static_cast<std::size_t>(v);
         assert(fs_stamp_[v_] == async_epoch_ || dag_.is_source(v));
         const double gb = fs_stamp_[v_] == async_epoch_ ? gets_blue_[v_] : 0.0;
-        const double gv = uniform_ ? g_ : comm_cost(p, home(v));
+        const double gv = comm_cost(p, home(v));
         now_[static_cast<std::size_t>(p)] =
             std::max(now_[static_cast<std::size_t>(p)], gb) + gv * dag_.mu(v);
       }
@@ -2152,7 +2145,7 @@ void IncrementalEvaluator::promote_eval() {
       std::min(tail, static_cast<std::size_t>(old_rounds));
   const std::size_t keep = (b + 1) * P;  // boundaries 0..b
 
-  if (sync_) {
+  if (!async_) {
     replace_range(rows_, b, tail, scratch_rows_.begin(), scratch_rows_.end());
     replace_range(row_empty_, b, tail, scratch_row_empty_.begin(),
                   scratch_row_empty_.end());
@@ -2170,7 +2163,7 @@ void IncrementalEvaluator::promote_eval() {
   replace_range(ck_pos_, keep, tail * P, scr_pos_.begin(), scr_pos_.end());
   replace_range(ck_weight_, keep, tail * P, scr_weight_.begin(),
                 scr_weight_.end());
-  if (sync_) {
+  if (!async_) {
     replace_range(ck_comp_, keep, tail * P, scr_comp_.begin(), scr_comp_.end());
     replace_range(ck_save_, keep, tail * P, scr_save_.begin(), scr_save_.end());
     replace_range(ck_load_, keep, tail * P, scr_load_.begin(), scr_load_.end());
@@ -2285,7 +2278,7 @@ std::uint64_t IncrementalEvaluator::checkpoint_digest() const {
   mix(ck_cache_start_);
   mix(ck_cache_nodes_);
   mix(ck_step_);
-  if (sync_) {
+  if (!async_) {
     mix(ck_comp_);
     mix(ck_save_);
     mix(ck_load_);

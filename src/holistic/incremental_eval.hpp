@@ -156,9 +156,10 @@
 //  * the hot per-node overlays (tentative membership, blue, phase-A
 //    eviction, remaining-need; the eval cache sets) are dense
 //    epoch-stamped arrays — one direct indexed load per probe, O(1)
-//    clears by epoch bump —
-//    while the sparse, rarely-touched validator remote-requirement rows
-//    stay open-addressing FlatMaps (src/util/flat_map.hpp);
+//    clears by epoch bump — and the home overlay is a dense per-node
+//    array cleared by walking the evaluation's home log;
+//  * the validator keeps no rows of its own: untouched processors' remote
+//    needs are read from the occurrence index (PlanOccurrenceIndex);
 //  * slot cost accumulators are structure-of-arrays folded by contiguous
 //    per-field loops in finalize_cost (same fp order as the oracle).
 
@@ -171,7 +172,6 @@
 #include "src/model/cost.hpp"
 #include "src/twostage/compute_plan.hpp"
 #include "src/util/page_alloc.hpp"
-#include "src/util/flat_map.hpp"
 
 namespace mbsp {
 
@@ -504,10 +504,8 @@ class IncrementalEvaluator {
   const MbspInstance& inst_;
   const ComputeDag& dag_;
   LnsOptions options_;
-  bool async_ = false;    ///< asynchronous cost model
-  bool sync_ = true;      ///< !async_: maintain per-slot sync cost rows
+  bool async_ = false;    ///< asynchronous cost model (else sync rows)
   bool lru_ = false;      ///< LRU eviction (else clairvoyant)
-  bool uniform_ = true;   ///< flat (P, r, g, L) machine
   int P_ = 1;
   std::size_t n_ = 0;
   double g_ = 0, L_ = 0;
@@ -563,12 +561,6 @@ class IncrementalEvaluator {
   // post-saves of round r-1; the rest are re-derived stage pre-saves).
   PageVector<std::int32_t> as_save_prefix_;  // [(R+1)*P]
 
-  // Validator: committed remote-requirement rows, R_map_[p][v] = min
-  // superstep of an occurrence on p that needs v from another processor
-  // (absent = none). Scratch rows are rebuilt per touched proc and
-  // swapped in on commit.
-  std::vector<FlatMap<NodeId, int>> R_map_, R_scratch_map_;
-
   // -- per-move scratch ----------------------------------------------------
   bool in_move_ = false;
   // Pooled move log (apply order); slots are reused across moves so the
@@ -609,7 +601,9 @@ class IncrementalEvaluator {
   std::vector<double> ec_weight_;
   PageVector<std::uint32_t> eb_stamp_;  // [v]: blued this eval iff == epoch
   std::uint32_t eb_epoch_ = 0;
-  FlatMap<NodeId, int> eh_map_;  // home overlay (set at first save)
+  // [v]: home group set by this evaluation (first save), else -1; reset
+  // by walking eval_homes_.
+  PageVector<int> home_ov_;
   std::vector<PendRec> pending_blue_;  // post_saves of the running round
   PageVector<BlueRec> eval_blued_;
   PageVector<HomeRec> eval_homes_;

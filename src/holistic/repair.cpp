@@ -577,28 +577,7 @@ std::optional<RepairResult> repair_plan(const MbspInstance& inst,
       touched[static_cast<std::size_t>(v)] = 1;
     }
     mask = touched;
-    std::vector<NodeId> frontier;
-    for (NodeId v = 0; v < n; ++v) {
-      if (mask[static_cast<std::size_t>(v)]) frontier.push_back(v);
-    }
-    for (int hop = 0; hop < options.mask_radius; ++hop) {
-      std::vector<NodeId> next;
-      for (NodeId v : frontier) {
-        for (NodeId u : inst.dag.parents(v)) {
-          if (!mask[static_cast<std::size_t>(u)]) {
-            mask[static_cast<std::size_t>(u)] = 1;
-            next.push_back(u);
-          }
-        }
-        for (NodeId w : inst.dag.children(v)) {
-          if (!mask[static_cast<std::size_t>(w)]) {
-            mask[static_cast<std::size_t>(w)] = 1;
-            next.push_back(w);
-          }
-        }
-      }
-      frontier = std::move(next);
-    }
+    expand_mask(inst.dag, mask, options.mask_radius);
   }
   for (char bit : mask) result.masked_nodes += bit != 0;
 

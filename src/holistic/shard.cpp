@@ -284,15 +284,7 @@ ShardResult shard_schedule(const MbspInstance& inst,
       }
     }
   }
-  for (int hop = 0; hop < kBoundaryHalo; ++hop) {
-    std::vector<char> next = mask;
-    for (NodeId v = 0; v < dag.num_nodes(); ++v) {
-      if (mask[static_cast<std::size_t>(v)] == 0) continue;
-      for (NodeId u : dag.parents(v)) next[static_cast<std::size_t>(u)] = 1;
-      for (NodeId c : dag.children(v)) next[static_cast<std::size_t>(c)] = 1;
-    }
-    mask.swap(next);
-  }
+  expand_mask(dag, mask, kBoundaryHalo);
   for (char bit : mask) result.boundary_nodes += bit != 0;
 
   // Every completion below has a reader, and at most one full schedule is

@@ -42,6 +42,20 @@ SyncStepCost fold_step_row(const double* comp, const double* save,
   return row;
 }
 
+/// home_groups on multi-group machines; empty (and never read) on
+/// single-group ones, where every transfer costs g.
+std::vector<int> multi_group_homes(const MbspInstance& inst,
+                                   const MbspSchedule& sched) {
+  if (inst.arch.group_of.empty()) return {};
+  return home_groups(inst, sched);
+}
+
+/// The price per unit of mu of processor p saving or loading v.
+double transfer_g(const Machine& m, const std::vector<int>& home, int p,
+                  NodeId v) {
+  return home.empty() ? m.g : m.comm_g(p, home[static_cast<std::size_t>(v)]);
+}
+
 }  // namespace
 
 std::vector<SyncStepCost> sync_cost_table(const MbspInstance& inst,
@@ -56,27 +70,14 @@ std::vector<SyncStepCost> sync_cost_table(const MbspInstance& inst,
   // Gather-then-fold: per-proc field values land in structure-of-arrays
   // scratch rows, then each field folds in its own sweep (fold_step_row).
   std::vector<double> comp(max_p), save(max_p), load(max_p);
-  if (inst.arch.is_uniform()) {
-    // The paper's machine — per-proc costs priced exactly as before.
-    for (const Superstep& step : sched.steps) {
-      const std::size_t np = step.proc.size();
-      for (std::size_t p = 0; p < np; ++p) {
-        const ProcStep& ps = step.proc[p];
-        comp[p] = ps.compute_cost(dag);
-        save[p] = ps.save_cost(dag, inst.arch.g);
-        load[p] = ps.load_cost(dag, inst.arch.g);
-      }
-      table.push_back(fold_step_row(comp.data(), save.data(), load.data(), np));
-    }
-    return table;
-  }
-  // Heterogeneous machine: per-processor speed scaling, per-operation
-  // group-aware transfer costs against the home assignment. The home of a
-  // value is fixed by its first save, which always precedes every load of
-  // it (validity), so a single upfront pass prices every transfer exactly
-  // as an in-order scan would.
+  // Per-processor speed scaling, per-operation group-aware transfer costs
+  // against the home assignment (a uniform machine's speed is 1 and its
+  // transfers cost g, so the same formulas price it exactly). The home of
+  // a value is fixed by its first save, which always precedes every load
+  // of it (validity), so a single upfront pass prices every transfer
+  // exactly as an in-order scan would.
   const Machine& m = inst.arch;
-  const std::vector<int> home = home_groups(inst, sched);
+  const std::vector<int> home = multi_group_homes(inst, sched);
   for (const Superstep& step : sched.steps) {
     const std::size_t np = step.proc.size();
     for (std::size_t p = 0; p < np; ++p) {
@@ -84,12 +85,8 @@ std::vector<SyncStepCost> sync_cost_table(const MbspInstance& inst,
       const int pi = static_cast<int>(p);
       comp[p] = ps.compute_cost(dag) / m.speed(pi);
       double s = 0, l = 0;
-      for (NodeId v : ps.saves) {
-        s += m.comm_g(pi, home[static_cast<std::size_t>(v)]) * dag.mu(v);
-      }
-      for (NodeId v : ps.loads) {
-        l += m.comm_g(pi, home[static_cast<std::size_t>(v)]) * dag.mu(v);
-      }
+      for (NodeId v : ps.saves) s += transfer_g(m, home, pi, v) * dag.mu(v);
+      for (NodeId v : ps.loads) l += transfer_g(m, home, pi, v) * dag.mu(v);
       save[p] = s;
       load[p] = l;
     }
@@ -125,17 +122,8 @@ double async_cost(const MbspInstance& inst, const MbspSchedule& sched) {
   const ComputeDag& dag = inst.dag;
   const Machine& m = inst.arch;
   const int P = m.num_processors;
-  const double g = m.g;
-  const bool uniform = m.is_uniform();
   constexpr double kUnset = std::numeric_limits<double>::infinity();
-
-  // Per-op transfer prices on heterogeneous machines (g everywhere on
-  // uniform ones, where `home` stays empty and unread).
-  std::vector<int> home;
-  if (!uniform) home = home_groups(inst, sched);
-  const auto g_of = [&](int p, NodeId v) {
-    return uniform ? g : m.comm_g(p, home[static_cast<std::size_t>(v)]);
-  };
+  const std::vector<int> home = multi_group_homes(inst, sched);
 
   std::vector<double> gets_blue(dag.num_nodes(), kUnset);
   std::vector<int> first_save_step(dag.num_nodes(), -1);
@@ -151,17 +139,13 @@ double async_cost(const MbspInstance& inst, const MbspSchedule& sched) {
     for (int p = 0; p < P; ++p) {
       for (const PhaseOp& op : step.proc[p].compute_phase) {
         if (op.kind != OpKind::kCompute) continue;
-        if (uniform) {
-          now[p] += dag.omega(op.node);
-        } else {
-          now[p] += dag.omega(op.node) / m.speed(p);
-        }
+        now[p] += dag.omega(op.node) / m.speed(p);
       }
     }
     // Save phases: record Gamma candidates for the *first* saving superstep.
     for (int p = 0; p < P; ++p) {
       for (NodeId v : step.proc[p].saves) {
-        now[p] += g_of(p, v) * dag.mu(v);
+        now[p] += transfer_g(m, home, p, v) * dag.mu(v);
         if (first_save_step[v] == -1) first_save_step[v] = static_cast<int>(s);
         if (first_save_step[v] == static_cast<int>(s)) {
           gets_blue[v] = std::min(gets_blue[v], now[p]);
@@ -171,7 +155,8 @@ double async_cost(const MbspInstance& inst, const MbspSchedule& sched) {
     // Delete phases are free. Load phases wait for availability.
     for (int p = 0; p < P; ++p) {
       for (NodeId v : step.proc[p].loads) {
-        now[p] = std::max(now[p], gets_blue[v]) + g_of(p, v) * dag.mu(v);
+        now[p] = std::max(now[p], gets_blue[v]) +
+                 transfer_g(m, home, p, v) * dag.mu(v);
       }
     }
   }

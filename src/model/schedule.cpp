@@ -12,18 +12,6 @@ double ProcStep::compute_cost(const ComputeDag& dag) const {
   return sum;
 }
 
-double ProcStep::save_cost(const ComputeDag& dag, double g) const {
-  double sum = 0;
-  for (NodeId v : saves) sum += g * dag.mu(v);
-  return sum;
-}
-
-double ProcStep::load_cost(const ComputeDag& dag, double g) const {
-  double sum = 0;
-  for (NodeId v : loads) sum += g * dag.mu(v);
-  return sum;
-}
-
 bool Superstep::empty() const {
   for (const ProcStep& ps : proc) {
     if (!ps.empty()) return false;

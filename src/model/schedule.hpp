@@ -47,9 +47,6 @@ struct ProcStep {
 
   /// Sum of omega over COMPUTE ops of this phase.
   double compute_cost(const ComputeDag& dag) const;
-  /// Sum of g * mu over saves / loads.
-  double save_cost(const ComputeDag& dag, double g) const;
-  double load_cost(const ComputeDag& dag, double g) const;
 };
 
 struct Superstep {

@@ -51,9 +51,10 @@ PlanValidation validate_plan(const ComputeDag& dag, const ComputePlan& plan) {
       return fail("node " + std::to_string(v) + " is never computed");
     }
   }
+  // local_pos[v]: position of v's first occurrence on the processor being
+  // scanned (SIZE_MAX: none); each processor resets the entries it set.
+  std::vector<std::size_t> local_pos(n, SIZE_MAX);
   for (int p = 0; p < plan.num_procs; ++p) {
-    std::vector<int> computed_here_at(n, -1);  // superstep of first local occ.
-    std::vector<std::size_t> local_pos(n, SIZE_MAX);
     for (std::size_t i = 0; i < plan.seq[p].size(); ++i) {
       const PlannedCompute& pc = plan.seq[p][i];
       for (NodeId u : dag.parents(pc.node)) {
@@ -67,13 +68,9 @@ PlanValidation validate_plan(const ComputeDag& dag, const ComputePlan& plan) {
                       " has unavailable parent " + std::to_string(u));
         }
       }
-      if (local_pos[pc.node] == SIZE_MAX) {
-        local_pos[pc.node] = i;
-        computed_here_at[pc.node] = pc.superstep;
-      } else {
-        local_pos[pc.node] = i;  // latest occurrence also fine
-      }
+      if (local_pos[pc.node] == SIZE_MAX) local_pos[pc.node] = i;
     }
+    for (const PlannedCompute& pc : plan.seq[p]) local_pos[pc.node] = SIZE_MAX;
   }
   return {};
 }
@@ -452,6 +449,31 @@ const PlanOccurrenceIndex::ProcPositions& PlanOccurrenceIndex::proc_positions(
     committed_valid_[p_] = 1;
   }
   return proc_committed_[p_];
+}
+
+std::int64_t PlanOccurrenceIndex::first_remote_use(int p, NodeId u) const {
+  const std::size_t p_ = static_cast<std::size_t>(p);
+  const std::size_t u_ = static_cast<std::size_t>(u);
+  const bool candidate = in_move_ && proc_touched_[p_];
+  if (candidate ? candidate_built_[p_] : committed_valid_[p_]) {
+    const ProcPositions& pp =
+        candidate ? proc_candidate_[p_] : proc_committed_[p_];
+    if (pp.use_start[u_] == pp.use_start[u_ + 1]) return -1;
+    const std::int32_t use = pp.use_items[static_cast<std::size_t>(
+        pp.use_start[u_])];
+    const bool local =
+        pp.comp_start[u_] != pp.comp_start[u_ + 1] &&
+        pp.comp_items[static_cast<std::size_t>(pp.comp_start[u_])] < use;
+    return local ? -1 : use;
+  }
+  const auto& seq = plan_->seq[p_];
+  for (std::size_t i = 0; i < seq.size(); ++i) {
+    if (seq[i].node == u) return -1;
+    for (NodeId w : dag_->parents(seq[i].node)) {
+      if (w == u) return static_cast<std::int64_t>(i);
+    }
+  }
+  return -1;
 }
 
 bool PlanOccurrenceIndex::has_local_comp_before(int p, NodeId u,

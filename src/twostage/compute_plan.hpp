@@ -156,6 +156,13 @@ class PlanOccurrenceIndex {
   /// (the add_recompute "computed locally beforehand" test, O(log)).
   bool has_local_comp_before(int p, NodeId u, std::size_t pos);
 
+  /// Position of u's first use on p when no occurrence of u on p precedes
+  /// it, else -1: p needs u from another processor from that position's
+  /// superstep on (supersteps never decrease along a sequence). Reads p's
+  /// position lists when they are current and scans seq[p] otherwise, so
+  /// the query never forces a rebuild.
+  std::int64_t first_remote_use(int p, NodeId u) const;
+
  private:
   void ensure_counts() {
     if (counts_dirty_) rebuild_counts();

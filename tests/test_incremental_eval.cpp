@@ -6,6 +6,7 @@
 // preserved copy-and-reevaluate reference loop.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 
 #include "src/bsp/greedy_scheduler.hpp"
@@ -51,18 +52,23 @@ const char* kFamilies[] = {
 /// Applies one random primitive edit inside an open move: erase a random
 /// occurrence and reinsert it at a random position of the same superstep
 /// block on a random processor — the core shape of every non-structural
-/// move. Returns false (nothing applied) on an empty plan.
-bool apply_random_relocation(IncrementalEvaluator& eval, Rng& rng) {
+/// move. With `shift_superstep`, the occurrence lands in the block one
+/// superstep earlier, the same or one later (within the plan's range),
+/// which moves earliest-done supersteps. Returns false (nothing applied)
+/// on an empty plan.
+bool apply_random_relocation(IncrementalEvaluator& eval, Rng& rng,
+                             bool shift_superstep = false) {
   const ComputePlan& plan = eval.plan();
   const std::size_t total = plan.total_computes();
   if (total == 0) return false;
+  const int top = plan.num_supersteps() - 1;
   std::size_t pick = rng.index(total);
   int p = 0;
   for (; p < plan.num_procs; ++p) {
     if (pick < plan.seq[p].size()) break;
     pick -= plan.seq[p].size();
   }
-  const PlannedCompute pc = plan.seq[p][pick];
+  PlannedCompute pc = plan.seq[p][pick];
   PlanDeltaOp erase;
   erase.kind = PlanDeltaOpKind::kErase;
   erase.proc = p;
@@ -71,6 +77,10 @@ bool apply_random_relocation(IncrementalEvaluator& eval, Rng& rng) {
   eval.apply_op(erase);
   const int q =
       static_cast<int>(rng.index(static_cast<std::size_t>(plan.num_procs)));
+  if (shift_superstep) {
+    pc.superstep =
+        std::clamp(pc.superstep + static_cast<int>(rng.index(3)) - 1, 0, top);
+  }
   // Insert at a random position within the same superstep block on q.
   const auto& qseq = plan.seq[q];
   const auto lo = std::lower_bound(
@@ -90,9 +100,11 @@ bool apply_random_relocation(IncrementalEvaluator& eval, Rng& rng) {
 }
 
 /// Runs `iterations` random LNS-style moves through the evaluator,
-/// asserting incremental == full cost after every apply and every undo.
+/// asserting incremental == full cost after every apply and every undo,
+/// and that every move's validity verdict equals validate_plan's.
 void differential_run(const MbspInstance& inst, const LnsOptions& options,
-                      long iterations, std::uint64_t seed) {
+                      long iterations, std::uint64_t seed,
+                      bool shift_superstep = false) {
   const ComputePlan initial = warm_plan(inst);
   ASSERT_TRUE(has_dense_supersteps(initial));
   ASSERT_TRUE(validate_plan(inst.dag, initial).ok);
@@ -111,12 +123,15 @@ void differential_run(const MbspInstance& inst, const LnsOptions& options,
   for (long it = 0; it < iterations; ++it) {
     const ComputePlan before = eval.plan();
     eval.begin_move();
-    if (!apply_random_relocation(eval, rng)) {
+    if (!apply_random_relocation(eval, rng, shift_superstep)) {
       eval.rollback();
       break;
     }
 
     const auto out = eval.finish_move();
+    ASSERT_EQ(out.valid, validate_plan(inst.dag, eval.plan()).ok)
+        << inst.name() << " iteration " << it
+        << ": incremental validity verdict differs from validate_plan";
     if (out.valid) {
       // Incremental cost must equal the oracle on the applied plan.
       const double full =
@@ -124,7 +139,6 @@ void differential_run(const MbspInstance& inst, const LnsOptions& options,
       ASSERT_EQ(out.cost, full)
           << inst.name() << " iteration " << it
           << ": incremental cost diverged from the reference";
-      ASSERT_TRUE(validate_plan(inst.dag, eval.plan()).ok);
     }
     if (out.valid && rng.chance(0.5)) {
       eval.commit();
@@ -151,10 +165,62 @@ void differential_run(const MbspInstance& inst, const LnsOptions& options,
 }
 
 TEST(IncrementalEval, DifferentialOverWorkloadFamilies) {
-  for (const char* spec : kFamilies) {
-    const MbspInstance inst = workload_instance(spec);
+  // Relocations across superstep blocks raise and lower earliest-done
+  // supersteps, which untouched processors' remote needs must see.
+  for (const bool shift_superstep : {false, true}) {
+    for (const char* spec : kFamilies) {
+      const MbspInstance inst = workload_instance(spec);
+      LnsOptions options;
+      differential_run(inst, options, 120, 7, shift_superstep);
+    }
+  }
+}
+
+TEST(IncrementalEval, UntouchedProcessorRemoteNeeds) {
+  // Three processors: v is computed on p0 in superstep 0 and used on p2 in
+  // supersteps 1 (by w) and 2 (by y); p1 keeps superstep 0 occupied. The
+  // move recomputes v on p0 in superstep 1, which touches p0 only. Without
+  // a local v, p2's first use now sees v done no earlier than its own
+  // superstep: the move is invalid, though the last use alone would be
+  // fine. With p2 computing v before its first use, the move is valid.
+  ComputeDag dag("untouched-need");
+  const NodeId s = dag.add_node(1, 1);
+  const NodeId v = dag.add_node(1, 1);
+  const NodeId x = dag.add_node(1, 1);
+  const NodeId w = dag.add_node(1, 1);
+  const NodeId y = dag.add_node(1, 1);
+  dag.add_edge(s, v);
+  dag.add_edge(s, x);
+  dag.add_edge(v, w);
+  dag.add_edge(v, y);
+  const MbspInstance inst{std::move(dag), Architecture::make(3, 16, 1, 10)};
+  for (const bool p2_computes_v : {false, true}) {
+    ComputePlan plan;
+    plan.num_procs = 3;
+    plan.seq = {{{v, 0}}, {{x, 0}}, {{w, 1}, {y, 2}}};
+    if (p2_computes_v) plan.seq[2].insert(plan.seq[2].begin(), {v, 1});
+    ASSERT_TRUE(validate_plan(inst.dag, plan).ok);
     LnsOptions options;
-    differential_run(inst, options, 120, 7);
+    IncrementalEvaluator eval(inst, options);
+    eval.attach(plan);
+    eval.begin_move();
+    PlanDeltaOp op;
+    op.kind = PlanDeltaOpKind::kErase;
+    op.proc = 0;
+    op.pos = 0;
+    op.pc = {v, 0};
+    eval.apply_op(op);
+    op.kind = PlanDeltaOpKind::kInsert;
+    op.pc = {v, 1};
+    eval.apply_op(op);
+    const auto out = eval.finish_move();
+    EXPECT_EQ(out.valid, p2_computes_v);
+    EXPECT_EQ(validate_plan(inst.dag, eval.plan()).ok, p2_computes_v);
+    if (out.valid) {
+      EXPECT_EQ(out.cost, reference_evaluate_plan(inst, eval.plan(), options));
+    }
+    eval.rollback();
+    EXPECT_EQ(eval.plan().seq, plan.seq);
   }
 }
 

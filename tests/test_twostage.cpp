@@ -5,9 +5,11 @@
 // a schedule that passes full semantic validation.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <functional>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "src/bsp/greedy_scheduler.hpp"
 #include "src/graph/dag_io.hpp"
@@ -93,6 +95,43 @@ TEST(ComputePlan, RecomputationAccepted) {
   plan.seq[1].push_back({1, 0});  // recompute a locally
   plan.seq[1].push_back({2, 0});
   EXPECT_TRUE(validate_plan(dag, plan).ok);
+}
+
+TEST(ComputePlan, FirstRemoteUseSameFromListsAndSequenceScan) {
+  // first_remote_use scans the sequence while a processor's position lists
+  // are stale and reads the lists once built; both must agree for every
+  // (proc, node), on a plan whose recomputations make some uses local.
+  std::string error;
+  auto dag = WorkloadRegistry::global().make_dag("fft:n=16", 2025, &error);
+  ASSERT_TRUE(dag.has_value()) << error;
+  const MbspInstance inst = make_instance(std::move(*dag), 4, 3);
+  GreedyBspScheduler stage1;
+  const ComputePlan plan = with_local_recomputes(
+      inst.dag,
+      plan_from_bsp(inst.dag, stage1.schedule(inst.dag, inst.arch), 4));
+  PlanOccurrenceIndex index;
+  index.attach(&inst.dag, &plan);
+  long remote = 0, local = 0;
+  for (int p = 0; p < plan.num_procs; ++p) {
+    std::vector<std::int64_t> scanned;
+    for (NodeId v = 0; v < inst.dag.num_nodes(); ++v) {
+      scanned.push_back(index.first_remote_use(p, v));
+    }
+    const auto& pp = index.proc_positions(p);
+    for (NodeId v = 0; v < inst.dag.num_nodes(); ++v) {
+      const std::int64_t use = index.first_remote_use(p, v);
+      EXPECT_EQ(use, scanned[static_cast<std::size_t>(v)]) << p << " " << v;
+      const bool used = pp.use_start[static_cast<std::size_t>(v)] !=
+                        pp.use_start[static_cast<std::size_t>(v) + 1];
+      if (use >= 0) {
+        ++remote;
+      } else if (used && !inst.dag.is_source(v)) {
+        ++local;
+      }
+    }
+  }
+  EXPECT_GT(remote, 0);
+  EXPECT_GT(local, 0);
 }
 
 TEST(ComputePlan, NormalizeSupersteps) {
