@@ -447,8 +447,7 @@ void IncrementalEvaluator::apply_op(const PlanDeltaOp& op) {
       break;
     case PlanDeltaOpKind::kMergeStep:
     case PlanDeltaOpKind::kSplitStep:
-      for (int p = 0; p < P_; ++p) touch_proc(p);
-      break;
+      break;  // a relabel: no processor's positions or nodes change
   }
   apply_delta_op(plan_, op);
   index_.on_apply(op);
@@ -493,8 +492,9 @@ IncrementalEvaluator::Outcome IncrementalEvaluator::finish_move() {
   assert(validate_plan(dag_, plan_).ok &&
          "incremental validator accepted an invalid plan");
 
-  // Touched processors' candidate-frame occurrence positions changed;
-  // drop their memoized lookahead (untouched rows stay warm).
+  // Edited processors' candidate-frame occurrence positions changed; drop
+  // their memoized lookahead. The memo holds positions only, so the rows of
+  // every other processor stay warm, across merges and splits too.
   for (int p : touched_procs_) nn_invalidate(p);
 
   const int b = std::max(std::min(dirty_bound(), committed_rounds_), 0);
@@ -621,7 +621,7 @@ void IncrementalEvaluator::rollback() {
     save_req_[static_cast<std::size_t>(v)] = req;
   }
   // The plan reverts to the committed frame: memo rows filled from the
-  // rolled-back candidate frame must not survive.
+  // rolled-back candidate frame of an edited processor must not survive.
   for (int p : touched_procs_) nn_invalidate(p);
   index_.rollback_move();
   in_move_ = false;
@@ -650,19 +650,72 @@ bool IncrementalEvaluator::rescan_proc(int p) {
 }
 
 bool IncrementalEvaluator::validate_candidate() {
-  for (int p : touched_procs_) {
+  // The committed plan is valid, so only what the move can break is
+  // checked (see the header's "Validation"). Every node whose occurrences
+  // changed must still be computed somewhere.
+  for (const auto& [v, ed_old] : ed_before_) {
+    if (index_.earliest_done(v) < 0) return false;
+  }
+  int merges = 0, splits = 0;
+  for (std::size_t i = 0; i < delta_size_; ++i) {
+    merges += delta_ops_[i].kind == PlanDeltaOpKind::kMergeStep;
+    splits += delta_ops_[i].kind == PlanDeltaOpKind::kSplitStep;
+  }
+  const bool edits = !touched_procs_.empty();
+  if (merges + splits == 0) return edits_valid(/*rise_shortcut=*/true);
+  if (splits == 1 && merges == 0 && !edits) {
+    // A lone split is valid by construction. Its cuts lie inside block s,
+    // so every label <= s before a cut stays put and every later label
+    // rises by one. A remote parent finishing at e < s keeps e, and its
+    // consumer's label never drops. One finishing at e >= s rises by at
+    // most one, and its consumers (labels > e >= s) all rise by one. Local
+    // availability depends on positions only, which do not move.
+    return true;
+  }
+  const PlanDeltaOp& last = delta_ops_[delta_size_ - 1];
+  if (merges == 1 && splits == 0 && last.kind == PlanDeltaOpKind::kMergeStep) {
+    // The merge's labels are not the edits' labels, so an earliest-done
+    // rise cannot be read off ed_before_ here.
+    return merged_step_valid(last) && edits_valid(/*rise_shortcut=*/false);
+  }
+  ++rescan_moves_;
+  for (int p = 0; p < P_; ++p) {
     if (!rescan_proc(p)) return false;
   }
-  // Untouched processors: their local structure is unchanged, so their
-  // occurrences can only break through a raised earliest_done of a node
-  // they need remotely, first at its first remote use. The committed plan
-  // is valid, so an entry whose earliest_done did not rise cannot fail,
-  // and the node's first entry (its committed earliest_done) sees every
-  // rise.
+  return true;
+}
+
+bool IncrementalEvaluator::edits_valid(bool rise_shortcut) {
+  // Edited processors: a (consumer, parent) pair can change only if the
+  // parent is in A (the changed nodes C plus their parents); any other
+  // pair keeps its occurrences, their order and the parent's earliest
+  // done. A parent's binding use is its first remote use (supersteps
+  // never decrease along a sequence). dirty_bound reads the candidate
+  // position lists next anyway, so first_remote_use reads them here.
+  for (int p : touched_procs_) {
+    index_.proc_positions(p);
+    const auto& seq = plan_.seq[static_cast<std::size_t>(p)];
+    for (NodeId u : affected_nodes_) {
+      if (dag_.is_source(u)) continue;
+      const std::int64_t use = index_.first_remote_use(p, u);
+      if (use < 0) continue;
+      const int ed = index_.earliest_done(u);
+      if (ed < 0 || ed >= seq[static_cast<std::size_t>(use)].superstep) {
+        return false;
+      }
+    }
+  }
+  // Other processors: their local structure is unchanged, so only a node
+  // of C, whose earliest_done may have moved, can break there, first at
+  // its first remote use. With the rise shortcut (labels unchanged by the
+  // move), a node whose earliest_done did not rise cannot fail; a node's
+  // first ed_before_ entry holds its committed earliest_done.
+  ++scan_epoch_;
   for (const auto& [v, ed_old] : ed_before_) {
+    if (scan_stamp_[static_cast<std::size_t>(v)] == scan_epoch_) continue;
+    scan_stamp_[static_cast<std::size_t>(v)] = scan_epoch_;
     const int ed = index_.earliest_done(v);
-    if (ed < 0) return false;  // never computed (cannot happen for moves)
-    if (ed <= ed_old) continue;
+    if (rise_shortcut && ed <= ed_old) continue;
     for (int q = 0; q < P_; ++q) {
       if (proc_touched_[static_cast<std::size_t>(q)]) continue;
       const std::int64_t use = index_.first_remote_use(q, v);
@@ -670,6 +723,29 @@ bool IncrementalEvaluator::validate_candidate() {
                               [static_cast<std::size_t>(use)]
                                   .superstep <= ed) {
         return false;
+      }
+    }
+  }
+  return true;
+}
+
+bool IncrementalEvaluator::merged_step_valid(const PlanDeltaOp& merge) {
+  // Merging s with s+1 maps labels monotonically and keeps every other
+  // pair of labels apart, so "earliest done < consumer" can newly fail
+  // only for a consumer that moved from s+1 to s whose remote parent
+  // finishes at s. The merge is the move's last op, so its cuts index
+  // the candidate plan: the movers are the label-s occurrences at or
+  // after each cut.
+  const int s = merge.pc.superstep;
+  for (int p = 0; p < P_; ++p) {
+    const auto& seq = plan_.seq[static_cast<std::size_t>(p)];
+    for (std::size_t i = merge.cuts[static_cast<std::size_t>(p)];
+         i < seq.size() && seq[i].superstep == s; ++i) {
+      for (NodeId u : dag_.parents(seq[i].node)) {
+        if (dag_.is_source(u)) continue;
+        const int ed = index_.earliest_done(u);
+        if (ed >= 0 && ed < s) continue;
+        if (!index_.has_local_comp_before(p, u, i)) return false;
       }
     }
   }
@@ -732,9 +808,9 @@ int IncrementalEvaluator::dirty_bound() {
       ++num_splits;
     }
   }
-  for (int p : touched_procs_) {
-    inserts_on_proc_[static_cast<std::size_t>(p)] = 0;
-  }
+  // Every processor's count is read below (a merge or split consults all
+  // of them), not only the edited ones'.
+  std::fill(inserts_on_proc_.begin(), inserts_on_proc_.end(), 0);
   for (std::size_t i = 0; i < delta_size_; ++i) {
     if (delta_ops_[i].kind == PlanDeltaOpKind::kInsert) {
       ++inserts_on_proc_[static_cast<std::size_t>(delta_ops_[i].proc)];

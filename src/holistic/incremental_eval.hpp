@@ -118,6 +118,29 @@
 // (they are always the position of a committed compute-or-use, so a
 // binary search recovers them exactly).
 //
+// ## Validation
+//
+// The committed plan is valid, so finish_move checks only what the move
+// can break (debug builds assert, every move, that the verdict equals
+// validate_plan's). Let C be the nodes whose occurrences the move changed
+// and A be C plus their parents. Every node of C must still be computed.
+//
+//  * Edit-only moves (inserts, erases, set-nodes): on each edited
+//    processor, every non-source node of A must have no first remote use
+//    or one whose superstep exceeds its earliest done; on every other
+//    processor, each node of C whose earliest done rose must clear its
+//    first remote use there.
+//  * A lone merge, or edits closed by one gap-closing merge: merging s
+//    with s+1 newly breaks only a consumer that moved from s+1 to s whose
+//    remote parent finishes at s, so each occurrence that now carries
+//    label s past its cut must have every parent local before it or done
+//    before s. The edits add the A checks on edited processors and check
+//    C on every other processor without the rise shortcut: earliest-done
+//    values from before the merge are in other labels.
+//  * A lone split is valid by construction (validate_candidate argues it).
+//  * Anything else (two structural ops, a split with other ops) rescans
+//    every processor; rescan_moves() counts these moves.
+//
 // ## Segment planning
 //
 // Each segment is the largest prefix of the processor's remaining block
@@ -158,8 +181,8 @@
 //    epoch-stamped arrays — one direct indexed load per probe, O(1)
 //    clears by epoch bump — and the home overlay is a dense per-node
 //    array cleared by walking the evaluation's home log;
-//  * the validator keeps no rows of its own: untouched processors' remote
-//    needs are read from the occurrence index (PlanOccurrenceIndex);
+//  * the validator keeps no rows of its own: remote needs are read from
+//    the occurrence index (PlanOccurrenceIndex);
 //  * slot cost accumulators are structure-of-arrays folded by contiguous
 //    per-field loops in finalize_cost (same fp order as the oracle).
 
@@ -260,8 +283,16 @@ class IncrementalEvaluator {
     long resumed_tries = 0;
   };
   const PlannerCounters& planner_counters() const { return counters_; }
+  /// Occurrence-index position-list rebuilds and moves whose validation
+  /// fell back to rescanning every processor, over the evaluator's life.
+  /// Benches and tests read them; nothing else does.
+  long index_rebuilds() const { return index_.rebuilds(); }
+  long rescan_moves() const { return rescan_moves_; }
 
  private:
+  /// Test access to the lookahead memo (tests/test_incremental_eval.cpp).
+  friend struct IncrementalEvaluatorPeer;
+
   struct Segment {
     std::vector<NodeId> loads, pre_saves, pre_deletes, post_saves,
         post_deletes;
@@ -324,6 +355,8 @@ class IncrementalEvaluator {
 
   // -- validation ----------------------------------------------------------
   bool validate_candidate();
+  bool edits_valid(bool rise_shortcut);
+  bool merged_step_valid(const PlanDeltaOp& merge);
   bool rescan_proc(int p);
 
   // -- save_required maintenance ------------------------------------------
@@ -482,8 +515,8 @@ class IncrementalEvaluator {
       eb_epoch_ = 1;
     }
   }
-  // Drops proc p's memoized next-need lookahead (its candidate-frame
-  // occurrence positions changed).
+  // Drops proc p's memoized next-need lookahead (an edit moved its
+  // candidate-frame occurrence positions; relabels move none).
   void nn_invalidate(int p) {
     std::uint32_t& epoch = nn_epoch_[static_cast<std::size_t>(p)];
     if (++epoch == 0) {
@@ -680,7 +713,8 @@ class IncrementalEvaluator {
 
   // effective_next_need memo: the (use, comp) lower-bound pair of node v
   // on proc p at query position `from`; live iff the stamp matches the
-  // proc's epoch. Survives across moves for untouched processors. One
+  // proc's epoch. Survives across moves on every processor no edit
+  // touched (merges and splits move no position). One
   // 16-byte entry per (proc, node): plan positions fit 32 bits, and
   // kNoPos (above every position) stands for kNever.
   struct NextNeed {
@@ -692,6 +726,7 @@ class IncrementalEvaluator {
   std::vector<std::uint32_t> nn_epoch_;  // [p]
 
   // validator scratch
+  long rescan_moves_ = 0;
   int scan_epoch_ = 0;
   PageVector<int> scan_stamp_;
   int affected_epoch_ = 0;

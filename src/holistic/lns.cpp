@@ -306,9 +306,19 @@ std::vector<unsigned> enabled_moves(const LnsOptions& options) {
 
 LnsResult improve_plan(const MbspInstance& inst, const ComputePlan& initial,
                        const LnsOptions& options) {
-  // One completion of the best plan, for the returned schedule; the
-  // tracked cost already is its cost, bitwise.
-  LnsResult result{search_plan(inst, initial, options), {}};
+  // The returned schedule needs one completion of the best plan; the
+  // tracked cost already is its cost, bitwise. An unimproved search
+  // returns its warm start, which attach completed into warm_log.
+  CompletionLog warm_log;
+  LnsResult result{search_plan(inst, initial, options, &warm_log), {}};
+  if (result.cost == result.initial_cost) {
+    result.schedule = warm_log.to_schedule();
+    assert(result.schedule ==
+               complete_memory(inst, result.plan, options.completion_policy) &&
+           "the warm start's logged completion differs from a fresh one");
+    return result;
+  }
+  warm_log = CompletionLog{};  // freed before the final completion runs
   const double cost =
       evaluate_plan(inst, result.plan, options, &result.schedule);
   assert(cost == result.cost);
@@ -318,7 +328,8 @@ LnsResult improve_plan(const MbspInstance& inst, const ComputePlan& initial,
 
 LnsSearchResult search_plan(const MbspInstance& inst,
                             const ComputePlan& initial,
-                            const LnsOptions& options) {
+                            const LnsOptions& options,
+                            CompletionLog* warm_log) {
   // The incremental engine maintains dense superstep indices as an
   // invariant, so a gappy warm start is searched from its normalized copy.
   // The completion drops empty supersteps, so both price identically and
@@ -332,7 +343,7 @@ LnsSearchResult search_plan(const MbspInstance& inst,
   // completion, and every tracked cost is the cost evaluate_plan would
   // report for the same plan.
   IncrementalEvaluator eval(inst, options);
-  result.initial_cost = eval.attach(result.plan);
+  result.initial_cost = eval.attach(result.plan, warm_log);
   result.cost = result.initial_cost;
 
   double current_cost = result.initial_cost;
@@ -344,7 +355,12 @@ LnsSearchResult search_plan(const MbspInstance& inst,
   const double cooling = 0.9995;
 
   const std::vector<unsigned> moves = enabled_moves(options);
-  if (moves.empty()) return result;
+  const auto finish = [&] {
+    result.rescan_moves = eval.rescan_moves();
+    result.index_rebuilds = eval.index_rebuilds();
+    return std::move(result);
+  };
+  if (moves.empty()) return finish();
 
   // The deadline poll leaves the hot loop: the clock is only read every
   // kDeadlinePollInterval iterations (a power of two, so the check is a
@@ -385,6 +401,7 @@ LnsSearchResult search_plan(const MbspInstance& inst,
       continue;
     }
     const IncrementalEvaluator::Outcome out = eval.finish_move();
+    ++result.validated;
     if (!out.valid) {
       eval.rollback();
       continue;
@@ -407,7 +424,7 @@ LnsSearchResult search_plan(const MbspInstance& inst,
       result.plan = eval.plan();
     }
   }
-  return result;
+  return finish();
 }
 
 }  // namespace mbsp

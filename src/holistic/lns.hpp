@@ -25,9 +25,10 @@
 // the supersteps a move dirtied are re-completed and re-costed, the
 // accept path keeps the applied plan (no copy), and the reject path
 // undoes the delta. improve_plan is search_plan plus the one full
-// completion its returned schedule needs; search_plan is the one LNS loop
-// every production caller runs (the portfolio's epoch slices, the shard
-// fan-out and repair's polish included). evaluate_plan and
+// completion its returned schedule needs (none when the search returns its
+// warm start: attach already completed that plan); search_plan is the one
+// LNS loop every production caller runs (the portfolio's epoch slices, the
+// shard fan-out and repair's polish included). evaluate_plan and
 // complete_memory run the same engine once, from scratch. The historical
 // copy-normalize-validate-recomplete loop is kept under tests/support/ as
 // improve_plan_reference: it is the bitwise oracle of the differential
@@ -47,6 +48,8 @@
 #include "src/twostage/memory_completion.hpp"
 
 namespace mbsp {
+
+class CompletionLog;  // src/holistic/incremental_eval.hpp
 
 /// Bitmask naming the LNS move classes (for ablation studies).
 enum LnsMove : unsigned {
@@ -115,6 +118,12 @@ struct LnsSearchResult {
   /// count SA-accepted candidates of that class.
   std::array<long, kNumMoveClasses> proposed_by_class{};
   std::array<long, kNumMoveClasses> accepted_by_class{};
+  /// The search evaluator's work, for benches: the moves it validated,
+  /// those whose validation rescanned every processor, and its occurrence
+  /// index's position-list rebuilds (attach's included).
+  long validated = 0;
+  long rescan_moves = 0;
+  long index_rebuilds = 0;
 };
 
 /// A search result plus the completed schedule of its plan.
@@ -134,12 +143,20 @@ double evaluate_plan(const MbspInstance& inst, const ComputePlan& plan,
 /// validate_plan. A warm start with empty supersteps is searched from its
 /// normalize_supersteps copy, which prices identically (the completion
 /// drops empty supersteps), so initial_cost is the warm start's cost.
+///
+/// With `warm_log`, the warm start's completion (the attach that prices
+/// it) is recorded there. The search replaces its plan only on a strict
+/// improvement, so `cost == initial_cost` means the returned plan is the
+/// warm start and warm_log->to_schedule() is its completion, the schedule
+/// complete_memory would build, without a second completion.
 LnsSearchResult search_plan(const MbspInstance& inst,
                             const ComputePlan& initial,
-                            const LnsOptions& options);
+                            const LnsOptions& options,
+                            CompletionLog* warm_log = nullptr);
 
 /// search_plan plus one memory completion of the best plan: the same plan,
-/// cost and counters, and its schedule.
+/// cost and counters, and its schedule. When the search returns its warm
+/// start, the schedule is built from the completion its attach logged.
 LnsResult improve_plan(const MbspInstance& inst, const ComputePlan& initial,
                        const LnsOptions& options);
 

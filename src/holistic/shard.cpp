@@ -6,6 +6,7 @@
 
 #include "src/bsp/greedy_scheduler.hpp"
 #include "src/graph/topology.hpp"
+#include "src/holistic/incremental_eval.hpp"
 #include "src/model/cost.hpp"
 #include "src/twostage/two_stage.hpp"
 #include "src/util/rng.hpp"
@@ -290,10 +291,13 @@ ShardResult shard_schedule(const MbspInstance& inst,
   // Every completion below has a reader, and at most one full schedule is
   // alive at a time. The polish's attach() prices the stitched plan
   // bitwise like evaluate_plan, so a polished run gets stitched_cost for
-  // free; the returned schedule is completed once, from the final plan.
+  // free; the returned schedule is completed once, from the final plan,
+  // and an unimproved polish's attach already logged that completion.
   const bool run_polish = result.num_shards > 1 && result.boundary_nodes > 0 &&
                           options.polish_max_iterations > 0;
   bool completed = false;  // result.schedule is result.plan's completion
+  CompletionLog stitched_log;
+  bool logged = false;  // stitched_log holds result.plan's completion
   result.plan = std::move(global_plan);
   if (run_polish) {
     // Global polish restricted to the boundary (O(delta) per move through
@@ -303,10 +307,13 @@ ShardResult shard_schedule(const MbspInstance& inst,
     polish.max_iterations = options.polish_max_iterations;
     polish.seed = splitmix64_mix(options.lns.seed ^ kPolishSalt);
     polish.node_mask = &mask;
-    LnsSearchResult polished = search_plan(inst, result.plan, polish);
+    LnsSearchResult polished =
+        search_plan(inst, result.plan, polish, &stitched_log);
     result.stitched_cost = polished.initial_cost;
     result.cost = polished.cost;
     result.plan = std::move(polished.plan);
+    // The search replaces its plan only on a strict improvement.
+    logged = polished.cost == polished.initial_cost;
   } else {
     // Without a seed compare the stitched plan is final by construction.
     completed = !options.compare_full_seed;
@@ -336,7 +343,13 @@ ShardResult shard_schedule(const MbspInstance& inst,
   }
   if (!completed) {
     result.schedule =
-        complete_memory(inst, result.plan, options.lns.completion_policy);
+        logged ? stitched_log.to_schedule()
+               : complete_memory(inst, result.plan,
+                                 options.lns.completion_policy);
+    assert((!logged ||
+            result.schedule == complete_memory(inst, result.plan,
+                                               options.lns.completion_policy)) &&
+           "the stitched plan's logged completion differs from a fresh one");
   }
   return result;
 }

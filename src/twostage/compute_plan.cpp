@@ -320,8 +320,8 @@ void PlanOccurrenceIndex::on_apply(const PlanDeltaOp& op) {
       break;
     case PlanDeltaOpKind::kMergeStep:
     case PlanDeltaOpKind::kSplitStep:
+      // A relabel: no position moves, so every position list stays current.
       counts_dirty_ = true;
-      for (int p = 0; p < plan_->num_procs; ++p) touch_proc(p);
       break;
   }
 }
@@ -359,8 +359,8 @@ void PlanOccurrenceIndex::on_undo(const PlanDeltaOp& op) {
       break;
     case PlanDeltaOpKind::kMergeStep:
     case PlanDeltaOpKind::kSplitStep:
+      // A relabel: no position moves, so every position list stays current.
       counts_dirty_ = true;
-      for (int p = 0; p < plan_->num_procs; ++p) touch_proc(p);
       break;
   }
 }
@@ -405,6 +405,7 @@ void PlanOccurrenceIndex::rebuild_into(int p, ProcPositions& pp) {
   // them to end offsets, then place positions walking seq backwards with
   // pre-decrement, which leaves each run ascending and each offset at its
   // run's start.
+  ++rebuilds_;
   const std::size_t n = static_cast<std::size_t>(dag_->num_nodes());
   const auto& seq = plan_->seq[static_cast<std::size_t>(p)];
   pp.comp_start.assign(n + 1, 0);

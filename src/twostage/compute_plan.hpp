@@ -99,13 +99,16 @@ void undo_delta_op(ComputePlan& plan, const PlanDeltaOp& op);
 // across deltas, so the LNS move generators and the incremental evaluator
 // stop scanning the plan linearly. Counts are updated eagerly (O(1) per
 // op); the heavyweight per-processor position lists are rebuilt lazily,
-// only for processors whose sequence actually changed.
+// only for processors whose sequence actually changed. Merges and splits
+// relabel supersteps without moving a position, so they leave every
+// position list current (they only mark the count tables stale).
 
 class PlanOccurrenceIndex {
  public:
   /// Sorted occurrence / use positions of every node on one processor,
-  /// CSR-flattened. Positions refer to the current seq[p]; any delta op
-  /// touching p invalidates the view (it is rebuilt on next access).
+  /// CSR-flattened. Positions refer to the current seq[p]; an insert,
+  /// erase or set-node op on p invalidates the view (it is rebuilt on next
+  /// access).
   /// Positions and offsets fit 32 bits (a processor's plan holds far
   /// fewer than 2^31 occurrences and parent uses).
   struct ProcPositions {
@@ -163,6 +166,10 @@ class PlanOccurrenceIndex {
   /// the query never forces a rebuild.
   std::int64_t first_remote_use(int p, NodeId u) const;
 
+  /// Position-list rebuilds over the index's life, attaches included
+  /// (benches and tests read it).
+  long rebuilds() const { return rebuilds_; }
+
  private:
   void ensure_counts() {
     if (counts_dirty_) rebuild_counts();
@@ -190,6 +197,7 @@ class PlanOccurrenceIndex {
   std::vector<char> committed_valid_, candidate_built_, proc_touched_;
   bool in_move_ = false;
   bool counts_dirty_ = true;
+  long rebuilds_ = 0;
 };
 
 }  // namespace mbsp

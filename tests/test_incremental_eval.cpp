@@ -49,6 +49,36 @@ const char* kFamilies[] = {
     "mapreduce:maps=8,reducers=3",
 };
 
+/// Block [lo, hi) of superstep s in one processor sequence.
+std::pair<std::size_t, std::size_t> block_of(
+    const std::vector<PlannedCompute>& seq, int s) {
+  const auto lo = std::lower_bound(
+      seq.begin(), seq.end(), s,
+      [](const PlannedCompute& a, int step) { return a.superstep < step; });
+  const auto hi = std::upper_bound(
+      seq.begin(), seq.end(), s,
+      [](int step, const PlannedCompute& a) { return step < a.superstep; });
+  return {static_cast<std::size_t>(lo - seq.begin()),
+          static_cast<std::size_t>(hi - seq.begin())};
+}
+
+/// A random position of superstep s's block on seq, both ends included.
+std::size_t random_pos_in_block(const std::vector<PlannedCompute>& seq, int s,
+                                Rng& rng) {
+  const auto [lo, hi] = block_of(seq, s);
+  return lo + rng.index(hi - lo + 1);
+}
+
+void apply_edit(IncrementalEvaluator& eval, PlanDeltaOpKind kind, int proc,
+                std::size_t pos, PlannedCompute pc) {
+  PlanDeltaOp op;
+  op.kind = kind;
+  op.proc = proc;
+  op.pos = pos;
+  op.pc = pc;
+  eval.apply_op(op);
+}
+
 /// Applies one random primitive edit inside an open move: erase a random
 /// occurrence and reinsert it at a random position of the same superstep
 /// block on a random processor — the core shape of every non-structural
@@ -69,42 +99,128 @@ bool apply_random_relocation(IncrementalEvaluator& eval, Rng& rng,
     pick -= plan.seq[p].size();
   }
   PlannedCompute pc = plan.seq[p][pick];
-  PlanDeltaOp erase;
-  erase.kind = PlanDeltaOpKind::kErase;
-  erase.proc = p;
-  erase.pos = pick;
-  erase.pc = pc;
-  eval.apply_op(erase);
+  apply_edit(eval, PlanDeltaOpKind::kErase, p, pick, pc);
   const int q =
       static_cast<int>(rng.index(static_cast<std::size_t>(plan.num_procs)));
   if (shift_superstep) {
     pc.superstep =
         std::clamp(pc.superstep + static_cast<int>(rng.index(3)) - 1, 0, top);
   }
-  // Insert at a random position within the same superstep block on q.
-  const auto& qseq = plan.seq[q];
-  const auto lo = std::lower_bound(
-      qseq.begin(), qseq.end(), pc.superstep,
-      [](const PlannedCompute& a, int s) { return a.superstep < s; });
-  const auto hi = std::upper_bound(
-      qseq.begin(), qseq.end(), pc.superstep,
-      [](int s, const PlannedCompute& a) { return s < a.superstep; });
-  PlanDeltaOp insert;
-  insert.kind = PlanDeltaOpKind::kInsert;
-  insert.proc = q;
-  insert.pos = static_cast<std::size_t>(lo - qseq.begin()) +
-               rng.index(static_cast<std::size_t>(hi - lo) + 1);
-  insert.pc = pc;
-  eval.apply_op(insert);
+  apply_edit(eval, PlanDeltaOpKind::kInsert, q,
+             random_pos_in_block(plan.seq[q], pc.superstep, rng), pc);
   return true;
 }
 
-/// Runs `iterations` random LNS-style moves through the evaluator,
+/// Merges a random superstep with the next one (the generator's cuts:
+/// the end of the superstep's block on every processor). Returns false
+/// (nothing applied) when the plan has fewer than two supersteps.
+bool apply_random_merge(IncrementalEvaluator& eval, Rng& rng) {
+  const ComputePlan& plan = eval.plan();
+  const int k = plan.num_supersteps();
+  if (k < 2) return false;
+  PlanDeltaOp op;
+  op.kind = PlanDeltaOpKind::kMergeStep;
+  op.pc.superstep = static_cast<int>(rng.index(static_cast<std::size_t>(k - 1)));
+  for (const auto& seq : plan.seq) {
+    op.cuts.push_back(block_of(seq, op.pc.superstep).second);
+  }
+  eval.apply_op(op);
+  return true;
+}
+
+/// Splits a random superstep at a random cut inside its block on every
+/// processor. Returns false (nothing applied) when no occurrence would
+/// move.
+bool apply_random_split(IncrementalEvaluator& eval, Rng& rng) {
+  const ComputePlan& plan = eval.plan();
+  const int k = plan.num_supersteps();
+  if (k == 0) return false;
+  PlanDeltaOp op;
+  op.kind = PlanDeltaOpKind::kSplitStep;
+  op.pc.superstep = static_cast<int>(rng.index(static_cast<std::size_t>(k)));
+  bool any = false;
+  for (const auto& seq : plan.seq) {
+    op.cuts.push_back(random_pos_in_block(seq, op.pc.superstep, rng));
+    any = any || op.cuts.back() < seq.size();
+  }
+  if (!any) return false;
+  eval.apply_op(op);
+  return true;
+}
+
+/// Empties a random superstep below the top: each of its occurrences moves
+/// to a random position of the previous or next superstep's block on a
+/// random processor, so finish_move must close the gap with a merge.
+/// Returns false (nothing applied) when the plan has one superstep.
+bool apply_random_step_emptying(IncrementalEvaluator& eval, Rng& rng) {
+  const ComputePlan& plan = eval.plan();
+  const int k = plan.num_supersteps();
+  if (k < 2) return false;
+  const int s = static_cast<int>(rng.index(static_cast<std::size_t>(k - 1)));
+  std::vector<PlannedCompute> moved;
+  for (int p = 0; p < plan.num_procs; ++p) {
+    const auto [lo, hi] = block_of(plan.seq[p], s);
+    for (std::size_t i = hi; i-- > lo;) {
+      moved.push_back(plan.seq[p][i]);
+      apply_edit(eval, PlanDeltaOpKind::kErase, p, i, moved.back());
+    }
+  }
+  for (PlannedCompute pc : moved) {
+    pc.superstep = s > 0 && rng.chance(0.5) ? s - 1 : s + 1;
+    const int q =
+        static_cast<int>(rng.index(static_cast<std::size_t>(plan.num_procs)));
+    apply_edit(eval, PlanDeltaOpKind::kInsert, q,
+               random_pos_in_block(plan.seq[q], pc.superstep, rng), pc);
+  }
+  return true;
+}
+
+/// The move shapes differential_run drives; each takes its own path
+/// through the incremental validator (incremental_eval.hpp, "Validation").
+enum class MoveShape {
+  kRelocate,        ///< apply_random_relocation within one superstep
+  kShiftSuperstep,  ///< relocation to the previous, same or next superstep
+  kMerge,           ///< a lone merge (every third move a lone split)
+  kSplit,           ///< a lone split
+  kGapClose,        ///< a shifted relocation, then a step emptied and closed
+  kSplitWithEdit,   ///< a split, then a shifted relocation (full rescan)
+};
+
+bool apply_random_move(IncrementalEvaluator& eval, Rng& rng, MoveShape shape) {
+  switch (shape) {
+    case MoveShape::kRelocate: return apply_random_relocation(eval, rng);
+    case MoveShape::kShiftSuperstep:
+      return apply_random_relocation(eval, rng, /*shift_superstep=*/true);
+    case MoveShape::kMerge:
+      // A greedy warm start rarely admits a merge (each of its superstep
+      // boundaries carries a remote need); splits make some that do.
+      return rng.index(3) == 0 ? apply_random_split(eval, rng)
+                               : apply_random_merge(eval, rng);
+    case MoveShape::kSplit: return apply_random_split(eval, rng);
+    case MoveShape::kGapClose:
+      if (!apply_random_relocation(eval, rng, true)) return false;
+      apply_random_step_emptying(eval, rng);
+      return true;
+    case MoveShape::kSplitWithEdit:
+      return apply_random_split(eval, rng) &&
+             apply_random_relocation(eval, rng, true);
+  }
+  return false;
+}
+
+/// Verdict counts of one differential_run, and the evaluator's moves that
+/// fell back to rescanning every processor.
+struct RunStats {
+  long valid = 0, invalid = 0, rescans = 0;
+};
+
+/// Runs `iterations` random moves of one shape through the evaluator,
 /// asserting incremental == full cost after every apply and every undo,
 /// and that every move's validity verdict equals validate_plan's.
 void differential_run(const MbspInstance& inst, const LnsOptions& options,
                       long iterations, std::uint64_t seed,
-                      bool shift_superstep = false) {
+                      MoveShape shape = MoveShape::kRelocate,
+                      RunStats* stats = nullptr) {
   const ComputePlan initial = warm_plan(inst);
   ASSERT_TRUE(has_dense_supersteps(initial));
   ASSERT_TRUE(validate_plan(inst.dag, initial).ok);
@@ -123,15 +239,16 @@ void differential_run(const MbspInstance& inst, const LnsOptions& options,
   for (long it = 0; it < iterations; ++it) {
     const ComputePlan before = eval.plan();
     eval.begin_move();
-    if (!apply_random_relocation(eval, rng, shift_superstep)) {
+    if (!apply_random_move(eval, rng, shape)) {
       eval.rollback();
-      break;
+      continue;
     }
 
     const auto out = eval.finish_move();
     ASSERT_EQ(out.valid, validate_plan(inst.dag, eval.plan()).ok)
-        << inst.name() << " iteration " << it
-        << ": incremental validity verdict differs from validate_plan";
+        << inst.name() << " shape " << static_cast<int>(shape) << " iteration "
+        << it << ": incremental validity verdict differs from validate_plan";
+    if (stats != nullptr) ++(out.valid ? stats->valid : stats->invalid);
     if (out.valid) {
       // Incremental cost must equal the oracle on the applied plan.
       const double full =
@@ -162,6 +279,7 @@ void differential_run(const MbspInstance& inst, const LnsOptions& options,
   // harness exercised the undo path, and the apply path where possible.
   EXPECT_GT(applied + undone, 0) << inst.name();
   EXPECT_GT(undone, 0) << inst.name();
+  if (stats != nullptr) stats->rescans += eval.rescan_moves();
 }
 
 TEST(IncrementalEval, DifferentialOverWorkloadFamilies) {
@@ -171,7 +289,13 @@ TEST(IncrementalEval, DifferentialOverWorkloadFamilies) {
     for (const char* spec : kFamilies) {
       const MbspInstance inst = workload_instance(spec);
       LnsOptions options;
-      differential_run(inst, options, 120, 7, shift_superstep);
+      RunStats stats;
+      differential_run(inst, options, 120, 7,
+                       shift_superstep ? MoveShape::kShiftSuperstep
+                                       : MoveShape::kRelocate,
+                       &stats);
+      // Edits, and edits closed by one gap-closing merge, never rescan.
+      EXPECT_EQ(stats.rescans, 0) << spec;
     }
   }
 }
@@ -222,6 +346,197 @@ TEST(IncrementalEval, UntouchedProcessorRemoteNeeds) {
     eval.rollback();
     EXPECT_EQ(eval.plan().seq, plan.seq);
   }
+}
+
+TEST(IncrementalEval, DeltaValidatorMatchesValidatePlanPerMoveShape) {
+  // Each structural shape takes its own validator path: a lone merge
+  // checks the consumers it moved into the merged step, a lone split is
+  // valid by construction, edits closed by a gap-closing merge check the
+  // changed nodes without the earliest-done rise shortcut, and a split
+  // with edits rescans every processor. Every verdict must equal
+  // validate_plan's (differential_run asserts it per move).
+  for (const MoveShape shape : {MoveShape::kMerge, MoveShape::kSplit,
+                                MoveShape::kGapClose,
+                                MoveShape::kSplitWithEdit}) {
+    RunStats total;
+    for (const char* spec : kFamilies) {
+      const MbspInstance inst = workload_instance(spec);
+      LnsOptions options;
+      RunStats stats;
+      differential_run(inst, options, 80, 29, shape, &stats);
+      total.valid += stats.valid;
+      total.invalid += stats.invalid;
+      total.rescans += stats.rescans;
+    }
+    const int label = static_cast<int>(shape);
+    if (shape == MoveShape::kSplit) {
+      EXPECT_EQ(total.invalid, 0) << "a lone split is valid by construction";
+    } else {
+      EXPECT_GT(total.invalid, 0) << "shape " << label;
+    }
+    EXPECT_GT(total.valid, 0) << "shape " << label;
+    if (shape == MoveShape::kSplitWithEdit) {
+      EXPECT_EQ(total.rescans, total.valid + total.invalid);
+    }
+  }
+}
+
+TEST(IncrementalEval, GapCloseHidesAnEarliestDoneRise) {
+  // v is done in superstep 1 on p0 and used on p1 in superstep 2. The move
+  // lifts x, superstep 0's only occupant, into superstep 1 and v into
+  // superstep 2: v's earliest done rises to its consumer's superstep. The
+  // gap-closing merge then relabels both down by one, so v's earliest done
+  // equals its committed value although the use broke: the earliest-done
+  // rise shortcut must not apply to a move with a merge. Lifting x alone
+  // is valid.
+  ComputeDag dag("gap-close-rise");
+  const NodeId src = dag.add_node(1, 1);
+  const NodeId x = dag.add_node(1, 1);
+  const NodeId v = dag.add_node(1, 1);
+  const NodeId w = dag.add_node(1, 1);
+  dag.add_edge(src, x);
+  dag.add_edge(src, v);
+  dag.add_edge(v, w);
+  const MbspInstance inst{std::move(dag), Architecture::make(2, 16, 1, 10)};
+  ComputePlan plan;
+  plan.num_procs = 2;
+  plan.seq = {{{x, 0}, {v, 1}}, {{w, 2}}};
+  ASSERT_TRUE(validate_plan(inst.dag, plan).ok);
+  for (const bool lift_v : {false, true}) {
+    LnsOptions options;
+    IncrementalEvaluator eval(inst, options);
+    eval.attach(plan);
+    eval.begin_move();
+    PlanDeltaOp op;
+    op.proc = 0;
+    op.kind = PlanDeltaOpKind::kErase;
+    op.pos = 0;
+    op.pc = {x, 0};
+    eval.apply_op(op);
+    op.kind = PlanDeltaOpKind::kInsert;
+    op.pc = {x, 1};
+    eval.apply_op(op);
+    if (lift_v) {
+      op.kind = PlanDeltaOpKind::kErase;
+      op.pos = 1;
+      op.pc = {v, 1};
+      eval.apply_op(op);
+      op.kind = PlanDeltaOpKind::kInsert;
+      op.pc = {v, 2};
+      eval.apply_op(op);
+    }
+    const auto out = eval.finish_move();
+    EXPECT_EQ(eval.plan().seq[0][0].superstep, 0) << "the gap was not closed";
+    EXPECT_EQ(out.valid, !lift_v);
+    EXPECT_EQ(validate_plan(inst.dag, eval.plan()).ok, !lift_v);
+    eval.rollback();
+    EXPECT_EQ(eval.plan().seq, plan.seq);
+  }
+}
+
+}  // namespace
+
+/// Reaches the evaluator's lookahead memo (declared a friend there).
+struct IncrementalEvaluatorPeer {
+  /// The query point of every live memo entry of processor p, by node.
+  static std::vector<std::pair<NodeId, std::int64_t>> live_memo(
+      const IncrementalEvaluator& eval, int p) {
+    std::vector<std::pair<NodeId, std::int64_t>> out;
+    for (std::size_t v = 0; v < eval.n_; ++v) {
+      const auto& e = eval.nn_[static_cast<std::size_t>(p) * eval.n_ + v];
+      if (e.stamp == eval.nn_epoch_[static_cast<std::size_t>(p)]) {
+        out.push_back({static_cast<NodeId>(v), e.from});
+      }
+    }
+    return out;
+  }
+  /// The memoized lookahead: next_need_refill keeps each side of a live
+  /// entry that still lies at or after `from`, as effective_next_need's
+  /// inline hit path does.
+  static std::int64_t memo_next_need(IncrementalEvaluator& eval, int p,
+                                     NodeId v, std::int64_t from) {
+    return eval.next_need_refill(p, eval.index().proc_positions(p), v, from);
+  }
+};
+
+namespace {
+
+/// next_need_refill's answer from scratch: v's first use on p at or after
+/// `from`, unless p recomputes v first (then, or with no use, never).
+std::int64_t fresh_next_need(const PlanOccurrenceIndex::ProcPositions& pp,
+                             NodeId v, std::int64_t from) {
+  const auto first_from = [&](const std::vector<std::int32_t>& start,
+                              const std::vector<std::int32_t>& items) {
+    const auto lo = items.begin() + start[static_cast<std::size_t>(v)];
+    const auto hi = items.begin() + start[static_cast<std::size_t>(v) + 1];
+    const auto it = std::lower_bound(lo, hi, from);
+    return it == hi ? INT64_MAX : static_cast<std::int64_t>(*it);
+  };
+  const std::int64_t use = first_from(pp.use_start, pp.use_items);
+  const std::int64_t comp = first_from(pp.comp_start, pp.comp_items);
+  return comp < use ? INT64_MAX : use;
+}
+
+TEST(IncrementalEval, RelabelsKeepPositionListsAndLookahead) {
+  // Merges and splits relabel supersteps without moving a position, so
+  // they must leave every processor's position lists and lookahead memo
+  // in place: after each such move, committed or rolled back, the lists
+  // equal a fresh index's, no list was rebuilt, and every live memo entry
+  // answers like a fresh lookup.
+  const MbspInstance inst = workload_instance(kFamilies[4]);
+  LnsOptions options;
+  IncrementalEvaluator eval(inst, options);
+  eval.attach(warm_plan(inst));
+  const int P = inst.arch.num_processors;
+  for (int p = 0; p < P; ++p) eval.index().proc_positions(p);
+  Rng rng(5);
+  long merges = 0, splits = 0, commits = 0, rollbacks = 0, probes = 0;
+  for (int it = 0; it < 120; ++it) {
+    const long rebuilds = eval.index_rebuilds();
+    const bool merge = rng.chance(0.5);
+    eval.begin_move();
+    if (!(merge ? apply_random_merge(eval, rng)
+                : apply_random_split(eval, rng))) {
+      eval.rollback();
+      continue;
+    }
+    ++(merge ? merges : splits);
+    const auto out = eval.finish_move();
+    ASSERT_EQ(out.valid, validate_plan(inst.dag, eval.plan()).ok) << it;
+    if (out.valid && rng.chance(0.5)) {
+      eval.commit();
+      ++commits;
+    } else {
+      eval.rollback();
+      ++rollbacks;
+    }
+    EXPECT_EQ(eval.index_rebuilds(), rebuilds) << "move " << it;
+    ComputePlan copy = eval.plan();
+    PlanOccurrenceIndex fresh;
+    fresh.attach(&inst.dag, &copy);
+    for (int p = 0; p < P; ++p) {
+      const auto& kept = eval.index().proc_positions(p);
+      const auto& rebuilt = fresh.proc_positions(p);
+      ASSERT_EQ(kept.comp_start, rebuilt.comp_start) << it << " proc " << p;
+      ASSERT_EQ(kept.comp_items, rebuilt.comp_items) << it << " proc " << p;
+      ASSERT_EQ(kept.use_start, rebuilt.use_start) << it << " proc " << p;
+      ASSERT_EQ(kept.use_items, rebuilt.use_items) << it << " proc " << p;
+      for (const auto& [v, from] : IncrementalEvaluatorPeer::live_memo(eval, p)) {
+        for (const std::int64_t at : {from, from + 1}) {
+          ASSERT_EQ(IncrementalEvaluatorPeer::memo_next_need(eval, p, v, at),
+                    fresh_next_need(rebuilt, v, at))
+              << it << " proc " << p << " node " << v << " from " << at;
+          ++probes;
+        }
+      }
+    }
+    EXPECT_EQ(eval.index_rebuilds(), rebuilds) << "move " << it;
+  }
+  EXPECT_GT(merges, 10);
+  EXPECT_GT(splits, 10);
+  EXPECT_GT(commits, 5);
+  EXPECT_GT(rollbacks, 5);
+  EXPECT_GT(probes, 0);
 }
 
 TEST(IncrementalEval, DifferentialTinyDataset) {

@@ -6,8 +6,10 @@
 #include "src/bsp/greedy_scheduler.hpp"
 #include "src/graph/gadgets.hpp"
 #include "src/graph/generators.hpp"
+#include "src/holistic/incremental_eval.hpp"
 #include "src/holistic/lns.hpp"
 #include "src/model/cost.hpp"
+#include "src/model/machine_registry.hpp"
 #include "src/model/validate.hpp"
 #include "src/runner/scheduler_registry.hpp"
 #include "src/twostage/two_stage.hpp"
@@ -277,6 +279,64 @@ TEST(LnsSearch, IsImprovePlanWithoutTheCompletion) {
       EXPECT_EQ(search.accepted_by_class, ref.accepted_by_class) << label;
     }
   }
+}
+
+TEST(LnsSearch, UnimprovedSearchReusesTheWarmCompletion) {
+  // improve_plan completes its returned plan once, and not at all when the
+  // search returned the warm start: the search's attach logged that
+  // completion. Either way the schedule must be complete_memory's, op for
+  // op, on every machine kind, cost model and eviction policy. Zero
+  // iterations return the warm start; 400 usually improve it.
+  auto dataset = tiny_dataset(2025);
+  const ComputeDag& dag = dataset[3];
+  const double r0 = min_memory_r0(dag);
+  long reused = 0, improved = 0;
+  for (const char* machine_spec :
+       {"uniform:P=4", "hetero:P=4,speeds=1x2+2x2",
+        "numa:groups=2x2,gin=1,gout=4"}) {
+    std::string error;
+    auto machine =
+        MachineRegistry::global().make_machine(machine_spec, r0, &error);
+    ASSERT_TRUE(machine.has_value()) << machine_spec << ": " << error;
+    const MbspInstance inst{dag, *machine};
+    const ComputePlan warm =
+        baseline_plan(inst, BaselineKind::kGreedyClairvoyant);
+    for (CostModel cost : {CostModel::kSynchronous, CostModel::kAsynchronous}) {
+      for (PolicyKind policy : {PolicyKind::kClairvoyant, PolicyKind::kLru}) {
+        for (long iterations : {0L, 400L}) {
+          LnsOptions options;
+          options.budget_ms = 0;
+          options.max_iterations = iterations;
+          options.cost = cost;
+          options.completion_policy = policy;
+          const std::string label =
+              std::string(machine_spec) +
+              (cost == CostModel::kSynchronous ? " sync" : " async") +
+              (policy == PolicyKind::kLru ? " lru " : " clairvoyant ") +
+              std::to_string(iterations);
+          const LnsResult result = improve_plan(inst, warm, options);
+          EXPECT_TRUE(result.schedule ==
+                      complete_memory(inst, result.plan, policy))
+              << label;
+          const bool unimproved = result.cost == result.initial_cost;
+          if (iterations == 0) {
+            EXPECT_TRUE(unimproved) << label;
+          }
+          ++(unimproved ? reused : improved);
+          // search_plan's log holds the warm start's completion.
+          CompletionLog log;
+          const LnsSearchResult search =
+              search_plan(inst, warm, options, &log);
+          EXPECT_TRUE(log.to_schedule() ==
+                      complete_memory(inst, warm, policy))
+              << label;
+          EXPECT_EQ(search.cost, result.cost) << label;
+        }
+      }
+    }
+  }
+  EXPECT_GE(reused, 12);
+  EXPECT_GT(improved, 0);
 }
 
 TEST(EvaluatePlan, MatchesScheduleCost) {

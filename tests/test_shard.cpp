@@ -15,6 +15,7 @@
 #include "src/graph/generators.hpp"
 #include "src/holistic/partition.hpp"
 #include "src/holistic/shard.hpp"
+#include "src/model/machine_registry.hpp"
 #include "src/model/validate.hpp"
 #include "src/runner/scheduler_registry.hpp"
 #include "src/twostage/two_stage.hpp"
@@ -166,6 +167,59 @@ TEST(ShardSchedule, PolishPricesTheStitchedPlan) {
     EXPECT_EQ(polished.stitched_cost, unpolished.cost) << spec;
     EXPECT_EQ(unpolished.stitched_cost, unpolished.cost) << spec;
   }
+}
+
+TEST(ShardSchedule, UnimprovedPolishReusesTheStitchedCompletion) {
+  // The boundary polish's attach completes the stitched plan; when the
+  // polish returns that plan unchanged (no move classes enabled), the
+  // pipeline builds its schedule from that completion instead of a second
+  // one. Improved or not, the schedule must be complete_memory's of the
+  // returned plan, op for op, on every machine kind, cost model and
+  // eviction policy.
+  std::string error;
+  auto dag = WorkloadRegistry::global().make_dag("stencil2d:nx=6,ny=6,steps=3",
+                                                 11, &error);
+  ASSERT_TRUE(dag.has_value()) << error;
+  const double r0 = min_memory_r0(*dag);
+  long reused = 0, improved = 0;
+  for (const char* machine_spec :
+       {"uniform:P=4", "hetero:P=4,speeds=1x2+2x2",
+        "numa:groups=2x2,gin=1,gout=4"}) {
+    auto machine =
+        MachineRegistry::global().make_machine(machine_spec, r0, &error);
+    ASSERT_TRUE(machine.has_value()) << machine_spec << ": " << error;
+    const MbspInstance inst{*dag, *machine};
+    for (CostModel cost : {CostModel::kSynchronous, CostModel::kAsynchronous}) {
+      for (PolicyKind policy : {PolicyKind::kClairvoyant, PolicyKind::kLru}) {
+        for (unsigned moves : {0u, static_cast<unsigned>(kAllMoves)}) {
+          ShardOptions options = deterministic_options(3);
+          options.lns.max_iterations = 300;
+          options.polish_max_iterations = 500;
+          options.lns.cost = cost;
+          options.lns.completion_policy = policy;
+          options.lns.move_mask = moves;
+          options.compare_full_seed = false;
+          const std::string label =
+              std::string(machine_spec) +
+              (cost == CostModel::kSynchronous ? " sync" : " async") +
+              (policy == PolicyKind::kLru ? " lru" : " clairvoyant") +
+              (moves == 0 ? " frozen" : " all moves");
+          const ShardResult result = shard_schedule(inst, options);
+          ASSERT_GT(result.boundary_nodes, 0u) << label;
+          EXPECT_TRUE(result.schedule ==
+                      complete_memory(inst, result.plan, policy))
+              << label;
+          const bool unimproved = result.cost == result.stitched_cost;
+          if (moves == 0) {
+            EXPECT_TRUE(unimproved) << label;
+          }
+          ++(unimproved ? reused : improved);
+        }
+      }
+    }
+  }
+  EXPECT_GE(reused, 12);
+  EXPECT_GT(improved, 0);
 }
 
 TEST(ShardSchedule, SingleShardDegeneratesGracefully) {
