@@ -19,9 +19,13 @@
 // both informational).
 //
 // From the incremental loop itself it reports, per validated move, the
-// occurrence index's position-list rebuilds (index_rebuilds_per_move) and
+// occurrence index's position-list builds (index_rebuilds_per_move: only
+// the attach's, since ops patch the lists in place) and
 // the share of moves whose validation rescanned every processor
-// (rescan_move_frac), per family and pooled; both informational.
+// (rescan_move_frac), per family and pooled; both informational. From the
+// probe it reports the share of evaluated moves that flipped some node's
+// save_required bit (flip_move_frac) and the mean rounds such a move
+// re-derived (flip_move_rounds), per family and pooled; informational.
 //
 //   MBSP_BENCH_LNS_ITERS     iterations per loop (default 300)
 //   MBSP_BENCH_LNS_SKIP_REF  1: run only the incremental loop (profiling
@@ -57,18 +61,28 @@ const Case kCases[] = {
     {"stencil2d:nx=41,ny=41,steps=2", 0.5},  // n = 5043
 };
 
+/// The probe's moves that flipped some node's save_required bit, and the
+/// rounds they re-derived.
+struct FlipCounters {
+  long moves = 0;
+  long rounds = 0;
+};
+
 /// Mean, over evaluated (valid) probe moves, of re-derived rounds over
-/// committed rounds; returns the move count through *moves and the
-/// probe's segment-planner counters through *counters.
+/// committed rounds; returns the move count through *moves, the probe's
+/// segment-planner counters through *counters and its save_required flips
+/// through *flips.
 double rederived_round_frac(const MbspInstance& inst,
                             const ComputePlan& initial,
                             const LnsOptions& options, long* moves,
-                            IncrementalEvaluator::PlannerCounters* counters) {
+                            IncrementalEvaluator::PlannerCounters* counters,
+                            FlipCounters* flips) {
   IncrementalEvaluator eval(inst, options);
   double incumbent = eval.attach(initial);
   Rng rng(options.seed);
   double sum = 0;
   *moves = 0;
+  *flips = {};
   for (long it = 0; it < options.max_iterations; ++it) {
     const ComputePlan& plan = eval.plan();
     std::size_t pick = rng.index(plan.total_computes());
@@ -109,6 +123,10 @@ double rederived_round_frac(const MbspInstance& inst,
       sum += static_cast<double>(eval.last_dirty_rounds()) /
              static_cast<double>(committed);
       ++*moves;
+      if (eval.last_move_flipped()) {
+        ++flips->moves;
+        flips->rounds += eval.last_dirty_rounds();
+      }
     }
     if (out.valid && out.cost <= incumbent) {
       incumbent = out.cost;
@@ -130,7 +148,8 @@ int main() {
 
   Table table({"workload", "n", "iterations", "baseline it/s",
                "incremental it/s", "speedup", "identical",
-               "rederived frac", "rebuilds/move", "rescan frac"});
+               "rederived frac", "flip frac", "flip rounds",
+               "rebuilds/move", "rescan frac"});
   PerfReport report("lns");
   std::vector<double> speedups;
   std::vector<double> rates;
@@ -139,6 +158,7 @@ int main() {
   long rederived_moves = 0;
   long validated = 0, rescans = 0, rebuilds = 0;
   IncrementalEvaluator::PlannerCounters planner;
+  FlipCounters all_flips;
   for (const Case& c : kCases) {
     std::string error;
     auto dag = WorkloadRegistry::global().make_dag(c.spec, config.seed, &error);
@@ -180,8 +200,15 @@ int main() {
     rates.push_back(fast_rate);
     long moves = 0;
     IncrementalEvaluator::PlannerCounters counters;
-    const double frac =
-        rederived_round_frac(inst, initial, options, &moves, &counters);
+    FlipCounters flips;
+    const double frac = rederived_round_frac(inst, initial, options, &moves,
+                                             &counters, &flips);
+    all_flips.moves += flips.moves;
+    all_flips.rounds += flips.rounds;
+    const double flip_frac =
+        static_cast<double>(flips.moves) / static_cast<double>(std::max(1L, moves));
+    const double flip_rounds = static_cast<double>(flips.rounds) /
+                               static_cast<double>(std::max(1L, flips.moves));
     rederived_sum += frac * static_cast<double>(moves);
     rederived_moves += moves;
     planner.segments += counters.segments;
@@ -199,6 +226,7 @@ int main() {
                    std::to_string(options.max_iterations), fmt(ref_rate, 0),
                    fmt(fast_rate, 0), fmt(fast_rate / ref_rate, 2) + "x",
                    identical ? "yes" : "NO", moves > 0 ? fmt(frac, 3) : "-",
+                   fmt(flip_frac, 3), fmt(flip_rounds, 1),
                    fmt(rebuild_rate, 3), fmt(rescan_frac, 3)});
     report.add_family(c.spec, "iters_per_sec", fast_rate);
     report.add_family(c.spec, "baseline_iters_per_sec", ref_rate);
@@ -206,6 +234,8 @@ int main() {
     if (moves > 0) report.add_family(c.spec, "rederived_round_frac", frac);
     report.add_family(c.spec, "index_rebuilds_per_move", rebuild_rate);
     report.add_family(c.spec, "rescan_move_frac", rescan_frac);
+    report.add_family(c.spec, "flip_move_frac", flip_frac);
+    report.add_family(c.spec, "flip_move_rounds", flip_rounds);
   }
   if (skip_ref) return 0;
   emit(table,
@@ -248,6 +278,16 @@ int main() {
                     /*higher_is_better=*/false, /*gated=*/false);
   report.add_metric("rescan_move_frac",
                     static_cast<double>(rescans) / all_validated,
+                    /*higher_is_better=*/false, /*gated=*/false);
+  // Probe moves that flipped a save_required bit, and the rounds each of
+  // them re-derived (pooled).
+  report.add_metric("flip_move_frac",
+                    static_cast<double>(all_flips.moves) /
+                        static_cast<double>(std::max(1L, rederived_moves)),
+                    /*higher_is_better=*/false, /*gated=*/false);
+  report.add_metric("flip_move_rounds",
+                    static_cast<double>(all_flips.rounds) /
+                        static_cast<double>(std::max(1L, all_flips.moves)),
                     /*higher_is_better=*/false, /*gated=*/false);
   report.write();
   if (!all_identical) {

@@ -395,7 +395,6 @@ void IncrementalEvaluator::refresh_save_required() {
 void IncrementalEvaluator::begin_move() {
   assert(!in_move_);
   in_move_ = true;
-  index_.begin_move();
   delta_size_ = 0;
   std::fill(proc_touched_.begin(), proc_touched_.end(), 0);
   touched_procs_.clear();
@@ -497,8 +496,13 @@ IncrementalEvaluator::Outcome IncrementalEvaluator::finish_move() {
   // every other processor stay warm, across merges and splits too.
   for (int p : touched_procs_) nn_invalidate(p);
 
+  last_flip_ = false;
+  for (const auto& [v, before] : save_req_before_) {
+    last_flip_ |= save_req_[static_cast<std::size_t>(v)] != before;
+  }
   const int b = std::max(std::min(dirty_bound(), committed_rounds_), 0);
-  const double cost = evaluate_from(b, prepare_exit());
+  prepare_exit();
+  const double cost = evaluate_from(b, /*may_exit=*/true);
   // The incremental cost must equal a from-scratch evaluation's bitwise,
   // every iteration (the cross-engine check against the reference
   // completer lives in the differential tests).
@@ -510,8 +514,10 @@ IncrementalEvaluator::Outcome IncrementalEvaluator::finish_move() {
 void IncrementalEvaluator::commit() {
   assert(in_move_);
   promote_eval();
-  index_.commit_move();
   in_move_ = false;
+  // The index was patched op by op; it must answer like a fresh one.
+  assert(index_.matches_fresh_index() &&
+         "patched occurrence index diverges from a fresh one");
 #ifndef NDEBUG
   // MBSP_CK_VERIFY=1 re-derives every checkpoint from scratch after each
   // commit and requires the promoted rows to match. The per-move cost
@@ -623,7 +629,6 @@ void IncrementalEvaluator::rollback() {
   // The plan reverts to the committed frame: memo rows filled from the
   // rolled-back candidate frame of an edited processor must not survive.
   for (int p : touched_procs_) nn_invalidate(p);
-  index_.rollback_move();
   in_move_ = false;
 }
 
@@ -690,8 +695,8 @@ bool IncrementalEvaluator::edits_valid(bool rise_shortcut) {
   // parent is in A (the changed nodes C plus their parents); any other
   // pair keeps its occurrences, their order and the parent's earliest
   // done. A parent's binding use is its first remote use (supersteps
-  // never decrease along a sequence). dirty_bound reads the candidate
-  // position lists next anyway, so first_remote_use reads them here.
+  // never decrease along a sequence). dirty_bound reads the position
+  // lists next anyway, so first_remote_use reads them here.
   for (int p : touched_procs_) {
     index_.proc_positions(p);
     const auto& seq = plan_.seq[static_cast<std::size_t>(p)];
@@ -1003,11 +1008,9 @@ int IncrementalEvaluator::dirty_bound() {
 // ---------------------------------------------------------------------------
 // Reconvergence exit (see the header).
 
-bool IncrementalEvaluator::prepare_exit() {
-  // A save_required flip changes decisions wherever the node is cached.
-  for (const auto& [v, before] : save_req_before_) {
-    if (save_req_[static_cast<std::size_t>(v)] != before) return false;
-  }
+void IncrementalEvaluator::prepare_exit() {
+  // A save_required flip needs no rule here (see the header's "Reconvergence
+  // exit"): the blue-set agreement already covers the flipped nodes.
   std::fill(edit_hi_.begin(), edit_hi_.end(), 0);
   std::fill(edit_shift_.begin(), edit_shift_.end(), 0);
   lru_keys_.clear();
@@ -1039,7 +1042,6 @@ bool IncrementalEvaluator::prepare_exit() {
     }
     if (lru_) note_keys(op.proc, op.pc.node);
   }
-  return true;
 }
 
 bool IncrementalEvaluator::dead_at_boundary(NodeId v) {

@@ -35,7 +35,8 @@
 //    candidate-frame positions always under-approximate committed ones).
 //  * save_required(v) is a global property (which processors compute /
 //    consume v); if a move flips it, rounds from v's earliest
-//    occurrence's superstep on are dirty too.
+//    occurrence's superstep (in either frame) on are dirty too. So every
+//    compute of a flipped node lies in the re-derived rounds.
 //  * Merging superstep s with s+1 changes nothing below the first round
 //    of s, and on each processor the completion is bitwise identical up
 //    to the committed round whose segment first *reaches* the old block
@@ -75,19 +76,32 @@
 //  * the committed round r_c lies past every block a merge or split
 //    relabeled (its label clears each relabel threshold in turn), so the
 //    suffix's block structure is unchanged and only its labels shift;
-//  * the move flipped no save_required bit;
 //  * under LRU, every affected (node, edited processor) pair whose key
 //    can still be read — the node is cached at the boundary or has an
 //    event at or after it — has its last event before the boundary inside
 //    the unedited region, so its last-active key names the same
 //    occurrence in both frames.
 //
+// A move that flips save_required(v) keeps the exit with no rule of its
+// own. The completion reads the bit only for a non-blue v, while v is
+// cached or at v's own compute, and it blues a node whose bit is set by
+// the end of the segment that computes it. Let X be the run (candidate or
+// committed) where the bit is set. If X computes v before the boundary,
+// it blues v there (in rounds >= b, by the dirty bound above). If the
+// other run blues v too, neither reads the bit again; if it does not, the
+// blue-set agreement requires v to be dead, and a dead node's bit is
+// never read. X cannot compute v only past the boundary: every use before
+// the boundary would then lack an earlier compute, so the uses and
+// computes of v would all lie in the suffix both runs share, and the bit
+// could not differ.
+//
 // Soundness: the completion from a boundary on is a deterministic
 // function of exactly that state — positions and the plan suffix
 // (forward lookahead only reads positions >= the query point), the cache
 // rows and weights, the straddling slot, the live nodes' blue bits and
-// home groups, save_required, the block structure, and (LRU only) the
-// last-active keys, which are compared but never priced. Equal inputs
+// home groups, the save_required bits it can still read (above), the
+// block structure, and (LRU only) the last-active keys, which are
+// compared but never priced. Equal inputs
 // replay the committed rounds r_c.. bitwise, so the candidate's remaining
 // rounds are the committed ones relabeled. The cost folds the candidate
 // rows [b, c) and then the committed rows [r_c, R] — the same rows in the
@@ -264,6 +278,9 @@ class IncrementalEvaluator {
   /// when the exit did not fire. Benches and tests use this to observe
   /// how incremental the search actually is.
   long last_dirty_rounds() const { return last_dirty_; }
+  /// Whether the last finish_move flipped some node's save_required bit
+  /// (benches count these moves and their re-derived rounds).
+  bool last_move_flipped() const { return last_flip_; }
   /// Total committed completion rounds of the current plan.
   long committed_rounds() const { return committed_rounds_; }
   /// FNV-1a digest of the committed checkpoint rows: per-boundary
@@ -283,7 +300,7 @@ class IncrementalEvaluator {
     long resumed_tries = 0;
   };
   const PlannerCounters& planner_counters() const { return counters_; }
-  /// Occurrence-index position-list rebuilds and moves whose validation
+  /// Occurrence-index position-list builds and moves whose validation
   /// fell back to rescanning every processor, over the evaluator's life.
   /// Benches and tests read them; nothing else does.
   long index_rebuilds() const { return index_.rebuilds(); }
@@ -369,7 +386,7 @@ class IncrementalEvaluator {
   /// reconvergence exit (moves only — attach and the checkpoint verifier
   /// must run the whole plan).
   double evaluate_from(int b, bool may_exit);
-  bool prepare_exit();
+  void prepare_exit();
   int reconvergence_round();
   bool dead_at_boundary(NodeId v);
   void restore_boundary(int b);
@@ -612,6 +629,7 @@ class IncrementalEvaluator {
   // tail reused past a reconvergence exit.
   std::vector<std::pair<int, int>> relabel_fixups_;
   long last_dirty_ = 0;
+  bool last_flip_ = false;
   // Reconvergence exit: candidate positions >= edit_hi_[p] are unedited
   // and sit edit_shift_[p] past their committed images; lru_keys_ lists
   // the (edited proc, affected node) pairs whose LRU keys may differ.

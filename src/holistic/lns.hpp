@@ -120,7 +120,8 @@ struct LnsSearchResult {
   std::array<long, kNumMoveClasses> accepted_by_class{};
   /// The search evaluator's work, for benches: the moves it validated,
   /// those whose validation rescanned every processor, and its occurrence
-  /// index's position-list rebuilds (attach's included).
+  /// index's position-list builds (one per processor the attach queried:
+  /// ops patch the lists in place).
   long validated = 0;
   long rescan_moves = 0;
   long index_rebuilds = 0;

@@ -232,7 +232,7 @@ ShardResult shard_schedule(const MbspInstance& inst,
     parallel_for(pool, shards.size(), [&](std::size_t q) {
       ShardSubproblem sub = make_shard_subproblem(dag, shards[q]);
       const MbspInstance sub_inst{
-          sub.dag, slice_architecture(inst.arch, shard_procs[q])};
+          std::move(sub.dag), slice_architecture(inst.arch, shard_procs[q])};
       GreedyBspScheduler greedy;
       const BspSchedule bsp = greedy.schedule(sub_inst.dag, sub_inst.arch);
       const ComputePlan initial =
@@ -270,9 +270,7 @@ ShardResult shard_schedule(const MbspInstance& inst,
     superstep_offset += std::max(1, wave_supersteps);
   }
   normalize_supersteps(global_plan);
-  const PlanValidation stitched_ok = validate_plan(dag, global_plan);
-  assert(stitched_ok.ok);
-  (void)stitched_ok;
+  assert(validate_plan(dag, global_plan).ok);
 
   // Boundary move mask: endpoints of cut edges, expanded by the halo.
   std::vector<char> mask(static_cast<std::size_t>(dag.num_nodes()), 0);

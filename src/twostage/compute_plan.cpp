@@ -1,7 +1,10 @@
 #include "src/twostage/compute_plan.hpp"
 
 #include <algorithm>
+#include <cassert>
+#include <functional>
 #include <map>
+#include <numeric>
 #include <set>
 
 namespace mbsp {
@@ -188,99 +191,118 @@ void undo_delta_op(ComputePlan& plan, const PlanDeltaOp& op) {
 // ---------------------------------------------------------------------------
 // PlanOccurrenceIndex.
 
+namespace {
+
+// Adds (delta = +1) or removes (delta = -1) position x in the runs of
+// `nodes` (sorted descending) of one CSR list, then moves the offsets.
+// Descending order keeps every run still to be edited in place: an edit
+// moves only items at or after its own run's start.
+void patch_runs(std::vector<std::int32_t>& start,
+                std::vector<std::int32_t>& items,
+                const std::vector<NodeId>& nodes, std::int32_t x, int delta) {
+  for (NodeId u : nodes) {
+    const auto lo = items.begin() + start[static_cast<std::size_t>(u)];
+    const auto hi = items.begin() + start[static_cast<std::size_t>(u) + 1];
+    const auto it = std::lower_bound(lo, hi, x);
+    if (delta > 0) {
+      items.insert(it, x);
+    } else {
+      assert(it != hi && *it == x);
+      items.erase(it);
+    }
+  }
+  // The k-th smallest node's edit moves every later offset by k * delta.
+  const std::size_t n = start.size() - 1;
+  const std::size_t m = nodes.size();
+  for (std::size_t i = m; i-- > 0;) {
+    const std::size_t from = static_cast<std::size_t>(nodes[i]) + 1;
+    const std::size_t to = i > 0 ? static_cast<std::size_t>(nodes[i - 1]) : n;
+    const auto add = static_cast<std::int32_t>(delta * static_cast<int>(m - i));
+    for (std::size_t w = from; w <= to; ++w) start[w] += add;
+  }
+}
+
+// Moves every position >= from by delta.
+void shift_positions(std::vector<std::int32_t>& items, std::int32_t from,
+                     std::int32_t delta) {
+  for (std::int32_t& x : items) x += x >= from ? delta : 0;
+}
+
+}  // namespace
+
 void PlanOccurrenceIndex::attach(const ComputeDag* dag,
                                  const ComputePlan* plan) {
   dag_ = dag;
   plan_ = plan;
   const std::size_t n = static_cast<std::size_t>(dag->num_nodes());
   const std::size_t P = static_cast<std::size_t>(plan->num_procs);
+  num_supersteps_ = plan->num_supersteps();
+  const std::size_t K = static_cast<std::size_t>(num_supersteps_);
   node_count_.assign(n, 0);
   done_counts_.assign(n, {});
-  proc_committed_.assign(P, {});
-  proc_candidate_.assign(P, {});
-  committed_valid_.assign(P, 0);
-  candidate_built_.assign(P, 0);
-  proc_touched_.assign(P, 0);
-  in_move_ = false;
-  proc_step_count_.assign(P, {});
-  counts_dirty_ = true;
-  ensure_counts();
-}
-
-void PlanOccurrenceIndex::begin_move() { in_move_ = true; }
-
-void PlanOccurrenceIndex::commit_move() {
-  for (std::size_t p = 0; p < proc_touched_.size(); ++p) {
-    if (!proc_touched_[p]) continue;
-    std::swap(proc_committed_[p], proc_candidate_[p]);
-    committed_valid_[p] = candidate_built_[p];
-    candidate_built_[p] = 0;
-    proc_touched_[p] = 0;
-  }
-  in_move_ = false;
-}
-
-void PlanOccurrenceIndex::rollback_move() {
-  for (std::size_t p = 0; p < proc_touched_.size(); ++p) {
-    if (!proc_touched_[p]) continue;
-    candidate_built_[p] = 0;
-    proc_touched_[p] = 0;
-  }
-  in_move_ = false;
-}
-
-void PlanOccurrenceIndex::touch_proc(int p) {
-  if (in_move_) {
-    proc_touched_[static_cast<std::size_t>(p)] = 1;
-    candidate_built_[static_cast<std::size_t>(p)] = 0;
-  } else {
-    // Edits outside a move transaction invalidate the committed view.
-    committed_valid_[static_cast<std::size_t>(p)] = 0;
-  }
-}
-
-void PlanOccurrenceIndex::rebuild_counts() {
-  std::fill(node_count_.begin(), node_count_.end(), 0);
-  for (auto& dc : done_counts_) dc.clear();
-  num_supersteps_ = plan_->num_supersteps();
-  step_count_.assign(static_cast<std::size_t>(num_supersteps_), 0);
-  for (int p = 0; p < plan_->num_procs; ++p) {
-    auto& psc = proc_step_count_[static_cast<std::size_t>(p)];
-    psc.assign(static_cast<std::size_t>(num_supersteps_), 0);
-    for (const PlannedCompute& pc : plan_->seq[static_cast<std::size_t>(p)]) {
+  step_count_.assign(K, 0);
+  proc_step_count_.assign(P, std::vector<long>(K, 0));
+  block_of_step_.resize(K);
+  std::iota(block_of_step_.begin(), block_of_step_.end(), 0);
+  step_of_block_ = block_of_step_;
+  free_blocks_.clear();
+  for (std::size_t p = 0; p < P; ++p) {
+    for (const PlannedCompute& pc : plan->seq[p]) {
       ++node_count_[static_cast<std::size_t>(pc.node)];
       ++step_count_[static_cast<std::size_t>(pc.superstep)];
-      ++psc[static_cast<std::size_t>(pc.superstep)];
+      ++proc_step_count_[p][static_cast<std::size_t>(pc.superstep)];
       bump_done(pc.node, pc.superstep, +1);
     }
   }
-  counts_dirty_ = false;
+  proc_.assign(P, {});
+  proc_built_.assign(P, 0);
 }
 
 void PlanOccurrenceIndex::bump_done(NodeId v, int step, int delta) {
+  const int id = block_of_step_[static_cast<std::size_t>(step)];
   auto& dc = done_counts_[static_cast<std::size_t>(v)];
   auto it = std::lower_bound(
-      dc.begin(), dc.end(), step,
-      [](const std::pair<int, long>& e, int s) { return e.first < s; });
-  if (it != dc.end() && it->first == step) {
+      dc.begin(), dc.end(), step, [&](const std::pair<int, long>& e, int s) {
+        return step_of_block_[static_cast<std::size_t>(e.first)] < s;
+      });
+  if (it != dc.end() && it->first == id) {
     it->second += delta;
     if (it->second == 0) dc.erase(it);
   } else {
-    dc.insert(it, {step, static_cast<long>(delta)});
+    dc.insert(it, {id, static_cast<long>(delta)});
   }
 }
 
 void PlanOccurrenceIndex::bump_step(int p, int step, int delta) {
   const std::size_t s = static_cast<std::size_t>(step);
   if (delta > 0) {
-    if (s >= step_count_.size()) {
-      step_count_.resize(s + 1, 0);
-      for (auto& psc : proc_step_count_) psc.resize(s + 1, 0);
+    while (s >= step_count_.size()) {
+      // A new top step.
+      const int id = take_block_id();
+      step_of_block_[static_cast<std::size_t>(id)] =
+          static_cast<int>(step_count_.size());
+      block_of_step_.push_back(id);
+      step_count_.push_back(0);
+      for (auto& psc : proc_step_count_) psc.push_back(0);
     }
     if (step >= num_supersteps_) num_supersteps_ = step + 1;
   }
   step_count_[s] += delta;
   proc_step_count_[static_cast<std::size_t>(p)][s] += delta;
+  shrink_top();
+}
+
+int PlanOccurrenceIndex::take_block_id() {
+  if (free_blocks_.empty()) {
+    step_of_block_.push_back(0);
+    return static_cast<int>(step_of_block_.size()) - 1;
+  }
+  const int id = free_blocks_.back();
+  free_blocks_.pop_back();
+  return id;
+}
+
+void PlanOccurrenceIndex::shrink_top() {
   // An emptied top superstep shrinks K (normalize_supersteps semantics:
   // no renumbering needed, the index range just contracts).
   while (num_supersteps_ > 0 &&
@@ -289,39 +311,131 @@ void PlanOccurrenceIndex::bump_step(int p, int step, int delta) {
   }
 }
 
+void PlanOccurrenceIndex::relabel_from(int s) {
+  for (std::size_t t = static_cast<std::size_t>(s); t < block_of_step_.size();
+       ++t) {
+    step_of_block_[static_cast<std::size_t>(block_of_step_[t])] =
+        static_cast<int>(t);
+  }
+}
+
+void PlanOccurrenceIndex::edit_node(int p, std::size_t pos, NodeId v,
+                                    int delta) {
+  if (!proc_built_[static_cast<std::size_t>(p)]) return;
+  ProcPositions& pp = proc_[static_cast<std::size_t>(p)];
+  const auto x = static_cast<std::int32_t>(pos);
+  patch_nodes_.assign(1, v);
+  patch_runs(pp.comp_start, pp.comp_items, patch_nodes_, x, delta);
+  const auto parents = dag_->parents(v);
+  patch_nodes_.assign(parents.begin(), parents.end());
+  std::sort(patch_nodes_.begin(), patch_nodes_.end(), std::greater<>());
+  patch_runs(pp.use_start, pp.use_items, patch_nodes_, x, delta);
+}
+
+void PlanOccurrenceIndex::rekey_done(const std::vector<PlannedCompute>& seq,
+                                     std::size_t lo, std::size_t hi, int from,
+                                     int to) {
+  for (std::size_t i = lo; i < hi; ++i) {
+    bump_done(seq[i].node, from, -1);
+    bump_done(seq[i].node, to, +1);
+  }
+}
+
+void PlanOccurrenceIndex::join_steps(int s, const std::vector<std::size_t>& cuts) {
+  // Steps s and s+1 become one; on each processor step s+1's occurrences
+  // sit at [cut, cut + its count). The smaller block's occurrences are
+  // re-keyed to the other block's id, which the joined step keeps.
+  const std::size_t a = static_cast<std::size_t>(s), b = a + 1;
+  assert(b < step_count_.size());
+  const bool move_upper = step_count_[b] <= step_count_[a];
+  for (int p = 0; p < plan_->num_procs; ++p) {
+    const auto& seq = plan_->seq[static_cast<std::size_t>(p)];
+    auto& psc = proc_step_count_[static_cast<std::size_t>(p)];
+    const std::size_t cut = cuts[static_cast<std::size_t>(p)];
+    if (move_upper) {
+      rekey_done(seq, cut, cut + static_cast<std::size_t>(psc[b]), s + 1, s);
+    } else {
+      rekey_done(seq, cut - static_cast<std::size_t>(psc[a]), cut, s, s + 1);
+    }
+    psc[a] += psc[b];
+    psc.erase(psc.begin() + static_cast<std::ptrdiff_t>(b));
+  }
+  step_count_[a] += step_count_[b];
+  step_count_.erase(step_count_.begin() + static_cast<std::ptrdiff_t>(b));
+  const std::size_t gone = move_upper ? b : a;
+  free_blocks_.push_back(block_of_step_[gone]);
+  block_of_step_.erase(block_of_step_.begin() + static_cast<std::ptrdiff_t>(gone));
+  relabel_from(s);
+  if (s + 1 < num_supersteps_) --num_supersteps_;
+  shrink_top();
+}
+
+void PlanOccurrenceIndex::part_step(int s, const std::vector<std::size_t>& cuts) {
+  // Step s parts at the cuts: on each processor its occurrences at or
+  // after the cut form the new step s+1. The smaller part's occurrences
+  // are re-keyed to a fresh block id.
+  const std::size_t a = static_cast<std::size_t>(s), b = a + 1;
+  assert(a < step_count_.size());
+  const std::size_t P = static_cast<std::size_t>(plan_->num_procs);
+  // Per processor: the start of step s's block (labels before the cut are
+  // still <= s).
+  std::vector<std::size_t>& lo = part_lo_;
+  lo.resize(P);
+  long below = 0;
+  for (std::size_t p = 0; p < P; ++p) {
+    const auto& seq = plan_->seq[p];
+    lo[p] = static_cast<std::size_t>(
+        std::lower_bound(seq.begin(),
+                         seq.begin() + static_cast<std::ptrdiff_t>(cuts[p]), s,
+                         [](const PlannedCompute& pc, int step) {
+                           return pc.superstep < step;
+                         }) -
+        seq.begin());
+    below += static_cast<long>(cuts[p] - lo[p]);
+  }
+  const long above = step_count_[a] - below;
+  const bool move_upper = above <= below;
+  block_of_step_.insert(
+      block_of_step_.begin() + static_cast<std::ptrdiff_t>(move_upper ? b : a),
+      take_block_id());
+  relabel_from(s);
+  step_count_[a] = below;
+  step_count_.insert(step_count_.begin() + static_cast<std::ptrdiff_t>(b),
+                     above);
+  for (std::size_t p = 0; p < P; ++p) {
+    const auto& seq = plan_->seq[p];
+    auto& psc = proc_step_count_[p];
+    const long below_p = static_cast<long>(cuts[p] - lo[p]);
+    const long above_p = psc[a] - below_p;
+    if (move_upper) {
+      rekey_done(seq, cuts[p], cuts[p] + static_cast<std::size_t>(above_p), s,
+                 s + 1);
+    } else {
+      rekey_done(seq, lo[p], cuts[p], s + 1, s);
+    }
+    psc[a] = below_p;
+    psc.insert(psc.begin() + static_cast<std::ptrdiff_t>(b), above_p);
+  }
+  if (s < num_supersteps_) ++num_supersteps_;
+  shrink_top();
+}
+
 void PlanOccurrenceIndex::on_apply(const PlanDeltaOp& op) {
   switch (op.kind) {
     case PlanDeltaOpKind::kInsert:
-      if (!counts_dirty_) {
-        ++node_count_[static_cast<std::size_t>(op.pc.node)];
-        bump_step(op.proc, op.pc.superstep, +1);
-        bump_done(op.pc.node, op.pc.superstep, +1);
-      }
-      touch_proc(op.proc);
+      insert_at(op.proc, op.pos, op.pc);
       break;
     case PlanDeltaOpKind::kErase:
-      if (!counts_dirty_) {
-        --node_count_[static_cast<std::size_t>(op.pc.node)];
-        bump_step(op.proc, op.pc.superstep, -1);
-        bump_done(op.pc.node, op.pc.superstep, -1);
-      }
-      touch_proc(op.proc);
+      erase_at(op.proc, op.pos, op.pc);
       break;
     case PlanDeltaOpKind::kSetNode:
-      if (!counts_dirty_) {
-        --node_count_[static_cast<std::size_t>(op.old_node)];
-        ++node_count_[static_cast<std::size_t>(op.pc.node)];
-        const int step =
-            plan_->seq[static_cast<std::size_t>(op.proc)][op.pos].superstep;
-        bump_done(op.old_node, step, -1);
-        bump_done(op.pc.node, step, +1);
-      }
-      touch_proc(op.proc);
+      set_node_at(op.proc, op.pos, op.old_node, op.pc.node);
       break;
     case PlanDeltaOpKind::kMergeStep:
+      join_steps(op.pc.superstep, op.cuts);
+      break;
     case PlanDeltaOpKind::kSplitStep:
-      // A relabel: no position moves, so every position list stays current.
-      counts_dirty_ = true;
+      part_step(op.pc.superstep, op.cuts);
       break;
   }
 }
@@ -331,76 +445,78 @@ void PlanOccurrenceIndex::on_undo(const PlanDeltaOp& op) {
   // restored when this runs, so kSetNode reads the restored superstep.
   switch (op.kind) {
     case PlanDeltaOpKind::kInsert:
-      if (!counts_dirty_) {
-        --node_count_[static_cast<std::size_t>(op.pc.node)];
-        bump_step(op.proc, op.pc.superstep, -1);
-        bump_done(op.pc.node, op.pc.superstep, -1);
-      }
-      touch_proc(op.proc);
+      erase_at(op.proc, op.pos, op.pc);
       break;
     case PlanDeltaOpKind::kErase:
-      if (!counts_dirty_) {
-        ++node_count_[static_cast<std::size_t>(op.pc.node)];
-        bump_step(op.proc, op.pc.superstep, +1);
-        bump_done(op.pc.node, op.pc.superstep, +1);
-      }
-      touch_proc(op.proc);
+      insert_at(op.proc, op.pos, op.pc);
       break;
     case PlanDeltaOpKind::kSetNode:
-      if (!counts_dirty_) {
-        ++node_count_[static_cast<std::size_t>(op.old_node)];
-        --node_count_[static_cast<std::size_t>(op.pc.node)];
-        const int step =
-            plan_->seq[static_cast<std::size_t>(op.proc)][op.pos].superstep;
-        bump_done(op.old_node, step, +1);
-        bump_done(op.pc.node, step, -1);
-      }
-      touch_proc(op.proc);
+      set_node_at(op.proc, op.pos, op.pc.node, op.old_node);
       break;
     case PlanDeltaOpKind::kMergeStep:
+      part_step(op.pc.superstep, op.cuts);
+      break;
     case PlanDeltaOpKind::kSplitStep:
-      // A relabel: no position moves, so every position list stays current.
-      counts_dirty_ = true;
+      join_steps(op.pc.superstep, op.cuts);
       break;
   }
 }
 
-int PlanOccurrenceIndex::num_supersteps() {
-  ensure_counts();
-  return num_supersteps_;
+void PlanOccurrenceIndex::insert_at(int p, std::size_t pos, PlannedCompute pc) {
+  ++node_count_[static_cast<std::size_t>(pc.node)];
+  bump_step(p, pc.superstep, +1);
+  bump_done(pc.node, pc.superstep, +1);
+  if (proc_built_[static_cast<std::size_t>(p)]) {
+    ProcPositions& pp = proc_[static_cast<std::size_t>(p)];
+    const auto x = static_cast<std::int32_t>(pos);
+    shift_positions(pp.comp_items, x, +1);
+    shift_positions(pp.use_items, x, +1);
+    edit_node(p, pos, pc.node, +1);
+  }
 }
 
-long PlanOccurrenceIndex::node_count(NodeId v) {
-  ensure_counts();
-  return node_count_[static_cast<std::size_t>(v)];
+void PlanOccurrenceIndex::erase_at(int p, std::size_t pos, PlannedCompute pc) {
+  --node_count_[static_cast<std::size_t>(pc.node)];
+  bump_done(pc.node, pc.superstep, -1);
+  bump_step(p, pc.superstep, -1);
+  if (proc_built_[static_cast<std::size_t>(p)]) {
+    ProcPositions& pp = proc_[static_cast<std::size_t>(p)];
+    const auto x = static_cast<std::int32_t>(pos);
+    edit_node(p, pos, pc.node, -1);
+    shift_positions(pp.comp_items, x + 1, -1);
+    shift_positions(pp.use_items, x + 1, -1);
+  }
 }
 
-int PlanOccurrenceIndex::earliest_done(NodeId v) {
-  ensure_counts();
-  const auto& dc = done_counts_[static_cast<std::size_t>(v)];
-  return dc.empty() ? -1 : dc.front().first;
+void PlanOccurrenceIndex::set_node_at(int p, std::size_t pos, NodeId from,
+                                      NodeId to) {
+  --node_count_[static_cast<std::size_t>(from)];
+  ++node_count_[static_cast<std::size_t>(to)];
+  const int step =
+      plan_->seq[static_cast<std::size_t>(p)][pos].superstep;
+  bump_done(from, step, -1);
+  bump_done(to, step, +1);
+  edit_node(p, pos, from, -1);
+  edit_node(p, pos, to, +1);
 }
 
-long PlanOccurrenceIndex::step_count(int s) {
-  ensure_counts();
+long PlanOccurrenceIndex::step_count(int s) const {
   return s < num_supersteps_ ? step_count_[static_cast<std::size_t>(s)] : 0;
 }
 
-long PlanOccurrenceIndex::proc_step_count(int p, int s) {
-  ensure_counts();
+long PlanOccurrenceIndex::proc_step_count(int p, int s) const {
   if (s >= num_supersteps_) return 0;
   return proc_step_count_[static_cast<std::size_t>(p)][static_cast<std::size_t>(s)];
 }
 
-int PlanOccurrenceIndex::gap_step() {
-  ensure_counts();
+int PlanOccurrenceIndex::gap_step() const {
   for (int s = 0; s < num_supersteps_; ++s) {
     if (step_count_[static_cast<std::size_t>(s)] == 0) return s;
   }
   return -1;
 }
 
-void PlanOccurrenceIndex::rebuild_into(int p, ProcPositions& pp) {
+void PlanOccurrenceIndex::build_into(int p, ProcPositions& pp) {
   // Counting sort by node, in place: count into the offsets, prefix-sum
   // them to end offsets, then place positions walking seq backwards with
   // pre-decrement, which leaves each run ascending and each offset at its
@@ -438,27 +554,18 @@ void PlanOccurrenceIndex::rebuild_into(int p, ProcPositions& pp) {
 const PlanOccurrenceIndex::ProcPositions& PlanOccurrenceIndex::proc_positions(
     int p) {
   const std::size_t p_ = static_cast<std::size_t>(p);
-  if (in_move_ && proc_touched_[p_]) {
-    if (!candidate_built_[p_]) {
-      rebuild_into(p, proc_candidate_[p_]);
-      candidate_built_[p_] = 1;
-    }
-    return proc_candidate_[p_];
+  if (!proc_built_[p_]) {
+    build_into(p, proc_[p_]);
+    proc_built_[p_] = 1;
   }
-  if (!committed_valid_[p_]) {
-    rebuild_into(p, proc_committed_[p_]);
-    committed_valid_[p_] = 1;
-  }
-  return proc_committed_[p_];
+  return proc_[p_];
 }
 
 std::int64_t PlanOccurrenceIndex::first_remote_use(int p, NodeId u) const {
   const std::size_t p_ = static_cast<std::size_t>(p);
   const std::size_t u_ = static_cast<std::size_t>(u);
-  const bool candidate = in_move_ && proc_touched_[p_];
-  if (candidate ? candidate_built_[p_] : committed_valid_[p_]) {
-    const ProcPositions& pp =
-        candidate ? proc_candidate_[p_] : proc_committed_[p_];
+  if (proc_built_[p_]) {
+    const ProcPositions& pp = proc_[p_];
     if (pp.use_start[u_] == pp.use_start[u_ + 1]) return -1;
     const std::int32_t use = pp.use_items[static_cast<std::size_t>(
         pp.use_start[u_])];
@@ -488,6 +595,41 @@ bool PlanOccurrenceIndex::has_local_comp_before(int p, NodeId u,
     return false;
   }
   return pp.comp_items[lo] < static_cast<std::int64_t>(pos);
+}
+
+bool PlanOccurrenceIndex::matches_fresh_index() const {
+  PlanOccurrenceIndex fresh;
+  fresh.attach(dag_, plan_);
+  if (fresh.num_supersteps_ != num_supersteps_ ||
+      fresh.node_count_ != node_count_) {
+    return false;
+  }
+  for (int s = 0; s < num_supersteps_; ++s) {
+    if (fresh.step_count(s) != step_count(s)) return false;
+    for (int p = 0; p < plan_->num_procs; ++p) {
+      if (fresh.proc_step_count(p, s) != proc_step_count(p, s)) return false;
+    }
+  }
+  // Done lists by label: block ids are internal.
+  for (std::size_t v = 0; v < done_counts_.size(); ++v) {
+    const auto& mine = done_counts_[v];
+    const auto& theirs = fresh.done_counts_[v];
+    if (mine.size() != theirs.size()) return false;
+    for (std::size_t i = 0; i < mine.size(); ++i) {
+      if (step_of_block_[static_cast<std::size_t>(mine[i].first)] !=
+              fresh.step_of_block_[static_cast<std::size_t>(theirs[i].first)] ||
+          mine[i].second != theirs[i].second) {
+        return false;
+      }
+    }
+  }
+  for (int p = 0; p < plan_->num_procs; ++p) {
+    if (proc_built_[static_cast<std::size_t>(p)] &&
+        !(fresh.proc_positions(p) == proc_[static_cast<std::size_t>(p)])) {
+      return false;
+    }
+  }
+  return true;
 }
 
 }  // namespace mbsp

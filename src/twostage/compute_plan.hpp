@@ -97,18 +97,24 @@ void undo_delta_op(ComputePlan& plan, const PlanDeltaOp& op);
 // ---------------------------------------------------------------------------
 // Occurrence index: per-superstep and per-(proc, node) lookups maintained
 // across deltas, so the LNS move generators and the incremental evaluator
-// stop scanning the plan linearly. Counts are updated eagerly (O(1) per
-// op); the heavyweight per-processor position lists are rebuilt lazily,
-// only for processors whose sequence actually changed. Merges and splits
-// relabel supersteps without moving a position, so they leave every
-// position list current (they only mark the count tables stale).
+// stop scanning the plan linearly. Every op patches the index in place
+// (undo patches it back) instead of rebuilding any part of it:
+//
+//  * an insert, erase or set-node updates its node's counts in O(1) and
+//    patches the edited processor's position lists: one sequential pass
+//    over that processor's offsets and items, no recount of its sequence;
+//  * a merge or split relabels supersteps without moving a position. The
+//    per-node done lists are keyed by relabel-stable block ids, so a
+//    relabel re-keys only the occurrences of the smaller of the two
+//    blocks it joins or parts, plus O(K * P) for the per-step tables.
+//
+// Position lists are built lazily, on a processor's first query; lists
+// not yet built are not patched.
 
 class PlanOccurrenceIndex {
  public:
   /// Sorted occurrence / use positions of every node on one processor,
-  /// CSR-flattened. Positions refer to the current seq[p]; an insert,
-  /// erase or set-node op on p invalidates the view (it is rebuilt on next
-  /// access).
+  /// CSR-flattened. Positions refer to the current seq[p].
   /// Positions and offsets fit 32 bits (a processor's plan holds far
   /// fewer than 2^31 occurrences and parent uses).
   struct ProcPositions {
@@ -116,43 +122,40 @@ class PlanOccurrenceIndex {
     std::vector<std::int32_t> comp_items;
     std::vector<std::int32_t> use_start;   ///< n+1 offsets into use_items
     std::vector<std::int32_t> use_items;
+
+    bool operator==(const ProcPositions&) const = default;
   };
 
   void attach(const ComputeDag* dag, const ComputePlan* plan);
 
-  /// Eager bookkeeping around a delta op. Call on_apply *after* the op has
-  /// been applied to the plan, on_undo *after* it has been undone.
+  /// Bookkeeping around a delta op. Call on_apply *after* the op has been
+  /// applied to the plan, on_undo *after* it has been undone.
   void on_apply(const PlanDeltaOp& op);
   void on_undo(const PlanDeltaOp& op);
 
-  /// Move transaction brackets (mirroring the evaluator's): between
-  /// begin_move and commit_move/rollback_move, position queries serve a
-  /// candidate buffer built from the edited plan while the committed
-  /// buffer stays intact — so a rollback costs nothing and the next
-  /// committed query needs no rebuild.
-  void begin_move();
-  void commit_move();
-  void rollback_move();
-
-  /// Accessors rebuild the count tables first when a structural op left
-  /// them stale (lazily, O(total occurrences)).
-  int num_supersteps();
+  int num_supersteps() const { return num_supersteps_; }
   /// Total occurrences of node v across all processors.
-  long node_count(NodeId v);
+  long node_count(NodeId v) const {
+    return node_count_[static_cast<std::size_t>(v)];
+  }
   /// Smallest superstep in which some occurrence of v completes (-1 when
   /// v is never computed).
-  int earliest_done(NodeId v);
+  int earliest_done(NodeId v) const {
+    const auto& dc = done_counts_[static_cast<std::size_t>(v)];
+    return dc.empty() ? -1 : step_of_block_[static_cast<std::size_t>(
+                                 dc.front().first)];
+  }
   /// Global occurrence count of superstep s.
-  long step_count(int s);
+  long step_count(int s) const;
   /// Occurrence count of superstep s on processor p.
-  long proc_step_count(int p, int s);
+  long proc_step_count(int p, int s) const;
   /// A superstep 0..K-2 that is globally empty (-1 if none): the caller
   /// must close the gap with a kMergeStep op to keep supersteps dense.
   /// (An emptied *top* superstep is not a gap; the count tables simply
   /// shrink, matching what normalize_supersteps would do.)
-  int gap_step();
+  int gap_step() const;
 
-  /// Position lists for processor p (rebuilt here if p is dirty).
+  /// Position lists for processor p (built here on first use).
   const ProcPositions& proc_positions(int p);
 
   /// True iff node u has an occurrence on p strictly before position pos
@@ -162,41 +165,58 @@ class PlanOccurrenceIndex {
   /// Position of u's first use on p when no occurrence of u on p precedes
   /// it, else -1: p needs u from another processor from that position's
   /// superstep on (supersteps never decrease along a sequence). Reads p's
-  /// position lists when they are current and scans seq[p] otherwise, so
-  /// the query never forces a rebuild.
+  /// position lists when they are built and scans seq[p] otherwise, so
+  /// the query never forces a build.
   std::int64_t first_remote_use(int p, NodeId u) const;
 
-  /// Position-list rebuilds over the index's life, attaches included
-  /// (benches and tests read it).
+  /// Position-list builds over the index's life (benches and tests read
+  /// it): one per processor queried after attach; ops never rebuild.
   long rebuilds() const { return rebuilds_; }
 
+  /// True iff every answer of this index — counts, done lists, superstep
+  /// tables and each built processor's position lists — equals that of a
+  /// fresh index attached to the same plan. Tests and debug builds call it.
+  bool matches_fresh_index() const;
+
  private:
-  void ensure_counts() {
-    if (counts_dirty_) rebuild_counts();
-  }
-  void rebuild_counts();
-  void rebuild_into(int p, ProcPositions& out);
+  void build_into(int p, ProcPositions& out);
   void bump_done(NodeId v, int step, int delta);
   void bump_step(int p, int step, int delta);
-  void touch_proc(int p);
+  int take_block_id();
+  void shrink_top();
+  void insert_at(int p, std::size_t pos, PlannedCompute pc);
+  void erase_at(int p, std::size_t pos, PlannedCompute pc);
+  void set_node_at(int p, std::size_t pos, NodeId from, NodeId to);
+  void edit_node(int p, std::size_t pos, NodeId v, int delta);
+  /// Moves the done entries of seq[lo, hi) from step `from`'s block to
+  /// step `to`'s.
+  void rekey_done(const std::vector<PlannedCompute>& seq, std::size_t lo,
+                  std::size_t hi, int from, int to);
+  void join_steps(int s, const std::vector<std::size_t>& cuts);
+  void part_step(int s, const std::vector<std::size_t>& cuts);
+  void relabel_from(int s);
 
   const ComputeDag* dag_ = nullptr;
   const ComputePlan* plan_ = nullptr;
   int num_supersteps_ = 0;
   std::vector<long> node_count_;
-  std::vector<long> step_count_;              // global, size >= K
+  // Per-step tables, indexed by label; their size may exceed K (trailing
+  // steps emptied at the top keep their zero rows).
+  std::vector<long> step_count_;
   std::vector<std::vector<long>> proc_step_count_;  // [p][s]
-  // Per node: sorted (superstep, count) pairs over its occurrences; the
-  // first entry is earliest_done. Flat vectors: occurrence multiplicity
-  // per node is tiny.
+  // Relabel-stable block ids: step s's block is block_of_step_[s], and
+  // step_of_block_[id] is its current label. Freed ids are reused.
+  std::vector<int> block_of_step_;
+  std::vector<int> step_of_block_;
+  std::vector<int> free_blocks_;
+  // Per node: (block id, count) pairs over its occurrences, sorted by the
+  // blocks' labels; the first entry is earliest_done. Flat vectors:
+  // occurrence multiplicity per node is tiny.
   std::vector<std::vector<std::pair<int, long>>> done_counts_;
-  // Double-buffered position lists: `committed` reflects the plan as of
-  // the last commit; `candidate` is built on demand for processors
-  // edited by the in-flight move. Rollback keeps `committed` valid.
-  std::vector<ProcPositions> proc_committed_, proc_candidate_;
-  std::vector<char> committed_valid_, candidate_built_, proc_touched_;
-  bool in_move_ = false;
-  bool counts_dirty_ = true;
+  std::vector<ProcPositions> proc_;
+  std::vector<char> proc_built_;
+  std::vector<NodeId> patch_nodes_;      // edit_node scratch
+  std::vector<std::size_t> part_lo_;     // part_step scratch
   long rebuilds_ = 0;
 };
 

@@ -886,6 +886,68 @@ TEST(IncrementalEval, ReconvergenceExitSkipsTheCommittedTail) {
   EXPECT_GT(moves, 0) << "no valid first-superstep move";
 }
 
+TEST(IncrementalEval, SaveRequiredFlipKeepsReconvergenceExit) {
+  // v is computed and consumed on p0 only, so it needs no save. Moving its
+  // consumer c to p1 makes v save-required; moving c back clears the bit
+  // again. Both moves disturb two rounds of a 30-superstep plan: the
+  // evaluation must rejoin the committed run after them, not re-derive
+  // the whole suffix, and still price the plan exactly.
+  constexpr int kSteps = 30;
+  ComputeDag dag("save-required-flip");
+  const NodeId src = dag.add_node(1, 1);
+  const NodeId v = dag.add_node(1, 1);
+  const NodeId c = dag.add_node(1, 1);
+  dag.add_edge(src, v);
+  dag.add_edge(v, c);
+  ComputePlan plan;
+  plan.num_procs = 2;
+  plan.seq.resize(2);
+  plan.seq[0].push_back({v, 0});
+  for (int p = 0; p < 2; ++p) {
+    NodeId prev = src;
+    for (int k = 0; k < kSteps; ++k) {
+      const NodeId f = dag.add_node(1, 1);
+      dag.add_edge(prev, f);
+      if (p == 0 && k == 1) plan.seq[0].push_back({c, 1});
+      plan.seq[static_cast<std::size_t>(p)].push_back({f, k});
+      prev = f;
+    }
+  }
+  const MbspInstance inst{std::move(dag), Architecture::make(2, 16, 1, 10)};
+  ASSERT_TRUE(validate_plan(inst.dag, plan).ok);
+  for (auto [cost, policy] :
+       {std::pair{CostModel::kSynchronous, PolicyKind::kClairvoyant},
+        std::pair{CostModel::kAsynchronous, PolicyKind::kClairvoyant},
+        std::pair{CostModel::kSynchronous, PolicyKind::kLru},
+        std::pair{CostModel::kAsynchronous, PolicyKind::kLru}}) {
+    LnsOptions options;
+    options.cost = cost;
+    options.completion_policy = policy;
+    IncrementalEvaluator eval(inst, options);
+    eval.attach(plan);
+    // (from proc, position of c) -> (to proc, insert position): off v's
+    // processor (right after p1's superstep-0 entry), then back.
+    const std::pair<std::pair<int, std::size_t>, std::pair<int, std::size_t>>
+        moves[] = {{{0, 2}, {1, 1}}, {{1, 1}, {0, 2}}};
+    for (const auto& [from, to] : moves) {
+      eval.begin_move();
+      apply_edit(eval, PlanDeltaOpKind::kErase, from.first, from.second,
+                 {c, 1});
+      apply_edit(eval, PlanDeltaOpKind::kInsert, to.first, to.second, {c, 1});
+      const auto out = eval.finish_move();
+      ASSERT_TRUE(out.valid);
+      EXPECT_TRUE(eval.last_move_flipped()) << "c to p" << to.first;
+      EXPECT_EQ(out.cost, evaluate_plan(inst, eval.plan(), options));
+      EXPECT_EQ(out.cost, reference_evaluate_plan(inst, eval.plan(), options));
+      EXPECT_LT(4 * eval.last_dirty_rounds(), eval.committed_rounds())
+          << "c to p" << to.first << ": the evaluation did not rejoin the "
+          << "committed run";
+      eval.commit();
+    }
+    EXPECT_EQ(eval.plan().seq, plan.seq);
+  }
+}
+
 TEST(IncrementalEval, CommitHeavyDifferentialAcrossConfigs) {
   // Accepting every valid move makes nearly every commit splice a reused
   // committed tail into the state the next move starts from. Release

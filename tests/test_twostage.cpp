@@ -5,6 +5,7 @@
 // a schedule that passes full semantic validation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -99,7 +100,7 @@ TEST(ComputePlan, RecomputationAccepted) {
 
 TEST(ComputePlan, FirstRemoteUseSameFromListsAndSequenceScan) {
   // first_remote_use scans the sequence while a processor's position lists
-  // are stale and reads the lists once built; both must agree for every
+  // are not built yet and reads the lists once built; both must agree for every
   // (proc, node), on a plan whose recomputations make some uses local.
   std::string error;
   auto dag = WorkloadRegistry::global().make_dag("fft:n=16", 2025, &error);
@@ -132,6 +133,160 @@ TEST(ComputePlan, FirstRemoteUseSameFromListsAndSequenceScan) {
   }
   EXPECT_GT(remote, 0);
   EXPECT_GT(local, 0);
+}
+
+/// Block [lo, hi) of superstep s in one processor sequence.
+std::pair<std::size_t, std::size_t> step_block(
+    const std::vector<PlannedCompute>& seq, int s) {
+  const auto lo = std::lower_bound(
+      seq.begin(), seq.end(), s,
+      [](const PlannedCompute& a, int step) { return a.superstep < step; });
+  const auto hi = std::upper_bound(
+      seq.begin(), seq.end(), s,
+      [](int step, const PlannedCompute& a) { return step < a.superstep; });
+  return {static_cast<std::size_t>(lo - seq.begin()),
+          static_cast<std::size_t>(hi - seq.begin())};
+}
+
+/// A random op that keeps every sequence's supersteps nondecreasing (the
+/// index does not need a valid plan): insert, erase, set-node, merge or
+/// split. Empty steps may appear; the index must report them as gaps.
+PlanDeltaOp random_index_op(const ComputeDag& dag, const ComputePlan& plan,
+                            Rng& rng) {
+  const auto random_node = [&] {
+    for (;;) {
+      const NodeId v = static_cast<NodeId>(
+          rng.index(static_cast<std::size_t>(dag.num_nodes())));
+      if (!dag.is_source(v)) return v;
+    }
+  };
+  const int k = plan.num_supersteps();
+  const std::size_t total = plan.total_computes();
+  PlanDeltaOp op;
+  op.proc = static_cast<int>(
+      rng.index(static_cast<std::size_t>(plan.num_procs)));
+  const auto& seq = plan.seq[static_cast<std::size_t>(op.proc)];
+  switch (rng.index(5)) {
+    case 0:
+    case 1:
+      if (seq.empty() || total < 8) break;
+      op.pos = rng.index(seq.size());
+      op.pc = seq[op.pos];
+      if (rng.chance(0.5)) {
+        op.kind = PlanDeltaOpKind::kErase;
+      } else {
+        op.kind = PlanDeltaOpKind::kSetNode;
+        op.old_node = op.pc.node;
+        op.pc.node = random_node();
+      }
+      return op;
+    case 2:
+      if (k < 2) break;
+      op.kind = PlanDeltaOpKind::kMergeStep;
+      op.pc.superstep = static_cast<int>(rng.index(static_cast<std::size_t>(k - 1)));
+      for (const auto& s : plan.seq) {
+        op.cuts.push_back(step_block(s, op.pc.superstep).second);
+      }
+      return op;
+    case 3:
+      if (k < 1) break;
+      op.kind = PlanDeltaOpKind::kSplitStep;
+      op.pc.superstep = static_cast<int>(rng.index(static_cast<std::size_t>(k)));
+      for (const auto& s : plan.seq) {
+        const auto [lo, hi] = step_block(s, op.pc.superstep);
+        op.cuts.push_back(lo + rng.index(hi - lo + 1));
+      }
+      return op;
+    default:
+      break;
+  }
+  // Insert at a random position of a random step's block (one past the
+  // top included).
+  op.kind = PlanDeltaOpKind::kInsert;
+  op.pc = {random_node(), static_cast<int>(rng.index(static_cast<std::size_t>(k + 1)))};
+  const auto [lo, hi] = step_block(seq, op.pc.superstep);
+  op.pos = lo + rng.index(hi - lo + 1);
+  return op;
+}
+
+TEST(ComputePlan, PatchedOccurrenceIndexEqualsAFreshOne) {
+  // The index patches itself op by op (and back on undo) instead of
+  // rebuilding: after every step of random insert / erase / set-node /
+  // merge / split moves, each kept or undone, every count table,
+  // earliest_done, gap_step and each built processor's position lists
+  // must equal a freshly attached index's. Processor p's lists are built
+  // only from move 30 * p on, so patches also meet lists not yet built.
+  std::string error;
+  auto dag = WorkloadRegistry::global().make_dag("fft:n=16", 2025, &error);
+  ASSERT_TRUE(dag.has_value()) << error;
+  const MbspInstance inst = make_instance(std::move(*dag), 4, 3);
+  GreedyBspScheduler stage1;
+  ComputePlan plan = with_local_recomputes(
+      inst.dag,
+      plan_from_bsp(inst.dag, stage1.schedule(inst.dag, inst.arch), 4));
+  PlanOccurrenceIndex index;
+  index.attach(&inst.dag, &plan);
+  const auto expect_fresh = [&](int built, const std::string& where) {
+    for (int p = 0; p < built; ++p) index.proc_positions(p);
+    PlanOccurrenceIndex fresh;
+    fresh.attach(&inst.dag, &plan);
+    ASSERT_EQ(index.num_supersteps(), fresh.num_supersteps()) << where;
+    ASSERT_EQ(index.gap_step(), fresh.gap_step()) << where;
+    for (int s = 0; s <= fresh.num_supersteps(); ++s) {
+      ASSERT_EQ(index.step_count(s), fresh.step_count(s)) << where;
+      for (int p = 0; p < plan.num_procs; ++p) {
+        ASSERT_EQ(index.proc_step_count(p, s), fresh.proc_step_count(p, s))
+            << where << " step " << s << " proc " << p;
+      }
+    }
+    for (NodeId v = 0; v < inst.dag.num_nodes(); ++v) {
+      ASSERT_EQ(index.node_count(v), fresh.node_count(v)) << where;
+      ASSERT_EQ(index.earliest_done(v), fresh.earliest_done(v))
+          << where << " node " << v;
+    }
+    for (int p = 0; p < built; ++p) {
+      ASSERT_TRUE(index.proc_positions(p) == fresh.proc_positions(p))
+          << where << " proc " << p;
+      for (NodeId v = 0; v < inst.dag.num_nodes(); ++v) {
+        ASSERT_EQ(index.first_remote_use(p, v), fresh.first_remote_use(p, v))
+            << where << " proc " << p << " node " << v;
+      }
+    }
+    ASSERT_TRUE(index.matches_fresh_index()) << where;
+  };
+  Rng rng(7);
+  std::vector<PlanDeltaOp> move;
+  long kinds[5] = {}, kept = 0, undone = 0, gaps = 0;
+  for (int it = 0; it < 400; ++it) {
+    const int built = std::min(plan.num_procs, it / 30);
+    move.clear();
+    const std::size_t ops = 1 + rng.index(3);
+    for (std::size_t i = 0; i < ops; ++i) {
+      move.push_back(random_index_op(inst.dag, plan, rng));
+      apply_delta_op(plan, move.back());
+      index.on_apply(move.back());
+      ++kinds[static_cast<int>(move.back().kind)];
+      gaps += index.gap_step() >= 0;
+      expect_fresh(built, "move " + std::to_string(it) + " op " +
+                              std::to_string(i));
+    }
+    if (rng.chance(0.5)) {
+      ++kept;
+      continue;
+    }
+    for (std::size_t i = move.size(); i-- > 0;) {
+      undo_delta_op(plan, move[i]);
+      index.on_undo(move[i]);
+      expect_fresh(built, "move " + std::to_string(it) + " undo " +
+                              std::to_string(i));
+    }
+    ++undone;
+  }
+  for (const long count : kinds) EXPECT_GT(count, 20);
+  EXPECT_GT(kept, 50);
+  EXPECT_GT(undone, 50);
+  EXPECT_GT(gaps, 0);
+  EXPECT_EQ(index.rebuilds(), plan.num_procs) << "an op rebuilt a list";
 }
 
 TEST(ComputePlan, NormalizeSupersteps) {
