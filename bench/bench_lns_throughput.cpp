@@ -18,11 +18,9 @@
 // continued the previous try instead of replaying the segment prefix;
 // both informational).
 //
-// From the incremental loop itself it reports, per validated move, the
-// occurrence index's position-list builds (index_rebuilds_per_move: only
-// the attach's, since ops patch the lists in place) and
-// the share of moves whose validation rescanned every processor
-// (rescan_move_frac), per family and pooled; both informational. From the
+// From the incremental loop itself it reports the share of validated
+// moves whose validation rescanned every processor (rescan_move_frac), per
+// family and pooled; informational. From the
 // probe it reports the share of evaluated moves that flipped some node's
 // save_required bit (flip_move_frac) and the mean rounds such a move
 // re-derived (flip_move_rounds), per family and pooled; informational.
@@ -149,14 +147,14 @@ int main() {
   Table table({"workload", "n", "iterations", "baseline it/s",
                "incremental it/s", "speedup", "identical",
                "rederived frac", "flip frac", "flip rounds",
-               "rebuilds/move", "rescan frac"});
+               "rescan frac"});
   PerfReport report("lns");
   std::vector<double> speedups;
   std::vector<double> rates;
   bool all_identical = true;
   double rederived_sum = 0;
   long rederived_moves = 0;
-  long validated = 0, rescans = 0, rebuilds = 0;
+  long validated = 0, rescans = 0;
   IncrementalEvaluator::PlannerCounters planner;
   FlipCounters all_flips;
   for (const Case& c : kCases) {
@@ -216,23 +214,19 @@ int main() {
     planner.resumed_tries += counters.resumed_tries;
     validated += fast.validated;
     rescans += fast.rescan_moves;
-    rebuilds += fast.index_rebuilds;
-    const double moves_done = static_cast<double>(std::max(1L, fast.validated));
-    const double rebuild_rate =
-        static_cast<double>(fast.index_rebuilds) / moves_done;
     const double rescan_frac =
-        static_cast<double>(fast.rescan_moves) / moves_done;
+        static_cast<double>(fast.rescan_moves) /
+        static_cast<double>(std::max(1L, fast.validated));
     table.add_row({c.spec, std::to_string(inst.dag.num_nodes()),
                    std::to_string(options.max_iterations), fmt(ref_rate, 0),
                    fmt(fast_rate, 0), fmt(fast_rate / ref_rate, 2) + "x",
                    identical ? "yes" : "NO", moves > 0 ? fmt(frac, 3) : "-",
                    fmt(flip_frac, 3), fmt(flip_rounds, 1),
-                   fmt(rebuild_rate, 3), fmt(rescan_frac, 3)});
+                   fmt(rescan_frac, 3)});
     report.add_family(c.spec, "iters_per_sec", fast_rate);
     report.add_family(c.spec, "baseline_iters_per_sec", ref_rate);
     report.add_family(c.spec, "speedup", fast_rate / ref_rate);
     if (moves > 0) report.add_family(c.spec, "rederived_round_frac", frac);
-    report.add_family(c.spec, "index_rebuilds_per_move", rebuild_rate);
     report.add_family(c.spec, "rescan_move_frac", rescan_frac);
     report.add_family(c.spec, "flip_move_frac", flip_frac);
     report.add_family(c.spec, "flip_move_rounds", flip_rounds);
@@ -272,12 +266,9 @@ int main() {
                         : 0.0,
                     /*higher_is_better=*/true, /*gated=*/false);
   // Work the delta bookkeeping avoids (pooled over the incremental loops).
-  const double all_validated = static_cast<double>(std::max(1L, validated));
-  report.add_metric("index_rebuilds_per_move",
-                    static_cast<double>(rebuilds) / all_validated,
-                    /*higher_is_better=*/false, /*gated=*/false);
   report.add_metric("rescan_move_frac",
-                    static_cast<double>(rescans) / all_validated,
+                    static_cast<double>(rescans) /
+                        static_cast<double>(std::max(1L, validated)),
                     /*higher_is_better=*/false, /*gated=*/false);
   // Probe moves that flipped a save_required bit, and the rounds each of
   // them re-derived (pooled).

@@ -170,15 +170,6 @@ double IncrementalEvaluator::attach(const ComputePlan& plan,
   P_ = plan_.num_procs;
   index_.attach(&dag_, &plan_);
 
-  const std::size_t pn = static_cast<std::size_t>(P_) * n_;
-  comp_cnt_.assign(pn, 0);
-  use_cnt_.assign(pn, 0);
-  comp_proc_count_.assign(n_, 0);
-  for (int p = 0; p < P_; ++p) {
-    for (const PlannedCompute& pc : plan_.seq[static_cast<std::size_t>(p)]) {
-      bump_occurrence_counts(p, pc.node, +1);
-    }
-  }
   save_req_.assign(n_, 0);
   for (NodeId v = 0; v < static_cast<NodeId>(n_); ++v) {
     save_req_[static_cast<std::size_t>(v)] = compute_save_required(v) ? 1 : 0;
@@ -355,30 +346,19 @@ void IncrementalEvaluator::reserve_from_attached() {
 // ---------------------------------------------------------------------------
 // save_required maintenance.
 
-void IncrementalEvaluator::bump_occurrence_counts(int p, NodeId v, int delta) {
-  const std::size_t base = static_cast<std::size_t>(p) * n_;
-  std::int32_t& cc = comp_cnt_[base + static_cast<std::size_t>(v)];
-  const bool had = cc > 0;
-  cc += delta;
-  const bool has = cc > 0;
-  if (had != has) {
-    comp_proc_count_[static_cast<std::size_t>(v)] += has ? 1 : -1;
-  }
-  for (NodeId u : dag_.parents(v)) {
-    use_cnt_[base + static_cast<std::size_t>(u)] += delta;
-  }
-}
-
 bool IncrementalEvaluator::compute_save_required(NodeId v) const {
   // Mirrors Completer::precompute: sinks always; otherwise "used on some
-  // processor that is not the only computing processor".
+  // processor that is not the only computing processor". The counts are
+  // the occurrence index's run lengths.
   if (dag_.is_source(v)) return false;
   if (dag_.is_sink(v)) return true;
-  const int cc = comp_proc_count_[static_cast<std::size_t>(v)];
+  int cc = 0;
+  for (int p = 0; p < P_; ++p) cc += index_.comp_count(p, v) > 0;
   for (int p = 0; p < P_; ++p) {
-    const std::size_t at =
-        static_cast<std::size_t>(p) * n_ + static_cast<std::size_t>(v);
-    if (use_cnt_[at] > 0 && (cc > 1 || comp_cnt_[at] == 0)) return true;
+    if (index_.use_count(p, v) > 0 &&
+        (cc > 1 || index_.comp_count(p, v) == 0)) {
+      return true;
+    }
   }
   return false;
 }
@@ -387,6 +367,16 @@ void IncrementalEvaluator::refresh_save_required() {
   for (NodeId v : affected_nodes_) {
     save_req_[static_cast<std::size_t>(v)] = compute_save_required(v) ? 1 : 0;
   }
+}
+
+bool IncrementalEvaluator::save_required_current() const {
+  for (NodeId v : affected_nodes_) {
+    if ((save_req_[static_cast<std::size_t>(v)] != 0) !=
+        compute_save_required(v)) {
+      return false;
+    }
+  }
+  return true;
 }
 
 // ---------------------------------------------------------------------------
@@ -428,21 +418,14 @@ void IncrementalEvaluator::apply_op(const PlanDeltaOp& op) {
 
   switch (op.kind) {
     case PlanDeltaOpKind::kInsert:
-      touch_proc(op.proc);
-      note_node(op.pc.node);
-      bump_occurrence_counts(op.proc, op.pc.node, +1);
-      break;
     case PlanDeltaOpKind::kErase:
       touch_proc(op.proc);
       note_node(op.pc.node);
-      bump_occurrence_counts(op.proc, op.pc.node, -1);
       break;
     case PlanDeltaOpKind::kSetNode:
       touch_proc(op.proc);
       note_node(op.old_node);
       note_node(op.pc.node);
-      bump_occurrence_counts(op.proc, op.old_node, -1);
-      bump_occurrence_counts(op.proc, op.pc.node, +1);
       break;
     case PlanDeltaOpKind::kMergeStep:
     case PlanDeltaOpKind::kSplitStep:
@@ -518,6 +501,8 @@ void IncrementalEvaluator::commit() {
   // The index was patched op by op; it must answer like a fresh one.
   assert(index_.matches_fresh_index() &&
          "patched occurrence index diverges from a fresh one");
+  assert(save_required_current() &&
+         "committed save_required bit diverges from the committed plan");
 #ifndef NDEBUG
   // MBSP_CK_VERIFY=1 re-derives every checkpoint from scratch after each
   // commit and requires the promoted rows to match. The per-move cost
@@ -605,27 +590,14 @@ void IncrementalEvaluator::rollback() {
   assert(in_move_);
   for (std::size_t i = delta_size_; i-- > 0;) {
     const PlanDeltaOp& op = delta_ops_[i];
-    switch (op.kind) {
-      case PlanDeltaOpKind::kInsert:
-        bump_occurrence_counts(op.proc, op.pc.node, -1);
-        break;
-      case PlanDeltaOpKind::kErase:
-        bump_occurrence_counts(op.proc, op.pc.node, +1);
-        break;
-      case PlanDeltaOpKind::kSetNode:
-        bump_occurrence_counts(op.proc, op.old_node, +1);
-        bump_occurrence_counts(op.proc, op.pc.node, -1);
-        break;
-      case PlanDeltaOpKind::kMergeStep:
-      case PlanDeltaOpKind::kSplitStep:
-        break;
-    }
     undo_delta_op(plan_, op);
     index_.on_undo(op);
   }
   for (const auto& [v, req] : save_req_before_) {
     save_req_[static_cast<std::size_t>(v)] = req;
   }
+  assert(save_required_current() &&
+         "restored save_required bit diverges from the restored plan");
   // The plan reverts to the committed frame: memo rows filled from the
   // rolled-back candidate frame of an edited processor must not survive.
   for (int p : touched_procs_) nn_invalidate(p);
@@ -695,10 +667,8 @@ bool IncrementalEvaluator::edits_valid(bool rise_shortcut) {
   // parent is in A (the changed nodes C plus their parents); any other
   // pair keeps its occurrences, their order and the parent's earliest
   // done. A parent's binding use is its first remote use (supersteps
-  // never decrease along a sequence). dirty_bound reads the position
-  // lists next anyway, so first_remote_use reads them here.
+  // never decrease along a sequence).
   for (int p : touched_procs_) {
-    index_.proc_positions(p);
     const auto& seq = plan_.seq[static_cast<std::size_t>(p)];
     for (NodeId u : affected_nodes_) {
       if (dag_.is_source(u)) continue;

@@ -195,8 +195,12 @@
 //    epoch-stamped arrays — one direct indexed load per probe, O(1)
 //    clears by epoch bump — and the home overlay is a dense per-node
 //    array cleared by walking the evaluation's home log;
-//  * the validator keeps no rows of its own: remote needs are read from
-//    the occurrence index (PlanOccurrenceIndex);
+//  * per-processor occurrence facts have one owner, the occurrence index
+//    (PlanOccurrenceIndex), whose attach builds every processor's
+//    position lists: the validator reads remote needs from them, and
+//    save_required reads the per-(proc, node) occurrence and use counts
+//    as their run lengths (comp_count, use_count); the evaluator keeps no
+//    per-(proc, node) count arrays or validator rows of its own;
 //  * slot cost accumulators are structure-of-arrays folded by contiguous
 //    per-field loops in finalize_cost (same fp order as the oracle).
 
@@ -249,7 +253,7 @@ class IncrementalEvaluator {
   double attach(const ComputePlan& plan, CompletionLog* log = nullptr);
 
   const ComputePlan& plan() const { return plan_; }
-  PlanOccurrenceIndex& index() { return index_; }
+  const PlanOccurrenceIndex& index() const { return index_; }
 
   struct Outcome {
     bool valid = false;
@@ -300,10 +304,8 @@ class IncrementalEvaluator {
     long resumed_tries = 0;
   };
   const PlannerCounters& planner_counters() const { return counters_; }
-  /// Occurrence-index position-list builds and moves whose validation
-  /// fell back to rescanning every processor, over the evaluator's life.
-  /// Benches and tests read them; nothing else does.
-  long index_rebuilds() const { return index_.rebuilds(); }
+  /// Moves whose validation fell back to rescanning every processor, over
+  /// the evaluator's life. Benches and tests read it; nothing else does.
   long rescan_moves() const { return rescan_moves_; }
 
  private:
@@ -377,9 +379,12 @@ class IncrementalEvaluator {
   bool rescan_proc(int p);
 
   // -- save_required maintenance ------------------------------------------
-  void bump_occurrence_counts(int p, NodeId v, int delta);
   bool compute_save_required(NodeId v) const;
   void refresh_save_required();
+  /// True iff every affected node's save_req_ bit equals
+  /// compute_save_required (debug builds assert it after commit and
+  /// rollback).
+  bool save_required_current() const;
 
   // -- completion ----------------------------------------------------------
   /// Re-completes from committed boundary b; `may_exit` allows the
@@ -571,9 +576,7 @@ class IncrementalEvaluator {
   // -- committed state -----------------------------------------------------
   // Arrays sized by n, P·n or the round count are PageVectors
   // (src/util/page_alloc.hpp): an attach's memory leaves RSS with it.
-  PageVector<std::int32_t> comp_cnt_, use_cnt_;  // [p * n + v]
-  PageVector<int> comp_proc_count_;              // [v]
-  PageVector<char> save_req_;                    // [v]
+  PageVector<char> save_req_;   // [v]
   PageVector<int> blue_round_;  // [v]: -1 sources, else first blue round,
                                 // INT_MAX never
   PageVector<int> home_group_;  // [v]: first saver's group; valid exactly
@@ -622,7 +625,7 @@ class IncrementalEvaluator {
   std::vector<int> touched_procs_;
   std::vector<int> inserts_on_proc_;  // kInsert count per touched proc
   std::vector<std::pair<NodeId, int>> ed_before_;  // (node, committed ed)
-  std::vector<NodeId> affected_nodes_;             // counts changed
+  std::vector<NodeId> affected_nodes_;             // A: C plus parents
   std::vector<std::pair<NodeId, char>> save_req_before_;
   // Superstep-label fixups (threshold, delta) of every merge/split, in
   // apply order: applied at promote to the kept rounds and to a committed

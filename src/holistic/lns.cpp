@@ -357,7 +357,6 @@ LnsSearchResult search_plan(const MbspInstance& inst,
   const std::vector<unsigned> moves = enabled_moves(options);
   const auto finish = [&] {
     result.rescan_moves = eval.rescan_moves();
-    result.index_rebuilds = eval.index_rebuilds();
     return std::move(result);
   };
   if (moves.empty()) return finish();

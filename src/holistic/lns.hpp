@@ -118,13 +118,10 @@ struct LnsSearchResult {
   /// count SA-accepted candidates of that class.
   std::array<long, kNumMoveClasses> proposed_by_class{};
   std::array<long, kNumMoveClasses> accepted_by_class{};
-  /// The search evaluator's work, for benches: the moves it validated,
-  /// those whose validation rescanned every processor, and its occurrence
-  /// index's position-list builds (one per processor the attach queried:
-  /// ops patch the lists in place).
+  /// The search evaluator's work, for benches: the moves it validated and
+  /// those whose validation rescanned every processor.
   long validated = 0;
   long rescan_moves = 0;
-  long index_rebuilds = 0;
 };
 
 /// A search result plus the completed schedule of its plan.

@@ -254,8 +254,10 @@ void PlanOccurrenceIndex::attach(const ComputeDag* dag,
       bump_done(pc.node, pc.superstep, +1);
     }
   }
-  proc_.assign(P, {});
-  proc_built_.assign(P, 0);
+  proc_.resize(P);
+  for (std::size_t p = 0; p < P; ++p) {
+    build_into(static_cast<int>(p), proc_[p]);
+  }
 }
 
 void PlanOccurrenceIndex::bump_done(NodeId v, int step, int delta) {
@@ -321,7 +323,6 @@ void PlanOccurrenceIndex::relabel_from(int s) {
 
 void PlanOccurrenceIndex::edit_node(int p, std::size_t pos, NodeId v,
                                     int delta) {
-  if (!proc_built_[static_cast<std::size_t>(p)]) return;
   ProcPositions& pp = proc_[static_cast<std::size_t>(p)];
   const auto x = static_cast<std::int32_t>(pos);
   patch_nodes_.assign(1, v);
@@ -466,26 +467,22 @@ void PlanOccurrenceIndex::insert_at(int p, std::size_t pos, PlannedCompute pc) {
   ++node_count_[static_cast<std::size_t>(pc.node)];
   bump_step(p, pc.superstep, +1);
   bump_done(pc.node, pc.superstep, +1);
-  if (proc_built_[static_cast<std::size_t>(p)]) {
-    ProcPositions& pp = proc_[static_cast<std::size_t>(p)];
-    const auto x = static_cast<std::int32_t>(pos);
-    shift_positions(pp.comp_items, x, +1);
-    shift_positions(pp.use_items, x, +1);
-    edit_node(p, pos, pc.node, +1);
-  }
+  ProcPositions& pp = proc_[static_cast<std::size_t>(p)];
+  const auto x = static_cast<std::int32_t>(pos);
+  shift_positions(pp.comp_items, x, +1);
+  shift_positions(pp.use_items, x, +1);
+  edit_node(p, pos, pc.node, +1);
 }
 
 void PlanOccurrenceIndex::erase_at(int p, std::size_t pos, PlannedCompute pc) {
   --node_count_[static_cast<std::size_t>(pc.node)];
   bump_done(pc.node, pc.superstep, -1);
   bump_step(p, pc.superstep, -1);
-  if (proc_built_[static_cast<std::size_t>(p)]) {
-    ProcPositions& pp = proc_[static_cast<std::size_t>(p)];
-    const auto x = static_cast<std::int32_t>(pos);
-    edit_node(p, pos, pc.node, -1);
-    shift_positions(pp.comp_items, x + 1, -1);
-    shift_positions(pp.use_items, x + 1, -1);
-  }
+  ProcPositions& pp = proc_[static_cast<std::size_t>(p)];
+  const auto x = static_cast<std::int32_t>(pos);
+  edit_node(p, pos, pc.node, -1);
+  shift_positions(pp.comp_items, x + 1, -1);
+  shift_positions(pp.use_items, x + 1, -1);
 }
 
 void PlanOccurrenceIndex::set_node_at(int p, std::size_t pos, NodeId from,
@@ -516,12 +513,11 @@ int PlanOccurrenceIndex::gap_step() const {
   return -1;
 }
 
-void PlanOccurrenceIndex::build_into(int p, ProcPositions& pp) {
+void PlanOccurrenceIndex::build_into(int p, ProcPositions& pp) const {
   // Counting sort by node, in place: count into the offsets, prefix-sum
   // them to end offsets, then place positions walking seq backwards with
   // pre-decrement, which leaves each run ascending and each offset at its
   // run's start.
-  ++rebuilds_;
   const std::size_t n = static_cast<std::size_t>(dag_->num_nodes());
   const auto& seq = plan_->seq[static_cast<std::size_t>(p)];
   pp.comp_start.assign(n + 1, 0);
@@ -551,41 +547,20 @@ void PlanOccurrenceIndex::build_into(int p, ProcPositions& pp) {
   }
 }
 
-const PlanOccurrenceIndex::ProcPositions& PlanOccurrenceIndex::proc_positions(
-    int p) {
-  const std::size_t p_ = static_cast<std::size_t>(p);
-  if (!proc_built_[p_]) {
-    build_into(p, proc_[p_]);
-    proc_built_[p_] = 1;
-  }
-  return proc_[p_];
-}
-
 std::int64_t PlanOccurrenceIndex::first_remote_use(int p, NodeId u) const {
-  const std::size_t p_ = static_cast<std::size_t>(p);
   const std::size_t u_ = static_cast<std::size_t>(u);
-  if (proc_built_[p_]) {
-    const ProcPositions& pp = proc_[p_];
-    if (pp.use_start[u_] == pp.use_start[u_ + 1]) return -1;
-    const std::int32_t use = pp.use_items[static_cast<std::size_t>(
-        pp.use_start[u_])];
-    const bool local =
-        pp.comp_start[u_] != pp.comp_start[u_ + 1] &&
-        pp.comp_items[static_cast<std::size_t>(pp.comp_start[u_])] < use;
-    return local ? -1 : use;
-  }
-  const auto& seq = plan_->seq[p_];
-  for (std::size_t i = 0; i < seq.size(); ++i) {
-    if (seq[i].node == u) return -1;
-    for (NodeId w : dag_->parents(seq[i].node)) {
-      if (w == u) return static_cast<std::int64_t>(i);
-    }
-  }
-  return -1;
+  const ProcPositions& pp = proc_[static_cast<std::size_t>(p)];
+  if (pp.use_start[u_] == pp.use_start[u_ + 1]) return -1;
+  const std::int32_t use = pp.use_items[static_cast<std::size_t>(
+      pp.use_start[u_])];
+  const bool local =
+      pp.comp_start[u_] != pp.comp_start[u_ + 1] &&
+      pp.comp_items[static_cast<std::size_t>(pp.comp_start[u_])] < use;
+  return local ? -1 : use;
 }
 
 bool PlanOccurrenceIndex::has_local_comp_before(int p, NodeId u,
-                                                std::size_t pos) {
+                                                std::size_t pos) const {
   const ProcPositions& pp = proc_positions(p);
   const std::size_t lo = static_cast<std::size_t>(
       pp.comp_start[static_cast<std::size_t>(u)]);
@@ -623,13 +598,7 @@ bool PlanOccurrenceIndex::matches_fresh_index() const {
       }
     }
   }
-  for (int p = 0; p < plan_->num_procs; ++p) {
-    if (proc_built_[static_cast<std::size_t>(p)] &&
-        !(fresh.proc_positions(p) == proc_[static_cast<std::size_t>(p)])) {
-      return false;
-    }
-  }
-  return true;
+  return fresh.proc_ == proc_;
 }
 
 }  // namespace mbsp

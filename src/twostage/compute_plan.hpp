@@ -97,8 +97,11 @@ void undo_delta_op(ComputePlan& plan, const PlanDeltaOp& op);
 // ---------------------------------------------------------------------------
 // Occurrence index: per-superstep and per-(proc, node) lookups maintained
 // across deltas, so the LNS move generators and the incremental evaluator
-// stop scanning the plan linearly. Every op patches the index in place
-// (undo patches it back) instead of rebuilding any part of it:
+// stop scanning the plan linearly. It is the one owner of per-processor
+// occurrence facts: attach builds every processor's position lists, and
+// the per-(proc, node) occurrence and use counts are their run lengths.
+// Every op patches the index in place (undo patches it back) instead of
+// rebuilding any part of it:
 //
 //  * an insert, erase or set-node updates its node's counts in O(1) and
 //    patches the edited processor's position lists: one sequential pass
@@ -107,9 +110,6 @@ void undo_delta_op(ComputePlan& plan, const PlanDeltaOp& op);
 //    per-node done lists are keyed by relabel-stable block ids, so a
 //    relabel re-keys only the occurrences of the smaller of the two
 //    blocks it joins or parts, plus O(K * P) for the per-step tables.
-//
-// Position lists are built lazily, on a processor's first query; lists
-// not yet built are not patched.
 
 class PlanOccurrenceIndex {
  public:
@@ -155,31 +155,39 @@ class PlanOccurrenceIndex {
   /// shrink, matching what normalize_supersteps would do.)
   int gap_step() const;
 
-  /// Position lists for processor p (built here on first use).
-  const ProcPositions& proc_positions(int p);
+  /// Position lists for processor p.
+  const ProcPositions& proc_positions(int p) const {
+    return proc_[static_cast<std::size_t>(p)];
+  }
+  /// Occurrences of v on p, O(1).
+  std::int32_t comp_count(int p, NodeId v) const {
+    const auto& start = proc_[static_cast<std::size_t>(p)].comp_start;
+    return start[static_cast<std::size_t>(v) + 1] -
+           start[static_cast<std::size_t>(v)];
+  }
+  /// Uses of v on p (occurrences of its children, per parent edge), O(1).
+  std::int32_t use_count(int p, NodeId v) const {
+    const auto& start = proc_[static_cast<std::size_t>(p)].use_start;
+    return start[static_cast<std::size_t>(v) + 1] -
+           start[static_cast<std::size_t>(v)];
+  }
 
   /// True iff node u has an occurrence on p strictly before position pos
-  /// (the add_recompute "computed locally beforehand" test, O(log)).
-  bool has_local_comp_before(int p, NodeId u, std::size_t pos);
+  /// (the add_recompute "computed locally beforehand" test, O(1)).
+  bool has_local_comp_before(int p, NodeId u, std::size_t pos) const;
 
   /// Position of u's first use on p when no occurrence of u on p precedes
   /// it, else -1: p needs u from another processor from that position's
-  /// superstep on (supersteps never decrease along a sequence). Reads p's
-  /// position lists when they are built and scans seq[p] otherwise, so
-  /// the query never forces a build.
+  /// superstep on (supersteps never decrease along a sequence).
   std::int64_t first_remote_use(int p, NodeId u) const;
 
-  /// Position-list builds over the index's life (benches and tests read
-  /// it): one per processor queried after attach; ops never rebuild.
-  long rebuilds() const { return rebuilds_; }
-
   /// True iff every answer of this index — counts, done lists, superstep
-  /// tables and each built processor's position lists — equals that of a
-  /// fresh index attached to the same plan. Tests and debug builds call it.
+  /// tables and every processor's position lists — equals that of a fresh
+  /// index attached to the same plan. Tests and debug builds call it.
   bool matches_fresh_index() const;
 
  private:
-  void build_into(int p, ProcPositions& out);
+  void build_into(int p, ProcPositions& out) const;
   void bump_done(NodeId v, int step, int delta);
   void bump_step(int p, int step, int delta);
   int take_block_id();
@@ -214,10 +222,8 @@ class PlanOccurrenceIndex {
   // occurrence multiplicity per node is tiny.
   std::vector<std::vector<std::pair<int, long>>> done_counts_;
   std::vector<ProcPositions> proc_;
-  std::vector<char> proc_built_;
   std::vector<NodeId> patch_nodes_;      // edit_node scratch
   std::vector<std::size_t> part_lo_;     // part_step scratch
-  long rebuilds_ = 0;
 };
 
 }  // namespace mbsp

@@ -436,7 +436,8 @@ TEST(IncrementalEval, GapCloseHidesAnEarliestDoneRise) {
 
 }  // namespace
 
-/// Reaches the evaluator's lookahead memo (declared a friend there).
+/// Reaches the evaluator's lookahead memo, save_required bits and move log
+/// (declared a friend there).
 struct IncrementalEvaluatorPeer {
   /// The query point of every live memo entry of processor p, by node.
   static std::vector<std::pair<NodeId, std::int64_t>> live_memo(
@@ -456,6 +457,16 @@ struct IncrementalEvaluatorPeer {
   static std::int64_t memo_next_need(IncrementalEvaluator& eval, int p,
                                      NodeId v, std::int64_t from) {
     return eval.next_need_refill(p, eval.index().proc_positions(p), v, from);
+  }
+  /// The maintained save_required bit of every node.
+  static std::vector<char> save_required(const IncrementalEvaluator& eval) {
+    return {eval.save_req_.begin(), eval.save_req_.end()};
+  }
+  /// The ops applied since begin_move, in apply order.
+  static std::vector<PlanDeltaOp> applied_ops(const IncrementalEvaluator& eval) {
+    return {eval.delta_ops_.begin(),
+            eval.delta_ops_.begin() +
+                static_cast<std::ptrdiff_t>(eval.delta_size_)};
   }
 };
 
@@ -481,18 +492,16 @@ TEST(IncrementalEval, RelabelsKeepPositionListsAndLookahead) {
   // Merges and splits relabel supersteps without moving a position, so
   // they must leave every processor's position lists and lookahead memo
   // in place: after each such move, committed or rolled back, the lists
-  // equal a fresh index's, no list was rebuilt, and every live memo entry
-  // answers like a fresh lookup.
+  // equal a fresh index's and every live memo entry answers like a fresh
+  // lookup.
   const MbspInstance inst = workload_instance(kFamilies[4]);
   LnsOptions options;
   IncrementalEvaluator eval(inst, options);
   eval.attach(warm_plan(inst));
   const int P = inst.arch.num_processors;
-  for (int p = 0; p < P; ++p) eval.index().proc_positions(p);
   Rng rng(5);
   long merges = 0, splits = 0, commits = 0, rollbacks = 0, probes = 0;
   for (int it = 0; it < 120; ++it) {
-    const long rebuilds = eval.index_rebuilds();
     const bool merge = rng.chance(0.5);
     eval.begin_move();
     if (!(merge ? apply_random_merge(eval, rng)
@@ -510,7 +519,6 @@ TEST(IncrementalEval, RelabelsKeepPositionListsAndLookahead) {
       eval.rollback();
       ++rollbacks;
     }
-    EXPECT_EQ(eval.index_rebuilds(), rebuilds) << "move " << it;
     ComputePlan copy = eval.plan();
     PlanOccurrenceIndex fresh;
     fresh.attach(&inst.dag, &copy);
@@ -530,7 +538,6 @@ TEST(IncrementalEval, RelabelsKeepPositionListsAndLookahead) {
         }
       }
     }
-    EXPECT_EQ(eval.index_rebuilds(), rebuilds) << "move " << it;
   }
   EXPECT_GT(merges, 10);
   EXPECT_GT(splits, 10);
@@ -725,6 +732,178 @@ TEST(IncrementalEval, ImprovePlanMatchesReferenceTightMemory) {
       }
     }
   }
+}
+
+/// save_required from scratch, Completer::precompute's rule: sinks always;
+/// otherwise used on some processor that is not v's only computing one.
+std::vector<char> fresh_save_required(const ComputeDag& dag,
+                                      const ComputePlan& plan) {
+  const std::size_t n = static_cast<std::size_t>(dag.num_nodes());
+  const std::size_t P = static_cast<std::size_t>(plan.num_procs);
+  std::vector<char> comp(P * n, 0), used(P * n, 0);
+  for (std::size_t p = 0; p < P; ++p) {
+    for (const PlannedCompute& pc : plan.seq[p]) {
+      comp[p * n + static_cast<std::size_t>(pc.node)] = 1;
+      for (NodeId u : dag.parents(pc.node)) {
+        used[p * n + static_cast<std::size_t>(u)] = 1;
+      }
+    }
+  }
+  std::vector<char> out(n, 0);
+  for (std::size_t v = 0; v < n; ++v) {
+    const NodeId node = static_cast<NodeId>(v);
+    if (dag.is_source(node)) continue;
+    int computing = 0;
+    for (std::size_t p = 0; p < P; ++p) computing += comp[p * n + v];
+    bool req = dag.is_sink(node);
+    for (std::size_t p = 0; p < P; ++p) {
+      req = req || (used[p * n + v] && (computing > 1 || !comp[p * n + v]));
+    }
+    out[v] = req ? 1 : 0;
+  }
+  return out;
+}
+
+/// One random occurrence-level or structural move inside an open move:
+/// a relocation (possibly to a neighbouring superstep), a swap of two
+/// occurrences' nodes, a recompute insert (a copy of an occurrence on a
+/// random processor, same superstep), a drop of a recomputed occurrence,
+/// a merge or a split. Returns false (nothing applied) when the drawn
+/// shape does not apply.
+bool apply_random_occurrence_move(IncrementalEvaluator& eval, Rng& rng) {
+  const ComputePlan& plan = eval.plan();
+  const std::size_t total = plan.total_computes();
+  if (total == 0) return false;
+  const auto random_occurrence = [&] {
+    std::size_t pick = rng.index(total);
+    int p = 0;
+    while (pick >= plan.seq[static_cast<std::size_t>(p)].size()) {
+      pick -= plan.seq[static_cast<std::size_t>(p)].size();
+      ++p;
+    }
+    return std::pair{p, pick};
+  };
+  const auto random_proc = [&] {
+    return static_cast<int>(rng.index(static_cast<std::size_t>(plan.num_procs)));
+  };
+  switch (rng.index(6)) {
+    case 0: return apply_random_relocation(eval, rng, rng.chance(0.5));
+    case 1: {
+      const auto [p, i] = random_occurrence();
+      const auto [q, j] = random_occurrence();
+      const NodeId a = plan.seq[static_cast<std::size_t>(p)][i].node;
+      const NodeId b = plan.seq[static_cast<std::size_t>(q)][j].node;
+      if (a == b) return false;
+      PlanDeltaOp op;
+      op.kind = PlanDeltaOpKind::kSetNode;
+      op.proc = p;
+      op.pos = i;
+      op.old_node = a;
+      op.pc = {b, plan.seq[static_cast<std::size_t>(p)][i].superstep};
+      eval.apply_op(op);
+      op.proc = q;
+      op.pos = j;
+      op.old_node = b;
+      op.pc = {a, plan.seq[static_cast<std::size_t>(q)][j].superstep};
+      eval.apply_op(op);
+      return true;
+    }
+    case 2: {
+      const auto [p, i] = random_occurrence();
+      const PlannedCompute pc = plan.seq[static_cast<std::size_t>(p)][i];
+      const int q = random_proc();
+      apply_edit(eval, PlanDeltaOpKind::kInsert, q,
+                 random_pos_in_block(plan.seq[static_cast<std::size_t>(q)],
+                                     pc.superstep, rng),
+                 pc);
+      return true;
+    }
+    case 3: {
+      const auto [p, i] = random_occurrence();
+      const PlannedCompute pc = plan.seq[static_cast<std::size_t>(p)][i];
+      if (eval.index().node_count(pc.node) < 2) return false;
+      apply_edit(eval, PlanDeltaOpKind::kErase, p, i, pc);
+      return true;
+    }
+    case 4: return apply_random_merge(eval, rng);
+    default: return apply_random_split(eval, rng);
+  }
+}
+
+TEST(IncrementalEval, SaveRequiredMatchesAFreshDerivation) {
+  // save_required is maintained per move from the occurrence index's
+  // counts and restored from a saved copy on rollback. After every
+  // finish_move, commit and rollback, each node's bit must equal the rule
+  // evaluated on the current plan from scratch. Every move is first rolled
+  // back, then re-applied and committed (when valid), so both paths see
+  // every move.
+  long moves = 0, flips = 0, commits = 0;
+  for (const char* spec : {kFamilies[0], kFamilies[1]}) {
+    for (const bool hetero : {false, true}) {
+      for (const CostModel cost :
+           {CostModel::kSynchronous, CostModel::kAsynchronous}) {
+        const std::string where = std::string(spec) +
+                                  (hetero ? " hetero" : " uniform") +
+                                  (cost == CostModel::kSynchronous ? " sync"
+                                                                   : " async");
+        std::string error;
+        auto dag = WorkloadRegistry::global().make_dag(spec, 2025, &error);
+        ASSERT_TRUE(dag.has_value()) << error;
+        const double r0 = min_memory_r0(*dag);
+        const MbspInstance inst{
+            std::move(*dag), hetero ? hetero_machine(r0)
+                                    : Architecture::make(4, 3 * r0, 1, 10)};
+        const ComputePlan plan =
+            with_local_recomputes(inst.dag, warm_plan(inst));
+        ASSERT_TRUE(validate_plan(inst.dag, plan).ok) << where;
+        LnsOptions options;
+        options.cost = cost;
+        IncrementalEvaluator eval(inst, options);
+        eval.attach(plan);
+        const auto expect_fresh = [&](const std::string& when) {
+          ASSERT_EQ(IncrementalEvaluatorPeer::save_required(eval),
+                    fresh_save_required(inst.dag, eval.plan()))
+              << where << ": " << when;
+        };
+        expect_fresh("attach");
+        Rng rng(13);
+        for (int it = 0; it < 150; ++it) {
+          const std::string at = "move " + std::to_string(it);
+          const std::vector<char> before =
+              IncrementalEvaluatorPeer::save_required(eval);
+          eval.begin_move();
+          if (!apply_random_occurrence_move(eval, rng)) {
+            eval.rollback();
+            continue;
+          }
+          const std::vector<PlanDeltaOp> ops =
+              IncrementalEvaluatorPeer::applied_ops(eval);
+          eval.finish_move();
+          expect_fresh(at + " finish_move");
+          ++moves;
+          flips += IncrementalEvaluatorPeer::save_required(eval) != before;
+          eval.rollback();
+          expect_fresh(at + " rollback");
+          eval.begin_move();
+          for (const PlanDeltaOp& op : ops) eval.apply_op(op);
+          const auto out = eval.finish_move();
+          expect_fresh(at + " finish_move again");
+          if (out.valid) {
+            eval.commit();
+            ++commits;
+            expect_fresh(at + " commit");
+          } else {
+            eval.rollback();
+            expect_fresh(at + " second rollback");
+          }
+          if (HasFatalFailure()) return;
+        }
+      }
+    }
+  }
+  EXPECT_GT(moves, 400);
+  EXPECT_GT(flips, 20);
+  EXPECT_GT(commits, 50);
 }
 
 TEST(IncrementalEval, AsyncAndLruTakeIncrementalPath) {
