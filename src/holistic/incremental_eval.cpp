@@ -25,38 +25,20 @@ void fold_row(SyncCostBreakdown& bd, const SyncStepCost& row, double L) {
   bd.sync += L;
 }
 
-// Replaces v[lo, hi) by [first, last), moving the tail once.
-template <class Vec, class It>
-void replace_range(Vec& v, std::size_t lo, std::size_t hi, It first, It last) {
-  const auto n = static_cast<std::size_t>(last - first);
+// Replaces dst[lo, hi) by src[from, end), moving the tail once.
+template <class Vec>
+void splice_rows(Vec& dst, std::size_t lo, std::size_t hi, const Vec& src,
+                 std::size_t from = 0) {
+  const std::size_t n = src.size() - from;
   if (n > hi - lo) {
-    v.insert(v.begin() + static_cast<std::ptrdiff_t>(hi), n - (hi - lo),
-             typename Vec::value_type{});
+    dst.insert(dst.begin() + static_cast<std::ptrdiff_t>(hi), n - (hi - lo),
+               typename Vec::value_type{});
   } else {
-    v.erase(v.begin() + static_cast<std::ptrdiff_t>(lo + n),
-            v.begin() + static_cast<std::ptrdiff_t>(hi));
+    dst.erase(dst.begin() + static_cast<std::ptrdiff_t>(lo + n),
+              dst.begin() + static_cast<std::ptrdiff_t>(hi));
   }
-  std::copy(first, last, v.begin() + static_cast<std::ptrdiff_t>(lo));
-}
-
-// Replaces rows [lo, hi) of a pooled CSR (start holds rows + 1 offsets) by
-// the rows of a scratch CSR whose offsets start at 0; later rows rebase.
-template <class T>
-void splice_csr(PageVector<std::int64_t>& start, PageVector<T>& nodes,
-                std::size_t lo, std::size_t hi,
-                const PageVector<std::int64_t>& scr_start,
-                const PageVector<T>& scr_nodes) {
-  const std::int64_t n_lo = start[lo];
-  const std::int64_t n_hi = start[hi];
-  replace_range(nodes, static_cast<std::size_t>(n_lo),
-                static_cast<std::size_t>(n_hi), scr_nodes.begin(),
-                scr_nodes.end());
-  const std::int64_t delta =
-      static_cast<std::int64_t>(scr_nodes.size()) - (n_hi - n_lo);
-  replace_range(start, lo + 1, hi + 1, scr_start.begin() + 1, scr_start.end());
-  const std::size_t mid = lo + scr_start.size();
-  for (std::size_t i = lo + 1; i < mid; ++i) start[i] += n_lo;
-  for (std::size_t i = mid; i < start.size(); ++i) start[i] += delta;
+  std::copy(src.begin() + static_cast<std::ptrdiff_t>(from), src.end(),
+            dst.begin() + static_cast<std::ptrdiff_t>(lo));
 }
 
 // True iff v has a compute or use event on the processor at a position
@@ -74,6 +56,178 @@ bool has_event_from(const PlanOccurrenceIndex::ProcPositions& pp, NodeId v,
 }
 
 }  // namespace
+
+// ---------------------------------------------------------------------------
+// Completion-state tables.
+
+template <class T>
+void IncrementalEvaluator::PooledCsr<T>::splice(std::size_t lo, std::size_t hi,
+                                                const PooledCsr& src) {
+  // src's offsets start at 0: its rows rebase onto start[lo], and every
+  // later row shifts by the change in item count.
+  const std::int64_t n_lo = start[lo];
+  const std::int64_t n_hi = start[hi];
+  const std::int64_t delta =
+      static_cast<std::int64_t>(src.items.size()) - (n_hi - n_lo);
+  splice_rows(items, static_cast<std::size_t>(n_lo),
+              static_cast<std::size_t>(n_hi), src.items);
+  splice_rows(start, lo + 1, hi + 1, src.start, 1);
+  const std::size_t mid = lo + src.start.size();
+  for (std::size_t i = lo + 1; i < mid; ++i) start[i] += n_lo;
+  for (std::size_t i = mid; i < start.size(); ++i) start[i] += delta;
+}
+
+void IncrementalEvaluator::BoundaryRows::reset(std::size_t P) {
+  pos.assign(P, 0);
+  weight.assign(P, 0.0);
+  if (async) {
+    save_prefix.assign(P, 0);
+  } else {
+    comp.assign(P, 0.0);
+    save.assign(P, 0.0);
+    load.assign(P, 0.0);
+    any.assign(P, 0);
+  }
+  cache.reset(P);
+}
+
+void IncrementalEvaluator::BoundaryRows::clear() {
+  pos.clear();
+  weight.clear();
+  comp.clear();
+  save.clear();
+  load.clear();
+  any.clear();
+  cache.clear();
+  save_prefix.clear();
+}
+
+void IncrementalEvaluator::BoundaryRows::reserve(std::size_t entries,
+                                                 std::size_t cache_items) {
+  pos.reserve(entries);
+  weight.reserve(entries);
+  cache.reserve(entries, cache_items);
+  if (async) {
+    save_prefix.reserve(entries);
+  } else {
+    comp.reserve(entries);
+    save.reserve(entries);
+    load.reserve(entries);
+    any.reserve(entries);
+  }
+}
+
+void IncrementalEvaluator::BoundaryRows::push_boundary(
+    const IncrementalEvaluator& ev) {
+  // Boundary eval_cur_: state before round eval_cur_, including the
+  // straddling slot's partial accumulators / op lists.
+  pos.insert(pos.end(), ev.pos_.begin(), ev.pos_.end());
+  weight.insert(weight.end(), ev.ec_weight_.begin(), ev.ec_weight_.end());
+  if (async) {
+    for (const SlotOps& cur : ev.async_cur_) {
+      save_prefix.push_back(static_cast<std::int32_t>(cur.save.size()));
+    }
+  } else {
+    const auto P = static_cast<std::ptrdiff_t>(ev.P_);
+    const std::ptrdiff_t base = (ev.eval_cur_ - ev.first_eval_slot_) * P;
+    const auto append = [&](auto& to, const auto& slot) {
+      to.insert(to.end(), slot.begin() + base, slot.begin() + base + P);
+    };
+    append(comp, ev.slot_comp_);
+    append(save, ev.slot_save_);
+    append(load, ev.slot_load_);
+    append(any, ev.slot_any_);
+  }
+  for (const auto& list : ev.ec_list_) cache.push_row(list);
+}
+
+void IncrementalEvaluator::BoundaryRows::splice(std::size_t lo, std::size_t hi,
+                                                const BoundaryRows& src) {
+  splice_rows(pos, lo, hi, src.pos);
+  splice_rows(weight, lo, hi, src.weight);
+  if (async) {
+    splice_rows(save_prefix, lo, hi, src.save_prefix);
+  } else {
+    splice_rows(comp, lo, hi, src.comp);
+    splice_rows(save, lo, hi, src.save);
+    splice_rows(load, lo, hi, src.load);
+    splice_rows(any, lo, hi, src.any);
+  }
+  cache.splice(lo, hi, src.cache);
+}
+
+bool IncrementalEvaluator::BoundaryRows::row_equals(
+    std::size_t i, const BoundaryRows& other, std::size_t j) const {
+  const auto row = cache.row(i);
+  const auto other_row = other.cache.row(j);
+  return pos[i] == other.pos[j] && weight[i] == other.weight[j] &&
+         (async ? save_prefix[i] == other.save_prefix[j]
+                : comp[i] == other.comp[j] && save[i] == other.save[j] &&
+                      load[i] == other.load[j] && any[i] == other.any[j]) &&
+         std::equal(row.begin(), row.end(), other_row.begin(),
+                    other_row.end());
+}
+
+void IncrementalEvaluator::OpPool::reset(std::size_t rows) {
+  comp.reset(rows);
+  save.reset(rows);
+  load.reset(rows);
+}
+
+void IncrementalEvaluator::OpPool::reserve(std::size_t rows,
+                                           std::size_t n_items) {
+  comp.reserve(rows, n_items);
+  save.reserve(rows, n_items);
+  load.reserve(rows, n_items);
+}
+
+void IncrementalEvaluator::OpPool::push_slot(const std::vector<SlotOps>& slot) {
+  for (const SlotOps& ops : slot) {
+    comp.push_row(ops.comp);
+    save.push_row(ops.save);
+    load.push_row(ops.load);
+  }
+}
+
+void IncrementalEvaluator::OpPool::splice(std::size_t lo, std::size_t hi,
+                                          const OpPool& src) {
+  comp.splice(lo, hi, src.comp);
+  save.splice(lo, hi, src.save);
+  load.splice(lo, hi, src.load);
+}
+
+void IncrementalEvaluator::SlotRows::reset(std::size_t slots) {
+  cost.assign(slots, SyncStepCost{});
+  empty.assign(slots, 1);
+}
+
+void IncrementalEvaluator::SlotRows::reserve(std::size_t slots) {
+  cost.reserve(slots);
+  empty.reserve(slots);
+}
+
+void IncrementalEvaluator::SlotRows::splice(std::size_t lo, std::size_t hi,
+                                            const SlotRows& src) {
+  splice_rows(cost, lo, hi, src.cost);
+  splice_rows(empty, lo, hi, src.empty);
+}
+
+void IncrementalEvaluator::SlotRows::fold(SyncCostBreakdown& bd,
+                                          std::size_t from, double L) const {
+  for (std::size_t s = from; s < cost.size(); ++s) {
+    if (!empty[s]) fold_row(bd, cost[s], L);
+  }
+}
+
+bool IncrementalEvaluator::SlotRows::operator==(const SlotRows& other) const {
+  const auto same = [](const SyncStepCost& a, const SyncStepCost& b) {
+    return a.max_compute == b.max_compute && a.max_save == b.max_save &&
+           a.max_load == b.max_load;
+  };
+  return std::equal(cost.begin(), cost.end(), other.cost.begin(),
+                    other.cost.end(), same) &&
+         empty == other.empty;
+}
 
 IncrementalEvaluator::IncrementalEvaluator(const MbspInstance& inst,
                                            const LnsOptions& options)
@@ -200,34 +354,17 @@ double IncrementalEvaluator::attach(const ComputePlan& plan,
     if (dag_.is_source(v)) blue_round_[static_cast<std::size_t>(v)] = -1;
   }
   home_group_.assign(n_, -1);
-  blued_nodes_.clear();
-  blued_start_.assign(1, 0);
+  blued_.clear();
   // One (empty) slot per boundary count, like every committed table.
-  rows_.assign(1, SyncStepCost{});
-  row_empty_.assign(1, 1);
+  rows_.reset(1);
   row_prefix_.assign(1, SyncCostBreakdown{});
   committed_rounds_ = 0;
   committed_steps_ = 0;
-  ck_pos_.assign(static_cast<std::size_t>(P_), 0);
-  ck_weight_.assign(static_cast<std::size_t>(P_), 0.0);
-  if (!async_) {
-    ck_comp_.assign(static_cast<std::size_t>(P_), 0.0);
-    ck_save_.assign(static_cast<std::size_t>(P_), 0.0);
-    ck_load_.assign(static_cast<std::size_t>(P_), 0.0);
-    ck_any_.assign(static_cast<std::size_t>(P_), 0);
-  }
-  ck_cache_start_.assign(static_cast<std::size_t>(P_) + 1, 0);
-  ck_cache_nodes_.clear();
+  ck_.reset(static_cast<std::size_t>(P_));
   ck_step_.clear();
   step_first_round_.assign(1, 0);
   if (async_) {
-    as_comp_nodes_.clear();
-    as_save_nodes_.clear();
-    as_load_nodes_.clear();
-    as_comp_start_.assign(static_cast<std::size_t>(P_) + 1, 0);
-    as_save_start_.assign(static_cast<std::size_t>(P_) + 1, 0);
-    as_load_start_.assign(static_cast<std::size_t>(P_) + 1, 0);
-    as_save_prefix_.assign(static_cast<std::size_t>(P_), 0);
+    ops_.reset(static_cast<std::size_t>(P_));
     async_cur_.assign(static_cast<std::size_t>(P_), SlotOps{});
     async_next_.assign(static_cast<std::size_t>(P_), SlotOps{});
     fs_stamp_.assign(n_, 0);
@@ -296,38 +433,20 @@ void IncrementalEvaluator::reserve_from_attached() {
   const std::size_t K =
       static_cast<std::size_t>(std::max(plan_.num_supersteps(), 1));
   const std::size_t rows = 2 * K + 8;
-  ck_pos_.reserve(rows * P);
-  ck_weight_.reserve(rows * P);
-  ck_cache_start_.reserve(rows * P + 1);
-  ck_cache_nodes_.reserve(2 * n_);
+  ck_.reserve(rows * P, 2 * n_);
   ck_step_.reserve(rows);
   step_first_round_.reserve(K + 2);
-  blued_nodes_.reserve(n_);
-  blued_start_.reserve(rows + 1);
+  blued_.reserve(rows, n_);
   if (!async_) {
-    ck_comp_.reserve(rows * P);
-    ck_save_.reserve(rows * P);
-    ck_load_.reserve(rows * P);
-    ck_any_.reserve(rows * P);
     rows_.reserve(rows + 1);
-    row_empty_.reserve(rows + 1);
     row_prefix_.reserve(rows + 1);
-    scratch_rows_.reserve(rows + 1);
-    scratch_row_empty_.reserve(rows + 1);
+    scr_rows_.reserve(rows + 1);
     slot_comp_.reserve(rows * P);
     slot_save_.reserve(rows * P);
     slot_load_.reserve(rows * P);
     slot_any_.reserve(rows * P);
   }
-  if (async_) {
-    as_comp_nodes_.reserve(2 * n_);
-    as_save_nodes_.reserve(2 * n_);
-    as_load_nodes_.reserve(2 * n_);
-    as_comp_start_.reserve(rows * P + 1);
-    as_save_start_.reserve(rows * P + 1);
-    as_load_start_.reserve(rows * P + 1);
-    as_save_prefix_.reserve(rows * P);
-  }
+  if (async_) ops_.reserve(rows * P, 2 * n_);
   pending_blue_.reserve(4 * P);
   sorted_members_.reserve(64);
   t_added_.reserve(64);
@@ -392,7 +511,7 @@ void IncrementalEvaluator::begin_move() {
   affected_nodes_.clear();
   save_req_before_.clear();
   relabel_fixups_.clear();
-  ++affected_epoch_;
+  next_epoch(affected_epoch_, affected_stamp_.begin(), affected_stamp_.end());
 }
 
 void IncrementalEvaluator::apply_op(const PlanDeltaOp& op) {
@@ -518,7 +637,7 @@ void IncrementalEvaluator::commit() {
     assert(std::equal(ck_step_.begin(), ck_step_.end(),
                       scr_round_steps_.begin(), scr_round_steps_.end()) &&
            "promoted round labels diverge from a fresh evaluation");
-    assert(blued_start_.back() ==
+    assert(blued_.start.back() ==
                static_cast<std::int64_t>(eval_blued_.size()) &&
            "promoted blue count diverges from a fresh evaluation");
     for (const BlueRec& rec : eval_blued_) {
@@ -531,56 +650,15 @@ void IncrementalEvaluator::commit() {
              "promoted home group diverges from a fresh evaluation");
       (void)rec;
     }
-    if (!async_) {
-      assert(rows_.size() == scratch_rows_.size() &&
-             "promoted slot count diverges from a fresh evaluation");
-      for (std::size_t s = 0; s < rows_.size(); ++s) {
-        assert(rows_[s].max_compute == scratch_rows_[s].max_compute &&
-               rows_[s].max_save == scratch_rows_[s].max_save &&
-               rows_[s].max_load == scratch_rows_[s].max_load &&
-               row_empty_[s] == scratch_row_empty_[s] &&
-               "promoted cost row diverges from a fresh evaluation");
-      }
-    } else {
-      assert(std::equal(as_comp_start_.begin(), as_comp_start_.end(),
-                        scr_as_comp_start_.begin(), scr_as_comp_start_.end()) &&
-             std::equal(as_comp_nodes_.begin(), as_comp_nodes_.end(),
-                        scr_as_comp_nodes_.begin(), scr_as_comp_nodes_.end()) &&
-             std::equal(as_save_start_.begin(), as_save_start_.end(),
-                        scr_as_save_start_.begin(), scr_as_save_start_.end()) &&
-             std::equal(as_save_nodes_.begin(), as_save_nodes_.end(),
-                        scr_as_save_nodes_.begin(), scr_as_save_nodes_.end()) &&
-             std::equal(as_load_start_.begin(), as_load_start_.end(),
-                        scr_as_load_start_.begin(), scr_as_load_start_.end()) &&
-             std::equal(as_load_nodes_.begin(), as_load_nodes_.end(),
-                        scr_as_load_nodes_.begin(), scr_as_load_nodes_.end()) &&
-             "promoted async op pool diverges from a fresh evaluation");
-    }
-    const std::size_t nrec = scr_pos_.size() / P;
-    assert(nrec == static_cast<std::size_t>(committed_rounds_) &&
+    assert((async_ ? ops_ == scr_ops_ : rows_ == scr_rows_) &&
+           "promoted cost rows / op pool diverge from a fresh evaluation");
+    assert(scr_.pos.size() == static_cast<std::size_t>(committed_rounds_) * P &&
            "promoted round count diverges from a fresh evaluation");
-    for (std::size_t r = 0; r < nrec; ++r) {
-      for (std::size_t p = 0; p < P; ++p) {
-        const std::size_t si = r * P + p;        // fresh boundary r+1
-        const std::size_t ci = (r + 1) * P + p;  // promoted boundary r+1
-        assert(ck_pos_[ci] == scr_pos_[si] &&
-               ck_weight_[ci] == scr_weight_[si] &&
-               "promoted checkpoint scalars diverge from a fresh evaluation");
-        assert((async_ || (ck_comp_[ci] == scr_comp_[si] &&
-                           ck_save_[ci] == scr_save_[si] &&
-                           ck_load_[ci] == scr_load_[si] &&
-                           ck_any_[ci] == scr_any_[si])) &&
-               (!async_ || as_save_prefix_[ci] == scr_as_save_prefix_[si]) &&
-               "promoted straddling slot diverges from a fresh evaluation");
-        const std::int64_t cn = ck_cache_start_[ci + 1] - ck_cache_start_[ci];
-        assert(cn == scr_cache_start_[si + 1] - scr_cache_start_[si] &&
-               "promoted cache size diverges from a fresh evaluation");
-        for (std::int64_t j = 0; j < cn; ++j) {
-          assert(ck_cache_nodes_[ck_cache_start_[ci] + j] ==
-                     scr_cache_nodes_[scr_cache_start_[si] + j] &&
-                 "promoted cache row diverges from a fresh evaluation");
-        }
-      }
+    for (std::size_t i = 0; i < scr_.pos.size(); ++i) {
+      // Fresh boundary r+1 is scratch entry r * P + p, promoted entry
+      // (r + 1) * P + p.
+      assert(ck_.row_equals(i + P, scr_, i) &&
+             "promoted checkpoint row diverges from a fresh evaluation");
     }
   }
 #endif
@@ -610,7 +688,7 @@ void IncrementalEvaluator::rollback() {
 bool IncrementalEvaluator::rescan_proc(int p) {
   // Exact replica of validate_plan's per-processor availability scan,
   // against the *current* (candidate) global earliest_done.
-  ++scan_epoch_;
+  next_epoch(scan_epoch_, scan_stamp_.begin(), scan_stamp_.end());
   const auto& seq = plan_.seq[static_cast<std::size_t>(p)];
   for (std::size_t i = 0; i < seq.size(); ++i) {
     const PlannedCompute& pc = seq[i];
@@ -685,7 +763,7 @@ bool IncrementalEvaluator::edits_valid(bool rise_shortcut) {
   // its first remote use. With the rise shortcut (labels unchanged by the
   // move), a node whose earliest_done did not rise cannot fail; a node's
   // first ed_before_ entry holds its committed earliest_done.
-  ++scan_epoch_;
+  next_epoch(scan_epoch_, scan_stamp_.begin(), scan_stamp_.end());
   for (const auto& [v, ed_old] : ed_before_) {
     if (scan_stamp_[static_cast<std::size_t>(v)] == scan_epoch_) continue;
     scan_stamp_[static_cast<std::size_t>(v)] = scan_epoch_;
@@ -741,7 +819,7 @@ int IncrementalEvaluator::round_of_pos(int p, std::int64_t pos) const {
   int lo = 0, hi = committed_rounds_;
   while (lo < hi) {
     const int mid = lo + (hi - lo) / 2;
-    if (ck_pos_[static_cast<std::size_t>(mid + 1) * static_cast<std::size_t>(P_) +
+    if (ck_.pos[static_cast<std::size_t>(mid + 1) * static_cast<std::size_t>(P_) +
                 static_cast<std::size_t>(p)] > pos) {
       hi = mid;
     } else {
@@ -758,7 +836,7 @@ int IncrementalEvaluator::crossing_round(int p, std::int64_t cut) const {
   int lo = 0, hi = committed_rounds_;
   while (lo < hi) {
     const int mid = lo + (hi - lo) / 2;
-    if (ck_pos_[static_cast<std::size_t>(mid) * static_cast<std::size_t>(P_) +
+    if (ck_.pos[static_cast<std::size_t>(mid) * static_cast<std::size_t>(P_) +
                 static_cast<std::size_t>(p)] >= cut) {
       hi = mid;
     } else {
@@ -1044,7 +1122,7 @@ int IncrementalEvaluator::reconvergence_round() {
   const auto pos_sum = [&](int r) {
     std::int64_t sum = 0;
     for (std::size_t p = 0; p < P; ++p) {
-      sum += ck_pos_[static_cast<std::size_t>(r) * P + p];
+      sum += ck_.pos[static_cast<std::size_t>(r) * P + p];
     }
     return sum;
   };
@@ -1061,7 +1139,7 @@ int IncrementalEvaluator::reconvergence_round() {
   if (r >= committed_rounds_) return -1;
   const std::size_t row = static_cast<std::size_t>(r) * P;
   for (std::size_t p = 0; p < P; ++p) {
-    if (ck_pos_[row + p] != pos_[p] - edit_shift_[p]) return -1;
+    if (ck_.pos[row + p] != pos_[p] - edit_shift_[p]) return -1;
   }
   // The suffix's blocks must lie past every relabeled block: round r's
   // label (the least remaining one) clears each relabel threshold in turn.
@@ -1072,37 +1150,37 @@ int IncrementalEvaluator::reconvergence_round() {
   }
   // Processor state at the boundary: weights, straddling slot, caches.
   for (std::size_t p = 0; p < P; ++p) {
-    if (ck_weight_[row + p] != ec_weight_[p]) return -1;
+    if (ck_.weight[row + p] != ec_weight_[p]) return -1;
   }
   if (!async_) {
     const std::size_t at =
         static_cast<std::size_t>(eval_cur_ - first_eval_slot_) * P;
     for (std::size_t p = 0; p < P; ++p) {
-      if (ck_comp_[row + p] != slot_comp_[at + p] ||
-          ck_save_[row + p] != slot_save_[at + p] ||
-          ck_load_[row + p] != slot_load_[at + p] ||
-          ck_any_[row + p] != slot_any_[at + p]) {
+      if (ck_.comp[row + p] != slot_comp_[at + p] ||
+          ck_.save[row + p] != slot_save_[at + p] ||
+          ck_.load[row + p] != slot_load_[at + p] ||
+          ck_.any[row + p] != slot_any_[at + p]) {
         return -1;
       }
     }
   }
   for (std::size_t p = 0; p < P; ++p) {
     const auto& list = ec_list_[p];
-    if (!std::equal(list.begin(), list.end(),
-                    ck_cache_nodes_.begin() + ck_cache_start_[row + p],
-                    ck_cache_nodes_.begin() + ck_cache_start_[row + p + 1])) {
+    const auto cached = ck_.cache.row(row + p);
+    if (!std::equal(list.begin(), list.end(), cached.begin(), cached.end())) {
       return -1;
     }
   }
   if (async_) {
     for (std::size_t p = 0; p < P; ++p) {
       const SlotOps& cur = async_cur_[p];
-      const auto comp0 = as_comp_nodes_.begin() + as_comp_start_[row + p];
-      const auto comp1 = as_comp_nodes_.begin() + as_comp_start_[row + p + 1];
-      const auto save0 = as_save_nodes_.begin() + as_save_start_[row + p];
-      if (!std::equal(cur.comp.begin(), cur.comp.end(), comp0, comp1) ||
-          !std::equal(cur.save.begin(), cur.save.end(), save0,
-                      save0 + as_save_prefix_[row + p])) {
+      const auto comp = ops_.comp.row(row + p);
+      const auto saves = ops_.save.row(row + p).first(
+          static_cast<std::size_t>(ck_.save_prefix[row + p]));
+      if (!std::equal(cur.comp.begin(), cur.comp.end(), comp.begin(),
+                      comp.end()) ||
+          !std::equal(cur.save.begin(), cur.save.end(), saves.begin(),
+                      saves.end())) {
         return -1;
       }
     }
@@ -1118,9 +1196,9 @@ int IncrementalEvaluator::reconvergence_round() {
       return -1;
     }
   }
-  for (std::int64_t i = blued_start_[static_cast<std::size_t>(eval_b_)];
-       i < blued_start_[static_cast<std::size_t>(r)]; ++i) {
-    const NodeId v = blued_nodes_[static_cast<std::size_t>(i)];
+  for (std::int64_t i = blued_.start[static_cast<std::size_t>(eval_b_)];
+       i < blued_.start[static_cast<std::size_t>(r)]; ++i) {
+    const NodeId v = blued_.items[static_cast<std::size_t>(i)];
     if (!eb_contains(v) && !dead_at_boundary(v)) return -1;
   }
   // LRU keys of affected nodes: wherever one can still be read — the node
@@ -1240,64 +1318,45 @@ std::int64_t IncrementalEvaluator::committed_last_active(
 void IncrementalEvaluator::restore_boundary(int b) {
   // Per-eval scratch: clear() keeps every array's capacity, so once the
   // arrays reach their high-water mark an evaluation allocates nothing.
-  scr_pos_.clear();
-  scr_weight_.clear();
-  scr_comp_.clear();
-  scr_save_.clear();
-  scr_load_.clear();
-  scr_any_.clear();
-  scr_cache_start_.clear();
-  scr_cache_nodes_.clear();
+  scr_.clear();
   scr_round_steps_.clear();
+  scr_ops_.clear();
   eval_blued_.clear();
   for (const HomeRec& rec : eval_homes_) {
     home_ov_[static_cast<std::size_t>(rec.node)] = -1;
   }
   eval_homes_.clear();
-  scr_as_comp_nodes_.clear();
-  scr_as_save_nodes_.clear();
-  scr_as_load_nodes_.clear();
-  scr_as_comp_start_.clear();
-  scr_as_save_start_.clear();
-  scr_as_load_start_.clear();
-  scr_as_save_prefix_.clear();
 
   eval_b_ = b;
   eval_cur_ = b;
   first_eval_slot_ = b;
   num_slots_ = b + 1;
-  scr_cache_start_.push_back(0);
 
   const std::size_t row =
       static_cast<std::size_t>(b) * static_cast<std::size_t>(P_);
   if (!async_) {
-    slot_comp_.assign(ck_comp_.begin() + static_cast<std::ptrdiff_t>(row),
-                      ck_comp_.begin() + static_cast<std::ptrdiff_t>(row) + P_);
-    slot_save_.assign(ck_save_.begin() + static_cast<std::ptrdiff_t>(row),
-                      ck_save_.begin() + static_cast<std::ptrdiff_t>(row) + P_);
-    slot_load_.assign(ck_load_.begin() + static_cast<std::ptrdiff_t>(row),
-                      ck_load_.begin() + static_cast<std::ptrdiff_t>(row) + P_);
-    slot_any_.assign(ck_any_.begin() + static_cast<std::ptrdiff_t>(row),
-                     ck_any_.begin() + static_cast<std::ptrdiff_t>(row) + P_);
+    const auto restore = [&](auto& slot, const auto& boundary) {
+      const auto first = boundary.begin() + static_cast<std::ptrdiff_t>(row);
+      slot.assign(first, first + P_);
+    };
+    restore(slot_comp_, ck_.comp);
+    restore(slot_save_, ck_.save);
+    restore(slot_load_, ck_.load);
+    restore(slot_any_, ck_.any);
   }
   for (int p = 0; p < P_; ++p) {
     const std::size_t at = row + static_cast<std::size_t>(p);
     auto& list = ec_list_[static_cast<std::size_t>(p)];
     ec_clear(p);
-    const std::int64_t c0 = ck_cache_start_[at];
-    const std::int64_t c1 = ck_cache_start_[at + 1];
-    list.assign(ck_cache_nodes_.begin() + static_cast<std::ptrdiff_t>(c0),
-                ck_cache_nodes_.begin() + static_cast<std::ptrdiff_t>(c1));
+    const auto cached = ck_.cache.row(at);
+    list.assign(cached.begin(), cached.end());
     for (NodeId v : list) ec_insert(p, v);
-    ec_weight_[static_cast<std::size_t>(p)] = ck_weight_[at];
-    pos_[static_cast<std::size_t>(p)] = ck_pos_[at];
+    ec_weight_[static_cast<std::size_t>(p)] = ck_.weight[at];
+    pos_[static_cast<std::size_t>(p)] = ck_.pos[at];
   }
   eb_clear();
   pending_blue_.clear();
   if (async_) {
-    scr_as_comp_start_.push_back(0);
-    scr_as_save_start_.push_back(0);
-    scr_as_load_start_.push_back(0);
     for (int p = 0; p < P_; ++p) {
       const std::size_t at = row + static_cast<std::size_t>(p);
       SlotOps& cur = async_cur_[static_cast<std::size_t>(p)];
@@ -1306,56 +1365,12 @@ void IncrementalEvaluator::restore_boundary(int b) {
       // Straddling slot b at the boundary: the body ops of round b-1 are
       // final; of its saves only the post-save prefix exists (stage
       // pre-saves of round b are re-derived); loads are stage-only.
-      cur.comp.assign(
-          as_comp_nodes_.begin() + static_cast<std::ptrdiff_t>(as_comp_start_[at]),
-          as_comp_nodes_.begin() +
-              static_cast<std::ptrdiff_t>(as_comp_start_[at + 1]));
-      const std::int64_t s0 = as_save_start_[at];
-      cur.save.assign(
-          as_save_nodes_.begin() + static_cast<std::ptrdiff_t>(s0),
-          as_save_nodes_.begin() +
-              static_cast<std::ptrdiff_t>(s0 + as_save_prefix_[at]));
+      const auto comp = ops_.comp.row(at);
+      cur.comp.assign(comp.begin(), comp.end());
+      const auto saves = ops_.save.row(at).first(
+          static_cast<std::size_t>(ck_.save_prefix[at]));
+      cur.save.assign(saves.begin(), saves.end());
       cur.load.clear();
-    }
-  }
-}
-
-void IncrementalEvaluator::record_checkpoint() {
-  // Boundary eval_cur_: state before round eval_cur_, including the
-  // straddling slot's partial accumulators / op lists.
-  for (int p = 0; p < P_; ++p) {
-    scr_pos_.push_back(pos_[static_cast<std::size_t>(p)]);
-  }
-  for (int p = 0; p < P_; ++p) {
-    scr_weight_.push_back(ec_weight_[static_cast<std::size_t>(p)]);
-  }
-  if (!async_) {
-    const std::size_t base =
-        static_cast<std::size_t>(eval_cur_ - first_eval_slot_) *
-        static_cast<std::size_t>(P_);
-    for (int p = 0; p < P_; ++p) {
-      scr_comp_.push_back(slot_comp_[base + static_cast<std::size_t>(p)]);
-    }
-    for (int p = 0; p < P_; ++p) {
-      scr_save_.push_back(slot_save_[base + static_cast<std::size_t>(p)]);
-    }
-    for (int p = 0; p < P_; ++p) {
-      scr_load_.push_back(slot_load_[base + static_cast<std::size_t>(p)]);
-    }
-    for (int p = 0; p < P_; ++p) {
-      scr_any_.push_back(slot_any_[base + static_cast<std::size_t>(p)]);
-    }
-  }
-  for (int p = 0; p < P_; ++p) {
-    const auto& list = ec_list_[static_cast<std::size_t>(p)];
-    scr_cache_nodes_.insert(scr_cache_nodes_.end(), list.begin(), list.end());
-    scr_cache_start_.push_back(
-        static_cast<std::int64_t>(scr_cache_nodes_.size()));
-  }
-  if (async_) {
-    for (int p = 0; p < P_; ++p) {
-      scr_as_save_prefix_.push_back(static_cast<std::int32_t>(
-          async_cur_[static_cast<std::size_t>(p)].save.size()));
     }
   }
 }
@@ -1364,26 +1379,6 @@ double IncrementalEvaluator::evaluate_from(int b, bool may_exit) {
   cand_steps_ = index_.num_supersteps();
   restore_boundary(b);
   conv_c_ = conv_r_ = -1;
-
-  // Flushes the completed straddling slot's op lists into the scratch
-  // CSR pool (same layout as the committed pool, rebased at slot b).
-  const auto flush_async_slot = [&] {
-    for (int p = 0; p < P_; ++p) {
-      SlotOps& cur = async_cur_[static_cast<std::size_t>(p)];
-      scr_as_comp_nodes_.insert(scr_as_comp_nodes_.end(), cur.comp.begin(),
-                                cur.comp.end());
-      scr_as_comp_start_.push_back(
-          static_cast<std::int64_t>(scr_as_comp_nodes_.size()));
-      scr_as_save_nodes_.insert(scr_as_save_nodes_.end(), cur.save.begin(),
-                                cur.save.end());
-      scr_as_save_start_.push_back(
-          static_cast<std::int64_t>(scr_as_save_nodes_.size()));
-      scr_as_load_nodes_.insert(scr_as_load_nodes_.end(), cur.load.begin(),
-                                cur.load.end());
-      scr_as_load_start_.push_back(
-          static_cast<std::int64_t>(scr_as_load_nodes_.size()));
-    }
-  };
 
   // Rounds < b consumed a prefix of every sequence; the first remaining
   // superstep is the minimum label at the restored positions (equal to
@@ -1410,7 +1405,7 @@ double IncrementalEvaluator::evaluate_from(int b, bool may_exit) {
         }
       }
       if (!any_remaining) break;
-      if (eval_cur_ > eval_b_) record_checkpoint();
+      if (eval_cur_ > eval_b_) scr_.push_boundary(*this);
       scr_round_steps_.push_back(k);
       // Append the body slot of this round (slot count stays cur + 2).
       if (!async_) {
@@ -1452,7 +1447,9 @@ double IncrementalEvaluator::evaluate_from(int b, bool may_exit) {
       }
       pending_blue_.clear();
       if (async_) {
-        flush_async_slot();
+        // The completed straddling slot's op lists join the scratch pool
+        // (the committed pool's layout, rebased at slot b).
+        scr_ops_.push_slot(async_cur_);
         std::swap(async_cur_, async_next_);
         for (int p = 0; p < P_; ++p) {
           async_next_[static_cast<std::size_t>(p)].reset();
@@ -1479,8 +1476,8 @@ double IncrementalEvaluator::evaluate_from(int b, bool may_exit) {
   // Zero-length suffix (an erase shrank the plan so that no round runs):
   // the boundary checkpoint already is the end state — recording it again
   // would mislabel it as boundary b+1.
-  if (eval_cur_ > eval_b_) record_checkpoint();
-  if (async_) flush_async_slot();  // final straddling slot (complete)
+  if (eval_cur_ > eval_b_) scr_.push_boundary(*this);
+  if (async_) scr_ops_.push_slot(async_cur_);  // final straddling slot
   cand_rounds_ = eval_cur_;
   last_dirty_ = cand_rounds_ - b;
   return async_ ? finalize_async_cost() : finalize_cost();
@@ -2028,8 +2025,7 @@ void IncrementalEvaluator::commit_segment(int p) {
 // Cost finalization.
 
 double IncrementalEvaluator::finalize_cost() {
-  scratch_rows_.clear();
-  scratch_row_empty_.clear();
+  scr_rows_.clear();
   // After a reconvergence exit the partial slot c is committed slot r_c.
   const int local_slots =
       (conv_r_ >= 0 ? conv_c_ : num_slots_) - first_eval_slot_;
@@ -2058,8 +2054,7 @@ double IncrementalEvaluator::finalize_cost() {
     }
     char a = 0;
     for (int p = 0; p < P_; ++p) a |= any[p];
-    scratch_rows_.push_back(row);
-    scratch_row_empty_.push_back(a ? 0 : 1);
+    scr_rows_.push(row, a == 0);
   }
   // Resume the accumulation from the cached prefix state (same doubles,
   // same add order as a full front-to-back sweep — bitwise equal).
@@ -2067,15 +2062,8 @@ double IncrementalEvaluator::finalize_cost() {
       first_eval_slot_ > 0
           ? row_prefix_[static_cast<std::size_t>(first_eval_slot_ - 1)]
           : SyncCostBreakdown{};
-  for (std::size_t i = 0; i < scratch_rows_.size(); ++i) {
-    if (!scratch_row_empty_[i]) fold_row(bd, scratch_rows_[i], L_);
-  }
-  if (conv_r_ >= 0) {
-    for (std::size_t s = static_cast<std::size_t>(conv_r_); s < rows_.size();
-         ++s) {
-      if (!row_empty_[s]) fold_row(bd, rows_[s], L_);
-    }
-  }
+  scr_rows_.fold(bd, 0, L_);
+  if (conv_r_ >= 0) rows_.fold(bd, static_cast<std::size_t>(conv_r_), L_);
   return bd.total();
 }
 
@@ -2099,7 +2087,7 @@ double IncrementalEvaluator::finalize_async_cost() {
         br < eval_b_ || (conv && br >= conv_r_ && br != INT_MAX);
     return committed ? home_group_[static_cast<std::size_t>(v)] : -1;
   };
-  ++async_epoch_;
+  next_epoch(async_epoch_, fs_stamp_.begin(), fs_stamp_.end());
   std::fill(now_.begin(), now_.end(), 0.0);
   for (int slot = 0; slot < total_slots; ++slot) {
     const bool scratch = slot >= first_eval_slot_ && (!conv || slot < conv_c_);
@@ -2109,32 +2097,18 @@ double IncrementalEvaluator::finalize_async_cost() {
     } else if (slot >= first_eval_slot_) {
       src = slot - conv_c_ + conv_r_;  // committed tail
     }
+    const OpPool& pool = scratch ? scr_ops_ : ops_;
     const std::size_t row =
         static_cast<std::size_t>(src) * static_cast<std::size_t>(P_);
     for (int p = 0; p < P_; ++p) {
-      const std::size_t at = row + static_cast<std::size_t>(p);
-      const std::int64_t a0 =
-          scratch ? scr_as_comp_start_[at] : as_comp_start_[at];
-      const std::int64_t a1 =
-          scratch ? scr_as_comp_start_[at + 1] : as_comp_start_[at + 1];
-      const NodeId* pool =
-          scratch ? scr_as_comp_nodes_.data() : as_comp_nodes_.data();
       double t = now_[static_cast<std::size_t>(p)];
-      for (std::int64_t i = a0; i < a1; ++i) {
-        t += dag_.omega(pool[i]) / speed_[static_cast<std::size_t>(p)];
+      for (const NodeId v : pool.comp.row(row + static_cast<std::size_t>(p))) {
+        t += dag_.omega(v) / speed_[static_cast<std::size_t>(p)];
       }
       now_[static_cast<std::size_t>(p)] = t;
     }
     for (int p = 0; p < P_; ++p) {
-      const std::size_t at = row + static_cast<std::size_t>(p);
-      const std::int64_t a0 =
-          scratch ? scr_as_save_start_[at] : as_save_start_[at];
-      const std::int64_t a1 =
-          scratch ? scr_as_save_start_[at + 1] : as_save_start_[at + 1];
-      const NodeId* pool =
-          scratch ? scr_as_save_nodes_.data() : as_save_nodes_.data();
-      for (std::int64_t i = a0; i < a1; ++i) {
-        const NodeId v = pool[i];
+      for (const NodeId v : pool.save.row(row + static_cast<std::size_t>(p))) {
         const std::size_t v_ = static_cast<std::size_t>(v);
         const double gv = comm_cost(p, home(v));
         now_[static_cast<std::size_t>(p)] += gv * dag_.mu(v);
@@ -2149,15 +2123,7 @@ double IncrementalEvaluator::finalize_async_cost() {
       }
     }
     for (int p = 0; p < P_; ++p) {
-      const std::size_t at = row + static_cast<std::size_t>(p);
-      const std::int64_t a0 =
-          scratch ? scr_as_load_start_[at] : as_load_start_[at];
-      const std::int64_t a1 =
-          scratch ? scr_as_load_start_[at + 1] : as_load_start_[at + 1];
-      const NodeId* pool =
-          scratch ? scr_as_load_nodes_.data() : as_load_nodes_.data();
-      for (std::int64_t i = a0; i < a1; ++i) {
-        const NodeId v = pool[i];
+      for (const NodeId v : pool.load.row(row + static_cast<std::size_t>(p))) {
         const std::size_t v_ = static_cast<std::size_t>(v);
         assert(fs_stamp_[v_] == async_epoch_ || dag_.is_source(v));
         const double gb = fs_stamp_[v_] == async_epoch_ ? gets_blue_[v_] : 0.0;
@@ -2194,35 +2160,23 @@ void IncrementalEvaluator::promote_eval() {
   const std::size_t keep = (b + 1) * P;  // boundaries 0..b
 
   if (!async_) {
-    replace_range(rows_, b, tail, scratch_rows_.begin(), scratch_rows_.end());
-    replace_range(row_empty_, b, tail, scratch_row_empty_.begin(),
-                  scratch_row_empty_.end());
-    row_prefix_.resize(rows_.size());
+    rows_.splice(b, tail, scr_rows_);
+    row_prefix_.resize(rows_.cost.size());
     SyncCostBreakdown bd = b > 0 ? row_prefix_[b - 1] : SyncCostBreakdown{};
-    for (std::size_t at = b; at < rows_.size(); ++at) {
-      if (!row_empty_[at]) fold_row(bd, rows_[at], L_);
+    for (std::size_t at = b; at < rows_.cost.size(); ++at) {
+      if (!rows_.empty[at]) fold_row(bd, rows_.cost[at], L_);
       row_prefix_[at] = bd;
     }
   }
 
-  // Checkpoint SoA rows: boundaries 0..b kept, the re-derived boundaries
-  // b+1.. in between, the committed tail boundaries after them (their
-  // positions moved into the candidate frame).
-  replace_range(ck_pos_, keep, tail * P, scr_pos_.begin(), scr_pos_.end());
-  replace_range(ck_weight_, keep, tail * P, scr_weight_.begin(),
-                scr_weight_.end());
-  if (!async_) {
-    replace_range(ck_comp_, keep, tail * P, scr_comp_.begin(), scr_comp_.end());
-    replace_range(ck_save_, keep, tail * P, scr_save_.begin(), scr_save_.end());
-    replace_range(ck_load_, keep, tail * P, scr_load_.begin(), scr_load_.end());
-    replace_range(ck_any_, keep, tail * P, scr_any_.begin(), scr_any_.end());
-  }
-  splice_csr(ck_cache_start_, ck_cache_nodes_, keep, tail * P,
-             scr_cache_start_, scr_cache_nodes_);
+  // Checkpoint rows: boundaries 0..b kept, the re-derived boundaries b+1..
+  // in between, the committed tail boundaries after them (their positions
+  // moved into the candidate frame).
+  ck_.splice(keep, tail * P, scr_);
   if (conv) {
-    for (std::size_t at = keep + scr_pos_.size(); at < ck_pos_.size();
+    for (std::size_t at = keep + scr_.pos.size(); at < ck_.pos.size();
          at += P) {
-      for (std::size_t p = 0; p < P; ++p) ck_pos_[at + p] += edit_shift_[p];
+      for (std::size_t p = 0; p < P; ++p) ck_.pos[at + p] += edit_shift_[p];
     }
   }
 
@@ -2238,8 +2192,7 @@ void IncrementalEvaluator::promote_eval() {
   };
   relabel(0, b);
   relabel(tail_round, static_cast<std::size_t>(old_rounds));
-  replace_range(ck_step_, b, tail_round, scr_round_steps_.begin(),
-                scr_round_steps_.end());
+  splice_rows(ck_step_, b, tail_round, scr_round_steps_);
   assert(ck_step_.size() == static_cast<std::size_t>(cand_rounds_));
   committed_rounds_ = cand_rounds_;
   committed_steps_ = cand_steps_;
@@ -2259,54 +2212,37 @@ void IncrementalEvaluator::promote_eval() {
                  step_first_round_[static_cast<std::size_t>(k) + 1]);
   }
 
-  if (async_) {
-    // Committed async op pools: slots 0..b-1 kept (boundary b's straddling
-    // slot is re-derived in scratch), then the scratch slots, then the
-    // committed tail slots; save prefixes follow the boundary layout.
-    splice_csr(as_comp_start_, as_comp_nodes_, b * P, tail * P,
-               scr_as_comp_start_, scr_as_comp_nodes_);
-    splice_csr(as_save_start_, as_save_nodes_, b * P, tail * P,
-               scr_as_save_start_, scr_as_save_nodes_);
-    splice_csr(as_load_start_, as_load_nodes_, b * P, tail * P,
-               scr_as_load_start_, scr_as_load_nodes_);
-    replace_range(as_save_prefix_, keep, tail * P, scr_as_save_prefix_.begin(),
-                  scr_as_save_prefix_.end());
-  }
+  // Committed async op pool: slots 0..b-1 kept (boundary b's straddling
+  // slot is re-derived in scratch), then the scratch slots, then the
+  // committed tail slots.
+  if (async_) ops_.splice(b * P, tail * P, scr_ops_);
 
   // Blue rounds: clear the dropped rounds' nodes, move the tail's by
   // c - r_c, then install the re-derived ones (disjoint from both).
-  const auto blued = [&](std::size_t r) {
-    return std::pair{blued_nodes_.begin() + blued_start_[r],
-                     blued_nodes_.begin() + blued_start_[r + 1]};
-  };
   for (std::size_t r = b; r < tail_round; ++r) {
-    const auto [lo, hi] = blued(r);
-    for (auto it = lo; it != hi; ++it) {
-      blue_round_[static_cast<std::size_t>(*it)] = INT_MAX;
+    for (const NodeId v : blued_.row(r)) {
+      blue_round_[static_cast<std::size_t>(v)] = INT_MAX;
     }
   }
   for (std::size_t r = tail_round; r < static_cast<std::size_t>(old_rounds);
        ++r) {
-    const auto [lo, hi] = blued(r);
-    for (auto it = lo; it != hi; ++it) {
-      blue_round_[static_cast<std::size_t>(*it)] += conv_c_ - conv_r_;
+    for (const NodeId v : blued_.row(r)) {
+      blue_round_[static_cast<std::size_t>(v)] += conv_c_ - conv_r_;
     }
   }
-  // Re-derived rounds [b, c) as a CSR (ends per round) for the splice.
+  // Re-derived rounds [b, c), one row per round, for the splice.
   const int eval_end = conv ? conv_c_ : cand_rounds_;
-  promote_ends_.assign(1, 0);
-  promote_nodes_.clear();
+  promote_blued_.clear();
   std::size_t i = 0;
   for (int r = eval_b_; r < eval_end; ++r) {
     for (; i < eval_blued_.size() && eval_blued_[i].round == r; ++i) {
-      promote_nodes_.push_back(eval_blued_[i].node);
+      promote_blued_.items.push_back(eval_blued_[i].node);
       blue_round_[static_cast<std::size_t>(eval_blued_[i].node)] = r;
     }
-    promote_ends_.push_back(static_cast<std::int64_t>(promote_nodes_.size()));
+    promote_blued_.close_row();
   }
   assert(i == eval_blued_.size());
-  splice_csr(blued_start_, blued_nodes_, b, tail_round, promote_ends_,
-             promote_nodes_);
+  blued_.splice(b, tail_round, promote_blued_);
   // Home groups ride on the blue rounds: entries dropped above are
   // invalidated by their blue reset; the new rounds install their own.
   for (const HomeRec& rec : eval_homes_) {
@@ -2321,26 +2257,26 @@ std::uint64_t IncrementalEvaluator::checkpoint_digest() const {
     h = fnv1a_64(&size, sizeof(size), h);
     h = fnv1a_64(values.data(), values.size() * sizeof(values[0]), h);
   };
-  mix(ck_pos_);
-  mix(ck_weight_);
-  mix(ck_cache_start_);
-  mix(ck_cache_nodes_);
+  const auto mix_csr = [&mix](const PooledCsr<NodeId>& csr) {
+    mix(csr.start);
+    mix(csr.items);
+  };
+  mix(ck_.pos);
+  mix(ck_.weight);
+  mix_csr(ck_.cache);
   mix(ck_step_);
   if (!async_) {
-    mix(ck_comp_);
-    mix(ck_save_);
-    mix(ck_load_);
-    mix(ck_any_);
-    mix(rows_);
-    mix(row_empty_);
+    mix(ck_.comp);
+    mix(ck_.save);
+    mix(ck_.load);
+    mix(ck_.any);
+    mix(rows_.cost);
+    mix(rows_.empty);
   } else {
-    mix(as_comp_start_);
-    mix(as_comp_nodes_);
-    mix(as_save_start_);
-    mix(as_save_nodes_);
-    mix(as_load_start_);
-    mix(as_load_nodes_);
-    mix(as_save_prefix_);
+    mix_csr(ops_.comp);
+    mix_csr(ops_.save);
+    mix_csr(ops_.load);
+    mix(ck_.save_prefix);
   }
   return h;
 }

@@ -184,12 +184,16 @@
 //
 // The move loop runs millions of evaluations; its state is laid out to
 // make an evaluation allocation-free in steady state:
-//  * committed checkpoints are structure-of-arrays: flat per-(round,
-//    proc) position/weight/accumulator arrays plus one pooled cache-row
-//    array with offsets — no per-round vectors;
-//  * per-eval scratch (checkpoint rows, async op lists, blue/home logs)
-//    is PageVectors that each evaluation clears with their capacity kept,
-//    so after warm-up they never reallocate;
+//  * each piece of completion state is one table type, instantiated as
+//    the committed copy and the per-eval scratch copy that promote_eval
+//    splices into it: BoundaryRows (the checkpoints, structure-of-arrays:
+//    flat per-(boundary, proc) position/weight/accumulator arrays plus a
+//    PooledCsr of cache rows — no per-round vectors), SlotRows (sync cost
+//    rows), OpPool (async op lists, three PooledCsrs); the blued-by-round
+//    rows are a PooledCsr too;
+//  * per-eval scratch (those tables' scratch copies, blue/home logs) is
+//    PageVectors that each evaluation clears with their capacity kept, so
+//    after warm-up they never reallocate;
 //  * the hot per-node overlays (tentative membership, blue, phase-A
 //    eviction, remaining-need; the eval cache sets) are dense
 //    epoch-stamped arrays — one direct indexed load per probe, O(1)
@@ -206,6 +210,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -372,6 +377,96 @@ class IncrementalEvaluator {
     }
   };
 
+  // -- completion-state tables ---------------------------------------------
+  // Each table is declared once and instantiated twice: the committed copy
+  // and the per-evaluation scratch copy that promote_eval splices into it
+  // (rows [lo, hi) of the committed copy give way to every scratch row).
+
+  /// Pooled CSR: row i holds items[start[i] .. start[i + 1]).
+  template <class T>
+  struct PooledCsr {
+    PageVector<std::int64_t> start;  // rows + 1 offsets
+    PageVector<T> items;
+    /// `rows` empty rows.
+    void reset(std::size_t rows) {
+      start.assign(rows + 1, 0);
+      items.clear();
+    }
+    void clear() { reset(0); }
+    void reserve(std::size_t rows, std::size_t n_items) {
+      start.reserve(rows + 1);
+      items.reserve(n_items);
+    }
+    /// Ends the row whose items were appended since the last row ended.
+    void close_row() {
+      start.push_back(static_cast<std::int64_t>(items.size()));
+    }
+    template <class Range>
+    void push_row(const Range& row) {
+      items.insert(items.end(), row.begin(), row.end());
+      close_row();
+    }
+    std::span<const T> row(std::size_t i) const {
+      return {items.data() + start[i], items.data() + start[i + 1]};
+    }
+    void splice(std::size_t lo, std::size_t hi, const PooledCsr& src);
+    bool operator==(const PooledCsr&) const = default;
+  };
+
+  /// Completion state at round boundaries, structure-of-arrays: boundary i,
+  /// proc p is entry i * P + p. The straddling slot's partial accumulators
+  /// (sync: comp, save, load, any) or its post-save count (async:
+  /// save_prefix, how many of the slot's saves exist at the boundary) are
+  /// part of the boundary; the other cost model's arrays stay empty.
+  struct BoundaryRows {
+    explicit BoundaryRows(bool async_model) : async(async_model) {}
+    const bool async;
+    PageVector<std::int64_t> pos;
+    PageVector<double> weight, comp, save, load;
+    PageVector<char> any;
+    PooledCsr<NodeId> cache;  // one row per entry, in cache order
+    PageVector<std::int32_t> save_prefix;
+    /// Boundary 0 of `P` processors: nothing consumed, cached or costed.
+    void reset(std::size_t P);
+    void clear();
+    void reserve(std::size_t entries, std::size_t cache_items);
+    /// Appends the running evaluation's boundary eval_cur_.
+    void push_boundary(const IncrementalEvaluator& ev);
+    void splice(std::size_t lo, std::size_t hi, const BoundaryRows& src);
+    bool row_equals(std::size_t i, const BoundaryRows& other,
+                    std::size_t j) const;
+  };
+
+  /// Per-(slot, proc) async operation lists, one CSR row per slot * P + p.
+  struct OpPool {
+    PooledCsr<NodeId> comp, save, load;
+    void reset(std::size_t rows);
+    void clear() { reset(0); }
+    void reserve(std::size_t rows, std::size_t n_items);
+    /// Appends one slot: every processor's lists.
+    void push_slot(const std::vector<SlotOps>& slot);
+    void splice(std::size_t lo, std::size_t hi, const OpPool& src);
+    bool operator==(const OpPool&) const = default;
+  };
+
+  /// Sync cost rows, one per slot: its SyncStepCost and whether it is empty.
+  struct SlotRows {
+    PageVector<SyncStepCost> cost;
+    PageVector<char> empty;
+    /// `slots` empty rows.
+    void reset(std::size_t slots);
+    void clear() { reset(0); }
+    void reserve(std::size_t slots);
+    void push(const SyncStepCost& row, bool is_empty) {
+      cost.push_back(row);
+      empty.push_back(is_empty ? 1 : 0);
+    }
+    void splice(std::size_t lo, std::size_t hi, const SlotRows& src);
+    /// Folds the non-empty rows [from, end) into `bd`, in row order.
+    void fold(SyncCostBreakdown& bd, std::size_t from, double L) const;
+    bool operator==(const SlotRows& other) const;
+  };
+
   // -- validation ----------------------------------------------------------
   bool validate_candidate();
   bool edits_valid(bool rise_shortcut);
@@ -395,7 +490,6 @@ class IncrementalEvaluator {
   int reconvergence_round();
   bool dead_at_boundary(NodeId v);
   void restore_boundary(int b);
-  void record_checkpoint();
   bool plan_segment(int p, int superstep);
   bool run_phases(int p, std::int64_t i0, std::int64_t count);
   bool may_resume(int p, NodeId v, bool new_loads,
@@ -464,6 +558,16 @@ class IncrementalEvaluator {
   // A slot is live iff its stamp equals the overlay's epoch; bumping the
   // epoch empties the overlay in O(1). On the (astronomically rare)
   // uint32 wrap the stamps are zero-filled so stale slots cannot alias.
+  // Every epoch counter of the evaluator bumps through next_epoch.
+  static std::uint32_t& stamp_of(std::uint32_t& stamp) { return stamp; }
+  template <class Entry>
+  static std::uint32_t& stamp_of(Entry& entry) { return entry.stamp; }
+  template <class It>
+  static void next_epoch(std::uint32_t& epoch, It first, It last) {
+    if (++epoch != 0) return;
+    for (; first != last; ++first) stamp_of(*first) = 0;
+    epoch = 1;
+  }
   TryOv& try_ov(NodeId v) {
     TryOv& o = t_ov_[static_cast<std::size_t>(v)];
     if (o.stamp != t_epoch_) {
@@ -476,12 +580,7 @@ class IncrementalEvaluator {
     const TryOv& o = t_ov_[static_cast<std::size_t>(v)];
     return o.stamp == t_epoch_ ? &o : nullptr;
   }
-  void clear_try_overlay() {
-    if (++t_epoch_ == 0) {
-      for (TryOv& o : t_ov_) o.stamp = 0;
-      t_epoch_ = 1;
-    }
-  }
+  void clear_try_overlay() { next_epoch(t_epoch_, t_ov_.begin(), t_ov_.end()); }
   // Exchanges the running try's state with the last successful try's.
   void swap_best_try() {
     std::swap(best_ov_, t_ov_);
@@ -502,12 +601,7 @@ class IncrementalEvaluator {
     const SegOv& o = s_ov_[static_cast<std::size_t>(v)];
     return o.stamp == s_epoch_ ? &o : nullptr;
   }
-  void clear_seg_overlay() {
-    if (++s_epoch_ == 0) {
-      for (SegOv& o : s_ov_) o.stamp = 0;
-      s_epoch_ = 1;
-    }
-  }
+  void clear_seg_overlay() { next_epoch(s_epoch_, s_ov_.begin(), s_ov_.end()); }
   bool ec_member(int p, NodeId v) const {
     return ec_stamp_[static_cast<std::size_t>(p) * n_ +
                      static_cast<std::size_t>(v)] ==
@@ -518,37 +612,20 @@ class IncrementalEvaluator {
         ec_epoch_[static_cast<std::size_t>(p)];
   }
   void ec_clear(int p) {
-    std::uint32_t& epoch = ec_epoch_[static_cast<std::size_t>(p)];
-    if (++epoch == 0) {
-      const std::ptrdiff_t base =
-          static_cast<std::ptrdiff_t>(static_cast<std::size_t>(p) * n_);
-      std::fill(ec_stamp_.begin() + base,
-                ec_stamp_.begin() + base + static_cast<std::ptrdiff_t>(n_),
-                0u);
-      epoch = 1;
-    }
+    const auto row = ec_stamp_.begin() + p * static_cast<std::ptrdiff_t>(n_);
+    next_epoch(ec_epoch_[static_cast<std::size_t>(p)], row,
+               row + static_cast<std::ptrdiff_t>(n_));
   }
   bool eb_contains(NodeId v) const {
     return eb_stamp_[static_cast<std::size_t>(v)] == eb_epoch_;
   }
-  void eb_clear() {
-    if (++eb_epoch_ == 0) {
-      std::fill(eb_stamp_.begin(), eb_stamp_.end(), 0u);
-      eb_epoch_ = 1;
-    }
-  }
+  void eb_clear() { next_epoch(eb_epoch_, eb_stamp_.begin(), eb_stamp_.end()); }
   // Drops proc p's memoized next-need lookahead (an edit moved its
   // candidate-frame occurrence positions; relabels move none).
   void nn_invalidate(int p) {
-    std::uint32_t& epoch = nn_epoch_[static_cast<std::size_t>(p)];
-    if (++epoch == 0) {
-      const std::ptrdiff_t base =
-          static_cast<std::ptrdiff_t>(static_cast<std::size_t>(p) * n_);
-      std::for_each(nn_.begin() + base,
-                    nn_.begin() + base + static_cast<std::ptrdiff_t>(n_),
-                    [](NextNeed& e) { e.stamp = 0; });
-      epoch = 1;
-    }
+    const auto row = nn_.begin() + p * static_cast<std::ptrdiff_t>(n_);
+    next_epoch(nn_epoch_[static_cast<std::size_t>(p)], row,
+               row + static_cast<std::ptrdiff_t>(n_));
   }
 
   // -- home-group bookkeeping (heterogeneous comm groups) ------------------
@@ -581,38 +658,24 @@ class IncrementalEvaluator {
                                 // INT_MAX never
   PageVector<int> home_group_;  // [v]: first saver's group; valid exactly
                                 // when blue_round_ is
-  // blued-by-round pool: nodes first blued in round r are
-  // blued_nodes_[blued_start_[r] .. blued_start_[r+1]).
-  PageVector<NodeId> blued_nodes_;
-  PageVector<std::int64_t> blued_start_;  // [R + 1]
-  PageVector<SyncStepCost> rows_;          // per slot (sync only)
-  PageVector<char> row_empty_;
+  // Nodes first blued in round r: row r of blued_ (R rows).
+  PooledCsr<NodeId> blued_;
+  SlotRows rows_;  // per slot (sync only)
   // row_prefix_[i]: the cost accumulator state after folding rows [0..i]
   // (skipping empties) — finalize_cost resumes from it instead of
   // rescanning the committed prefix, preserving the exact fp add order.
   PageVector<SyncCostBreakdown> row_prefix_;
 
-  // Round-granular checkpoints, structure-of-arrays: row r (0..R) is the
-  // completion state at the boundary *before* round r; the straddling
-  // slot r holds the body of round r-1 so its partial accumulators are
-  // part of the boundary. All arrays are indexed [r * P + p].
+  // Round-granular checkpoints: boundary r (0..R) is the completion state
+  // *before* round r; the straddling slot r holds the body of round r-1 so
+  // its partial accumulators are part of the boundary.
   int committed_rounds_ = 0;  // R
   int committed_steps_ = 0;   // K (committed superstep count)
-  PageVector<std::int64_t> ck_pos_;
-  PageVector<double> ck_weight_, ck_comp_, ck_save_, ck_load_;
-  PageVector<char> ck_any_;
-  PageVector<std::int64_t> ck_cache_start_;  // [(R+1)*P + 1]
-  PageVector<NodeId> ck_cache_nodes_;         // pooled cache rows
+  BoundaryRows ck_{async_};
   PageVector<int> ck_step_;           // [R]: superstep round r processed
   PageVector<int> step_first_round_;  // [K+1], [K] = R
-
-  // Committed per-(slot, proc) async op lists (async cost only), pooled
-  // CSR: slot s, proc p occupies [start[s*P+p], start[s*P+p+1]).
-  PageVector<NodeId> as_comp_nodes_, as_save_nodes_, as_load_nodes_;
-  PageVector<std::int64_t> as_comp_start_, as_save_start_, as_load_start_;
-  // Boundary r: how many of slot r's saves existed at the boundary (the
-  // post-saves of round r-1; the rest are re-derived stage pre-saves).
-  PageVector<std::int32_t> as_save_prefix_;  // [(R+1)*P]
+  // Committed async op pool (async cost only), slots 0..R.
+  OpPool ops_;
 
   // -- per-move scratch ----------------------------------------------------
   bool in_move_ = false;
@@ -669,31 +732,20 @@ class IncrementalEvaluator {
   int first_eval_slot_ = 0;
   int num_slots_ = 0;
   int eval_cur_ = 0;  ///< round being processed / straddling slot index
-  PageVector<SyncStepCost> scratch_rows_;  // slots >= first_eval_slot_
-  PageVector<char> scratch_row_empty_;
-  // Scratch checkpoint rows (boundaries b+1 .. R_cand), SoA like ck_*.
-  PageVector<std::int64_t> scr_pos_;
-  PageVector<double> scr_weight_, scr_comp_, scr_save_, scr_load_;
-  PageVector<char> scr_any_;
-  PageVector<std::int64_t> scr_cache_start_;
-  PageVector<NodeId> scr_cache_nodes_;
+  SlotRows scr_rows_;  // slots >= first_eval_slot_
+  BoundaryRows scr_{async_};         // boundaries b+1 .. R_cand
   PageVector<int> scr_round_steps_;  // superstep of rounds b..R_cand-1
   int cand_rounds_ = 0;
   int cand_steps_ = 0;
   // Async: the two active slots' op lists and the flushed scratch pool
-  // (slots b .. R_cand, same CSR layout as the committed pool).
+  // (slots b .. R_cand).
   std::vector<SlotOps> async_cur_, async_next_;
-  PageVector<NodeId> scr_as_comp_nodes_, scr_as_save_nodes_,
-      scr_as_load_nodes_;
-  PageVector<std::int64_t> scr_as_comp_start_, scr_as_save_start_,
-      scr_as_load_start_;
-  PageVector<std::int32_t> scr_as_save_prefix_;
-  // promote_eval's CSR of the re-derived rounds' blued nodes.
-  PageVector<std::int64_t> promote_ends_;
-  PageVector<NodeId> promote_nodes_;
+  OpPool scr_ops_;
+  // promote_eval's rows of the re-derived rounds' blued nodes.
+  PooledCsr<NodeId> promote_blued_;
   // Async finalize scratch (epoch-stamped per finalize).
-  int async_epoch_ = 0;
-  PageVector<int> fs_stamp_;      // [v]
+  std::uint32_t async_epoch_ = 0;
+  PageVector<std::uint32_t> fs_stamp_;  // [v]
   PageVector<int> first_save_;    // [v]: slot of the first save
   PageVector<double> gets_blue_;  // [v]: availability time
   std::vector<double> now_;       // [p]: finishing time per proc
@@ -748,10 +800,10 @@ class IncrementalEvaluator {
 
   // validator scratch
   long rescan_moves_ = 0;
-  int scan_epoch_ = 0;
-  PageVector<int> scan_stamp_;
-  int affected_epoch_ = 0;
-  PageVector<int> affected_stamp_;
+  std::uint32_t scan_epoch_ = 0;
+  PageVector<std::uint32_t> scan_stamp_;
+  std::uint32_t affected_epoch_ = 0;
+  PageVector<std::uint32_t> affected_stamp_;
 };
 
 }  // namespace mbsp

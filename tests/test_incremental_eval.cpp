@@ -7,7 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <climits>
 #include <cstdint>
+#include <limits>
+#include <string>
+#include <type_traits>
 
 #include "src/bsp/greedy_scheduler.hpp"
 #include "src/graph/generators.hpp"
@@ -468,6 +472,80 @@ struct IncrementalEvaluatorPeer {
             eval.delta_ops_.begin() +
                 static_cast<std::ptrdiff_t>(eval.delta_size_)};
   }
+
+  /// The committed state a reconvergence splice rewrites that
+  /// checkpoint_digest leaves out. Home groups are -1 wherever the blue
+  /// round is not valid (never blued), since only the valid ones are read.
+  struct SplicedState {
+    std::vector<int> blue_round, home_group, step_first_round;
+    std::vector<std::int64_t> blued_start;
+    std::vector<NodeId> blued_nodes;
+    std::vector<double> row_prefix;  // compute, io, sync per slot
+  };
+  static SplicedState spliced_state(const IncrementalEvaluator& eval) {
+    SplicedState out;
+    out.blue_round.assign(eval.blue_round_.begin(), eval.blue_round_.end());
+    for (std::size_t v = 0; v < eval.n_; ++v) {
+      out.home_group.push_back(eval.blue_round_[v] == INT_MAX
+                                   ? -1
+                                   : eval.home_group_[v]);
+    }
+    out.step_first_round.assign(eval.step_first_round_.begin(),
+                                eval.step_first_round_.end());
+    out.blued_start.assign(eval.blued_.start.begin(), eval.blued_.start.end());
+    out.blued_nodes.assign(eval.blued_.items.begin(), eval.blued_.items.end());
+    for (const SyncCostBreakdown& bd : eval.row_prefix_) {
+      out.row_prefix.insert(out.row_prefix.end(), {bd.compute, bd.io, bd.sync});
+    }
+    return out;
+  }
+
+  /// Sets every epoch counter to its largest value, so that its next bump
+  /// wraps: the five uint32 overlays (try, with its winner's copy; segment;
+  /// eval cache per processor; eval blue; next-need memo per processor) and
+  /// the validator's scan, the affected-node and the async finalize
+  /// counters.
+  static void saturate_epochs(IncrementalEvaluator& eval) {
+    const auto saturate = [](auto& epoch) {
+      using Epoch = std::remove_reference_t<decltype(epoch)>;
+      epoch = std::numeric_limits<Epoch>::max();
+    };
+    saturate(eval.t_epoch_);
+    saturate(eval.best_epoch_);
+    saturate(eval.s_epoch_);
+    for (auto& epoch : eval.ec_epoch_) saturate(epoch);
+    saturate(eval.eb_epoch_);
+    for (auto& epoch : eval.nn_epoch_) saturate(epoch);
+    saturate(eval.scan_epoch_);
+    saturate(eval.affected_epoch_);
+    saturate(eval.async_epoch_);
+  }
+  /// Every counter saturate_epochs sets, by name, with whether it still
+  /// sits at its largest value (has not wrapped). The try overlay counts
+  /// as wrapped once either copy has, the next-need memo once any
+  /// processor's has.
+  static std::vector<std::pair<std::string, bool>> unwrapped_epochs(
+      const IncrementalEvaluator& eval) {
+    const auto at_max = [](const auto& epoch) {
+      return epoch ==
+             std::numeric_limits<std::remove_cvref_t<decltype(epoch)>>::max();
+    };
+    std::vector<std::pair<std::string, bool>> out = {
+        {"segment", at_max(eval.s_epoch_)},
+        {"eval blue", at_max(eval.eb_epoch_)},
+        {"scan", at_max(eval.scan_epoch_)},
+        {"affected", at_max(eval.affected_epoch_)},
+        {"try", at_max(eval.t_epoch_) && at_max(eval.best_epoch_)},
+        {"next need",
+         std::all_of(eval.nn_epoch_.begin(), eval.nn_epoch_.end(), at_max)},
+    };
+    for (std::size_t p = 0; p < eval.ec_epoch_.size(); ++p) {
+      out.push_back(
+          {"eval cache " + std::to_string(p), at_max(eval.ec_epoch_[p])});
+    }
+    if (eval.async_) out.push_back({"async", at_max(eval.async_epoch_)});
+    return out;
+  }
 };
 
 namespace {
@@ -906,6 +984,64 @@ TEST(IncrementalEval, SaveRequiredMatchesAFreshDerivation) {
   EXPECT_GT(commits, 50);
 }
 
+TEST(IncrementalEval, EpochWrapKeepsCostsAndVerdicts) {
+  // Every epoch-stamped overlay and counter is pushed to its largest value
+  // every 20 moves, so each wraps inside the move stream: the wrap must
+  // zero the stamps, or a stale one aliases the restarted epoch and a move
+  // reads another evaluation's overlay entry.
+  const MbspInstance inst =
+      workload_instance("stencil2d:nx=5,ny=5,steps=2", 4, /*r_factor=*/2);
+  for (CostModel cost : {CostModel::kSynchronous, CostModel::kAsynchronous}) {
+    for (PolicyKind policy : {PolicyKind::kClairvoyant, PolicyKind::kLru}) {
+      LnsOptions options;
+      options.cost = cost;
+      options.completion_policy = policy;
+      const std::string config =
+          "cost=" + std::to_string(static_cast<int>(cost)) +
+          " policy=" + std::to_string(static_cast<int>(policy));
+      IncrementalEvaluator eval(inst, options);
+      eval.attach(warm_plan(inst));
+      Rng rng(31);
+      long valid = 0;
+      // Each window of 20 moves must wrap every counter it saturated.
+      const auto expect_wrapped = [&](int it) {
+        for (const auto& [name, unwrapped] :
+             IncrementalEvaluatorPeer::unwrapped_epochs(eval)) {
+          EXPECT_FALSE(unwrapped) << config << " before move " << it << ": "
+                                  << name << " epoch did not wrap";
+        }
+      };
+      for (int it = 0; it < 160; ++it) {
+        if (it % 20 == 0) {
+          if (it > 0) expect_wrapped(it);
+          IncrementalEvaluatorPeer::saturate_epochs(eval);
+        }
+        eval.begin_move();
+        if (!apply_random_occurrence_move(eval, rng)) {
+          eval.rollback();
+          continue;
+        }
+        const auto out = eval.finish_move();
+        ASSERT_EQ(out.valid, validate_plan(inst.dag, eval.plan()).ok)
+            << config << " move " << it;
+        if (out.valid) {
+          ASSERT_EQ(out.cost,
+                    reference_evaluate_plan(inst, eval.plan(), options))
+              << config << " move " << it;
+          ++valid;
+        }
+        if (out.valid && rng.chance(0.5)) {
+          eval.commit();
+        } else {
+          eval.rollback();
+        }
+      }
+      expect_wrapped(160);
+      EXPECT_GT(valid, 20) << config;
+    }
+  }
+}
+
 TEST(IncrementalEval, AsyncAndLruTakeIncrementalPath) {
   // Async cost and LRU eviction must run through the O(dirty) incremental
   // path, not a full-evaluation fallback: local moves re-derive strictly
@@ -1185,6 +1321,16 @@ TEST(IncrementalEval, CommitHeavyDifferentialAcrossConfigs) {
         IncrementalEvaluator fresh(inst, options);
         fresh.attach(eval.plan());
         ASSERT_EQ(eval.checkpoint_digest(), fresh.checkpoint_digest())
+            << config;
+        // The rest of the spliced state, which the digest does not cover.
+        const auto spliced = IncrementalEvaluatorPeer::spliced_state(eval);
+        const auto attached = IncrementalEvaluatorPeer::spliced_state(fresh);
+        EXPECT_EQ(spliced.blue_round, attached.blue_round) << config;
+        EXPECT_EQ(spliced.home_group, attached.home_group) << config;
+        EXPECT_EQ(spliced.blued_start, attached.blued_start) << config;
+        EXPECT_EQ(spliced.blued_nodes, attached.blued_nodes) << config;
+        EXPECT_EQ(spliced.row_prefix, attached.row_prefix) << config;
+        EXPECT_EQ(spliced.step_first_round, attached.step_first_round)
             << config;
         Rng rng_a(202), rng_b(202);
         for (int it = 0; it < 50; ++it) {
