@@ -124,15 +124,18 @@ inline double peak_rss_mb() {
 /// regression beyond the comparator's noise threshold fails the build:
 /// machine-relative metrics (speedups, cost ratios) gate; absolute ones
 /// (iters/s, RSS) are informational because they track the host, not the
-/// code. Peak RSS is sampled at write() time automatically.
+/// code. A gated metric the seed alone determines (an iteration-capped
+/// cost ratio, a hit rate over a fixed request stream) is exact: any
+/// change beyond 1e-9 relative fails, better or worse, until the baseline
+/// is re-recorded. Peak RSS is sampled at write() time automatically.
 class PerfReport {
  public:
   explicit PerfReport(std::string bench) : bench_(std::move(bench)) {}
 
   /// Top-level summary metric (e.g. a geomean across families).
   void add_metric(const std::string& name, double value,
-                  bool higher_is_better, bool gated) {
-    metrics_.push_back({name, value, higher_is_better, gated});
+                  bool higher_is_better, bool gated, bool exact = false) {
+    metrics_.push_back({name, value, higher_is_better, gated, exact});
   }
 
   /// Per-family detail row; families and their metrics keep insertion
@@ -165,10 +168,10 @@ class PerfReport {
       const Metric& m = metrics_[i];
       std::fprintf(f,
                    "%s\n    \"%s\": {\"value\": %s, \"higher_is_better\": %s, "
-                   "\"gated\": %s}",
+                   "\"gated\": %s, \"exact\": %s}",
                    i == 0 ? "" : ",", m.name.c_str(), num(m.value).c_str(),
                    m.higher_is_better ? "true" : "false",
-                   m.gated ? "true" : "false");
+                   m.gated ? "true" : "false", m.exact ? "true" : "false");
     }
     std::fprintf(f, "\n  },\n  \"families\": {");
     for (std::size_t i = 0; i < families_.size(); ++i) {
@@ -192,6 +195,7 @@ class PerfReport {
     double value;
     bool higher_is_better;
     bool gated;
+    bool exact;
   };
   struct Family {
     std::string name;

@@ -200,9 +200,10 @@ int main() {
               percentile(warm_ms, 0.50));
 
   bench::PerfReport report("daemon");
-  // Deterministic given the request stream — gates.
+  // Deterministic given the request stream — gates exactly.
   report.add_metric("exact_hit_rate", exact_hit_rate,
-                    /*higher_is_better=*/true, /*gated=*/true);
+                    /*higher_is_better=*/true, /*gated=*/true,
+                    /*exact=*/true);
   // Host-dependent latency/throughput — informational.
   report.add_metric("hot_p50_ms", p50, /*higher_is_better=*/false,
                     /*gated=*/false);

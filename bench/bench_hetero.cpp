@@ -162,10 +162,11 @@ int main() {
   emit(summary, "scheduler differentiation by machine", config,
        "hetero_summary");
   // The cost ratios come from iteration-capped deterministic solves, so
-  // they are reproducible across hosts and gate the trajectory; absolute
-  // iteration rates are host-bound and informational.
+  // they are reproducible across hosts and gate the trajectory exactly;
+  // absolute iteration rates are host-bound and informational.
   report.add_metric("geomean_cost_ratio_lns", geometric_mean(lns_ratios_all),
-                    /*higher_is_better=*/false, /*gated=*/true);
+                    /*higher_is_better=*/false, /*gated=*/true,
+                    /*exact=*/true);
   report.add_metric("geomean_lns_iters_per_sec",
                     geometric_mean(lns_rates_all),
                     /*higher_is_better=*/true, /*gated=*/false);

@@ -125,9 +125,10 @@ int main() {
               "events (%.2fx wall speedup)\n",
               ratio, all_ratios.size(), speedup);
 
-  // Deterministic (budget_ms = 0 + iteration cap) — gates.
+  // Deterministic (budget_ms = 0 + iteration cap) — gates exactly.
   report.add_metric("repair_vs_resolve_cost_ratio", ratio,
-                    /*higher_is_better=*/false, /*gated=*/true);
+                    /*higher_is_better=*/false, /*gated=*/true,
+                    /*exact=*/true);
   // Host-dependent wall-clock advantage — informational.
   report.add_metric("repair_wall_speedup", speedup,
                     /*higher_is_better=*/true, /*gated=*/false);

@@ -18,6 +18,44 @@ namespace {
 constexpr long kDeadlinePollInterval = 256;
 static_assert((kDeadlinePollInterval & (kDeadlinePollInterval - 1)) == 0);
 
+/// The annealing schedule ends at this fraction of its start temperature,
+/// so every search, however short, finishes in near-greedy descent.
+constexpr double kFinalTemperatureRatio = 1e-3;
+
+/// The cost-changing proposals whose mean |delta| scales the temperature.
+constexpr long kScaleSamples = 64;
+
+/// Simulated annealing (Kirkpatrick, Gelatt and Vecchi 1983) cooled over
+/// the search's own effort: at progress f in [0, 1] (the spent fraction
+/// of max_iterations, or of budget_ms when that is further along) the
+/// temperature is temp * scale * kFinalTemperatureRatio^f. The scale is
+/// the mean |delta| of the first kScaleSamples validated proposals that
+/// change the cost: one move's cost change, which does not grow with n
+/// the way the total cost does. tests/support/reference_lns.cpp mirrors
+/// this arithmetic, so the two searches stay bitwise-aligned.
+class Annealing {
+ public:
+  explicit Annealing(double temp) : temp_(temp) {}
+
+  /// Records a validated proposal's cost change.
+  void observe(double delta) {
+    if (delta == 0 || samples_ == kScaleSamples) return;
+    sum_ += std::abs(delta);
+    ++samples_;
+  }
+
+  /// The temperature at `progress`; needs one observed nonzero delta.
+  double temperature(double progress) const {
+    return temp_ * (sum_ / static_cast<double>(samples_)) *
+           std::pow(kFinalTemperatureRatio, progress);
+  }
+
+ private:
+  double temp_;
+  double sum_ = 0;
+  long samples_ = 0;
+};
+
 struct OccRef {
   int proc = 0;
   std::size_t index = 0;
@@ -350,9 +388,8 @@ LnsSearchResult search_plan(const MbspInstance& inst,
 
   Rng rng(options.seed);
   Deadline deadline(options.budget_ms);
-  double temperature =
-      std::max(1e-9, options.initial_temperature_frac * result.initial_cost);
-  const double cooling = 0.9995;
+  Annealing annealing(options.initial_temperature_frac);
+  double wall_progress = 0;  // spent fraction of budget_ms at the last poll
 
   const std::vector<unsigned> moves = enabled_moves(options);
   const auto finish = [&] {
@@ -366,10 +403,16 @@ LnsSearchResult search_plan(const MbspInstance& inst,
   // mask test; iteration counts per poll window are deterministic). Every
   // configuration costs moves in O(dirty rounds) through the incremental
   // engine, so a whole batch cannot overshoot the budget by more than a
-  // sliver of work.
+  // sliver of work. The same read gives the schedule its wall progress;
+  // without a budget the schedule depends on the iteration count alone.
   constexpr long poll_mask = kDeadlinePollInterval - 1;
-  while (result.iterations < options.max_iterations &&
-         ((result.iterations & poll_mask) != 0 || !deadline.expired())) {
+  const double max_iterations = static_cast<double>(options.max_iterations);
+  while (result.iterations < options.max_iterations) {
+    if ((result.iterations & poll_mask) == 0 && options.budget_ms > 0) {
+      const double left = deadline.remaining_ms();
+      if (left <= 0) break;
+      wall_progress = 1 - left / options.budget_ms;
+    }
     ++result.iterations;
     const unsigned move = moves[rng.index(moves.size())];
     const int class_index = move_class_index(move);
@@ -407,9 +450,15 @@ LnsSearchResult search_plan(const MbspInstance& inst,
     }
     const double cost = out.cost;
     const double delta = cost - current_cost;
-    const bool accept =
-        delta <= 0 || rng.uniform01() < std::exp(-delta / temperature);
-    temperature = std::max(1e-9, temperature * cooling);
+    annealing.observe(delta);
+    bool accept = delta <= 0;
+    if (!accept) {
+      const double progress = std::max(
+          static_cast<double>(result.iterations) / max_iterations,
+          wall_progress);
+      accept = rng.uniform01() <
+               std::exp(-delta / annealing.temperature(progress));
+    }
     if (!accept) {
       eval.rollback();
       continue;

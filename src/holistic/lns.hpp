@@ -85,8 +85,14 @@ struct LnsOptions {
   PolicyKind completion_policy = PolicyKind::kClairvoyant;
   std::uint64_t seed = 42;
   long max_iterations = 2'000'000;
-  /// Initial SA temperature as a fraction of the starting cost.
-  double initial_temperature_frac = 0.05;
+  /// Start temperature of the annealing schedule (the `temp` spec key),
+  /// as a multiple of one move's cost change: the mean |delta| of the
+  /// search's first 64 validated proposals that change the cost. The
+  /// schedule cools it geometrically to 1/1000 over the search's own
+  /// effort (max_iterations; under a wall budget, whichever of it and
+  /// budget_ms is further spent). 0 is greedy descent; docs/ARCHITECTURE.md
+  /// says why the default is small.
+  double initial_temperature_frac = 0.003;
   /// Enabled move classes; recompute moves additionally require
   /// allow_recompute. Disabling classes is for ablation benches.
   unsigned move_mask = kAllMoves;

@@ -36,10 +36,12 @@ long slice_iterations(long total, int epochs, int epoch) {
 void apply_diverse_profile(int worker, LnsOptions* o) {
   if (worker == 0) return;
   switch ((worker - 1) % 3) {
-    case 0:  // hotter annealing: accepts more uphill moves early
+    // Temperatures are in units of one move's cost change, and every
+    // slice cools over its own cap (docs/ARCHITECTURE.md).
+    case 0:  // hotter: twice the start temperature, more uphill moves
       o->initial_temperature_frac *= 2.0;
       break;
-    case 1:  // colder: near-greedy descent
+    case 1:  // colder: half the start temperature, closer to descent
       o->initial_temperature_frac *= 0.5;
       break;
     case 2: {  // placement-only: freeze the superstep structure

@@ -4,6 +4,10 @@
 #include <cassert>
 #include <thread>
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 #include "src/bsp/greedy_scheduler.hpp"
 #include "src/graph/topology.hpp"
 #include "src/holistic/incremental_eval.hpp"
@@ -246,6 +250,12 @@ ShardResult shard_schedule(const MbspInstance& inst,
       solved[q] = {std::move(sub.globals), std::move(improved.plan)};
     });
   }
+#if defined(__GLIBC__)
+  // The workers freed their per-shard heap into glibc's per-thread
+  // arenas, which keep it resident; hand it back before the polish's
+  // full-size attach allocates on top of it.
+  malloc_trim(0);
+#endif
 
   // Stitch wave-by-wave with superstep offsets (quotient-topological
   // order).

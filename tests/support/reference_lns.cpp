@@ -227,14 +227,20 @@ LnsSearchResult reference_search(const MbspInstance& inst,
 
   Rng rng(options.seed);
   Deadline deadline(options.budget_ms);
-  double temperature =
-      std::max(1e-9, options.initial_temperature_frac * result.initial_cost);
-  const double cooling = 0.9995;
+  // search_plan's annealing schedule: temp * scale * 1e-3^progress, the
+  // scale being the mean |delta| of the first 64 cost-changing proposals
+  // and progress the spent fraction of the iterations or of the budget.
+  double delta_sum = 0;
+  long delta_samples = 0;
 
   const std::vector<unsigned> moves = enabled_moves(options);
   if (moves.empty()) return result;
 
   while (result.iterations < options.max_iterations && !deadline.expired()) {
+    const double wall_progress =
+        options.budget_ms > 0
+            ? 1 - deadline.remaining_ms() / options.budget_ms
+            : 0.0;
     ++result.iterations;
     ComputePlan candidate = current;
     const unsigned move = moves[rng.index(moves.size())];
@@ -266,10 +272,21 @@ LnsSearchResult reference_search(const MbspInstance& inst,
     if (!validate_plan(inst.dag, candidate)) continue;
     const double cost = reference_evaluate_plan(inst, candidate, options);
     const double delta = cost - current_cost;
-    const bool accept =
-        delta <= 0 || rng.uniform01() < std::exp(-delta / temperature);
-    temperature = std::max(1e-9, temperature * cooling);
-    if (!accept) continue;
+    if (delta != 0 && delta_samples < 64) {
+      delta_sum += std::abs(delta);
+      ++delta_samples;
+    }
+    if (delta > 0) {
+      const double progress =
+          std::max(static_cast<double>(result.iterations) /
+                       static_cast<double>(options.max_iterations),
+                   wall_progress);
+      const double temperature =
+          options.initial_temperature_frac *
+          (delta_sum / static_cast<double>(delta_samples)) *
+          std::pow(1e-3, progress);
+      if (rng.uniform01() >= std::exp(-delta / temperature)) continue;
+    }
     ++result.accepted;
     ++result.accepted_by_class[class_index];
     current = std::move(candidate);

@@ -8,7 +8,12 @@ PerfReport). Metrics carry their direction and a `gated` flag:
     deterministic cost ratios) and FAIL the run when they regress beyond the
     noise threshold relative to the committed baseline in bench/baselines/;
   * ungated metrics (absolute iters/s, peak RSS) track the host, so they are
-    reported but never fail the gate.
+    reported but never fail the gate;
+  * exact metrics are gated metrics the seed alone determines (iteration-
+    capped cost ratios, a hit rate over a fixed request stream). They FAIL
+    on any change beyond EXACT_REL_TOL relative, better or worse: a plan
+    that moved is re-recorded with --update, never absorbed by the noise
+    threshold.
 
 Usage:
   bench_compare.py BASELINE CURRENT [--threshold 0.10]
@@ -38,7 +43,12 @@ def load(path):
         sys.exit(f"bench_compare: cannot read {path}: {err}")
 
 
-def metric_row(name, bv, cv, higher, gated, threshold):
+# Relative tolerance of an exact metric: room for the last bits of a
+# geometric mean, nothing a moved plan could hide in.
+EXACT_REL_TOL = 1e-9
+
+
+def metric_row(name, bv, cv, higher, gated, threshold, exact=False):
     """One (metric, base, cur, gated, ok, detail) comparison row. Shared by
     declared metrics and top-level fields like peak_rss_mb, so every number
     gets the same direction/threshold treatment."""
@@ -46,6 +56,12 @@ def metric_row(name, bv, cv, higher, gated, threshold):
         return (name, None, cv, gated, True, "new metric, not in baseline")
     if cv is None:
         return (name, bv, None, gated, not gated, "missing in current")
+    if gated and exact:
+        ok = abs(cv - bv) <= EXACT_REL_TOL * abs(bv)
+        detail = "exact: equal" if ok else (
+            f"exact: differs by {cv - bv:+.6g} (re-record with --update if "
+            f"the plan change is intended)")
+        return (name, bv, cv, gated, ok, detail)
     if bv == 0:
         return (name, bv, cv, gated, True, "zero baseline, skipped")
     if higher:
@@ -68,7 +84,9 @@ def compare(baseline, current, threshold):
         rows.append(metric_row(name, base["value"],
                                None if cur is None else cur["value"],
                                base.get("higher_is_better", True),
-                               base.get("gated", False), threshold))
+                               base.get("gated", False), threshold,
+                               base.get("exact", False)
+                               or (cur or {}).get("exact", False)))
     for name in cur_metrics:
         if name not in base_metrics:
             rows.append(metric_row(name, None, cur_metrics[name]["value"],

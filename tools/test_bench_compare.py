@@ -16,13 +16,26 @@ TOOL = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                     "bench_compare.py")
 
 
-def report(bench="demo", value=1.0, gated=True, higher=True):
+BASELINES = os.path.join(os.path.dirname(os.path.dirname(TOOL)), "bench",
+                         "baselines")
+
+# The gated metrics the seed alone determines: each must gate exactly.
+EXACT_METRICS = {
+    "hetero": {"geomean_cost_ratio_lns"},
+    "repair": {"repair_vs_resolve_cost_ratio"},
+    "scale": {"sharded_over_seed_k1", "sharded_over_seed_k4",
+              "sharded_over_seed_k8"},
+    "daemon": {"exact_hit_rate"},
+}
+
+
+def report(bench="demo", value=1.0, gated=True, higher=True, exact=False):
     return {
         "bench": bench,
         "peak_rss_mb": 10.0,
         "metrics": {
             "metric": {"value": value, "higher_is_better": higher,
-                       "gated": gated},
+                       "gated": gated, "exact": exact},
         },
         "families": {},
     }
@@ -79,6 +92,35 @@ class BenchCompareTest(unittest.TestCase):
         result = self.run_tool(baseline, current)
         self.assertEqual(result.returncode, 0, result.stdout)
         self.assertIn("[info]", result.stdout)
+
+    def test_exact_metric_fails_on_any_change(self):
+        baseline = self.path("baseline.json", report(value=0.98, exact=True,
+                                                     higher=False))
+        for value in (0.97, 0.99, 0.98 * (1 + 1e-7)):
+            current = self.path("current.json",
+                                report(value=value, exact=True, higher=False))
+            result = self.run_tool(baseline, current)
+            self.assertEqual(result.returncode, 1, value)
+            self.assertIn("[FAIL] metric", result.stdout)
+            self.assertIn("exact: differs", result.stdout)
+
+    def test_exact_metric_passes_within_tolerance(self):
+        baseline = self.path("baseline.json", report(value=0.98, exact=True))
+        for value in (0.98, 0.98 * (1 + 1e-10)):
+            current = self.path("current.json",
+                                report(value=value, exact=True))
+            result = self.run_tool(baseline, current)
+            self.assertEqual(result.returncode, 0, result.stdout)
+            self.assertIn("exact: equal", result.stdout)
+
+    def test_committed_baselines_pin_the_exact_metrics(self):
+        for bench, names in EXACT_METRICS.items():
+            with open(os.path.join(BASELINES, f"BENCH_{bench}.json")) as f:
+                metrics = json.load(f)["metrics"]
+            exact = {name for name, m in metrics.items() if m.get("exact")}
+            self.assertEqual(exact, names, bench)
+            for name in names:
+                self.assertTrue(metrics[name]["gated"], name)
 
     def test_bench_mismatch_is_an_error(self):
         baseline = self.path("baseline.json", report(bench="a"))
