@@ -17,7 +17,8 @@
 //     hit is bitwise-identical to what a fresh solve would produce.
 //   * a request with strictly more effort is a WARM hit: the caller
 //     re-solves with the cached incumbent as warm start (never worse than
-//     the incumbent, by the LNS contract) and re-inserts the improvement.
+//     the incumbent, by the LNS contract; an iteration-capped warm hit is
+//     also solved cold, and the cheaper plan kept) and re-inserts it.
 //
 // Entries are LRU-evicted beyond a fixed capacity; every transition is
 // counted (ScheduleCacheStats) and surfaced over the daemon's stats

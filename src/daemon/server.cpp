@@ -324,9 +324,24 @@ bool MbspdServer::serve_request(int fd, const ScheduleRequest& request,
                                                      : "solving"));
 
   ScheduleResult result = solver->run(*inst, opts);
+  // An iteration-capped warm hit also solves cold at the same cap and
+  // keeps the cheaper plan: a descent from the cached local optimum can
+  // stall above the one a fresh descent from the baseline reaches, and the
+  // answer must be no worse than the cold solve a miss would have run. A
+  // wall-budgeted warm hit (a budget or a deadline) keeps its one search,
+  // so its wall time stays within the budget.
+  const bool warm = outcome == CacheStatus::kWarm;
+  std::uint64_t solves = 1;
+  if (warm && opts.budget_ms == 0) {
+    SchedulerOptions cold = opts;
+    cold.warm_start_plan = nullptr;
+    ScheduleResult fresh = scheduler->run(*inst, cold);
+    ++solves;
+    if (fresh.cost < result.cost) result = std::move(fresh);
+  }
   {
     const std::lock_guard<std::mutex> lock(stats_mutex_);
-    ++solver_calls_;
+    solver_calls_ += solves;
     if (repairing) ++repair_hits_;
   }
   long long iterations = 0;
@@ -336,7 +351,6 @@ bool MbspdServer::serve_request(int fd, const ScheduleRequest& request,
        encode_progress({1, result.cost, iterations}));
 
   // A warm start re-enters the cache carrying the enlarged effort.
-  const bool warm = outcome == CacheStatus::kWarm;
   ScheduleCacheEntry entry = cache_entry_of(std::move(result));
   entry.budget_ms = warm ? max_budget_ms(cached.budget_ms, opts.budget_ms)
                          : opts.budget_ms;

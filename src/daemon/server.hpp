@@ -11,7 +11,8 @@
 // canonical machine name, scheduler spec): exact hits are answered from
 // the cache with no solver invocation (bitwise-identical plan, by the
 // determinism contract), near-miss requests — same key, more budget —
-// warm-start the LNS from the cached incumbent. A bounded LRU DAG store
+// warm-start the LNS from the cached incumbent (an iteration-capped one
+// also solves cold and keeps the cheaper plan). A bounded LRU DAG store
 // keeps recently seen DAGs resident so follow-up requests can pin the
 // canonical hash instead of resending megabytes of DAG.
 //

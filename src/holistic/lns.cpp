@@ -32,7 +32,9 @@ constexpr long kScaleSamples = 64;
 /// the mean |delta| of the first kScaleSamples validated proposals that
 /// change the cost: one move's cost change, which does not grow with n
 /// the way the total cost does. tests/support/reference_lns.cpp mirrors
-/// this arithmetic, so the two searches stay bitwise-aligned.
+/// this arithmetic and reads wall progress at the same 256-iteration
+/// polls; the two searches match bitwise under budget_ms = 0, where the
+/// schedule depends on the iteration count alone.
 class Annealing {
  public:
   explicit Annealing(double temp) : temp_(temp) {}

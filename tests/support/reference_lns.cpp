@@ -236,11 +236,11 @@ LnsSearchResult reference_search(const MbspInstance& inst,
   const std::vector<unsigned> moves = enabled_moves(options);
   if (moves.empty()) return result;
 
+  double wall_progress = 0;  // read at search_plan's 256-iteration poll
   while (result.iterations < options.max_iterations && !deadline.expired()) {
-    const double wall_progress =
-        options.budget_ms > 0
-            ? 1 - deadline.remaining_ms() / options.budget_ms
-            : 0.0;
+    if (result.iterations % 256 == 0 && options.budget_ms > 0) {
+      wall_progress = 1 - deadline.remaining_ms() / options.budget_ms;
+    }
     ++result.iterations;
     ComputePlan candidate = current;
     const unsigned move = moves[rng.index(moves.size())];

@@ -9,7 +9,6 @@
 
 #if defined(__unix__) || defined(__APPLE__)
 
-#include <cmath>
 #include <thread>
 #include <vector>
 
@@ -221,12 +220,9 @@ TEST_F(DaemonTest, WarmStartNeverLosesToTheCachedIncumbent) {
   connect_ok(client);
 
   // Over a fixed panel of small workloads: seed the cache with a
-  // small-effort solve, then ask for more effort, and solve the big
-  // request cold too (cache bypassed). A warm start is never worse than
-  // its cached incumbent (the LNS contract). It can lose to the cold solve
-  // on one workload, since both searches descend from different starts;
-  // across the panel the cached effort must pay.
-  double log_warm_over_cold = 0;
+  // small-effort solve, then ask for more effort. The warm re-solve is
+  // never worse than its cached incumbent (the LNS contract), nor than
+  // the same big request solved cold (cache bypassed) on any workload.
   for (const char* workload :
        {"fft:n=16", "fft:n=32", "stencil2d:nx=8,ny=8,steps=3", "lu:blocks=5",
         "wavefront:nx=10,ny=10", "mapreduce:maps=10,reducers=6,rounds=4"}) {
@@ -242,22 +238,22 @@ TEST_F(DaemonTest, WarmStartNeverLosesToTheCachedIncumbent) {
         << workload
         << ": the LNS contract: never worse than the warm-start incumbent";
 
+    ScheduleRequest cold = bigger;
+    cold.no_cache = true;
+    const MbspClient::Outcome cold_run = run_ok(client, cold);
+    ASSERT_EQ(cold_run.final.cache, CacheStatus::kCold) << workload;
+    EXPECT_LE(warm.final.cost, cold_run.final.cost)
+        << workload
+        << ": warm-starting from the incumbent must not lose to a cold "
+           "solve at equal effort";
+
     // The warm re-solve re-inserts at the enlarged effort: the same big
     // request is now an exact hit.
     const MbspClient::Outcome replay = run_ok(client, bigger);
     EXPECT_EQ(replay.final.cache, CacheStatus::kExact) << workload;
     EXPECT_EQ(plan_bytes(replay.final.plan), plan_bytes(warm.final.plan))
         << workload;
-
-    ScheduleRequest cold = bigger;
-    cold.no_cache = true;
-    const MbspClient::Outcome cold_run = run_ok(client, cold);
-    ASSERT_EQ(cold_run.final.cache, CacheStatus::kCold) << workload;
-    log_warm_over_cold += std::log(warm.final.cost / cold_run.final.cost);
   }
-  EXPECT_LE(log_warm_over_cold, 0)
-      << "warm-starting from the incumbents must not lose to cold solves at "
-         "equal effort across this fixed panel";
 }
 
 TEST_F(DaemonTest, LruEvictionFollowsRecencyOrder) {
